@@ -7,11 +7,15 @@ source/sink are permanent.  A minimum-cardinality cut is computed by the
 classic node-splitting reduction to max flow: each candidate becomes an
 in/out pair joined by a unit-capacity edge, everything else is effectively
 infinite, and the saturated unit edges on the source side of the final
-residual graph form the cut.
+residual graph form the cut.  The flow is Dinic's algorithm over integer
+node ids (atom `i` is node `i`, a candidate's out-node is `n + i`); with
+unit capacities on every split node it takes O(E * sqrt(V)) time (Even and
+Tarjan, SIAM J. Comput. 1975).
 
-Everything here is deterministic: candidates are visited in program order and
-augmenting paths are shortest-first, so ties between equal-size cuts are
-always broken the same way.
+Everything here is deterministic.  The nodes the source reaches in the
+residual graph are the same for every maximum flow, so the cut is always the
+one closest to the source, whichever maximum flow was found; it is listed in
+program order.
 """
 
 from __future__ import annotations
@@ -103,11 +107,14 @@ def _find_path(adj: dict, removed: set) -> list | None:
     return None
 
 
+def _variable_nodes(g: DefUseGraph, names: set) -> set:
+    return {a for a in g.nodes if isinstance(a, VarAtom) and a.name in names}
+
+
 def is_cut(g: DefUseGraph, names) -> bool:
     """True iff removing the named variable nodes disconnects source from
     sink."""
-    removed = {a for a in g.nodes
-               if isinstance(a, VarAtom) and a.name in set(names)}
+    removed = _variable_nodes(g, set(names))
     return _find_path(g.adjacency(), removed) is None
 
 
@@ -118,81 +125,91 @@ class MinCutResult:
 
 
 def max_flow_min_cut(g: DefUseGraph) -> MinCutResult:
-    """Shortest-augmenting-path max flow on the node-split graph.
+    """Dinic max flow on the node-split graph, and the source-closest
+    minimum cut.
+
+    Node `i` is atom `g.nodes[i]`; a candidate's node is its in-node and
+    `n + i` its out-node, joined by a unit arc.  Arcs live in flat lists
+    with each reverse arc at `arc ^ 1`.  Each phase builds BFS levels, then
+    an iterative depth-first search with per-node arc pointers saturates
+    the level graph, so deep graphs never reach the recursion limit.
 
     Raises Infeasible when some source-to-sink path carries no candidate
     (only possible with a restricted candidate set).
     """
-    adj_plain = g.adjacency()
-    candidate_atoms = set(g.candidates)
-    blocked = _find_path(adj_plain, candidate_atoms)
+    blocked = _find_path(g.adjacency(), set(g.candidates))
     if blocked is not None:
         raise Infeasible(blocked)
 
     inf = len(g.candidates) + 1
-    source = (T_SOURCE, "x")
-    sink = (S_SINK, "x")
+    n = len(g.nodes)
+    index = {a: i for i, a in enumerate(g.nodes)}
+    out_node = list(range(n))
+    to: list[int] = []
+    cap: list[int] = []
+    arcs: list[list[int]] = [[] for _ in range(2 * n)]
 
-    def node_in(a):
-        return (a, "in") if a in candidate_atoms else (a, "x")
-
-    def node_out(a):
-        return (a, "out") if a in candidate_atoms else (a, "x")
-
-    capacity: dict = {}
-    neighbors: dict = {}
-
-    def add_edge(u, v, cap) -> None:
-        if (u, v) not in capacity:
-            capacity[(u, v)] = 0
-            capacity[(v, u)] = capacity.get((v, u), 0)
-            neighbors.setdefault(u, []).append(v)
-            neighbors.setdefault(v, []).append(u)
-        capacity[(u, v)] += cap
+    def add_arc(u: int, v: int, c: int) -> None:
+        arcs[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        arcs[v].append(len(to))
+        to.append(u)
+        cap.append(0)
 
     for a in g.candidates:
-        add_edge((a, "in"), (a, "out"), 1)
+        i = index[a]
+        out_node[i] = n + i
+        add_arc(i, n + i, 1)
     for e in g.edges:
-        add_edge(node_out(e.src), node_in(e.dst), inf)
+        add_arc(out_node[index[e.src]], index[e.dst], inf)
 
+    source, sink = index[T_SOURCE], index[S_SINK]
     flow = 0
     while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in neighbors.get(u, ()):
-                if v not in parent and capacity.get((u, v), 0) > 0:
-                    parent[v] = u
+        level = [-1] * (2 * n)
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for arc in arcs[u]:
+                v = to[arc]
+                if cap[arc] and level[v] < 0:
+                    level[v] = level[u] + 1
                     queue.append(v)
-        if sink not in parent:
+        if level[sink] < 0:
             break
-        bottleneck = inf
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            bottleneck = min(bottleneck, capacity[(u, v)])
-            v = u
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            capacity[(u, v)] -= bottleneck
-            capacity[(v, u)] += bottleneck
-            v = u
-        flow += bottleneck
+        pointer = [0] * (2 * n)
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(cap[arc] for arc in path)
+                for arc in path:
+                    cap[arc] -= push
+                    cap[arc ^ 1] += push
+                flow += push
+                # resume from the tail of the first arc this saturated
+                k = next(k for k, arc in enumerate(path) if not cap[arc])
+                u = to[path[k] ^ 1]
+                del path[k:]
+                continue
+            out, p, deeper = arcs[u], pointer[u], level[u] + 1
+            while p < len(out) and not (cap[out[p]]
+                                        and level[to[out[p]]] == deeper):
+                p += 1
+            pointer[u] = p
+            if p < len(out):
+                path.append(out[p])
+                u = to[out[p]]
+            elif path:
+                u = to[path.pop() ^ 1]
+                pointer[u] += 1
+            else:
+                break
 
-    # Source side of the residual graph; saturated unit edges that straddle
-    # it are the minimum cut.
-    side = {source}
-    frontier = [source]
-    while frontier:
-        u = frontier.pop()
-        for v in neighbors.get(u, ()):
-            if v not in side and capacity.get((u, v), 0) > 0:
-                side.add(v)
-                frontier.append(v)
+    # `level` now marks what the source reaches in the final residual graph.
     cut = [a.name for a in g.candidates
-           if (a, "in") in side and (a, "out") not in side]
+           if level[index[a]] >= 0 and level[n + index[a]] < 0]
     return MinCutResult(cut, flow)
 
 
@@ -221,11 +238,9 @@ def extract_env(k_or_graph, cut, variables: list[str]) -> dict[str, str]:
     g = k_or_graph if isinstance(k_or_graph, DefUseGraph) \
         else build_graph(k_or_graph)
     cut_set = set(cut)
-    if not is_cut(g, cut_set):
+    reach = _reachable(g.adjacency(), T_SOURCE, _variable_nodes(g, cut_set))
+    if S_SINK in reach:
         raise LangError("not a cut; refusing to extract a typing environment")
-    removed = {a for a in g.nodes
-               if isinstance(a, VarAtom) and a.name in cut_set}
-    reach = _reachable(g.adjacency(), T_SOURCE, removed)
     env = {}
     for x in variables:
         atom = VarAtom(x)

@@ -133,6 +133,7 @@ def random_graph(rng: random.Random) -> DefUseGraph:
 
 def test_min_cut_matches_brute_force_oracle():
     rng = random.Random(1234)
+    shuffle_rng = random.Random(4321)
     infeasible = 0
     for _ in range(150):
         g = random_graph(rng)
@@ -146,7 +147,25 @@ def test_min_cut_matches_brute_force_oracle():
         oracle = brute_force_min_cut(g)
         assert len(fast) == len(oracle), (g.edges, fast, oracle)
         assert is_cut(g, fast)
+        assert max_flow_min_cut(g).flow == len(fast)
+        # edge order changes which maximum flow is found, never the cut
+        shuffled = DefUseGraph(shuffle_rng.sample(g.edges, len(g.edges)),
+                               g.nodes, g.candidates)
+        assert min_cut(shuffled) == fast, g.edges
     assert infeasible < 150  # the sample covers feasible graphs too
+
+
+def test_min_cut_of_deep_chain_is_source_closest():
+    n = 20_000
+    chain = [VarAtom(f"v{i}") for i in range(n)]
+    k = ConstraintSet()
+    k.add(T_SOURCE, chain[0])
+    for a, b in zip(chain, chain[1:]):
+        k.add(a, b)
+    k.add(chain[-1], S_SINK)
+    result = max_flow_min_cut(build_graph(k))  # no RecursionError
+    assert result.cut == ["v0"]
+    assert result.flow == 1
 
 
 def test_min_cut_deterministic(ex1):
