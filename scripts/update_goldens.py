@@ -23,6 +23,12 @@ GOLDEN_COMMANDS = [
     ("repair", ["repair", "--json"]),
     ("repair_slh_v11", ["repair", "--mode", "slh", "--v11", "--json"]),
     ("run_seq", ["run-seq", "--json"]),
+    ("run_spec_random", ["run-spec", "--random", "200", "--seed", "1",
+                         "--json"]),
+    ("run_spec_random_slh", ["run-spec", "--random", "200", "--seed", "1",
+                             "--mode", "slh", "--json"]),
+    ("fuzz_sct", ["fuzz-sct", "--schedules", "random:20", "--pairs", "2",
+                  "--seed", "1", "--json"]),
 ]
 
 
