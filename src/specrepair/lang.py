@@ -268,13 +268,15 @@ def eval_expr(e: Expr, rho: dict) -> Optional[Value]:
     undefined.  The ternary only consults the selected branch once the
     condition is defined.  Naturals wrap at 64 bits.
     """
-    if isinstance(e, Lit):
+    kind = type(e)
+    if kind is Lit:
         return e.value
-    if isinstance(e, Var):
-        if e.name not in rho:
-            raise EvalError(f"unbound variable {e.name}")
-        return rho[e.name]
-    if isinstance(e, Add):
+    if kind is Var:
+        try:
+            return rho[e.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {e.name}") from None
+    if kind is Add:
         a = eval_expr(e.left, rho)
         if a is None:
             return None
@@ -282,7 +284,7 @@ def eval_expr(e: Expr, rho: dict) -> Optional[Value]:
         if b is None:
             return None
         return (_as_nat(a, "+") + _as_nat(b, "+")) & WORD_MASK
-    if isinstance(e, Lt):
+    if kind is Lt:
         a = eval_expr(e.left, rho)
         if a is None:
             return None
@@ -290,7 +292,17 @@ def eval_expr(e: Expr, rho: dict) -> Optional[Value]:
         if b is None:
             return None
         return _as_nat(a, "<") < _as_nat(b, "<")
-    if isinstance(e, BitAnd):
+    if kind is Length:
+        a = eval_expr(e.arg, rho)
+        if a is None:
+            return None
+        return _as_array(a, "length").length
+    if kind is Base:
+        a = eval_expr(e.arg, rho)
+        if a is None:
+            return None
+        return _as_array(a, "base").base
+    if kind is BitAnd:
         a = eval_expr(e.left, rho)
         if a is None:
             return None
@@ -298,21 +310,11 @@ def eval_expr(e: Expr, rho: dict) -> Optional[Value]:
         if b is None:
             return None
         return _as_nat(a, "&") & _as_nat(b, "&")
-    if isinstance(e, Ternary):
+    if kind is Ternary:
         c = eval_expr(e.cond, rho)
         if c is None:
             return None
         return eval_expr(e.then if _as_bool(c, "?:") else e.other, rho)
-    if isinstance(e, Length):
-        a = eval_expr(e.arg, rho)
-        if a is None:
-            return None
-        return _as_array(a, "length").length
-    if isinstance(e, Base):
-        a = eval_expr(e.arg, rho)
-        if a is None:
-            return None
-        return _as_array(a, "base").base
     raise EvalError(f"unknown expression {e!r}")
 
 

@@ -25,8 +25,8 @@ mispredicted out-of-bounds access can only touch the reserved address 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Union
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .lang import (
     ALL_ONES,
@@ -201,13 +201,34 @@ class Stuck:
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class Config:
+# Shared instances of the value objects a step would otherwise allocate
+# afresh; being frozen, they compare and format like new ones.
+NOP = Nop()
+FETCH = Fetch()
+FETCH_TRUE = FetchBranch(True)
+FETCH_FALSE = FetchBranch(False)
+RETIRE = Retire()
+# `Exec(i)` for the buffer positions a step usually sees; index 0 is unused.
+_EXECS = tuple(Exec(i) for i in range(33))
+
+
+def _exec_directive(index: int) -> Exec:
+    return _EXECS[index] if index < len(_EXECS) else Exec(index)
+
+
+class Config(NamedTuple):
     """Machine state.  Terminal when both buffer and stack are empty.
 
     The prediction-id and temporary-name counters live in the configuration
     so that a step is a pure function of (configuration, directive, mode) and
     replays are exact.
+
+    A named tuple rather than a frozen dataclass, because every step builds
+    one and a tuple is several times cheaper to construct; each rule builds
+    its successor positionally.  Successors share the `mem` and `vars` dicts
+    of their predecessor: only `_retire` writes them, and only on a fresh
+    copy, so a step never mutates its input and the siblings of a
+    depth-first exploration stay independent.
     """
 
     buffer: tuple[Instruction, ...]
@@ -239,9 +260,10 @@ def transient_map(rho: dict[str, Value],
     bottom even once resolved so they are never forwarded early."""
     out = dict(rho)
     for instr in prefix:
-        if isinstance(instr, AssignI):
+        kind = type(instr)
+        if kind is AssignI:
             out[instr.target] = instr.expr.value if instr.resolved else None
-        elif isinstance(instr, (LoadI, ProtectI)):
+        elif kind is LoadI or kind is ProtectI:
             out[instr.target] = None
     return out
 
@@ -249,7 +271,7 @@ def transient_map(rho: dict[str, Value],
 def pending_ids(prefix: tuple[Instruction, ...]) -> tuple[int, ...]:
     """Identifiers of guard and fail instructions in buffer order."""
     return tuple(i.pred for i in prefix
-                 if isinstance(i, (GuardI, FailInstr)))
+                 if type(i) is GuardI or type(i) is FailInstr)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +281,15 @@ def pending_ids(prefix: tuple[Instruction, ...]) -> tuple[int, ...]:
 
 def step(config: Config, directive: Directive,
          mode: str = MODE_HW) -> Union[tuple[Config, Observation], Stuck]:
-    if isinstance(directive, Fetch):
+    kind = type(directive)
+    if kind is Fetch:
         return _fetch(config, mode)
-    if isinstance(directive, FetchBranch):
-        return _fetch_branch(config, directive.prediction)
-    if isinstance(directive, Exec):
-        return _exec(config, directive.index)
-    if isinstance(directive, Retire):
+    if kind is Retire:
         return _retire(config)
+    if kind is Exec:
+        return _exec(config, directive.index)
+    if kind is FetchBranch:
+        return _fetch_branch(config, directive.prediction)
     raise LangError(f"unknown directive {directive!r}")
 
 
@@ -279,34 +302,20 @@ def _array_address(array, index: Expr) -> Expr:
 
 
 def _fetch(config: Config, mode: str):
-    if not config.stack:
+    buffer, stack, mem, rho, next_pred, next_tmp = config
+    if not stack:
         return Stuck("fetch on an empty command stack")
-    head, rest = config.stack[0], config.stack[1:]
-
-    def with_stack(*cs: Command) -> Config:
-        return replace(config, stack=tuple(cs) + rest)
-
-    def push_instr(instr: Instruction, **counters) -> Config:
-        return replace(config, buffer=config.buffer + (instr,), stack=rest,
-                       **counters)
-
-    if isinstance(head, Skip):
-        return push_instr(Nop()), SILENT
-    if isinstance(head, Fail):
-        instr = FailInstr(config.next_pred)
-        return push_instr(instr, next_pred=config.next_pred + 1), SILENT
-    if isinstance(head, Seq):
-        return with_stack(head.first, head.second), SILENT
-    if isinstance(head, While):
-        unrolled = If(head.cond, Seq(head.body, head), Skip())
-        return with_stack(unrolled), SILENT
-    if isinstance(head, Assign):
+    head, rest = stack[0], stack[1:]
+    kind = type(head)
+    # A rule either rewrites the head on the stack and returns, or sets
+    # `instr`, which moves to the end of the buffer.
+    if kind is Assign:
         rhs = head.rhs
-        if isinstance(rhs, Pure):
-            return push_instr(AssignI(head.target, rhs.expr)), SILENT
-        if isinstance(rhs, PtrRead):
-            return push_instr(LoadI(head.target, rhs.label, rhs.addr)), SILENT
-        if isinstance(rhs, ArrayRead):
+        if type(rhs) is Pure:
+            instr = AssignI(head.target, rhs.expr)
+        elif type(rhs) is PtrRead:
+            instr = LoadI(head.target, rhs.label, rhs.addr)
+        elif type(rhs) is ArrayRead:
             checked = If(
                 _array_bounds_check(rhs.array, rhs.index),
                 Assign(head.target,
@@ -314,36 +323,56 @@ def _fetch(config: Config, mode: str):
                                _array_address(rhs.array, rhs.index))),
                 Fail(),
             )
-            return with_stack(checked), SILENT
-    if isinstance(head, PtrWrite):
-        return push_instr(StoreI(head.label, head.addr, head.value)), SILENT
-    if isinstance(head, ArrayWrite):
+            return (Config(buffer, (checked,) + rest, mem, rho, next_pred,
+                           next_tmp), SILENT)
+        else:
+            raise LangError(f"cannot fetch {head!r}")
+    elif kind is Seq:
+        return (Config(buffer, (head.first, head.second) + rest, mem, rho,
+                       next_pred, next_tmp), SILENT)
+    elif kind is Fail:
+        return (Config(buffer + (FailInstr(next_pred),), rest, mem, rho,
+                       next_pred + 1, next_tmp), SILENT)
+    elif kind is Protect:
+        return _fetch_protect(config, head, rest, mode)
+    elif kind is Skip:
+        instr = NOP
+    elif kind is PtrWrite:
+        instr = StoreI(head.label, head.addr, head.value)
+    elif kind is ArrayWrite:
         checked = If(
             _array_bounds_check(head.array, head.index),
             PtrWrite(head.array.label,
                      _array_address(head.array, head.index), head.value),
             Fail(),
         )
-        return with_stack(checked), SILENT
-    if isinstance(head, Protect):
-        return _fetch_protect(config, head, rest, mode)
-    if isinstance(head, If):
+        return (Config(buffer, (checked,) + rest, mem, rho, next_pred,
+                       next_tmp), SILENT)
+    elif kind is While:
+        unrolled = If(head.cond, Seq(head.body, head), Skip())
+        return (Config(buffer, (unrolled,) + rest, mem, rho, next_pred,
+                       next_tmp), SILENT)
+    elif kind is If:
         return Stuck("branch at stack head requires a fetch with a prediction")
-    raise LangError(f"cannot fetch {head!r}")
+    else:
+        raise LangError(f"cannot fetch {head!r}")
+    return (Config(buffer + (instr,), rest, mem, rho, next_pred, next_tmp),
+            SILENT)
 
 
 def _fetch_protect(config: Config, head: Protect,
                    rest: tuple[Command, ...], mode: str):
+    buffer, _stack, mem, rho, next_pred, next_tmp = config
     rhs = head.rhs
-    if isinstance(rhs, Pure):
+    if type(rhs) is Pure:
         instr = ProtectI(head.target, rhs.expr)
-        return (replace(config, buffer=config.buffer + (instr,), stack=rest),
-                SILENT)
-    if isinstance(rhs, ArrayRead) and mode == MODE_SLH:
+        return (Config(buffer + (instr,), rest, mem, rho, next_pred,
+                       next_tmp), SILENT)
+    if type(rhs) is ArrayRead and mode == MODE_SLH:
         # Expand to bounds-check code that masks the load address: the load
         # cannot execute before the mask resolves, and a mispredicted
         # out-of-bounds access reads the reserved address 0.
-        mask = f"{_TMP_PREFIX}m{config.next_tmp}"
+        mask = f"{_TMP_PREFIX}m{next_tmp}"
         check = Assign(mask, Pure(_array_bounds_check(rhs.array, rhs.index)))
         widen = Assign(mask, Pure(Ternary(Var(mask), Lit(ALL_ONES),
                                           Lit(ALL_ZEROS))))
@@ -352,63 +381,80 @@ def _fetch_protect(config: Config, head: Protect,
             PtrRead(rhs.array.label,
                     BitAnd(_array_address(rhs.array, rhs.index), Var(mask))))
         expansion = Seq(check, If(Var(mask), Seq(widen, masked_load), Fail()))
-        return (replace(config, stack=(expansion,) + rest,
-                        next_tmp=config.next_tmp + 1), SILENT)
+        return (Config(buffer, (expansion,) + rest, mem, rho, next_pred,
+                       next_tmp + 1), SILENT)
     # Hardware flavor: read into a fresh intermediate, then protect it.  The
     # intermediate keeps the rewritten program single-assignment.
-    tmp = f"{_TMP_PREFIX}t{config.next_tmp}"
+    tmp = f"{_TMP_PREFIX}t{next_tmp}"
     read = Assign(tmp, rhs)
     guard_value = Protect(head.target, Pure(Var(tmp)))
-    return (replace(config, stack=(read, guard_value) + rest,
-                    next_tmp=config.next_tmp + 1), SILENT)
+    return (Config(buffer, (read, guard_value) + rest, mem, rho, next_pred,
+                   next_tmp + 1), SILENT)
 
 
 def _fetch_branch(config: Config, prediction: bool):
-    if not config.stack:
+    buffer, stack, mem, rho, next_pred, next_tmp = config
+    if not stack:
         return Stuck("fetch-branch on an empty command stack")
-    head, rest = config.stack[0], config.stack[1:]
-    if not isinstance(head, If):
+    head, rest = stack[0], stack[1:]
+    if type(head) is not If:
         return Stuck("fetch-branch requires a branch at the stack head")
     taken = head.then if prediction else head.other
     not_taken = head.other if prediction else head.then
-    guard = GuardI(head.cond, prediction, (not_taken,) + rest,
-                   config.next_pred)
-    return (replace(config, buffer=config.buffer + (guard,),
-                    stack=(taken,) + rest,
-                    next_pred=config.next_pred + 1), SILENT)
+    guard = GuardI(head.cond, prediction, (not_taken,) + rest, next_pred)
+    return (Config(buffer + (guard,), (taken,) + rest, mem, rho,
+                   next_pred + 1, next_tmp), SILENT)
 
 
 def _exec(config: Config, index: int):
-    if index < 1 or index > len(config.buffer):
+    buffer, stack, mem, rho, next_pred, next_tmp = config
+    if index < 1 or index > len(buffer):
         return Stuck(f"no instruction at buffer position {index}")
-    prefix = config.buffer[:index - 1]
-    instr = config.buffer[index - 1]
-    suffix = config.buffer[index:]
-    trho = transient_map(config.vars, prefix)
-
-    def resolve(new_instr: Instruction) -> Config:
-        return replace(config, buffer=prefix + (new_instr,) + suffix)
-
+    prefix = buffer[:index - 1]
+    instr = buffer[index - 1]
+    trho = transient_map(rho, prefix)
+    kind = type(instr)
+    obs = SILENT
     try:
-        if isinstance(instr, AssignI):
-            if instr.resolved:
-                return Stuck("assignment already resolved")
-            v = eval_expr(instr.expr, trho)
+        if kind is GuardI:
+            v = eval_expr(instr.cond, trho)
             if v is None:
-                return Stuck("assignment operand is still undefined")
-            return resolve(AssignI(instr.target, Lit(v))), SILENT
-        if isinstance(instr, LoadI):
-            if any(isinstance(i, StoreI) for i in prefix):
+                return Stuck("guard condition is still undefined")
+            if type(v) is not bool:
+                return Stuck("guard condition is not a boolean")
+            if v != instr.predicted:
+                return (Config(prefix + (NOP,), instr.rollback, mem, rho,
+                               next_pred, next_tmp),
+                        RollbackObs(instr.pred))
+            new_instr: Instruction = NOP
+        elif kind is LoadI:
+            if any(type(i) is StoreI for i in prefix):
                 return Stuck("load blocked by an earlier pending store")
             addr = eval_expr(instr.addr, trho)
             if addr is None:
                 return Stuck("load address is still undefined")
             if not is_nat(addr):
                 return Stuck("load address is not a natural")
-            value = config.mem.get(addr, 0)
             obs = ReadObs(addr, pending_ids(prefix))
-            return resolve(AssignI(instr.target, Lit(value))), obs
-        if isinstance(instr, StoreI):
+            new_instr = AssignI(instr.target, Lit(mem.get(addr, 0)))
+        elif kind is AssignI:
+            if instr.resolved:
+                return Stuck("assignment already resolved")
+            v = eval_expr(instr.expr, trho)
+            if v is None:
+                return Stuck("assignment operand is still undefined")
+            new_instr = AssignI(instr.target, Lit(v))
+        elif kind is ProtectI:
+            if not instr.resolved:
+                v = eval_expr(instr.expr, trho)
+                if v is None:
+                    return Stuck("protected operand is still undefined")
+                new_instr = ProtectI(instr.target, Lit(v))
+            elif any(type(i) is GuardI for i in prefix):
+                return Stuck("protected value waits for earlier guards")
+            else:
+                new_instr = AssignI(instr.target, instr.expr)
+        elif kind is StoreI:
             if instr.resolved:
                 return Stuck("store already executed")
             addr = eval_expr(instr.addr, trho)
@@ -420,50 +466,35 @@ def _exec(config: Config, index: int):
             if value is None:
                 return Stuck("stored value is still undefined")
             obs = WriteObs(addr, pending_ids(prefix))
-            done = StoreI(instr.label, Lit(addr), Lit(value), executed=True)
-            return resolve(done), obs
-        if isinstance(instr, ProtectI):
-            if not instr.resolved:
-                v = eval_expr(instr.expr, trho)
-                if v is None:
-                    return Stuck("protected operand is still undefined")
-                return resolve(ProtectI(instr.target, Lit(v))), SILENT
-            if any(isinstance(i, GuardI) for i in prefix):
-                return Stuck("protected value waits for earlier guards")
-            return resolve(AssignI(instr.target, instr.expr)), SILENT
-        if isinstance(instr, GuardI):
-            v = eval_expr(instr.cond, trho)
-            if v is None:
-                return Stuck("guard condition is still undefined")
-            if not isinstance(v, bool):
-                return Stuck("guard condition is not a boolean")
-            if v == instr.predicted:
-                return resolve(Nop()), SILENT
-            squashed = replace(config, buffer=prefix + (Nop(),),
-                               stack=instr.rollback)
-            return squashed, RollbackObs(instr.pred)
+            new_instr = StoreI(instr.label, Lit(addr), Lit(value),
+                               executed=True)
+        else:
+            return Stuck("instruction is not executable")
     except EvalError as exc:
         return Stuck(f"operands do not evaluate: {exc}")
-    return Stuck("instruction is not executable")
+    return (Config(prefix + (new_instr,) + buffer[index:], stack, mem, rho,
+                   next_pred, next_tmp), obs)
 
 
 def _retire(config: Config):
-    if not config.buffer:
+    buffer, stack, mem, rho, next_pred, next_tmp = config
+    if not buffer:
         return Stuck("retire on an empty reorder buffer")
-    head, rest = config.buffer[0], config.buffer[1:]
-    if isinstance(head, Nop):
-        return replace(config, buffer=rest), SILENT
-    if isinstance(head, AssignI) and head.resolved:
-        new_vars = dict(config.vars)
+    head, rest = buffer[0], buffer[1:]
+    kind = type(head)
+    if kind is Nop:
+        return Config(rest, stack, mem, rho, next_pred, next_tmp), SILENT
+    if kind is AssignI and head.resolved:
+        new_vars = dict(rho)
         new_vars[head.target] = head.expr.value
-        return replace(config, buffer=rest, vars=new_vars), SILENT
-    if isinstance(head, StoreI) and head.resolved:
-        new_mem = dict(config.mem)
+        return Config(rest, stack, mem, new_vars, next_pred, next_tmp), SILENT
+    if kind is StoreI and head.resolved:
+        new_mem = dict(mem)
         new_mem[head.addr.value] = head.value.value
-        return replace(config, buffer=rest, mem=new_mem), SILENT
-    if isinstance(head, FailInstr):
-        halted = replace(config, buffer=(), stack=())
-        return halted, FailObs(head.pred)
+        return Config(rest, stack, new_mem, rho, next_pred, next_tmp), SILENT
+    if kind is FailInstr:
+        return (Config((), (), mem, rho, next_pred, next_tmp),
+                FailObs(head.pred))
     return Stuck("buffer head is not ready to retire")
 
 
@@ -516,56 +547,63 @@ def applicable_directives(config: Config, mode: str = MODE_HW) -> list:
 
     This recomputes the side conditions of the step rules incrementally (one
     left-to-right pass over the buffer) instead of attempting each step, so
-    random walks stay cheap; agreement with `step` is covered by tests.
+    random walks stay cheap.  The test
+    `test_applicable_directives_agree_with_step` checks along seeded walks
+    that a directive is listed exactly when `step` does not leave the
+    machine stuck on it.
     """
     out: list[Directive] = []
     if config.stack:
-        if isinstance(config.stack[0], If):
-            out.extend([FetchBranch(True), FetchBranch(False)])
+        if type(config.stack[0]) is If:
+            out.append(FETCH_TRUE)
+            out.append(FETCH_FALSE)
         else:
-            out.append(Fetch())
+            out.append(FETCH)
+    buffer = config.buffer
+    if not buffer:
+        return out
     trho = dict(config.vars)
     seen_store = False
     seen_guard = False
     data_execs: list[Directive] = []
     guard_execs: list[Directive] = []
-    for idx, instr in enumerate(config.buffer, start=1):
-        if isinstance(instr, AssignI):
+    for idx, instr in enumerate(buffer, start=1):
+        kind = type(instr)
+        if kind is AssignI:
             if not instr.resolved and _defined(instr.expr, trho) is not None:
-                data_execs.append(Exec(idx))
+                data_execs.append(_exec_directive(idx))
             trho[instr.target] = instr.expr.value if instr.resolved else None
-        elif isinstance(instr, LoadI):
+        elif kind is GuardI:
+            if type(_defined(instr.cond, trho)) is bool:
+                guard_execs.append(_exec_directive(idx))
+            seen_guard = True
+        elif kind is LoadI:
             if not seen_store:
                 addr = _defined(instr.addr, trho)
                 if addr is not None and is_nat(addr):
-                    data_execs.append(Exec(idx))
+                    data_execs.append(_exec_directive(idx))
             trho[instr.target] = None
-        elif isinstance(instr, StoreI):
+        elif kind is ProtectI:
+            if not instr.resolved:
+                if _defined(instr.expr, trho) is not None:
+                    data_execs.append(_exec_directive(idx))
+            elif not seen_guard:
+                data_execs.append(_exec_directive(idx))
+            trho[instr.target] = None
+        elif kind is StoreI:
             if not instr.resolved:
                 addr = _defined(instr.addr, trho)
                 if addr is not None and is_nat(addr) \
                         and _defined(instr.value, trho) is not None:
-                    data_execs.append(Exec(idx))
+                    data_execs.append(_exec_directive(idx))
             seen_store = True
-        elif isinstance(instr, ProtectI):
-            if not instr.resolved:
-                if _defined(instr.expr, trho) is not None:
-                    data_execs.append(Exec(idx))
-            elif not seen_guard:
-                data_execs.append(Exec(idx))
-            trho[instr.target] = None
-        elif isinstance(instr, GuardI):
-            cond = _defined(instr.cond, trho)
-            if isinstance(cond, bool):
-                guard_execs.append(Exec(idx))
-            seen_guard = True
     out.extend(data_execs)
     out.extend(guard_execs)
-    if config.buffer:
-        head = config.buffer[0]
-        if isinstance(head, (Nop, FailInstr)) or \
-                (isinstance(head, (AssignI, StoreI)) and head.resolved):
-            out.append(Retire())
+    head = buffer[0]
+    kind = type(head)
+    if kind is Nop or kind is FailInstr or \
+            ((kind is AssignI or kind is StoreI) and head.resolved):
+        out.append(RETIRE)
     return out
 
 
@@ -596,20 +634,20 @@ def sequential_schedule(c: Command, mem, rho, mode: str = MODE_HW,
         if config.buffer:
             head = config.buffer[0]
             if isinstance(head, (Nop, FailInstr)):
-                d: Directive = Retire()
+                d: Directive = RETIRE
             elif isinstance(head, (AssignI, StoreI)) and head.resolved:
-                d = Retire()
+                d = RETIRE
             else:
-                d = Exec(1)
+                d = _EXECS[1]
         else:
             head = config.stack[0]
             if isinstance(head, If):
                 cond = eval_expr(head.cond, transient_map(config.vars, ()))
                 if not isinstance(cond, bool):
                     raise LangError("branch condition is not a boolean")
-                d = FetchBranch(cond)
+                d = FETCH_TRUE if cond else FETCH_FALSE
             else:
-                d = Fetch()
+                d = FETCH
         result = step(config, d, mode)
         if isinstance(result, Stuck):
             raise LangError(f"sequential driver stuck: {result.reason}")
@@ -680,13 +718,6 @@ def exhaustive_runs(c: Command, mem, rho, mode: str = MODE_HW,
                    for d, cfg, obs in _options(config, mode)]
         stack.extend(reversed(options))
     return runs
-
-
-def count_schedules(c: Command, mem, rho, mode: str = MODE_HW,
-                    max_len: int = 40, limit: int = 5000) -> Optional[int]:
-    """Number of complete schedules, or None if it exceeds the caps."""
-    runs = exhaustive_runs(c, mem, rho, mode, max_len, limit)
-    return None if runs is None else len(runs)
 
 
 def random_schedule(c: Command, mem, rho, mode: str = MODE_HW,
@@ -792,15 +823,15 @@ def parse_schedule(text: str) -> list:
             continue
         parts = line.split()
         if parts == ["fetch"]:
-            directives.append(Fetch())
+            directives.append(FETCH)
         elif parts == ["fetch", "true"]:
-            directives.append(FetchBranch(True))
+            directives.append(FETCH_TRUE)
         elif parts == ["fetch", "false"]:
-            directives.append(FetchBranch(False))
+            directives.append(FETCH_FALSE)
         elif len(parts) == 2 and parts[0] == "exec" and parts[1].isdigit():
-            directives.append(Exec(int(parts[1])))
+            directives.append(_exec_directive(int(parts[1])))
         elif parts == ["retire"]:
-            directives.append(Retire())
+            directives.append(RETIRE)
         else:
             raise LangError(f"schedule line {lineno}: cannot parse {raw!r}")
     return directives

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from specrepair.lang import (
@@ -32,11 +33,19 @@ from specrepair.lang import (
 from specrepair.machine import (
     MODE_HW,
     MODE_SLH,
+    Exec,
+    Fetch,
+    FetchBranch,
+    Retire,
     RollbackObs,
+    Stuck,
+    applicable_directives,
     filter_trace,
+    initial_config,
     random_schedule,
     run_schedule,
     sequential_schedule,
+    step,
     traces_equivalent,
 )
 from specrepair.seq import run_sequential
@@ -152,3 +161,49 @@ def _assert_matches(seq, spec_run):
     assert spec_vars == seq.vars
     assert spec_run.config.mem == seq.mem
     assert traces_equivalent(seq.trace, filter_trace(spec_run.trace))
+
+
+def _check_agreement_on_walks(command, mem, rho, mode, rng, walks=3,
+                              max_len=120) -> int:
+    """Along seeded random walks, every directive shape is listed by
+    `applicable_directives` exactly when `step` accepts it.  Returns the
+    number of (configuration, directive) checks made."""
+    checks = 0
+    for _ in range(walks):
+        cfg = initial_config(command, mem, rho)
+        for _ in range(max_len):
+            listed = applicable_directives(cfg, mode)
+            candidates = [Fetch(), FetchBranch(True), FetchBranch(False),
+                          Retire()]
+            candidates += [Exec(i) for i in range(1, len(cfg.buffer) + 2)]
+            assert len(set(listed)) == len(listed), listed
+            assert set(listed) <= set(candidates), listed
+            for d in candidates:
+                accepted = not isinstance(step(cfg, d, mode), Stuck)
+                assert accepted == (d in listed), (d, accepted, cfg)
+                checks += 1
+            if not listed:
+                break
+            cfg, _obs = step(cfg, rng.choice(listed), mode)
+    return checks
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_applicable_directives_agree_with_step(corpus, mode):
+    rng = random.Random(3)
+    checks = sum(_check_agreement_on_walks(program.command,
+                                           program.initial_memory(),
+                                           program.initial_var_map(), mode,
+                                           rng, walks=20)
+                 for _name, program in corpus)
+    assert checks > 50_000
+
+
+@given(programs(), st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_applicable_directives_agree_with_step_on_random_programs(command,
+                                                                  seed):
+    rng = random.Random(seed)
+    for mode in (MODE_HW, MODE_SLH):
+        _check_agreement_on_walks(command, INITIAL_MEM, INITIAL_RHO, mode,
+                                  rng, walks=2)

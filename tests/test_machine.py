@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from specrepair import machine
 from specrepair.corpus import load_program, schedule_path
 from specrepair.lang import (
     Add,
@@ -472,6 +473,51 @@ def test_step_structure_and_determinism(corpus, mode):
                                                         FailInstr):
                 assert nxt.buffer == cfg.buffer[1:]
             cfg = nxt
+
+
+def _snapshot(cfg):
+    return cfg.buffer, cfg.stack, dict(cfg.mem), dict(cfg.vars)
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_step_never_mutates_its_input(corpus, mode):
+    # successors share the mem/vars dicts of their predecessor, so a step
+    # that wrote them in place would corrupt the configuration it came from
+    rng = random.Random(9)
+    for name, program in corpus:
+        for _ in range(5):
+            cfg = initial_config(program.command, program.initial_memory(),
+                                 program.initial_var_map())
+            for _ in range(200):
+                options = applicable_directives(cfg, mode)
+                if not options:
+                    break
+                before = _snapshot(cfg)
+                for d in options:
+                    step(cfg, d, mode)
+                    assert _snapshot(cfg) == before, (name, d)
+                cfg, _obs = step(cfg, rng.choice(options), mode)
+
+
+def test_exploration_never_mutates_a_configuration(monkeypatch):
+    # the depth-first explorer steps every sibling from one shared parent
+    program = load_program("guard_chain")
+    original_step = machine.step
+    calls = 0
+
+    def checked_step(cfg, d, mode=MODE_HW):
+        nonlocal calls
+        calls += 1
+        before = _snapshot(cfg)
+        result = original_step(cfg, d, mode)
+        assert _snapshot(cfg) == before, d
+        return result
+
+    monkeypatch.setattr(machine, "step", checked_step)
+    runs = list(enumerate_schedules(program.command,
+                                    program.initial_memory(),
+                                    program.initial_var_map()))
+    assert runs and calls > len(runs)
 
 
 def test_terminal_definition():
