@@ -29,6 +29,7 @@ GOLDEN_COMMANDS = [
                              "--mode", "slh", "--json"]),
     ("fuzz_sct", ["fuzz-sct", "--schedules", "random:20", "--pairs", "2",
                   "--seed", "1", "--json"]),
+    ("graph", ["graph", "--json"]),
 ]
 
 
