@@ -10,7 +10,7 @@ maps of the speculative machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 WORD_BITS = 64
 WORD_MASK = (1 << WORD_BITS) - 1
@@ -323,26 +323,69 @@ def eval_expr(e: Expr, rho: dict) -> Optional[Value]:
 # ---------------------------------------------------------------------------
 
 
+def commands(c: Command) -> Iterator[Command]:
+    """Every command of `c` that is not a Seq, in program order.
+
+    An If or While comes before its branches or body.  The descent uses an
+    explicit stack, so program length is not bounded by the recursion limit.
+    """
+    stack = [c]
+    while stack:
+        cmd = stack.pop()
+        while type(cmd) is Seq:  # down the left spine, the rest for later
+            stack.append(cmd.second)
+            cmd = cmd.first
+        yield cmd
+        if type(cmd) is If:
+            stack += (cmd.other, cmd.then)
+        elif type(cmd) is While:
+            stack.append(cmd.body)
+
+
+def rewrite_statements(c: Command,
+                       f: Callable[[Command], Command]) -> Command:
+    """Rebuild `c` with every leaf statement replaced by `f(leaf)`.
+
+    `f` is called in program order.  The Seq/If/While shape is kept exactly,
+    left-nested Seq included, because the machine spends one fetch step on
+    each Seq node.  Subtrees in which `f` changed nothing are shared with
+    `c`, not copied.
+    """
+    done: list[Command] = []
+    todo: list[Command | None] = [c]
+    while todo:
+        cmd = todo.pop()
+        if cmd is None:  # `done` ends with the new parts of the node below
+            cmd = todo.pop()
+            if type(cmd) is While:
+                body = done.pop()
+                done.append(cmd if body is cmd.body else While(cmd.cond, body))
+                continue
+            second = done.pop()
+            first = done.pop()
+            if type(cmd) is Seq:
+                same = first is cmd.first and second is cmd.second
+                done.append(cmd if same else Seq(first, second))
+            else:
+                same = first is cmd.then and second is cmd.other
+                done.append(cmd if same else If(cmd.cond, first, second))
+            continue
+        kind = type(cmd)
+        if kind is Seq:
+            todo += (cmd, None, cmd.second, cmd.first)
+        elif kind is If:
+            todo += (cmd, None, cmd.other, cmd.then)
+        elif kind is While:
+            todo += (cmd, None, cmd.body)
+        else:
+            done.append(f(cmd))
+    return done[0]
+
+
 def assignments(c: Command) -> list[tuple[str, Rhs, bool]]:
     """All (target, rhs, is_protect) assignment nodes, in program order."""
-    out: list[tuple[str, Rhs, bool]] = []
-
-    def walk(cmd: Command) -> None:
-        if isinstance(cmd, Assign):
-            out.append((cmd.target, cmd.rhs, False))
-        elif isinstance(cmd, Protect):
-            out.append((cmd.target, cmd.rhs, True))
-        elif isinstance(cmd, Seq):
-            walk(cmd.first)
-            walk(cmd.second)
-        elif isinstance(cmd, If):
-            walk(cmd.then)
-            walk(cmd.other)
-        elif isinstance(cmd, While):
-            walk(cmd.body)
-
-    walk(c)
-    return out
+    return [(cmd.target, cmd.rhs, isinstance(cmd, Protect))
+            for cmd in commands(c) if isinstance(cmd, (Assign, Protect))]
 
 
 def check_ssa(c: Command) -> list[str]:
@@ -427,13 +470,10 @@ def kind_check(c: Command, init_vars: dict[str, Value]) -> list[str]:
         require(r.index, KIND_NAT, "array index")
         return KIND_NAT
 
-    def walk(cmd: Command) -> None:
+    for cmd in commands(c):
         if isinstance(cmd, (Skip, Fail)):
-            return
-        if isinstance(cmd, Seq):
-            walk(cmd.first)
-            walk(cmd.second)
-        elif isinstance(cmd, (Assign, Protect)):
+            continue
+        if isinstance(cmd, (Assign, Protect)):
             got = rhs_kind(cmd.rhs)
             want = kinds.get(cmd.target, KIND_NAT)
             if got != want:
@@ -447,15 +487,10 @@ def kind_check(c: Command, init_vars: dict[str, Value]) -> list[str]:
             require(cmd.value, KIND_NAT, "stored value")
         elif isinstance(cmd, If):
             require(cmd.cond, KIND_BOOL, "branch condition")
-            walk(cmd.then)
-            walk(cmd.other)
         elif isinstance(cmd, While):
             require(cmd.cond, KIND_BOOL, "loop condition")
-            walk(cmd.body)
         else:
             raise LangError(f"cannot kind {cmd!r}")
-
-    walk(c)
     return problems
 
 
@@ -482,8 +517,7 @@ def rhs_vars(r: Rhs) -> set[str]:
 def command_vars(c: Command) -> set[str]:
     """Every variable read or assigned anywhere in the command."""
     out: set[str] = set()
-
-    def walk(cmd: Command) -> None:
+    for cmd in commands(c):
         if isinstance(cmd, (Assign, Protect)):
             out.add(cmd.target)
             out.update(rhs_vars(cmd.rhs))
@@ -491,16 +525,6 @@ def command_vars(c: Command) -> set[str]:
             out.update(expr_vars(cmd.addr) | expr_vars(cmd.value))
         elif isinstance(cmd, ArrayWrite):
             out.update(expr_vars(cmd.index) | expr_vars(cmd.value))
-        elif isinstance(cmd, If):
+        elif isinstance(cmd, (If, While)):
             out.update(expr_vars(cmd.cond))
-            walk(cmd.then)
-            walk(cmd.other)
-        elif isinstance(cmd, While):
-            out.update(expr_vars(cmd.cond))
-            walk(cmd.body)
-        elif isinstance(cmd, Seq):
-            walk(cmd.first)
-            walk(cmd.second)
-
-    walk(c)
     return out

@@ -573,9 +573,16 @@ def pretty_rhs(r: Rhs) -> str:
 
 
 def _stmt_list(c: Command) -> list[Command]:
-    if isinstance(c, Seq):
-        return _stmt_list(c.first) + _stmt_list(c.second)
-    return [c]
+    """The statements of a Seq chain, in order; nested bodies stay whole."""
+    out: list[Command] = []
+    stack = [c]
+    while stack:
+        cmd = stack.pop()
+        if isinstance(cmd, Seq):
+            stack += (cmd.second, cmd.first)
+        else:
+            out.append(cmd)
+    return out
 
 
 def pretty_command(c: Command, indent: int = 0) -> list[str]:

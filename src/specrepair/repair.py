@@ -14,14 +14,14 @@ from .lang import (
     ArrayRead,
     Assign,
     Command,
-    If,
     LangError,
     is_constant_expr,
     Protect,
     PtrRead,
-    Seq,
-    While,
     check_ssa,
+    command_vars,
+    commands,
+    rewrite_statements,
 )
 from .graphcut import build_graph, extract_env, min_cut
 from .typesys import ConstraintSet, Mode, generate_constraints, \
@@ -43,22 +43,13 @@ def repair(c: Command, cut) -> Command:
     cut_set = set(cut)
     rewritten: set[str] = set()
 
-    def walk(cmd: Command) -> Command:
-        if isinstance(cmd, Assign) and cmd.target in cut_set:
+    def protect(cmd: Command) -> Command:
+        if isinstance(cmd, (Assign, Protect)) and cmd.target in cut_set:
             rewritten.add(cmd.target)
             return Protect(cmd.target, cmd.rhs)
-        if isinstance(cmd, Protect) and cmd.target in cut_set:
-            rewritten.add(cmd.target)  # already protected
-            return cmd
-        if isinstance(cmd, Seq):
-            return Seq(walk(cmd.first), walk(cmd.second))
-        if isinstance(cmd, If):
-            return If(cmd.cond, walk(cmd.then), walk(cmd.other))
-        if isinstance(cmd, While):
-            return While(cmd.cond, walk(cmd.body))
         return cmd
 
-    result = walk(c)
+    result = rewrite_statements(c, protect)
     missing = cut_set - rewritten
     if missing:
         raise RepairError(
@@ -67,15 +58,7 @@ def repair(c: Command, cut) -> Command:
 
 
 def count_protects(c: Command) -> int:
-    if isinstance(c, Protect):
-        return 1
-    if isinstance(c, Seq):
-        return count_protects(c.first) + count_protects(c.second)
-    if isinstance(c, If):
-        return count_protects(c.then) + count_protects(c.other)
-    if isinstance(c, While):
-        return count_protects(c.body)
-    return 0
+    return sum(type(cmd) is Protect for cmd in commands(c))
 
 
 def baseline_repair(c: Command, mode: Mode = Mode()) -> Command:
@@ -91,18 +74,12 @@ def baseline_repair(c: Command, mode: Mode = Mode()) -> Command:
             return mode.spectre_v1_1 or not is_constant_expr(rhs.addr)
         return False
 
-    def walk(cmd: Command) -> Command:
+    def protect(cmd: Command) -> Command:
         if isinstance(cmd, Assign) and needs_protect(cmd.rhs):
             return Protect(cmd.target, cmd.rhs)
-        if isinstance(cmd, Seq):
-            return Seq(walk(cmd.first), walk(cmd.second))
-        if isinstance(cmd, If):
-            return If(cmd.cond, walk(cmd.then), walk(cmd.other))
-        if isinstance(cmd, While):
-            return While(cmd.cond, walk(cmd.body))
         return cmd
 
-    return walk(c)
+    return rewrite_statements(c, protect)
 
 
 @dataclass
@@ -126,8 +103,6 @@ def pipeline(c: Command, mode: Mode = Mode(),
     program, and the repaired program type-checks under an empty protected
     set.  Both verdicts are recomputed here rather than assumed.
     """
-    from .lang import command_vars
-
     if variables is None:
         variables = sorted(command_vars(c))
     k = generate_constraints(c, mode)

@@ -48,13 +48,16 @@ from .lang import (
     PtrWrite,
     Pure,
     Rhs,
-    Seq,
     Skip,
     STABLE,
     TRANSIENT,
     Ternary,
     Var,
     While,
+    assignments,
+    command_vars,
+    commands,
+    expr_vars,
     flow_join,
     flow_leq,
     is_constant_expr,
@@ -156,28 +159,21 @@ def typecheck_transient(gamma: dict[str, str], prot: set[str], c: Command,
                         mode: Mode = Mode()) -> list[Violation]:
     """All transient-flow violations of `c`; empty means accept."""
     out: list[Violation] = []
-
-    def walk(cmd: Command) -> None:
+    for cmd in commands(c):
         if isinstance(cmd, (Skip, Fail)):
-            return
-        if isinstance(cmd, Seq):
-            walk(cmd.first)
-            walk(cmd.second)
-            return
+            continue
         where = _stmt_text(cmd)
         if isinstance(cmd, Assign):
             tau = _transient_rhs(cmd.rhs, gamma, mode, where, out)
-            if cmd.target in prot:
-                return  # discharged by the protected set
-            if not flow_leq(tau, gamma.get(cmd.target, STABLE)):
+            # a target in the protected set discharges the check
+            if cmd.target not in prot and \
+                    not flow_leq(tau, gamma.get(cmd.target, STABLE)):
                 out.append(Violation(
                     "Asgn", where,
                     f"transient value assigned to stable {cmd.target}"))
-            return
-        if isinstance(cmd, Protect):
+        elif isinstance(cmd, Protect):
             _transient_rhs(cmd.rhs, gamma, mode, where, out)
-            return
-        if isinstance(cmd, ArrayWrite):
+        elif isinstance(cmd, ArrayWrite):
             if transient_expr_type(cmd.index, gamma) == TRANSIENT:
                 out.append(Violation("Array-Write", where,
                                      "store index may be transient"))
@@ -185,8 +181,7 @@ def typecheck_transient(gamma: dict[str, str], prot: set[str], c: Command,
                     transient_expr_type(cmd.value, gamma) == TRANSIENT:
                 out.append(Violation("Array-Write-Spectre-1.1", where,
                                      "stored value may be transient"))
-            return
-        if isinstance(cmd, PtrWrite):
+        elif isinstance(cmd, PtrWrite):
             if transient_expr_type(cmd.addr, gamma) == TRANSIENT:
                 out.append(Violation("Ptr-Write", where,
                                      "store address may be transient"))
@@ -194,23 +189,16 @@ def typecheck_transient(gamma: dict[str, str], prot: set[str], c: Command,
                     transient_expr_type(cmd.value, gamma) == TRANSIENT:
                 out.append(Violation("Ptr-Write-Spectre-1.1", where,
                                      "stored value may be transient"))
-            return
-        if isinstance(cmd, If):
+        elif isinstance(cmd, If):
             if transient_expr_type(cmd.cond, gamma) == TRANSIENT:
                 out.append(Violation("If-Then-Else", where,
                                      "branch condition may be transient"))
-            walk(cmd.then)
-            walk(cmd.other)
-            return
-        if isinstance(cmd, While):
+        elif isinstance(cmd, While):
             if transient_expr_type(cmd.cond, gamma) == TRANSIENT:
                 out.append(Violation("While", where,
                                      "loop condition may be transient"))
-            walk(cmd.body)
-            return
-        raise LangError(f"cannot type {cmd!r}")
-
-    walk(c)
+        else:
+            raise LangError(f"cannot type {cmd!r}")
     return out
 
 
@@ -233,13 +221,10 @@ def typecheck_ct(policy: Policy, c: Command,
                  arrays: dict[str, ArrayDecl] | None = None,
                  variables: list[str] | None = None) -> list[Violation]:
     """Constant-time violations of `c` under `policy`; empty means accept."""
-    from .lang import command_vars
-
     if variables is None:
         variables = sorted(command_vars(c))
     if arrays is None:
-        arrays = {}
-        _collect_arrays(c, arrays)
+        arrays = _collect_arrays(c)
     gv, ga = policy_label_maps(policy, variables, arrays)
     out: list[Violation] = []
 
@@ -284,13 +269,9 @@ def typecheck_ct(policy: Policy, c: Command,
             return r.label
         raise LangError(f"cannot type {r!r}")
 
-    def walk(cmd: Command) -> None:
+    for cmd in commands(c):
         if isinstance(cmd, (Skip, Fail)):
-            return
-        if isinstance(cmd, Seq):
-            walk(cmd.first)
-            walk(cmd.second)
-            return
+            continue
         where = _stmt_text(cmd)
         if isinstance(cmd, (Assign, Protect)):
             rule = "Protect" if isinstance(cmd, Protect) else "Asgn"
@@ -299,8 +280,7 @@ def typecheck_ct(policy: Policy, c: Command,
                 out.append(Violation(rule, where,
                                      f"secret value assigned to public "
                                      f"{cmd.target}"))
-            return
-        if isinstance(cmd, ArrayWrite):
+        elif isinstance(cmd, ArrayWrite):
             array_label = etype(Lit(cmd.array), where)
             if etype(cmd.index, where) == LABEL_SECRET:
                 out.append(Violation("Array-Write", where,
@@ -308,8 +288,7 @@ def typecheck_ct(policy: Policy, c: Command,
             if not label_flows_to(etype(cmd.value, where), array_label):
                 out.append(Violation("Array-Write", where,
                                      "secret value stored to public array"))
-            return
-        if isinstance(cmd, PtrWrite):
+        elif isinstance(cmd, PtrWrite):
             if etype(cmd.addr, where) == LABEL_SECRET:
                 out.append(Violation("Ptr-Write", where,
                                      "store address may be secret"))
@@ -317,27 +296,23 @@ def typecheck_ct(policy: Policy, c: Command,
                 out.append(Violation("Ptr-Write", where,
                                      "secret value stored through public "
                                      "pointer"))
-            return
-        if isinstance(cmd, If):
+        elif isinstance(cmd, If):
             if etype(cmd.cond, where) == LABEL_SECRET:
                 out.append(Violation("If", where,
                                      "branch condition may be secret"))
-            walk(cmd.then)
-            walk(cmd.other)
-            return
-        if isinstance(cmd, While):
+        elif isinstance(cmd, While):
             if etype(cmd.cond, where) == LABEL_SECRET:
                 out.append(Violation("While", where,
                                      "loop condition may be secret"))
-            walk(cmd.body)
-            return
-        raise LangError(f"cannot type {cmd!r}")
-
-    walk(c)
+        else:
+            raise LangError(f"cannot type {cmd!r}")
     return out
 
 
-def _collect_arrays(c: Command, out: dict[str, ArrayDecl]) -> None:
+def _collect_arrays(c: Command) -> dict[str, ArrayDecl]:
+    """Every array `c` mentions, by name, in order of first mention."""
+    out: dict[str, ArrayDecl] = {}
+
     def from_expr(e: Expr) -> None:
         if isinstance(e, Lit) and isinstance(e.value, ArrayDecl):
             out[e.value.name] = e.value
@@ -351,7 +326,7 @@ def _collect_arrays(c: Command, out: dict[str, ArrayDecl]) -> None:
         elif isinstance(e, (Length, Base)):
             from_expr(e.arg)
 
-    def walk(cmd: Command) -> None:
+    for cmd in commands(c):
         if isinstance(cmd, (Assign, Protect)):
             r = cmd.rhs
             if isinstance(r, Pure):
@@ -368,18 +343,9 @@ def _collect_arrays(c: Command, out: dict[str, ArrayDecl]) -> None:
         elif isinstance(cmd, PtrWrite):
             from_expr(cmd.addr)
             from_expr(cmd.value)
-        elif isinstance(cmd, If):
+        elif isinstance(cmd, (If, While)):
             from_expr(cmd.cond)
-            walk(cmd.then)
-            walk(cmd.other)
-        elif isinstance(cmd, While):
-            from_expr(cmd.cond)
-            walk(cmd.body)
-        elif isinstance(cmd, Seq):
-            walk(cmd.first)
-            walk(cmd.second)
-
-    walk(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +378,8 @@ class VarAtom:
 
 @dataclass(frozen=True, slots=True)
 class ExprAtom:
-    """One atom per syntactic occurrence; `key` is the program-point path."""
+    """One atom per syntactic occurrence.  `key` names it: the statement's
+    index in `commands` order plus the path inside it, e.g. `s4.rhs.idx`."""
 
     key: str
     show: str
@@ -528,47 +495,33 @@ def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
         if a is not None:
             k.add(a, S_SINK)
 
-    def walk(cmd: Command, path: str) -> None:
+    def store_value(e: Expr, path: str) -> None:
+        # stored values are sinks only under the v1.1 rules
+        if mode.spectre_v1_1:
+            sink_expr(e, path)
+        else:
+            expr_atom(e, path)
+
+    for i, cmd in enumerate(commands(c)):
+        path = f"s{i}"
         if isinstance(cmd, (Skip, Fail)):
-            return
-        if isinstance(cmd, Seq):
-            walk(cmd.first, path + ".0")
-            walk(cmd.second, path + ".1")
-            return
+            continue
         if isinstance(cmd, Assign):
             a = rhs_atom(cmd.rhs, path + ".rhs")
             if a is not None:
                 k.add(a, VarAtom(cmd.target))
-            return
-        if isinstance(cmd, Protect):
+        elif isinstance(cmd, Protect):
             rhs_atom(cmd.rhs, path + ".rhs")
-            return
-        if isinstance(cmd, ArrayWrite):
+        elif isinstance(cmd, ArrayWrite):
             sink_expr(cmd.index, path + ".idx")
-            if mode.spectre_v1_1:
-                sink_expr(cmd.value, path + ".val")
-            else:
-                expr_atom(cmd.value, path + ".val")
-            return
-        if isinstance(cmd, PtrWrite):
+            store_value(cmd.value, path + ".val")
+        elif isinstance(cmd, PtrWrite):
             sink_expr(cmd.addr, path + ".addr")
-            if mode.spectre_v1_1:
-                sink_expr(cmd.value, path + ".val")
-            else:
-                expr_atom(cmd.value, path + ".val")
-            return
-        if isinstance(cmd, If):
+            store_value(cmd.value, path + ".val")
+        elif isinstance(cmd, (If, While)):
             sink_expr(cmd.cond, path + ".c")
-            walk(cmd.then, path + ".t")
-            walk(cmd.other, path + ".f")
-            return
-        if isinstance(cmd, While):
-            sink_expr(cmd.cond, path + ".c")
-            walk(cmd.body, path + ".b")
-            return
-        raise LangError(f"cannot abstract {cmd!r}")
-
-    walk(c, "c")
+        else:
+            raise LangError(f"cannot abstract {cmd!r}")
     return k
 
 
@@ -668,7 +621,6 @@ def solution_satisfies(k: ConstraintSet, sol: dict,
 
 def _reserved_names_in_config(config) -> set[str]:
     from . import machine as m
-    from .lang import command_vars, expr_vars
 
     names: set[str] = set()
 
@@ -718,7 +670,7 @@ def _extend_gamma_transient(gamma: dict[str, str], config) -> dict[str, str]:
             ext[name] = flow_join(ext.get(name, STABLE), tau)
 
     def scan_cmd(cmd: Command) -> None:
-        for target, rhs, is_prot in _all_assigns(cmd):
+        for target, rhs, is_prot in assignments(cmd):
             if not m.is_reserved_name(target):
                 continue
             if is_prot:
@@ -752,21 +704,6 @@ def _extend_gamma_transient(gamma: dict[str, str], config) -> dict[str, str]:
     for name in _reserved_names_in_config(config):
         ext.setdefault(name, TRANSIENT)
     return ext
-
-
-def _all_assigns(cmd: Command):
-    if isinstance(cmd, Assign):
-        yield cmd.target, cmd.rhs, False
-    elif isinstance(cmd, Protect):
-        yield cmd.target, cmd.rhs, True
-    elif isinstance(cmd, Seq):
-        yield from _all_assigns(cmd.first)
-        yield from _all_assigns(cmd.second)
-    elif isinstance(cmd, If):
-        yield from _all_assigns(cmd.then)
-        yield from _all_assigns(cmd.other)
-    elif isinstance(cmd, While):
-        yield from _all_assigns(cmd.body)
 
 
 def config_well_typed_transient(gamma: dict[str, str], prot: set[str],
@@ -826,7 +763,7 @@ def config_well_typed_ct(policy: Policy, variables: list[str],
                 ext[name] = label_join(ext.get(name, LABEL_PUBLIC), lab)
 
         def scan_cmd(cmd: Command) -> None:
-            for target, rhs, _p in _all_assigns(cmd):
+            for target, rhs, _p in assignments(cmd):
                 if m.is_reserved_name(target):
                     note(target, _ct_rhs_label(rhs, ext))
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from specrepair.lang import (
     ALL_ONES,
@@ -12,6 +12,7 @@ from specrepair.lang import (
     BitAnd,
     Base,
     EvalError,
+    If,
     Length,
     Lit,
     Lt,
@@ -23,8 +24,14 @@ from specrepair.lang import (
     While,
     WORD_MASK,
     check_ssa,
+    commands,
     eval_expr,
+    rewrite_statements,
+    seq_all,
 )
+from specrepair.repair import count_protects, repair
+
+from tests.test_differential import programs
 
 A = ArrayDecl("a", 1, 2, "L")
 
@@ -140,3 +147,85 @@ def test_kind_check_flags_bool_into_nat_variable():
     program = parse_program("public x;\nx := true;\n")
     problems = kind_check(program.command, program.init_vars)
     assert any("assigned" in p for p in problems)
+
+
+def preorder(c):
+    """Recursive reference for `commands`: non-Seq nodes, an If or While
+    before its branches or body."""
+    if isinstance(c, Seq):
+        return preorder(c.first) + preorder(c.second)
+    if isinstance(c, If):
+        return [c] + preorder(c.then) + preorder(c.other)
+    if isinstance(c, While):
+        return [c] + preorder(c.body)
+    return [c]
+
+
+def test_commands_match_recursive_preorder_on_corpus(corpus):
+    for name, program in corpus:
+        got = list(commands(program.command))
+        assert got == preorder(program.command), name
+
+
+@given(programs())
+@settings(max_examples=60, deadline=None)
+def test_commands_match_recursive_preorder_on_random_programs(command):
+    assert list(commands(command)) == preorder(command)
+
+
+def left_nested(prefix: str):
+    """`(x := a[i]; y := x) ; z := y` with the Seq nested to the left."""
+    x, y, z = (prefix + v for v in "xyz")
+    return Seq(Seq(Assign(x, ArrayRead(A, Var("i"))), Assign(y, Pure(Var(x)))),
+               Assign(z, Pure(Var(y))))
+
+
+NESTED = If(Lt(Var("i"), Lit(2)),
+            While(Lt(Var("i"), Lit(1)), left_nested("a")),
+            left_nested("b"))
+
+
+def test_rewrite_statements_visits_leaves_in_program_order():
+    seen = []
+    rewrite_statements(NESTED, lambda cmd: seen.append(cmd) or cmd)
+    assert seen == [cmd for cmd in preorder(NESTED)
+                    if not isinstance(cmd, (If, While))]
+    assert [cmd.target for cmd in seen] == ["ax", "ay", "az",
+                                            "bx", "by", "bz"]
+
+
+def test_repair_keeps_left_nested_shape():
+    assert repair(NESTED, []) == NESTED
+
+
+def test_repair_protects_inside_left_nested_seq_in_place():
+    body = Seq(Seq(Assign("ax", ArrayRead(A, Var("i"))),
+                   Protect("ay", Pure(Var("ax")))),
+               Assign("az", Pure(Var("ay"))))
+    assert repair(NESTED, ["ay"]) == If(NESTED.cond,
+                                        While(NESTED.then.cond, body),
+                                        left_nested("b"))
+
+
+@pytest.mark.parametrize("nesting", ["right", "left"])
+def test_traversals_do_not_recurse_on_long_chains(nesting):
+    leaves = [Assign(f"x{k}", Pure(Lit(k))) for k in range(5000)]
+    if nesting == "right":
+        chain = seq_all(leaves)
+    else:
+        chain = leaves[0]
+        for leaf in leaves[1:]:
+            chain = Seq(chain, leaf)
+    assert list(commands(chain)) == leaves
+    protected = rewrite_statements(chain, lambda a: Protect(a.target, a.rhs))
+    assert count_protects(protected) == len(leaves)
+    assert [cmd.target for cmd in commands(protected)] == \
+        [leaf.target for leaf in leaves]
+    # the rebuilt chain nests the same way as the original
+    node, depth = protected, 0
+    while isinstance(node, Seq):
+        leaf, node = (node.second, node.first) if nesting == "left" else \
+            (node.first, node.second)
+        assert isinstance(leaf, Protect)
+        depth += 1
+    assert depth == len(leaves) - 1
