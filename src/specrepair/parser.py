@@ -585,37 +585,44 @@ def _stmt_list(c: Command) -> list[Command]:
     return out
 
 
+def pretty_header(stmt: Command) -> str:
+    """The first line `pretty_command` prints for a non-`Seq` statement,
+    unindented: the whole of a simple statement, the opening line of an
+    `if` or `while`."""
+    if isinstance(stmt, Skip):
+        return "skip;"
+    if isinstance(stmt, Fail):
+        return "fail;"
+    if isinstance(stmt, Assign):
+        return f"{stmt.target} := {pretty_rhs(stmt.rhs)};"
+    if isinstance(stmt, Protect):
+        return f"{stmt.target} := protect({pretty_rhs(stmt.rhs)});"
+    if isinstance(stmt, PtrWrite):
+        return (f"*{stmt.label}({pretty_expr(stmt.addr)})"
+                f" := {pretty_expr(stmt.value)};")
+    if isinstance(stmt, ArrayWrite):
+        return (f"{stmt.array.name}[{pretty_expr(stmt.index)}]"
+                f" := {pretty_expr(stmt.value)};")
+    if isinstance(stmt, If):
+        return f"if ({pretty_expr(stmt.cond)}) {{"
+    if isinstance(stmt, While):
+        return f"while ({pretty_expr(stmt.cond)}) {{"
+    raise LangError(f"cannot print {stmt!r}")
+
+
 def pretty_command(c: Command, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
     for stmt in _stmt_list(c):
-        if isinstance(stmt, Skip):
-            lines.append(f"{pad}skip;")
-        elif isinstance(stmt, Fail):
-            lines.append(f"{pad}fail;")
-        elif isinstance(stmt, Assign):
-            lines.append(f"{pad}{stmt.target} := {pretty_rhs(stmt.rhs)};")
-        elif isinstance(stmt, Protect):
-            lines.append(
-                f"{pad}{stmt.target} := protect({pretty_rhs(stmt.rhs)});")
-        elif isinstance(stmt, PtrWrite):
-            lines.append(f"{pad}*{stmt.label}({pretty_expr(stmt.addr)})"
-                         f" := {pretty_expr(stmt.value)};")
-        elif isinstance(stmt, ArrayWrite):
-            lines.append(f"{pad}{stmt.array.name}[{pretty_expr(stmt.index)}]"
-                         f" := {pretty_expr(stmt.value)};")
-        elif isinstance(stmt, If):
-            lines.append(f"{pad}if ({pretty_expr(stmt.cond)}) {{")
+        lines.append(pad + pretty_header(stmt))
+        if isinstance(stmt, If):
             lines.extend(pretty_command(stmt.then, indent + 1))
             lines.append(f"{pad}}} else {{")
             lines.extend(pretty_command(stmt.other, indent + 1))
             lines.append(f"{pad}}}")
         elif isinstance(stmt, While):
-            lines.append(f"{pad}while ({pretty_expr(stmt.cond)}) {{")
             lines.extend(pretty_command(stmt.body, indent + 1))
             lines.append(f"{pad}}}")
-        else:
-            raise LangError(f"cannot print {stmt!r}")
     return lines
 
 

@@ -64,7 +64,7 @@ from .lang import (
     label_flows_to,
     label_join,
 )
-from .parser import pretty_command, pretty_expr, pretty_rhs
+from .parser import pretty_expr, pretty_header, pretty_rhs
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,10 +83,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.rule}: {self.where}: {self.message}"
-
-
-def _stmt_text(c: Command) -> str:
-    return pretty_command(c)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +158,7 @@ def typecheck_transient(gamma: dict[str, str], prot: set[str], c: Command,
     for cmd in commands(c):
         if isinstance(cmd, (Skip, Fail)):
             continue
-        where = _stmt_text(cmd)
+        where = pretty_header(cmd)
         if isinstance(cmd, Assign):
             tau = _transient_rhs(cmd.rhs, gamma, mode, where, out)
             # a target in the protected set discharges the check
@@ -272,7 +268,7 @@ def typecheck_ct(policy: Policy, c: Command,
     for cmd in commands(c):
         if isinstance(cmd, (Skip, Fail)):
             continue
-        where = _stmt_text(cmd)
+        where = pretty_header(cmd)
         if isinstance(cmd, (Assign, Protect)):
             rule = "Protect" if isinstance(cmd, Protect) else "Asgn"
             lab = rtype(cmd.rhs, where)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specrepair import lang
 from specrepair.lang import (
     Add,
     ArrayDecl,
@@ -33,8 +34,12 @@ from specrepair.parser import (
     Program,
     SemanticError,
     parse_program,
+    pretty_command,
+    pretty_header,
     pretty_program,
 )
+from specrepair.repair import pipeline
+from specrepair.typesys import Mode
 
 
 def test_ex1_shape(ex1):
@@ -192,3 +197,17 @@ def test_roundtrip_corpus(corpus):
         assert back.arrays == program.arrays, name
         assert back.policy == program.policy, name
         assert back.initial_memory() == program.initial_memory(), name
+
+
+def test_header_is_the_first_printed_line(corpus):
+    # the checkers name a statement by its header alone
+    seen = set()
+    for name, program in corpus:
+        repaired = pipeline(program.command, Mode(),
+                            program.variables()).repaired
+        for command in (program.command, repaired):
+            for stmt in lang.commands(command):
+                assert pretty_header(stmt) == pretty_command(stmt)[0], name
+                seen.add(type(stmt))
+    assert seen == {Skip, Fail, Assign, Protect, PtrWrite, ArrayWrite, If,
+                    While}
