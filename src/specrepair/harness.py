@@ -15,13 +15,13 @@ from .lang import Command, Policy, Value
 from .machine import (
     CompletedRun,
     MODE_HW,
+    Replayer,
     enumerate_schedules,
     exhaustive_runs,
     filter_trace,
     format_directive,
     is_reserved_name,
     random_schedule,
-    run_schedule,
     traces_equivalent,
 )
 from .parser import Program
@@ -135,11 +135,9 @@ class SctResult:
     counterexample: Optional[SctCounterexample] = None
 
 
-def _compare_runs(program: Program, pair: StatePair, pair_index: int,
-                  run1: CompletedRun, command: Command,
-                  mode: str) -> Optional[SctCounterexample]:
-    replay = run_schedule(command, pair.mem2, pair.rho2, run1.directives,
-                          mode=mode)
+def _compare_runs(program: Program, pair_index: int, run1: CompletedRun,
+                  replayer: Replayer) -> Optional[SctCounterexample]:
+    replay = replayer.run(run1.directives)
     if not replay.ok:
         return SctCounterexample(
             pair_index, run1.directives, "stuck",
@@ -169,20 +167,28 @@ def sct_fuzz(program: Program, command: Optional[Command] = None,
     first state (exhaustively, or by seeded random walks) and replayed on the
     second; any raw-trace difference, public-state difference, or one-sided
     stuckness is a counterexample.  Raw traces are compared syntactically,
-    silent observations and prediction identifiers included.
+    silent observations and prediction identifiers included.  A replay steps
+    only past the prefix it shares with the pair's previous schedule.
+
+    Exhaustive search is capped at `min(max_len, 40)` directives,
+    `max_exhaustive` schedules per pair and 400 000 explored
+    configurations, so a pass says no more than that no counterexample was
+    found within the caps.  A program whose sequential run is longer than
+    the directive cap has no complete schedule within it: it passes with 0
+    trials and no search, which is not evidence (ROADMAP item 2).
     """
     command = command if command is not None else program.command
     state_pairs = gen_lequiv_pairs(program, pairs, seed)
     trials = 0
     for pair_index, pair in enumerate(state_pairs):
+        replayer = Replayer(command, pair.mem2, pair.rho2, mode)
         if schedules == "exhaustive":
             runs = enumerate_schedules(command, pair.mem1, pair.rho1, mode,
                                        max_len=min(max_len, 40),
                                        max_schedules=max_exhaustive)
             for run1 in runs:
                 trials += 1
-                bad = _compare_runs(program, pair, pair_index, run1,
-                                    command, mode)
+                bad = _compare_runs(program, pair_index, run1, replayer)
                 if bad:
                     return SctResult(False, trials, bad)
         else:
@@ -193,8 +199,7 @@ def sct_fuzz(program: Program, command: Optional[Command] = None,
                 if run1 is None:
                     continue  # walk exceeded the budget; not a verdict
                 trials += 1
-                bad = _compare_runs(program, pair, pair_index, run1,
-                                    command, mode)
+                bad = _compare_runs(program, pair_index, run1, replayer)
                 if bad:
                     return SctResult(False, trials, bad)
     return SctResult(True, trials)

@@ -531,6 +531,43 @@ def run_schedule(c: Command, mem, rho, directives, mode: str = MODE_HW,
     return RunResult(config, trace)
 
 
+class Replayer:
+    """`run_schedule` from one initial configuration, for many schedules.
+
+    It keeps the configuration, observation and directive at each depth of
+    the last schedule it ran, and steps a new schedule only past the prefix
+    the two share, so consecutive depth-first schedules cost their suffix.
+    Prefixes are compared by identity: directives are shared singletons,
+    and a false mismatch only costs sharing.
+    """
+
+    def __init__(self, c: Command, mem, rho, mode: str = MODE_HW):
+        self.mode = mode
+        self._configs = [initial_config(c, mem, rho)]
+        self._trace: list = []
+        self._directives: list = []
+
+    def run(self, directives) -> RunResult:
+        configs, trace, done = self._configs, self._trace, self._directives
+        shared = 0
+        limit = min(len(done), len(directives))
+        while shared < limit and directives[shared] is done[shared]:
+            shared += 1
+        del configs[shared + 1:], trace[shared:], done[shared:]
+        config = configs[-1]
+        for k in range(shared, len(directives)):
+            d = directives[k]
+            result = step(config, d, self.mode)
+            if type(result) is Stuck:
+                return RunResult(config, list(trace), stuck_at=k,
+                                 stuck_reason=result.reason)
+            config, obs = result
+            configs.append(config)
+            trace.append(obs)
+            done.append(d)
+        return RunResult(config, list(trace))
+
+
 def _defined(e: Expr, trho) -> Optional[Value]:
     try:
         return eval_expr(e, trho)
@@ -669,7 +706,21 @@ def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
     """Depth-first stream of complete schedules reaching a terminal
     configuration within `max_len` directives.  Stuck or over-length
     branches are silently abandoned; at most `max_schedules` runs are
-    yielded and at most `max_nodes` configurations explored."""
+    yielded and at most `max_nodes` configurations explored (`sct_fuzz`
+    asks for `min(max_len, 40)` directives, 5000 schedules, 400 000 nodes).
+
+    Every complete schedule fetches, executes and retires the committed
+    path at least once, so none is shorter than `sequential_schedule`.
+    When that schedule exceeds `max_len` the stream is empty and no search
+    is made; such a program's SCT run reports `pass` with 0 trials, which
+    is not evidence (ROADMAP item 2).
+    """
+    try:
+        sequential_schedule(c, mem, rho, mode, budget=max_len)
+    except BudgetExceeded:
+        return
+    except LangError:
+        pass  # no sequential run to bound the search by
     produced = 0
     explored = 0
     start = initial_config(c, mem, rho)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from specrepair.corpus import load_program
@@ -9,7 +12,13 @@ from specrepair.harness import (
     l_equivalent,
     sct_fuzz,
 )
-from specrepair.machine import MODE_HW, MODE_SLH, run_schedule
+from specrepair.machine import (
+    MODE_HW,
+    MODE_SLH,
+    enumerate_schedules,
+    random_schedule,
+    run_schedule,
+)
 from specrepair.parser import parse_program
 from specrepair.repair import pipeline
 from specrepair.typesys import Mode
@@ -122,6 +131,75 @@ def test_divergent_stuckness_is_a_violation():
     result = sct_fuzz(program, schedules="exhaustive", pairs=6, seed=21)
     assert not result.passed
     assert result.counterexample.kind in {"stuck", "trace", "state"}
+
+
+def _reference_sct(program, command, mode, schedules, pairs, seed,
+                   schedule_count=100, max_len=400):
+    """`sct_fuzz` with every schedule replayed afresh from the second
+    state; (passed, trials, counterexample fields)."""
+    trials = 0
+    for index, pair in enumerate(gen_lequiv_pairs(program, pairs, seed)):
+        if schedules == "exhaustive":
+            runs = enumerate_schedules(command, pair.mem1, pair.rho1, mode,
+                                       max_len=min(max_len, 40))
+        else:
+            rng = random.Random(f"sct:{seed}:{index}")
+            runs = (random_schedule(command, pair.mem1, pair.rho1, mode,
+                                    rng=rng, max_len=max_len)
+                    for _ in range(schedule_count))
+        for run1 in runs:
+            if run1 is None:
+                continue
+            trials += 1
+            run2 = run_schedule(command, pair.mem2, pair.rho2,
+                                run1.directives, mode)
+            if not run2.ok:
+                found = ("stuck", f"second run stuck at directive "
+                         f"{run2.stuck_at}: {run2.stuck_reason}")
+            elif list(run1.trace) != run2.trace:
+                found = ("trace",
+                         "observation traces differ under identical "
+                         "directives")
+            elif not l_equivalent(program.policy, program, run1.config.mem,
+                                  run1.config.vars, run2.config.mem,
+                                  run2.config.vars):
+                found = ("state", "final states differ on public data")
+            else:
+                continue
+            return False, trials, (index, run1.directives) + found
+    return True, trials, None
+
+
+def _repaired(name):
+    program = load_program(name)
+    report = pipeline(program.command, Mode(), program.variables())
+    return dataclasses.replace(program, command=report.repaired)
+
+
+@pytest.mark.parametrize("program, mode, schedules, pairs, seed", [
+    (load_program("ex1"), MODE_HW, "exhaustive", 2, 7),
+    (parse_program("array a base=1 len=2 label=L;\nvar s = 0;\n"
+                   "public x, a;\n"
+                   "if ((s & 1) < 1) { x := a[0]; } else { skip; }\n"),
+     MODE_HW, "exhaustive", 6, 21),
+    (_repaired("nested_if"), MODE_HW, "exhaustive", 2, 3),
+    (_repaired("protect_array_slh"), MODE_SLH, "exhaustive", 1, 3),
+    (_repaired("ex1_patched"), MODE_HW, "random", 3, 5),
+], ids=["ex1", "divergent_stuck", "nested_if", "protect_array_slh",
+        "random"])
+def test_sct_fuzz_matches_fresh_replays(program, mode, schedules, pairs,
+                                        seed):
+    # the prefix-sharing replay gives the verdict of replaying every
+    # schedule from scratch
+    result = sct_fuzz(program, mode=mode, schedules=schedules, pairs=pairs,
+                      seed=seed)
+    ce = result.counterexample
+    got = (result.passed, result.trials, ce and
+           (ce.pair_index, ce.directives, ce.kind, ce.detail))
+    want = _reference_sct(program, program.command, mode, schedules, pairs,
+                          seed)
+    assert got == want
+    assert not result.passed or result.trials > 1
 
 
 def test_already_safe_programs_are_sct(corpus):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 from specrepair import machine
 from specrepair.corpus import load_program, schedule_path
 from specrepair.lang import (
@@ -11,6 +12,7 @@ from specrepair.lang import (
     ArrayRead,
     Assign,
     If,
+    LangError,
     Lit,
     Protect,
     Pure,
@@ -32,6 +34,7 @@ from specrepair.machine import (
     Nop,
     ProtectI,
     ReadObs,
+    Replayer,
     Retire,
     RollbackObs,
     SILENT,
@@ -53,7 +56,10 @@ from specrepair.machine import (
     transient_map,
 )
 from specrepair.parser import parse_program
+from specrepair.repair import pipeline
 from specrepair.seq import SeqFail, SeqRead, SeqWrite, run_sequential
+from specrepair.typesys import Mode
+from tests.test_differential import INITIAL_MEM, INITIAL_RHO, programs
 
 A = ArrayDecl("a", 1, 2, "L")
 
@@ -245,6 +251,31 @@ def test_run_schedule_reports_stuck_index():
     assert r.stuck_at == 0 and not r.ok
 
 
+def _same_result(a, b) -> bool:
+    return (a.config, a.trace, a.stuck_at, a.stuck_reason) == \
+        (b.config, b.trace, b.stuck_at, b.stuck_reason)
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_replayer_matches_fresh_replays(ex1, mode):
+    # depth-first schedules interleaved with cut-short and stuck variants:
+    # each replay, sharing a prefix or not, equals a replay from scratch
+    mem, rho = ex1.initial_memory(), ex1.initial_var_map()
+    replayer = Replayer(ex1.command, mem, rho, mode)
+    rng = random.Random(3)
+    stuck = 0
+    for run in enumerate_schedules(ex1.command, mem, rho, mode,
+                                   max_schedules=200):
+        cut = run.directives[:rng.randrange(len(run.directives))]
+        for directives in (run.directives, cut, cut + (Exec(30),),
+                           cut + (Retire(),), run.directives):
+            got = replayer.run(directives)
+            want = run_schedule(ex1.command, mem, rho, directives, mode)
+            assert _same_result(got, want), directives
+            stuck += not got.ok
+    assert stuck > 200
+
+
 def test_fig6_replay(ex1):
     sched = parse_schedule(schedule_path("fig6").read_text())
     r = run_schedule(ex1.command, ex1.initial_memory(), ex1.initial_var_map(),
@@ -403,6 +434,79 @@ def test_enumerate_ex1_yields_valid_unique_schedules(ex1):
         assert replay.ok and replay.config.terminal
         assert tuple(replay.trace) == run.trace
     assert len(seen) == 300
+
+
+# Small enough for a complete search one directive short of the sequential
+# schedule; the rest of the corpus takes seconds each.
+_LEMMA_PROGRAMS = ["assign_chain", "fail", "fail_mid", "if_branch", "lenbase",
+                   "nested_if", "oob_read", "protect_array_slh",
+                   "protect_ptr", "ptr_ops", "secret_branch", "skip",
+                   "ternary_mask"]
+
+
+def _search_lengths(monkeypatch, command, mem, rho, mode, max_len,
+                    max_nodes):
+    """Lengths of the schedules a full search finds, with the
+    sequential-schedule bound on the search turned off."""
+    def unbounded(*args, **kwargs):
+        raise LangError("no sequential bound")
+
+    with monkeypatch.context() as m:
+        m.setattr(machine, "sequential_schedule", unbounded)
+        return [len(r.directives) for r in
+                enumerate_schedules(command, mem, rho, mode, max_len=max_len,
+                                    max_nodes=max_nodes)]
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_no_schedule_is_shorter_than_the_sequential_one(monkeypatch, mode):
+    # the lemma behind skipping the search when the sequential schedule is
+    # over the length cap
+    for name in _LEMMA_PROGRAMS:
+        program = load_program(name)
+        mem, rho = program.initial_memory(), program.initial_var_map()
+        n = len(sequential_schedule(program.command, mem, rho, mode))
+        assert _search_lengths(monkeypatch, program.command, mem, rho, mode,
+                               n - 1, 20_000) == [], name
+        lengths = _search_lengths(monkeypatch, program.command, mem, rho,
+                                  mode, n, 20_000)
+        assert lengths and set(lengths) == {n}, name
+        # the bound leaves a search whose cap the sequential schedule fits
+        bounded = enumerate_schedules(program.command, mem, rho, mode,
+                                      max_len=n)
+        assert len(next(bounded).directives) == n, name
+
+
+@given(programs())
+@settings(max_examples=25, deadline=None)
+def test_no_schedule_is_shorter_than_the_sequential_one_on_random_programs(
+        command):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for mode in (MODE_HW, MODE_SLH):
+            try:
+                n = len(sequential_schedule(command, INITIAL_MEM,
+                                            INITIAL_RHO, mode))
+            except LangError:
+                assume(False)
+            assert _search_lengths(monkeypatch, command, INITIAL_MEM,
+                                   INITIAL_RHO, mode, n - 1, 5_000) == []
+            assert set(_search_lengths(monkeypatch, command, INITIAL_MEM,
+                                       INITIAL_RHO, mode, n, 5_000)) <= {n}
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_enumerate_skips_the_search_past_the_length_cap(monkeypatch, mode):
+    program = load_program("sha2_update_last")
+    report = pipeline(program.command, Mode(), program.variables())
+    mem, rho = program.initial_memory(), program.initial_var_map()
+    assert len(sequential_schedule(report.repaired, mem, rho, mode)) > 40
+
+    def no_search(config, mode):
+        raise AssertionError("the explorer searched")
+
+    monkeypatch.setattr(machine, "_options", no_search)
+    assert list(enumerate_schedules(report.repaired, mem, rho, mode,
+                                    max_len=40)) == []
 
 
 def test_random_schedule_completes_and_replays(corpus):
