@@ -542,7 +542,7 @@ class Replayer:
     """
 
     def __init__(self, c: Command, mem, rho, mode: str = MODE_HW):
-        self.mode = mode
+        self._mode = mode
         self._configs = [initial_config(c, mem, rho)]
         self._trace: list = []
         self._directives: list = []
@@ -557,7 +557,7 @@ class Replayer:
         config = configs[-1]
         for k in range(shared, len(directives)):
             d = directives[k]
-            result = step(config, d, self.mode)
+            result = step(config, d, self._mode)
             if type(result) is Stuck:
                 return RunResult(config, list(trace), stuck_at=k,
                                  stuck_reason=result.reason)
