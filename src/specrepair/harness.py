@@ -173,9 +173,13 @@ def sct_fuzz(program: Program, command: Optional[Command] = None,
     Exhaustive search is capped at `min(max_len, 40)` directives,
     `max_exhaustive` schedules per pair and 400 000 explored
     configurations, so a pass says no more than that no counterexample was
-    found within the caps.  A program whose sequential run is longer than
-    the directive cap has no complete schedule within it: it passes with 0
-    trials and no search, which is not evidence (ROADMAP item 2).
+    found within the caps.  The search skips configurations it has already
+    found to reach no complete schedule (see `enumerate_schedules`), which
+    lets loop programs such as `while_count` yield their schedules within
+    the node cap.  A program whose sequential run is longer than the
+    directive cap (`loop_protect`, `sha2_update_last`) has no complete
+    schedule within it: it passes with 0 trials and no search, which is not
+    evidence (ROADMAP item 2).
     """
     command = command if command is not None else program.command
     state_pairs = gen_lequiv_pairs(program, pairs, seed)

@@ -160,7 +160,86 @@ class ArrayRead(Rhs):
 
 
 class Command:
+    # `machine` keeps here what fetch rewrites the command into, built on
+    # first use, so every run of a program shares one set of rewritten nodes.
+    __slots__ = ("_fetched",)
+
+
+class _Compound(Command):
+    """Equality, hashing and printing for the commands that nest commands.
+
+    They walk the tree with an explicit stack instead of recursing once per
+    level as the dataclass-generated methods would, so they work on
+    programs of any length.  The leaf commands keep the generated methods.
+    """
+
     __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, Command):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            if kind is not type(b):
+                return False
+            if kind is Seq:
+                todo += ((a.second, b.second), (a.first, b.first))
+            elif kind is If:
+                if a.cond != b.cond:
+                    return False
+                todo += ((a.other, b.other), (a.then, b.then))
+            elif kind is While:
+                if a.cond != b.cond:
+                    return False
+                todo.append((a.body, b.body))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        # The pre-order sequence determines the tree: each kind has a fixed
+        # number of children.
+        return hash(tuple(
+            Seq if type(n) is Seq else
+            (type(n), n.cond) if type(n) is If or type(n) is While else n
+            for n in _preorder(self)))
+
+    def __repr__(self):
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                out.append(item)
+            elif isinstance(item, _Compound):
+                parts: list = [")"]
+                for k, name in reversed(list(enumerate(item.__slots__))):
+                    parts += (getattr(item, name),
+                              f"{', ' if k else ''}{name}=")
+                parts.append(f"{type(item).__qualname__}(")
+                todo += parts
+            else:
+                out.append(repr(item))
+        return "".join(out)
+
+
+def _preorder(c: Command) -> Iterator[Command]:
+    """Every node of `c`, Seq included, parents before their children."""
+    todo = [c]
+    while todo:
+        cmd = todo.pop()
+        yield cmd
+        kind = type(cmd)
+        if kind is Seq:
+            todo += (cmd.second, cmd.first)
+        elif kind is If:
+            todo += (cmd.other, cmd.then)
+        elif kind is While:
+            todo.append(cmd.body)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,21 +280,21 @@ class ArrayWrite(Command):
     value: Expr
 
 
-@dataclass(frozen=True, slots=True)
-class If(Command):
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class If(_Compound):
     cond: Expr
     then: Command
     other: Command
 
 
-@dataclass(frozen=True, slots=True)
-class While(Command):
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class While(_Compound):
     cond: Expr
     body: Command
 
 
-@dataclass(frozen=True, slots=True)
-class Seq(Command):
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Seq(_Compound):
     first: Command
     second: Command
 

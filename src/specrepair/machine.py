@@ -25,6 +25,7 @@ mispredicted out-of-bounds access can only touch the reserved address 0.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -301,6 +302,38 @@ def _array_address(array, index: Expr) -> Expr:
     return Add(Base(Lit(array)), index)
 
 
+def _checked_read(head: Assign) -> Command:
+    rhs = head.rhs
+    return If(_array_bounds_check(rhs.array, rhs.index),
+              Assign(head.target,
+                     PtrRead(rhs.array.label,
+                             _array_address(rhs.array, rhs.index))),
+              Fail())
+
+
+def _checked_write(head: ArrayWrite) -> Command:
+    return If(_array_bounds_check(head.array, head.index),
+              PtrWrite(head.array.label,
+                       _array_address(head.array, head.index), head.value),
+              Fail())
+
+
+def _unrolled(head: While) -> Command:
+    return If(head.cond, Seq(head.body, head), Skip())
+
+
+def _lowered(head: Command, build) -> Command:
+    """`build(head)`, built on the first fetch of `head` and kept on it, so
+    every run of a program pushes the same node objects and a stack is
+    identified by the identities of its entries."""
+    try:
+        return head._fetched
+    except AttributeError:
+        node = build(head)
+        object.__setattr__(head, "_fetched", node)
+        return node
+
+
 def _fetch(config: Config, mode: str):
     buffer, stack, mem, rho, next_pred, next_tmp = config
     if not stack:
@@ -316,15 +349,8 @@ def _fetch(config: Config, mode: str):
         elif type(rhs) is PtrRead:
             instr = LoadI(head.target, rhs.label, rhs.addr)
         elif type(rhs) is ArrayRead:
-            checked = If(
-                _array_bounds_check(rhs.array, rhs.index),
-                Assign(head.target,
-                       PtrRead(rhs.array.label,
-                               _array_address(rhs.array, rhs.index))),
-                Fail(),
-            )
-            return (Config(buffer, (checked,) + rest, mem, rho, next_pred,
-                           next_tmp), SILENT)
+            return (Config(buffer, (_lowered(head, _checked_read),) + rest,
+                           mem, rho, next_pred, next_tmp), SILENT)
         else:
             raise LangError(f"cannot fetch {head!r}")
     elif kind is Seq:
@@ -340,18 +366,11 @@ def _fetch(config: Config, mode: str):
     elif kind is PtrWrite:
         instr = StoreI(head.label, head.addr, head.value)
     elif kind is ArrayWrite:
-        checked = If(
-            _array_bounds_check(head.array, head.index),
-            PtrWrite(head.array.label,
-                     _array_address(head.array, head.index), head.value),
-            Fail(),
-        )
-        return (Config(buffer, (checked,) + rest, mem, rho, next_pred,
-                       next_tmp), SILENT)
+        return (Config(buffer, (_lowered(head, _checked_write),) + rest, mem,
+                       rho, next_pred, next_tmp), SILENT)
     elif kind is While:
-        unrolled = If(head.cond, Seq(head.body, head), Skip())
-        return (Config(buffer, (unrolled,) + rest, mem, rho, next_pred,
-                       next_tmp), SILENT)
+        return (Config(buffer, (_lowered(head, _unrolled),) + rest, mem, rho,
+                       next_pred, next_tmp), SILENT)
     elif kind is If:
         return Stuck("branch at stack head requires a fetch with a prediction")
     else:
@@ -368,6 +387,19 @@ def _fetch_protect(config: Config, head: Protect,
         instr = ProtectI(head.target, rhs.expr)
         return (Config(buffer + (instr,), rest, mem, rho, next_pred,
                        next_tmp), SILENT)
+    # The expansion names a fresh temporary, so it is kept per `next_tmp`.
+    expansions = _lowered(head, lambda _head: {})
+    pushed = expansions.get((next_tmp, mode))
+    if pushed is None:
+        pushed = expansions[next_tmp, mode] = _protect_expansion(
+            head, next_tmp, mode)
+    return (Config(buffer, pushed + rest, mem, rho, next_pred, next_tmp + 1),
+            SILENT)
+
+
+def _protect_expansion(head: Protect, next_tmp: int,
+                       mode: str) -> tuple[Command, ...]:
+    rhs = head.rhs
     if type(rhs) is ArrayRead and mode == MODE_SLH:
         # Expand to bounds-check code that masks the load address: the load
         # cannot execute before the mask resolves, and a mispredicted
@@ -380,16 +412,11 @@ def _fetch_protect(config: Config, head: Protect,
             head.target,
             PtrRead(rhs.array.label,
                     BitAnd(_array_address(rhs.array, rhs.index), Var(mask))))
-        expansion = Seq(check, If(Var(mask), Seq(widen, masked_load), Fail()))
-        return (Config(buffer, (expansion,) + rest, mem, rho, next_pred,
-                       next_tmp + 1), SILENT)
+        return (Seq(check, If(Var(mask), Seq(widen, masked_load), Fail())),)
     # Hardware flavor: read into a fresh intermediate, then protect it.  The
     # intermediate keeps the rewritten program single-assignment.
     tmp = f"{_TMP_PREFIX}t{next_tmp}"
-    read = Assign(tmp, rhs)
-    guard_value = Protect(head.target, Pure(Var(tmp)))
-    return (Config(buffer, (read, guard_value) + rest, mem, rho, next_pred,
-                   next_tmp + 1), SILENT)
+    return (Assign(tmp, rhs), Protect(head.target, Pure(Var(tmp))))
 
 
 def _fetch_branch(config: Config, prediction: bool):
@@ -700,6 +727,25 @@ class CompletedRun:
     config: Config
 
 
+def _config_key(config: Config, ids: tuple) -> tuple:
+    """A hashable stand-in for `config`, equal for equal configurations,
+    built in time linear in the lengths of the buffer, the stack and the
+    guards' rollback stacks.
+
+    Stack and rollback entries, and guard conditions, enter by identity:
+    every node a run pushes is a node of the program or one `_lowered`
+    kept on it.  Structurally equal nodes built apart then compare unequal,
+    which costs a memo hit, never a wrong one.  Memory and variables enter
+    as the ids `_retired_ids` gives their contents.  Values compare by `==`,
+    under which `True == 1`; a kind-checked program never stores both
+    kinds in one variable.
+    """
+    buffer, stack, _mem, _rho, next_pred, next_tmp = config
+    return (tuple([(id(i.cond), i.predicted, tuple(map(id, i.rollback)),
+                    i.pred) if type(i) is GuardI else i for i in buffer]),
+            tuple(map(id, stack)), ids, next_pred, next_tmp)
+
+
 def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
                         max_len: int = 40, max_schedules: int = 5000,
                         max_nodes: int = 400_000) -> Iterator[CompletedRun]:
@@ -712,8 +758,21 @@ def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
     Every complete schedule fetches, executes and retires the committed
     path at least once, so none is shorter than `sequential_schedule`.
     When that schedule exceeds `max_len` the stream is empty and no search
-    is made; such a program's SCT run reports `pass` with 0 trials, which
-    is not evidence (ROADMAP item 2).
+    is made; such a program's SCT run (`loop_protect`, `sha2_update_last`
+    at 40 directives) reports `pass` with 0 trials, which is not evidence
+    (ROADMAP item 2).
+
+    The search remembers each configuration whose subtree yielded no
+    complete schedule, with the number of directives it had left, and does
+    not enter it again with as many or fewer (state-space caching, as in
+    Holzmann's "Tracing Protocols", 1985).  Such a subtree would yield
+    nothing again, so the stream is that of the plain depth-first search;
+    the memo only makes `max_nodes` reach further, so a stream that cap
+    cut short can grow.  Loops reach one configuration along very many
+    interleavings: repaired `while_count` and `while_transient` yield 5000
+    schedules within about 45 000 configurations, where the plain search
+    found none in 400 000.  The memo lives for one search, holds only the
+    dead configurations, and builds no key until it holds one.
     """
     try:
         sequential_schedule(c, mem, rho, mode, budget=max_len)
@@ -723,10 +782,21 @@ def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
         pass  # no sequential run to bound the search by
     produced = 0
     explored = 0
-    start = initial_config(c, mem, rho)
-    stack: list[tuple[Config, tuple, tuple]] = [(start, (), ())]
+    dead: dict = {}  # configuration key -> directives it had left
+    writes: dict = {}  # see `_retired_ids`
+    # Entries are (configuration, directives, trace, state ids) to visit,
+    # or, once every child of a configuration has been visited, (None,
+    # configuration, state ids, its key or None, directives it had left,
+    # schedules yielded before it).
+    stack: list = [(initial_config(c, mem, rho), (), (), (0, 0))]
     while stack:
-        config, directives, trace = stack.pop()
+        entry = stack.pop()
+        if entry[0] is None:
+            _, config, ids, key, left, before = entry
+            if produced == before:
+                dead[key or _config_key(config, ids)] = left
+            continue
+        config, directives, trace, ids = entry
         explored += 1
         if explored > max_nodes:
             return
@@ -736,11 +806,37 @@ def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
             if produced >= max_schedules:
                 return
             continue
-        if len(directives) >= max_len:
+        left = max_len - len(directives)
+        if left <= 0:
             continue
-        options = [(cfg, directives + (d,), trace + (obs,))
-                   for d, cfg, obs in _options(config, mode)]
-        stack.extend(reversed(options))
+        key = None
+        if dead:  # a search that finds no dead configuration builds no key
+            key = _config_key(config, ids)
+            if dead.get(key, 0) >= left:
+                continue
+        stack.append((None, config, ids, key, left, produced))
+        stack.extend(reversed([
+            (cfg, directives + (d,), trace + (obs,),
+             ids if d is not RETIRE else _retired_ids(config, ids, writes))
+            for d, cfg, obs in _options(config, mode)]))
+
+
+def _retired_ids(config: Config, ids: tuple, writes: dict) -> tuple:
+    """The (memory, variables) ids of `config` after it retires its head.
+
+    Within one search, id 0 stands for the initial maps and each write
+    `_retire` makes (map id, name or address, value) gets the next id in
+    `writes`.  Equal ids mean equal maps, so a key never walks a map.
+    """
+    mem_id, vars_id = ids
+    head = config.buffer[0]
+    if type(head) is AssignI:
+        vars_id = writes.setdefault((vars_id, head.target, head.expr.value),
+                                    len(writes) + 1)
+    elif type(head) is StoreI:
+        mem_id = writes.setdefault(
+            (mem_id, head.addr.value, head.value.value), len(writes) + 1)
+    return mem_id, vars_id
 
 
 def exhaustive_runs(c: Command, mem, rho, mode: str = MODE_HW,
@@ -828,8 +924,6 @@ def filter_trace(trace) -> list:
 
 def traces_equivalent(t1, t2) -> bool:
     """Multiset equality of filtered, identifier-erased observations."""
-    from collections import Counter
-
     return Counter(filter_trace(t1)) == Counter(filter_trace(t2))
 
 

@@ -202,6 +202,25 @@ def test_sct_fuzz_matches_fresh_replays(program, mode, schedules, pairs,
     assert not result.passed or result.trials > 1
 
 
+@pytest.mark.parametrize("name", ["while_count", "while_transient"])
+def test_exhaustive_sct_checks_repaired_loops(name):
+    # without the explorer's dead-configuration memo the 400 000-node cap
+    # runs out before a single complete schedule
+    program = _repaired(name)
+    result = sct_fuzz(program, schedules="exhaustive", pairs=1, seed=1)
+    assert result.passed and result.trials > 0
+    pair = gen_lequiv_pairs(program, 1, 1)[0]
+    seen = set()
+    for run in enumerate_schedules(program.command, pair.mem1, pair.rho1):
+        assert run.directives not in seen
+        seen.add(run.directives)
+        replay = run_schedule(program.command, pair.mem1, pair.rho1,
+                              run.directives)
+        assert replay.ok and replay.config.terminal
+        assert tuple(replay.trace) == run.trace
+    assert len(seen) == result.trials
+
+
 def test_already_safe_programs_are_sct(corpus):
     # programs that pass both checkers with nothing promised are already
     # speculatively constant-time; a single failure here is a build stopper

@@ -12,6 +12,7 @@ from specrepair.lang import (
     BitAnd,
     Base,
     EvalError,
+    Fail,
     If,
     Length,
     Lit,
@@ -19,6 +20,7 @@ from specrepair.lang import (
     Protect,
     Pure,
     Seq,
+    Skip,
     Ternary,
     Var,
     While,
@@ -229,3 +231,62 @@ def test_traversals_do_not_recurse_on_long_chains(nesting):
         assert isinstance(leaf, Protect)
         depth += 1
     assert depth == len(leaves) - 1
+
+
+def dataclass_repr(c) -> str:
+    """Recursive reference for `repr` of a command: the dataclass format."""
+    if not isinstance(c, (Seq, If, While)):
+        return repr(c)
+    fields = ", ".join(f"{name}={dataclass_repr(getattr(c, name))}"
+                       for name in c.__slots__)
+    return f"{type(c).__name__}({fields})"
+
+
+def test_command_repr_is_the_dataclass_format(corpus):
+    for name, program in corpus:
+        assert repr(program.command) == dataclass_repr(program.command), name
+    assert repr(NESTED) == dataclass_repr(NESTED)
+
+
+def test_command_equality_is_structural():
+    assert NESTED == If(NESTED.cond, NESTED.then, left_nested("b"))
+    assert hash(NESTED) == hash(If(NESTED.cond, NESTED.then,
+                                   left_nested("b")))
+    assert NESTED != If(Lt(Var("i"), Lit(3)), NESTED.then, NESTED.other)
+    assert NESTED != If(NESTED.cond, NESTED.other, NESTED.then)
+    # the same leaves nested the other way are another program
+    a, b, c = (Assign(x, Pure(Lit(0))) for x in "abc")
+    assert Seq(Seq(a, b), c) != Seq(a, Seq(b, c))
+    assert Seq(a, b) != a and a != Seq(a, b)
+    assert While(NESTED.cond, a) != If(NESTED.cond, a, a)
+
+
+STATEMENTS = 10_000
+
+
+@pytest.mark.parametrize("nesting", ["right", "left"])
+def test_command_equality_hash_and_repr_on_long_programs(nesting):
+    def program(last):
+        leaves = [Assign(f"x{k}", Pure(Lit(k)))
+                  for k in range(STATEMENTS - 1)] + [last]
+        if nesting == "right":
+            chain = seq_all(leaves)
+        else:
+            chain = leaves[0]
+            for leaf in leaves[1:]:
+                chain = Seq(chain, leaf)
+        return While(Lt(Var("i"), Lit(1)), If(Var("b"), chain, Skip())), \
+            leaves
+
+    first, leaves = program(Skip())
+    second, _ = program(Skip())
+    assert first == second and hash(first) == hash(second)
+    assert first != program(Fail())[0]
+    body = ("".join(f"Seq(first={leaf!r}, second=" for leaf in leaves[:-1])
+            + repr(leaves[-1]) + ")" * (len(leaves) - 1)
+            if nesting == "right" else
+            "Seq(first=" * (len(leaves) - 1) + repr(leaves[0])
+            + "".join(f", second={leaf!r})" for leaf in leaves[1:]))
+    assert repr(first) == (
+        "While(cond=Lt(left=Var(name='i'), right=Lit(value=1)), "
+        f"body=If(cond=Var(name='b'), then={body}, other=Skip()))")

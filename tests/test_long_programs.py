@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 
 from specrepair.cli import main
+from specrepair.harness import sct_fuzz
 from specrepair.lang import check_ssa, kind_check
 from specrepair.parser import parse_program, pretty_program
 from specrepair.repair import pipeline
@@ -71,3 +72,13 @@ def test_long_program_through_the_cli(tmp_path, capsys):
     repaired.write_text(payload["program"])
     assert main(["check", "--json", str(repaired)]) == 0
     assert json.loads(capsys.readouterr().out) == {"ct": [], "transient": []}
+
+
+def test_exhaustive_sct_of_a_long_untaken_branch():
+    # the untaken branch reaches the machine's stack and its guards'
+    # rollback stacks, which the explorer's memo keys take by identity
+    body = "\n".join(f"  x{k} := {k};" for k in range(3000))
+    program = parse_program(f"var c = 0;\npublic c;\nif (c < 0) {{\n{body}\n"
+                            "} else {\n  skip;\n}\n")
+    result = sct_fuzz(program, schedules="exhaustive", pairs=1, seed=1)
+    assert (result.passed, result.trials) == (True, 75)

@@ -21,6 +21,7 @@ from specrepair.lang import (
 )
 from specrepair.machine import (
     AssignI,
+    CompletedRun,
     Config,
     Exec,
     FailInstr,
@@ -507,6 +508,93 @@ def test_enumerate_skips_the_search_past_the_length_cap(monkeypatch, mode):
     monkeypatch.setattr(machine, "_options", no_search)
     assert list(enumerate_schedules(report.repaired, mem, rho, mode,
                                     max_len=40)) == []
+
+
+# ---------------------------------------------------------------------------
+# The dead-configuration memo against the plain depth-first search
+# ---------------------------------------------------------------------------
+
+
+def _plain_schedules(command, mem, rho, mode, max_len, max_schedules,
+                     max_nodes):
+    """The depth-first search `enumerate_schedules` makes, without its memo
+    and without the sequential-length shortcut: the complete runs in
+    order, and whether the node cap stopped the search."""
+    runs = []
+    explored = 0
+    stack = [(initial_config(command, mem, rho), (), ())]
+    while stack:
+        config, directives, trace = stack.pop()
+        explored += 1
+        if explored > max_nodes:
+            return runs, True
+        if config.terminal:
+            runs.append(CompletedRun(directives, trace, config))
+            if len(runs) >= max_schedules:
+                return runs, False
+            continue
+        if len(directives) >= max_len:
+            continue
+        children = []
+        for d in applicable_directives(config, mode):
+            nxt, obs = step(config, d, mode)
+            children.append((nxt, directives + (d,), trace + (obs,)))
+        stack.extend(reversed(children))
+    return runs, False
+
+
+def _assert_memo_keeps_the_stream(command, mem, rho, mode, max_len,
+                                  max_schedules=200, max_nodes=5_000):
+    """Directives, traces and final states equal the plain search's, or
+    extend them where the node cap stopped the plain search."""
+    want, cut = _plain_schedules(command, mem, rho, mode, max_len,
+                                 max_schedules, max_nodes)
+    got = list(enumerate_schedules(command, mem, rho, mode, max_len=max_len,
+                                   max_schedules=max_schedules,
+                                   max_nodes=max_nodes))
+    assert (got[:len(want)] if cut else got) == want
+    return len(want), cut
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_memo_keeps_the_stream_on_the_corpus(corpus, mode):
+    # at the length cap `sct_fuzz` uses, and two directives past the
+    # sequential schedule, where most branches run out of length
+    for name, program in corpus:
+        mem, rho = program.initial_memory(), program.initial_var_map()
+        repaired = pipeline(program.command, Mode(),
+                            program.variables()).repaired
+        for command in (program.command, repaired):
+            n = len(sequential_schedule(command, mem, rho, mode))
+            for max_len in {40, min(n + 2, 40)}:
+                _assert_memo_keeps_the_stream(command, mem, rho, mode,
+                                              max_len)
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_memo_keeps_the_stream_of_a_loop(mode):
+    # one iteration: small enough for the plain search to finish, which
+    # takes it 41 659 configurations against the memo's 8 102
+    program = parse_program("var n = 1;\nvar c = 0;\npublic n, c;\n"
+                            "while (c < n) { c := c + 1; }\n")
+    mem, rho = program.initial_memory(), program.initial_var_map()
+    assert _assert_memo_keeps_the_stream(
+        program.command, mem, rho, mode, 14, max_schedules=10 ** 6,
+        max_nodes=50_000) == (1675, False)
+
+
+@given(programs())
+@settings(max_examples=25, deadline=None)
+def test_memo_keeps_the_stream_on_random_programs(command):
+    for mode in (MODE_HW, MODE_SLH):
+        try:
+            n = len(sequential_schedule(command, INITIAL_MEM, INITIAL_RHO,
+                                        mode))
+        except LangError:
+            n = 38
+        for max_len in {40, min(n + 2, 40)}:
+            _assert_memo_keeps_the_stream(command, INITIAL_MEM, INITIAL_RHO,
+                                          mode, max_len)
 
 
 def test_random_schedule_completes_and_replays(corpus):
