@@ -215,13 +215,13 @@ class _Compound(Command):
             item = todo.pop()
             if type(item) is str:
                 out.append(item)
-            elif isinstance(item, _Compound):
-                parts: list = [")"]
-                for k, name in reversed(list(enumerate(item.__slots__))):
-                    parts += (getattr(item, name),
-                              f"{', ' if k else ''}{name}=")
-                parts.append(f"{type(item).__qualname__}(")
-                todo += parts
+            elif isinstance(item, _Compound):  # pushed last part first
+                names = item.__slots__
+                todo.append(")")
+                for k in reversed(range(len(names))):
+                    todo += (getattr(item, names[k]),
+                             f"{', ' if k else ''}{names[k]}=")
+                todo.append(f"{type(item).__qualname__}(")
             else:
                 out.append(repr(item))
         return "".join(out)

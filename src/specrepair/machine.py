@@ -227,9 +227,10 @@ class Config(NamedTuple):
     A named tuple rather than a frozen dataclass, because every step builds
     one and a tuple is several times cheaper to construct; each rule builds
     its successor positionally.  Successors share the `mem` and `vars` dicts
-    of their predecessor: only `_retire` writes them, and only on a fresh
+    of their predecessor: only `_retire` writes them, one entry on a fresh
     copy, so a step never mutates its input and the siblings of a
-    depth-first exploration stay independent.
+    depth-first exploration stay independent (`_retired_ids` relies on
+    this to name map contents).
     """
 
     buffer: tuple[Instruction, ...]
