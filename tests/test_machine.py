@@ -556,17 +556,24 @@ def _assert_memo_keeps_the_stream(command, mem, rho, mode, max_len,
     return len(want), cut
 
 
+def _memo_lengths(command, mem, rho, mode) -> set:
+    """The length cap `sct_fuzz` uses, and two directives past the
+    sequential schedule, where most branches run out of length."""
+    try:
+        n = len(sequential_schedule(command, mem, rho, mode))
+    except LangError:  # no sequential run
+        return {40}
+    return {40, min(n + 2, 40)}
+
+
 @pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
 def test_memo_keeps_the_stream_on_the_corpus(corpus, mode):
-    # at the length cap `sct_fuzz` uses, and two directives past the
-    # sequential schedule, where most branches run out of length
     for name, program in corpus:
         mem, rho = program.initial_memory(), program.initial_var_map()
         repaired = pipeline(program.command, Mode(),
                             program.variables()).repaired
         for command in (program.command, repaired):
-            n = len(sequential_schedule(command, mem, rho, mode))
-            for max_len in {40, min(n + 2, 40)}:
+            for max_len in _memo_lengths(command, mem, rho, mode):
                 _assert_memo_keeps_the_stream(command, mem, rho, mode,
                                               max_len)
 
@@ -587,12 +594,7 @@ def test_memo_keeps_the_stream_of_a_loop(mode):
 @settings(max_examples=25, deadline=None)
 def test_memo_keeps_the_stream_on_random_programs(command):
     for mode in (MODE_HW, MODE_SLH):
-        try:
-            n = len(sequential_schedule(command, INITIAL_MEM, INITIAL_RHO,
-                                        mode))
-        except LangError:
-            n = 38
-        for max_len in {40, min(n + 2, 40)}:
+        for max_len in _memo_lengths(command, INITIAL_MEM, INITIAL_RHO, mode):
             _assert_memo_keeps_the_stream(command, INITIAL_MEM, INITIAL_RHO,
                                           mode, max_len)
 
