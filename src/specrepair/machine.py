@@ -728,23 +728,36 @@ class CompletedRun:
     config: Config
 
 
-def _config_key(config: Config, ids: tuple) -> tuple:
-    """A hashable stand-in for `config`, equal for equal configurations,
-    built in time linear in the lengths of the buffer, the stack and the
-    guards' rollback stacks.
+def _config_key(config: Config, ids: tuple, parent: tuple,
+                codes: dict) -> tuple:
+    """A hashable stand-in for `config`, equal for equal configurations.
 
     Stack and rollback entries, and guard conditions, enter by identity:
     every node a run pushes is a node of the program or one `_lowered`
     kept on it.  Structurally equal nodes built apart then compare unequal,
     which costs a memo hit, never a wrong one.  Memory and variables enter
-    as the ids `_retired_ids` gives their contents.  Values compare by `==`,
-    under which `True == 1`; a kind-checked program never stores both
-    kinds in one variable.
+    as the ids `_retired_ids` gives their contents.  Each instruction
+    enters as the small int `codes` gives its content.  `parent` holds the
+    buffer and instruction codes of the configuration `config` was stepped
+    from, or two empty tuples: the instructions both buffers hold at the
+    same distance from either end keep their codes, so only those the step
+    made are looked up.  Values compare by `==`, under which `True == 1`; a
+    kind-checked program never stores both kinds in one variable.
     """
     buffer, stack, _mem, _rho, next_pred, next_tmp = config
-    return (tuple([(id(i.cond), i.predicted, tuple(map(id, i.rollback)),
-                    i.pred) if type(i) is GuardI else i for i in buffer]),
-            tuple(map(id, stack)), ids, next_pred, next_tmp)
+    old, old_codes = parent
+    n, m = len(buffer), len(old)
+    i = j = 0
+    while i < n and i < m and buffer[i] is old[i]:
+        i += 1
+    while i + j < n and i + j < m and buffer[n - 1 - j] is old[m - 1 - j]:
+        j += 1
+    made = tuple([
+        codes.setdefault((id(x.cond), x.predicted, tuple(map(id, x.rollback)),
+                          x.pred) if type(x) is GuardI else x, len(codes))
+        for x in buffer[i:n - j]])
+    return (old_codes[:i] + made + old_codes[m - j:], tuple(map(id, stack)),
+            ids, next_pred, next_tmp)
 
 
 def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
@@ -785,19 +798,21 @@ def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
     explored = 0
     dead: dict = {}  # configuration key -> directives it had left
     writes: dict = {}  # see `_retired_ids`
-    # Entries are (configuration, directives, trace, state ids) to visit,
-    # or, once every child of a configuration has been visited, (None,
-    # configuration, state ids, its key or None, directives it had left,
-    # schedules yielded before it).
-    stack: list = [(initial_config(c, mem, rho), (), (), (0, 0))]
+    codes: dict = {}  # see `_config_key`
+    no_parent = ((), ())
+    # Entries are (configuration, directives, trace, state ids, parent's
+    # buffer and codes for `_config_key`) to visit, or, once every child of
+    # a configuration has been visited, (None, configuration, state ids,
+    # its key or None, directives it had left, schedules yielded before).
+    stack: list = [(initial_config(c, mem, rho), (), (), (0, 0), no_parent)]
     while stack:
         entry = stack.pop()
         if entry[0] is None:
             _, config, ids, key, left, before = entry
             if produced == before:
-                dead[key or _config_key(config, ids)] = left
+                dead[key or _config_key(config, ids, no_parent, codes)] = left
             continue
-        config, directives, trace, ids = entry
+        config, directives, trace, ids, parent = entry
         explored += 1
         if explored > max_nodes:
             return
@@ -812,13 +827,15 @@ def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
             continue
         key = None
         if dead:  # a search that finds no dead configuration builds no key
-            key = _config_key(config, ids)
+            key = _config_key(config, ids, parent, codes)
             if dead.get(key, 0) >= left:
                 continue
         stack.append((None, config, ids, key, left, produced))
+        parent = no_parent if key is None else (config.buffer, key[0])
         stack.extend(reversed([
             (cfg, directives + (d,), trace + (obs,),
-             ids if d is not RETIRE else _retired_ids(config, ids, writes))
+             ids if d is not RETIRE else _retired_ids(config, ids, writes),
+             parent)
             for d, cfg, obs in _options(config, mode)]))
 
 
