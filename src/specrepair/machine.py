@@ -737,27 +737,36 @@ def _config_key(config: Config, ids: tuple, parent: tuple,
     kept on it.  Structurally equal nodes built apart then compare unequal,
     which costs a memo hit, never a wrong one.  Memory and variables enter
     as the ids `_retired_ids` gives their contents.  Each instruction
-    enters as the small int `codes` gives its content.  `parent` holds the
-    buffer and instruction codes of the configuration `config` was stepped
-    from, or two empty tuples: the instructions both buffers hold at the
-    same distance from either end keep their codes, so only those the step
-    made are looked up.  Values compare by `==`, under which `True == 1`; a
-    kind-checked program never stores both kinds in one variable.
+    enters as its `_code`.  `parent` is the directive, buffer and
+    instruction codes of the configuration `config` was stepped from, or
+    (None, (), ()).  A step changes the buffer in one place (fetch appends,
+    `exec i` rewrites position i and a rollback also drops what follows
+    it, retire drops the head), so only the instruction it made is coded.
+    Values compare by `==`, under which `True == 1`; a kind-checked program
+    never stores both kinds in one variable.
     """
     buffer, stack, _mem, _rho, next_pred, next_tmp = config
-    old, old_codes = parent
-    n, m = len(buffer), len(old)
-    i = j = 0
-    while i < n and i < m and buffer[i] is old[i]:
-        i += 1
-    while i + j < n and i + j < m and buffer[n - 1 - j] is old[m - 1 - j]:
-        j += 1
-    made = tuple([
-        codes.setdefault((id(x.cond), x.predicted, tuple(map(id, x.rollback)),
-                          x.pred) if type(x) is GuardI else x, len(codes))
-        for x in buffer[i:n - j]])
-    return (old_codes[:i] + made + old_codes[m - j:], tuple(map(id, stack)),
-            ids, next_pred, next_tmp)
+    d, old, old_codes = parent
+    if buffer is old:
+        made = old_codes
+    elif d is RETIRE:
+        made = old_codes[1:len(buffer) + 1]
+    elif d is None:
+        made = tuple([_code(x, codes) for x in buffer])
+    else:
+        k = d.index - 1 if type(d) is Exec else len(old)
+        made = (old_codes[:k] + (_code(buffer[k], codes),)
+                + old_codes[k + 1:len(buffer)])
+    return made, tuple(map(id, stack)), ids, next_pred, next_tmp
+
+
+def _code(instr: Instruction, codes: dict) -> int:
+    """The small int `codes` gives the content of `instr` in one search;
+    a guard's content takes its condition and rollback stack by identity."""
+    if type(instr) is GuardI:
+        instr = (id(instr.cond), instr.predicted,
+                 tuple(map(id, instr.rollback)), instr.pred)
+    return codes.setdefault(instr, len(codes))
 
 
 def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
@@ -798,11 +807,11 @@ def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
     explored = 0
     dead: dict = {}  # configuration key -> directives it had left
     writes: dict = {}  # see `_retired_ids`
-    codes: dict = {}  # see `_config_key`
-    no_parent = ((), ())
-    # Entries are (configuration, directives, trace, state ids, parent's
-    # buffer and codes for `_config_key`) to visit, or, once every child of
-    # a configuration has been visited, (None, configuration, state ids,
+    codes: dict = {}  # see `_code`
+    no_parent = (None, (), ())
+    # Entries are (configuration, directives, trace, state ids, what
+    # `_config_key` takes from the parent) to visit, or, once every child
+    # of a configuration has been visited, (None, configuration, state ids,
     # its key or None, directives it had left, schedules yielded before).
     stack: list = [(initial_config(c, mem, rho), (), (), (0, 0), no_parent)]
     while stack:
@@ -831,11 +840,10 @@ def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
             if dead.get(key, 0) >= left:
                 continue
         stack.append((None, config, ids, key, left, produced))
-        parent = no_parent if key is None else (config.buffer, key[0])
         stack.extend(reversed([
             (cfg, directives + (d,), trace + (obs,),
              ids if d is not RETIRE else _retired_ids(config, ids, writes),
-             parent)
+             no_parent if key is None else (d, config.buffer, key[0]))
             for d, cfg, obs in _options(config, mode)]))
 
 
