@@ -24,6 +24,7 @@ COMMANDS = {
     "infer": ["infer", "--json"],
     "infer_v11": ["infer", "--mode", "v1.1", "--json"],
     "check": ["check", "--json"],
+    "check_v11": ["check", "--mode", "v1.1", "--json"],
     "repair": ["repair", "--json"],
     "repair_slh_v11": ["repair", "--mode", "slh", "--v11", "--json"],
     "run_seq": ["run-seq", "--json"],
