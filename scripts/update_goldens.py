@@ -16,22 +16,24 @@ from pathlib import Path
 from specrepair.cli import main
 from specrepair.corpus import corpus_names, corpus_path
 
-GOLDEN_COMMANDS = [
-    ("infer", ["infer", "--json"]),
-    ("infer_v11", ["infer", "--mode", "v1.1", "--json"]),
-    ("check", ["check", "--json"]),
-    ("check_v11", ["check", "--mode", "v1.1", "--json"]),
-    ("repair", ["repair", "--json"]),
-    ("repair_slh_v11", ["repair", "--mode", "slh", "--v11", "--json"]),
-    ("run_seq", ["run-seq", "--json"]),
-    ("run_spec_random", ["run-spec", "--random", "200", "--seed", "1",
-                         "--json"]),
-    ("run_spec_random_slh", ["run-spec", "--random", "200", "--seed", "1",
-                             "--mode", "slh", "--json"]),
-    ("fuzz_sct", ["fuzz-sct", "--schedules", "random:20", "--pairs", "2",
-                  "--seed", "1", "--json"]),
-    ("graph", ["graph", "--json"]),
-]
+# The golden file's key for each command, and its argv before the program
+# path.  tests/test_goldens.py replays this same table.
+GOLDEN_COMMANDS = {
+    "infer": ["infer", "--json"],
+    "infer_v11": ["infer", "--mode", "v1.1", "--json"],
+    "check": ["check", "--json"],
+    "check_v11": ["check", "--mode", "v1.1", "--json"],
+    "repair": ["repair", "--json"],
+    "repair_slh_v11": ["repair", "--mode", "slh", "--v11", "--json"],
+    "run_seq": ["run-seq", "--json"],
+    "run_spec_random": ["run-spec", "--random", "200", "--seed", "1",
+                        "--json"],
+    "run_spec_random_slh": ["run-spec", "--random", "200", "--seed", "1",
+                            "--mode", "slh", "--json"],
+    "fuzz_sct": ["fuzz-sct", "--schedules", "random:20", "--pairs", "2",
+                 "--seed", "1", "--json"],
+    "graph": ["graph", "--json"],
+}
 
 
 def capture(argv) -> dict:
@@ -46,7 +48,7 @@ def main_script() -> int:
     for name in corpus_names():
         path = str(corpus_path(name))
         goldens[name] = {key: capture(argv + [path])
-                         for key, argv in GOLDEN_COMMANDS}
+                         for key, argv in GOLDEN_COMMANDS.items()}
     out = Path(__file__).resolve().parent.parent / "tests" / "goldens" / \
         "cli_outputs.json"
     out.parent.mkdir(parents=True, exist_ok=True)

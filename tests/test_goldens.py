@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -17,35 +18,23 @@ import pytest
 from specrepair.cli import main
 from specrepair.corpus import corpus_names, corpus_path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from update_goldens import GOLDEN_COMMANDS  # noqa: E402
+
 GOLDENS = json.loads(
     (Path(__file__).parent / "goldens" / "cli_outputs.json").read_text())
-
-COMMANDS = {
-    "infer": ["infer", "--json"],
-    "infer_v11": ["infer", "--mode", "v1.1", "--json"],
-    "check": ["check", "--json"],
-    "check_v11": ["check", "--mode", "v1.1", "--json"],
-    "repair": ["repair", "--json"],
-    "repair_slh_v11": ["repair", "--mode", "slh", "--v11", "--json"],
-    "run_seq": ["run-seq", "--json"],
-    "run_spec_random": ["run-spec", "--random", "200", "--seed", "1",
-                        "--json"],
-    "run_spec_random_slh": ["run-spec", "--random", "200", "--seed", "1",
-                            "--mode", "slh", "--json"],
-    "fuzz_sct": ["fuzz-sct", "--schedules", "random:20", "--pairs", "2",
-                 "--seed", "1", "--json"],
-    "graph": ["graph", "--json"],
-}
 
 
 def test_goldens_cover_the_whole_corpus():
     assert sorted(GOLDENS) == corpus_names()
+    for outputs in GOLDENS.values():
+        assert sorted(outputs) == sorted(GOLDEN_COMMANDS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_cli_outputs_are_stable(name):
     path = str(corpus_path(name))
-    for key, argv in COMMANDS.items():
+    for key, argv in GOLDEN_COMMANDS.items():
         buffer = io.StringIO()
         with redirect_stdout(buffer):
             code = main(argv + [path])
