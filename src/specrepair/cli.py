@@ -19,13 +19,14 @@ from .lang import ArrayDecl, LangError, check_ssa, kind_check
 from .machine import (
     MODE_HW,
     MODE_SLH,
-    _options,
+    applicable_directives,
     format_directive,
     format_observation,
     initial_config,
     parse_schedule,
     run_schedule,
     sequential_schedule,
+    step,
 )
 from .parser import Program, parse_program, pretty_program
 from .repair import pipeline
@@ -134,10 +135,11 @@ def _random_walk(program: Program, mem, rho, args) -> list:
     config = initial_config(program.command, mem, rho)
     directives = []
     while not config.terminal and len(directives) < args.random:
-        options = _options(config, args.mode)
+        options = applicable_directives(config, args.mode)
         if not options:
             break
-        d, config, _obs = rng.choice(options)
+        d = rng.choice(options)
+        config, _obs = step(config, d, args.mode)
         directives.append(d)
     return directives
 
