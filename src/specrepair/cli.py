@@ -32,7 +32,7 @@ from .parser import Program, parse_program, pretty_program
 from .repair import pipeline
 from .seq import format_seq_observation, run_sequential
 from .typesys import Mode, generate_constraints, least_type_env, \
-    typecheck_ct, typecheck_transient
+    transient_violations, typecheck_ct
 
 
 def _load(path: str) -> Program:
@@ -153,8 +153,7 @@ def cmd_check(args) -> int:
     if run_transient:
         k = generate_constraints(program.command, mode)
         gamma = least_type_env(k, program.variables())
-        report["transient"] = typecheck_transient(gamma, set(),
-                                                  program.command, mode)
+        report["transient"] = transient_violations(k, gamma, set())
     if run_ct:
         report["ct"] = typecheck_ct(program.policy, program.command,
                                     program.arrays, program.variables())

@@ -25,7 +25,7 @@ from .lang import (
 )
 from .graphcut import build_graph, extract_env, min_cut
 from .typesys import ConstraintSet, Mode, generate_constraints, \
-    typecheck_transient
+    transient_violations
 
 
 class RepairError(LangError):
@@ -110,8 +110,9 @@ def pipeline(c: Command, mode: Mode = Mode(),
     cut = min_cut(g)
     gamma = extract_env(g, cut, variables)
     repaired = repair(c, cut)
-    original_violations = typecheck_transient(gamma, set(cut), c, mode)
-    repaired_violations = typecheck_transient(gamma, set(), repaired, mode)
+    original_violations = transient_violations(k, gamma, set(cut))
+    repaired_violations = transient_violations(
+        generate_constraints(repaired, mode), gamma, set())
     already = count_protects(c)
     return PipelineReport(
         repaired=repaired,

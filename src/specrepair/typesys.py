@@ -1,4 +1,4 @@
-"""Transient-flow typing, constant-time typing, and constraint generation.
+"""Transient-flow constraints and checks, and constant-time typing.
 
 The transient-flow system tracks which variables may hold data obtained on a
 mispredicted path.  Reads produce transient values; array indices, pointer
@@ -8,21 +8,29 @@ transient value into a stable variable unless the assignment is protected
 additionally treats stored values as sinks, and treats constant-address reads
 as transient sources (plain v1 mode exempts them).
 
+These rules are written once, in `generate_constraints`.  It emits
+can-flow-to edges between atoms (a shared atom per variable, one atom per
+expression occurrence, plus the transient source and the stable sink), and
+records the rule and statement behind every edge into the sink or into an
+assigned variable.  Everything else reads that graph.  A constraint set is
+satisfiable exactly when no directed path connects the source to the sink;
+the least solution types an atom transient exactly when the source reaches
+it.  Checking a program under an environment and a protected set is a query
+on the same graph (`transient_violations`): variables keep the
+environment's types, expression atoms are transient when the source or a
+transient variable reaches them, and every recorded edge from a transient
+atom to a stable one is a violation.
+
 The constant-time system is a separate two-point (public/secret) analysis of
 the same programs: no secret-dependent branches, indices, or addresses, and
-no secret-to-public assignments.  The two checkers share nothing but the AST.
-
-Constraint generation mirrors the transient checker rule for rule but never
-rejects: it emits can-flow-to edges between atoms (a shared atom per
-variable, one atom per expression occurrence, plus the transient source and
-the stable sink).  A constraint set is satisfiable exactly when no directed
-path connects the source to the sink; the least solution types an atom
-transient exactly when the source reaches it.
+no secret-to-public assignments.  It shares nothing with the transient-flow
+system but the AST.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lang import (
     Add,
@@ -54,12 +62,8 @@ from .lang import (
     Ternary,
     Var,
     While,
-    assignments,
     command_vars,
     commands,
-    expr_vars,
-    flow_join,
-    flow_leq,
     is_constant_expr,
     label_flows_to,
     label_join,
@@ -83,119 +87,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.rule}: {self.where}: {self.message}"
-
-
-# ---------------------------------------------------------------------------
-# Transient-flow checker
-# ---------------------------------------------------------------------------
-
-
-def transient_expr_type(e: Expr, gamma: dict[str, str]) -> str:
-    """Least transient-flow type of an expression under `gamma`."""
-    if isinstance(e, Lit):
-        return STABLE
-    if isinstance(e, Var):
-        if e.name not in gamma:
-            raise LangError(f"no flow type for variable {e.name!r}")
-        return gamma[e.name]
-    if isinstance(e, (Add, Lt, BitAnd)):
-        return flow_join(transient_expr_type(e.left, gamma),
-                         transient_expr_type(e.right, gamma))
-    if isinstance(e, Ternary):
-        # The select is the non-speculative conditional: its condition is a
-        # data operand, not a predicted branch, so it is not forced stable.
-        return flow_join(
-            transient_expr_type(e.cond, gamma),
-            flow_join(transient_expr_type(e.then, gamma),
-                      transient_expr_type(e.other, gamma)))
-    if isinstance(e, (Length, Base)):
-        return transient_expr_type(e.arg, gamma)
-    raise LangError(f"cannot type {e!r}")
-
-
-def _transient_rhs(r: Rhs, gamma, mode: Mode, where,
-                   out: list[Violation]) -> str:
-    if isinstance(r, Pure):
-        return transient_expr_type(r.expr, gamma)
-    if isinstance(r, ArrayRead):
-        if transient_expr_type(r.index, gamma) == TRANSIENT:
-            out.append(Violation("Array-Read", where,
-                                 f"index {pretty_expr(r.index)} may be "
-                                 "transient"))
-        # without store forwarding a constant in-bounds address can never
-        # yield misprediction-influenced data, so plain v1 trusts it
-        if is_constant_expr(r.index) and not mode.spectre_v1_1:
-            return STABLE
-        return TRANSIENT
-    if isinstance(r, PtrRead):
-        if transient_expr_type(r.addr, gamma) == TRANSIENT:
-            out.append(Violation("Ptr-Read", where,
-                                 f"address {pretty_expr(r.addr)} may be "
-                                 "transient"))
-        if is_constant_expr(r.addr) and not mode.spectre_v1_1:
-            return STABLE
-        if _is_mask_hardened(r.addr):
-            # a load whose address carries a machine-generated bounds-check
-            # mask is the expanded form of a protected read: it stalls until
-            # the check resolves and can only touch approved cells or the
-            # reserved dummy cell, so its result counts as stable
-            return STABLE
-        return TRANSIENT
-    raise LangError(f"cannot type {r!r}")
-
-
-def _is_mask_hardened(addr: Expr) -> bool:
-    from .machine import is_reserved_name
-
-    return (isinstance(addr, BitAnd) and isinstance(addr.right, Var)
-            and is_reserved_name(addr.right.name))
-
-
-def typecheck_transient(gamma: dict[str, str], prot: set[str], c: Command,
-                        mode: Mode = Mode()) -> list[Violation]:
-    """All transient-flow violations of `c`; empty means accept."""
-    out: list[Violation] = []
-    for cmd in commands(c):
-        if isinstance(cmd, (Skip, Fail)):
-            continue
-        where = pretty_header(cmd)
-        if isinstance(cmd, Assign):
-            tau = _transient_rhs(cmd.rhs, gamma, mode, where, out)
-            # a target in the protected set discharges the check
-            if cmd.target not in prot and \
-                    not flow_leq(tau, gamma.get(cmd.target, STABLE)):
-                out.append(Violation(
-                    "Asgn", where,
-                    f"transient value assigned to stable {cmd.target}"))
-        elif isinstance(cmd, Protect):
-            _transient_rhs(cmd.rhs, gamma, mode, where, out)
-        elif isinstance(cmd, ArrayWrite):
-            if transient_expr_type(cmd.index, gamma) == TRANSIENT:
-                out.append(Violation("Array-Write", where,
-                                     "store index may be transient"))
-            if mode.spectre_v1_1 and \
-                    transient_expr_type(cmd.value, gamma) == TRANSIENT:
-                out.append(Violation("Array-Write-Spectre-1.1", where,
-                                     "stored value may be transient"))
-        elif isinstance(cmd, PtrWrite):
-            if transient_expr_type(cmd.addr, gamma) == TRANSIENT:
-                out.append(Violation("Ptr-Write", where,
-                                     "store address may be transient"))
-            if mode.spectre_v1_1 and \
-                    transient_expr_type(cmd.value, gamma) == TRANSIENT:
-                out.append(Violation("Ptr-Write-Spectre-1.1", where,
-                                     "stored value may be transient"))
-        elif isinstance(cmd, If):
-            if transient_expr_type(cmd.cond, gamma) == TRANSIENT:
-                out.append(Violation("If-Then-Else", where,
-                                     "branch condition may be transient"))
-        elif isinstance(cmd, While):
-            if transient_expr_type(cmd.cond, gamma) == TRANSIENT:
-                out.append(Violation("While", where,
-                                     "loop condition may be transient"))
-        else:
-            raise LangError(f"cannot type {cmd!r}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +240,19 @@ def _collect_arrays(c: Command) -> dict[str, ArrayDecl]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class TSource:
     def __str__(self) -> str:
         return "T"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SSink:
     def __str__(self) -> str:
         return "S"
 
 
-@dataclass(frozen=True, slots=True)
-class VarAtom:
+class VarAtom(NamedTuple):
     """The shared atom of a variable; it doubles as the variable's type
     variable for environment extraction."""
 
@@ -372,8 +262,7 @@ class VarAtom:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class ExprAtom:
+class ExprAtom(NamedTuple):
     """One atom per syntactic occurrence.  `key` names it: the statement's
     index in `commands` order plus the path inside it, e.g. `s4.rhs.idx`."""
 
@@ -385,12 +274,12 @@ class ExprAtom:
         return self.show
 
 
+# The source and the sink are singletons, compared by identity.
 T_SOURCE = TSource()
 S_SINK = SSink()
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     src: object
     dst: object
 
@@ -398,11 +287,26 @@ class Edge:
         return f"{self.src} <= {self.dst}"
 
 
+class Provenance(NamedTuple):
+    """The typing rule and statement behind an edge `src <= dst` into the
+    sink or into an assigned variable.  A `Protect` record names the edge
+    its protect withholds: the expression is typed, but no edge is
+    emitted."""
+
+    rule: str
+    stmt: Command
+    src: object
+    dst: object
+
+
 @dataclass
 class ConstraintSet:
-    """Set of can-flow-to edges, kept in first-emission order."""
+    """Set of can-flow-to edges, kept in first-emission order, and the
+    provenance of every sink or assignment edge, one record per emission
+    (an edge emitted twice is stored once but recorded twice)."""
 
     edges: list[Edge] = field(default_factory=list)
+    records: list[Provenance] = field(default_factory=list)
     _seen: set[Edge] = field(default_factory=set)
 
     def add(self, src, dst) -> None:
@@ -432,13 +336,22 @@ class ConstraintSet:
 
 
 def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
-    """Emit the def-use constraints of `c`.
+    """Emit the def-use constraints of `c`, with the provenance of each sink
+    and assignment edge.
 
     Protected assignments contribute no edge into their target, which is how
     a protect cuts the flow.  Reads with a literal index are sources only in
-    v1.1 mode; v1 trusts constant addresses to be in bounds.
+    v1.1 mode; v1 trusts constant addresses to be in bounds.  An expression
+    atom's incoming edges are all emitted before any edge out of it.
     """
     k = ConstraintSet()
+    add = k.add
+    record = k.records.append
+
+    def flow(rule: str, cmd: Command, src, dst) -> None:
+        if src is not None:
+            add(src, dst)
+            record(Provenance(rule, cmd, src, dst))
 
     def expr_atom(e: Expr, path: str):
         if isinstance(e, Lit):
@@ -450,51 +363,42 @@ def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
             for child, tag in ((e.left, ".l"), (e.right, ".r")):
                 a = expr_atom(child, path + tag)
                 if a is not None:
-                    k.add(a, me)
+                    add(a, me)
         elif isinstance(e, Ternary):
             for child, tag in ((e.cond, ".c"), (e.then, ".t"),
                                (e.other, ".e")):
                 a = expr_atom(child, path + tag)
                 if a is not None:
-                    k.add(a, me)
+                    add(a, me)
         elif isinstance(e, (Length, Base)):
             a = expr_atom(e.arg, path + ".a")
             if a is not None:
-                k.add(a, me)
+                add(a, me)
         else:
             raise LangError(f"cannot abstract {e!r}")
         return me
 
-    def rhs_atom(r: Rhs, path: str):
+    def rhs_atom(r: Rhs, path: str, cmd: Command):
         if isinstance(r, Pure):
             return expr_atom(r.expr, path)
         if isinstance(r, ArrayRead):
-            idx = expr_atom(r.index, path + ".idx")
-            if idx is not None:
-                k.add(idx, S_SINK)
+            flow("Array-Read", cmd, expr_atom(r.index, path + ".idx"), S_SINK)
             me = ExprAtom(path, pretty_rhs(r), "read")
             if mode.spectre_v1_1 or not is_constant_expr(r.index):
-                k.add(T_SOURCE, me)
+                add(T_SOURCE, me)
             return me
         if isinstance(r, PtrRead):
-            addr = expr_atom(r.addr, path + ".addr")
-            if addr is not None:
-                k.add(addr, S_SINK)
+            flow("Ptr-Read", cmd, expr_atom(r.addr, path + ".addr"), S_SINK)
             me = ExprAtom(path, pretty_rhs(r), "read")
             if mode.spectre_v1_1 or not is_constant_expr(r.addr):
-                k.add(T_SOURCE, me)
+                add(T_SOURCE, me)
             return me
         raise LangError(f"cannot abstract {r!r}")
 
-    def sink_expr(e: Expr, path: str) -> None:
-        a = expr_atom(e, path)
-        if a is not None:
-            k.add(a, S_SINK)
-
-    def store_value(e: Expr, path: str) -> None:
+    def store_value(rule: str, cmd: Command, e: Expr, path: str) -> None:
         # stored values are sinks only under the v1.1 rules
         if mode.spectre_v1_1:
-            sink_expr(e, path)
+            flow(rule, cmd, expr_atom(e, path), S_SINK)
         else:
             expr_atom(e, path)
 
@@ -503,22 +407,109 @@ def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
         if isinstance(cmd, (Skip, Fail)):
             continue
         if isinstance(cmd, Assign):
-            a = rhs_atom(cmd.rhs, path + ".rhs")
-            if a is not None:
-                k.add(a, VarAtom(cmd.target))
+            flow("Asgn", cmd, rhs_atom(cmd.rhs, path + ".rhs", cmd),
+                 VarAtom(cmd.target))
         elif isinstance(cmd, Protect):
-            rhs_atom(cmd.rhs, path + ".rhs")
+            a = rhs_atom(cmd.rhs, path + ".rhs", cmd)
+            if a is not None:
+                record(Provenance("Protect", cmd, a, VarAtom(cmd.target)))
         elif isinstance(cmd, ArrayWrite):
-            sink_expr(cmd.index, path + ".idx")
-            store_value(cmd.value, path + ".val")
+            flow("Array-Write", cmd, expr_atom(cmd.index, path + ".idx"),
+                 S_SINK)
+            store_value("Array-Write-Spectre-1.1", cmd, cmd.value,
+                        path + ".val")
         elif isinstance(cmd, PtrWrite):
-            sink_expr(cmd.addr, path + ".addr")
-            store_value(cmd.value, path + ".val")
-        elif isinstance(cmd, (If, While)):
-            sink_expr(cmd.cond, path + ".c")
+            flow("Ptr-Write", cmd, expr_atom(cmd.addr, path + ".addr"),
+                 S_SINK)
+            store_value("Ptr-Write-Spectre-1.1", cmd, cmd.value,
+                        path + ".val")
+        elif isinstance(cmd, If):
+            flow("If-Then-Else", cmd, expr_atom(cmd.cond, path + ".c"),
+                 S_SINK)
+        elif isinstance(cmd, While):
+            flow("While", cmd, expr_atom(cmd.cond, path + ".c"), S_SINK)
         else:
             raise LangError(f"cannot abstract {cmd!r}")
     return k
+
+
+# ---------------------------------------------------------------------------
+# Transient-flow checking
+# ---------------------------------------------------------------------------
+
+
+_MESSAGES = {
+    "Asgn": "transient value assigned to stable {dst}",
+    "Array-Read": "index {src} may be transient",
+    "Ptr-Read": "address {src} may be transient",
+    "Array-Write": "store index may be transient",
+    "Array-Write-Spectre-1.1": "stored value may be transient",
+    "Ptr-Write": "store address may be transient",
+    "Ptr-Write-Spectre-1.1": "stored value may be transient",
+    "If-Then-Else": "branch condition may be transient",
+    "While": "loop condition may be transient",
+}
+
+
+def _untyped(name: str) -> LangError:
+    return LangError(f"no flow type for variable {name!r}")
+
+
+def transient_violations(k: ConstraintSet, gamma: dict[str, str],
+                         prot=frozenset()) -> list[Violation]:
+    """Transient-flow violations of the program `k` was generated from,
+    under `gamma` and the protected set `prot`, in program order; empty
+    means accept.
+
+    One pass over the edges, in emission order, marks the expression atoms
+    that the source or a transient variable reaches; variables keep their
+    `gamma` type.  A second pass reports every recorded edge from a
+    transient atom into the sink, or into a stable variable outside `prot`.
+    A recorded expression that reads a variable `gamma` does not type is an
+    error.
+    """
+    hot = {T_SOURCE}
+    untyped: dict = {}  # expression atom -> a variable it reads, not in gamma
+    for src, dst in k.edges:
+        if type(dst) is not ExprAtom:
+            continue
+        if type(src) is VarAtom:
+            tau = gamma.get(src.name)
+            if tau is None:
+                untyped[dst] = src.name
+            elif tau == TRANSIENT:
+                hot.add(dst)
+        elif src in untyped:
+            untyped[dst] = untyped[src]
+        elif src in hot:
+            hot.add(dst)
+
+    out: list[Violation] = []
+    for rule, stmt, src, dst in k.records:
+        if type(src) is VarAtom:
+            tau = gamma.get(src.name)
+            if tau is None:
+                raise _untyped(src.name)
+            if tau != TRANSIENT:
+                continue
+        elif src in untyped:
+            raise _untyped(untyped[src])
+        elif src not in hot:
+            continue
+        # a protect, a target in the protected set, or a transient target
+        # discharges an assignment edge
+        if dst is not S_SINK and (rule == "Protect" or dst.name in prot
+                                  or gamma.get(dst.name) == TRANSIENT):
+            continue
+        out.append(Violation(rule, pretty_header(stmt),
+                             _MESSAGES[rule].format(src=src, dst=dst)))
+    return out
+
+
+def typecheck_transient(gamma: dict[str, str], prot: set[str], c: Command,
+                        mode: Mode = Mode()) -> list[Violation]:
+    """All transient-flow violations of `c`; empty means accept."""
+    return transient_violations(generate_constraints(c, mode), gamma, prot)
 
 
 # ---------------------------------------------------------------------------
@@ -572,276 +563,3 @@ def least_type_env(k: ConstraintSet, variables: list[str]) -> dict[str, str]:
     return {x: TRANSIENT if VarAtom(x) in reach else STABLE
             for x in variables}
 
-
-def induced_solution(k: ConstraintSet, gamma: dict[str, str]) -> dict:
-    """Extend a variable typing over expression atoms by least fixpoint
-    (variable atoms are pinned to `gamma`)."""
-    sol: dict = {a: STABLE for a in k.atoms()}
-    for a in list(sol):
-        if isinstance(a, VarAtom):
-            sol[a] = gamma.get(a.name, STABLE)
-    sol[T_SOURCE] = TRANSIENT
-    sol[S_SINK] = STABLE
-    changed = True
-    while changed:
-        changed = False
-        for e in k:
-            if isinstance(e.dst, ExprAtom) and sol[e.dst] == STABLE \
-                    and sol.get(e.src) == TRANSIENT:
-                sol[e.dst] = TRANSIENT
-                changed = True
-    return sol
-
-
-def solution_satisfies(k: ConstraintSet, sol: dict,
-                       discharged: set[str] = frozenset()) -> bool:
-    """Check every edge under a substitution; edges into a variable of the
-    discharged (protected) set are skipped, mirroring the protect rule."""
-    for e in k:
-        if isinstance(e.dst, VarAtom) and e.dst.name in discharged:
-            continue
-        src = TRANSIENT if isinstance(e.src, TSource) else \
-            sol.get(e.src, STABLE)
-        dst = STABLE if isinstance(e.dst, SSink) else sol.get(e.dst, STABLE)
-        if isinstance(e.dst, TSource) or isinstance(e.src, SSink):
-            return False
-        if not flow_leq(src, dst):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Configuration typing (used to exercise type preservation on the machine)
-# ---------------------------------------------------------------------------
-
-
-def _reserved_names_in_config(config) -> set[str]:
-    from . import machine as m
-
-    names: set[str] = set()
-
-    def note_expr(e) -> None:
-        names.update(x for x in expr_vars(e) if m.is_reserved_name(x))
-
-    for instr in config.buffer:
-        if isinstance(instr, (m.AssignI, m.ProtectI)):
-            if m.is_reserved_name(instr.target):
-                names.add(instr.target)
-            note_expr(instr.expr)
-        elif isinstance(instr, m.LoadI):
-            if m.is_reserved_name(instr.target):
-                names.add(instr.target)
-            note_expr(instr.addr)
-        elif isinstance(instr, m.StoreI):
-            note_expr(instr.addr)
-            note_expr(instr.value)
-        elif isinstance(instr, m.GuardI):
-            note_expr(instr.cond)
-            for cmd in instr.rollback:
-                names.update(x for x in command_vars(cmd)
-                             if m.is_reserved_name(x))
-    for cmd in config.stack:
-        names.update(x for x in command_vars(cmd) if m.is_reserved_name(x))
-    return names
-
-
-def _extend_gamma_transient(gamma: dict[str, str], config) -> dict[str, str]:
-    """Infer flow types for machine temporaries from their defining sites.
-
-    A rollback can orphan a temporary: its defining read is squashed while a
-    protect of it survives on the restored stack, behind the fail that will
-    abort the run.  Such a use can never commit a value, so orphans default
-    to transient, which no protect-side check objects to.
-    """
-    from . import machine as m
-
-    ext = dict(gamma)
-    for name in config.vars:
-        # a committed temporary holds a concrete value, which is stable
-        if m.is_reserved_name(name):
-            ext.setdefault(name, STABLE)
-
-    def note(name: str, tau: str) -> None:
-        if m.is_reserved_name(name):
-            ext[name] = flow_join(ext.get(name, STABLE), tau)
-
-    def scan_cmd(cmd: Command) -> None:
-        for target, rhs, is_prot in assignments(cmd):
-            if not m.is_reserved_name(target):
-                continue
-            if is_prot:
-                note(target, STABLE)
-            elif isinstance(rhs, (ArrayRead, PtrRead)):
-                note(target, TRANSIENT)
-            else:
-                try:
-                    note(target, transient_expr_type(rhs.expr, ext))
-                except LangError:
-                    note(target, TRANSIENT)
-
-    for _ in range(3):  # tiny fixpoint; chains are short
-        for instr in config.buffer:
-            if isinstance(instr, m.LoadI):
-                note(instr.target, TRANSIENT)
-            elif isinstance(instr, m.AssignI):
-                if m.is_reserved_name(instr.target):
-                    try:
-                        note(instr.target,
-                             transient_expr_type(instr.expr, ext))
-                    except LangError:
-                        note(instr.target, TRANSIENT)
-            elif isinstance(instr, m.ProtectI):
-                note(instr.target, STABLE)
-            elif isinstance(instr, m.GuardI):
-                for cmd in instr.rollback:
-                    scan_cmd(cmd)
-        for cmd in config.stack:
-            scan_cmd(cmd)
-    for name in _reserved_names_in_config(config):
-        ext.setdefault(name, TRANSIENT)
-    return ext
-
-
-def config_well_typed_transient(gamma: dict[str, str], prot: set[str],
-                                config, mode: Mode = Mode()) -> bool:
-    """Instruction-level transient typing of a machine configuration."""
-    from . import machine as m
-
-    ext = _extend_gamma_transient(gamma, config)
-
-    def expr_ok_stable(e: Expr) -> bool:
-        return transient_expr_type(e, ext) == STABLE
-
-    def cmds_ok(cmds) -> bool:
-        return all(not typecheck_transient(ext, prot, cmd, mode)
-                   for cmd in cmds)
-
-    for instr in config.buffer:
-        if isinstance(instr, (m.Nop, m.FailInstr, m.ProtectI)):
-            continue
-        if isinstance(instr, m.AssignI):
-            if instr.target in prot:
-                continue
-            tau = transient_expr_type(instr.expr, ext)
-            if not flow_leq(tau, ext.get(instr.target, STABLE)):
-                return False
-        elif isinstance(instr, m.LoadI):
-            if not expr_ok_stable(instr.addr):
-                return False
-        elif isinstance(instr, m.StoreI):
-            if not expr_ok_stable(instr.addr):
-                return False
-            if mode.spectre_v1_1 and not expr_ok_stable(instr.value):
-                return False
-        elif isinstance(instr, m.GuardI):
-            if not expr_ok_stable(instr.cond):
-                return False
-            if not cmds_ok(instr.rollback):
-                return False
-    return cmds_ok(config.stack)
-
-
-def config_well_typed_ct(policy: Policy, variables: list[str],
-                         arrays: dict[str, ArrayDecl], config) -> bool:
-    """Instruction-level constant-time typing of a machine configuration."""
-    from . import machine as m
-
-    gv, _ga = policy_label_maps(policy, variables, arrays)
-    ext = dict(gv)
-    for name in config.vars:
-        # committed temporaries hold bare values, which carry no label
-        if m.is_reserved_name(name):
-            ext.setdefault(name, LABEL_PUBLIC)
-
-    def infer_temp_labels() -> None:
-        def note(name: str, lab: str) -> None:
-            if m.is_reserved_name(name):
-                ext[name] = label_join(ext.get(name, LABEL_PUBLIC), lab)
-
-        def scan_cmd(cmd: Command) -> None:
-            for target, rhs, _p in assignments(cmd):
-                if m.is_reserved_name(target):
-                    note(target, _ct_rhs_label(rhs, ext))
-
-        for _ in range(3):
-            for instr in config.buffer:
-                if isinstance(instr, m.LoadI):
-                    note(instr.target, instr.label)
-                elif isinstance(instr, (m.AssignI, m.ProtectI)):
-                    if m.is_reserved_name(instr.target):
-                        note(instr.target, _ct_expr_label(instr.expr, ext))
-                elif isinstance(instr, m.GuardI):
-                    for cmd in instr.rollback:
-                        scan_cmd(cmd)
-            for cmd in config.stack:
-                scan_cmd(cmd)
-        # orphaned temporaries (defining read squashed by a rollback) sit
-        # behind a fail and never commit; type them public
-        for name in _reserved_names_in_config(config):
-            ext.setdefault(name, LABEL_PUBLIC)
-
-    infer_temp_labels()
-    policy_ext = Policy(
-        frozenset(x for x, lab in ext.items() if lab == LABEL_PUBLIC),
-        policy.public_arrays)
-    all_vars = sorted(set(variables) | set(ext))
-
-    def cmds_ok(cmds) -> bool:
-        return all(not typecheck_ct(policy_ext, cmd, arrays, all_vars)
-                   for cmd in cmds)
-
-    for instr in config.buffer:
-        if isinstance(instr, (m.Nop, m.FailInstr)):
-            continue
-        if isinstance(instr, (m.AssignI, m.ProtectI)):
-            lab = _ct_expr_label(instr.expr, ext)
-            if not label_flows_to(lab, ext.get(instr.target, LABEL_SECRET)):
-                return False
-        elif isinstance(instr, m.LoadI):
-            if _ct_expr_label(instr.addr, ext) != LABEL_PUBLIC:
-                return False
-            if not label_flows_to(instr.label,
-                                  ext.get(instr.target, LABEL_SECRET)):
-                return False
-        elif isinstance(instr, m.StoreI):
-            if _ct_expr_label(instr.addr, ext) != LABEL_PUBLIC:
-                return False
-            if not label_flows_to(_ct_expr_label(instr.value, ext),
-                                  instr.label):
-                return False
-        elif isinstance(instr, m.GuardI):
-            if _ct_expr_label(instr.cond, ext) != LABEL_PUBLIC:
-                return False
-            if not cmds_ok(instr.rollback):
-                return False
-    return cmds_ok(config.stack)
-
-
-def _ct_expr_label(e: Expr, gv: dict[str, str]) -> str:
-    if isinstance(e, Lit):
-        if isinstance(e.value, ArrayDecl):
-            return e.value.label
-        return LABEL_PUBLIC
-    if isinstance(e, Var):
-        return gv.get(e.name, LABEL_SECRET)
-    if isinstance(e, (Add, Lt, BitAnd)):
-        return label_join(_ct_expr_label(e.left, gv),
-                          _ct_expr_label(e.right, gv))
-    if isinstance(e, Ternary):
-        return label_join(
-            _ct_expr_label(e.cond, gv),
-            label_join(_ct_expr_label(e.then, gv),
-                       _ct_expr_label(e.other, gv)))
-    if isinstance(e, (Length, Base)):
-        return LABEL_PUBLIC
-    raise LangError(f"cannot label {e!r}")
-
-
-def _ct_rhs_label(r: Rhs, gv: dict[str, str]) -> str:
-    if isinstance(r, Pure):
-        return _ct_expr_label(r.expr, gv)
-    if isinstance(r, ArrayRead):
-        return r.array.label
-    if isinstance(r, PtrRead):
-        return r.label
-    raise LangError(f"cannot label {r!r}")

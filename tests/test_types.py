@@ -30,16 +30,18 @@ from specrepair.typesys import (
     T_SOURCE,
     Unsatisfiable,
     VarAtom,
-    config_well_typed_ct,
-    config_well_typed_transient,
     generate_constraints,
-    induced_solution,
     least_type_env,
     satisfiable,
-    solution_satisfies,
     solve,
     typecheck_ct,
     typecheck_transient,
+)
+from typing_oracle import (
+    config_well_typed_ct,
+    config_well_typed_transient,
+    induced_solution,
+    solution_satisfies,
 )
 
 A = ArrayDecl("a", 1, 2, "L")
