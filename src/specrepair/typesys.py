@@ -8,18 +8,14 @@ transient value into a stable variable unless the assignment is protected
 additionally treats stored values as sinks, and treats constant-address reads
 as transient sources (plain v1 mode exempts them).
 
-These rules are written once, in `generate_constraints`.  It emits
+These rules are written once, in `generate_constraints`: it emits
 can-flow-to edges between atoms (a shared atom per variable, one atom per
-expression occurrence, plus the transient source and the stable sink), and
-records the rule and statement behind every edge into the sink or into an
-assigned variable.  Everything else reads that graph.  A constraint set is
-satisfiable exactly when no directed path connects the source to the sink;
-the least solution types an atom transient exactly when the source reaches
-it.  Checking a program under an environment and a protected set is a query
-on the same graph (`transient_violations`): variables keep the
-environment's types, expression atoms are transient when the source or a
-transient variable reaches them, and every recorded edge from a transient
-atom to a stable one is a violation.
+expression occurrence, plus the transient source and the stable sink) and
+records the rule and statement behind each edge into the sink or into an
+assigned variable.  A constraint set is satisfiable exactly when no directed
+path connects the source to the sink; the least solution types an atom
+transient exactly when the source reaches it.  Type checking under an
+environment and a protected set is a query on the same graph.
 
 The constant-time system is a separate two-point (public/secret) analysis of
 the same programs: no secret-dependent branches, indices, or addresses, and
@@ -288,10 +284,9 @@ class Edge(NamedTuple):
 
 
 class Provenance(NamedTuple):
-    """The typing rule and statement behind an edge `src <= dst` into the
-    sink or into an assigned variable.  A `Protect` record names the edge
-    its protect withholds: the expression is typed, but no edge is
-    emitted."""
+    """The rule and statement behind an edge `src <= dst` into the sink or
+    an assigned variable.  A `Protect` record is the edge its protect
+    withholds: typed, never emitted."""
 
     rule: str
     stmt: Command
@@ -456,17 +451,15 @@ def _untyped(name: str) -> LangError:
 
 
 def transient_violations(k: ConstraintSet, gamma: dict[str, str],
-                         prot=frozenset()) -> list[Violation]:
-    """Transient-flow violations of the program `k` was generated from,
-    under `gamma` and the protected set `prot`, in program order; empty
-    means accept.
+                         prot: set[str]) -> list[Violation]:
+    """Transient-flow violations, in program order, of the program `k` was
+    generated from, under `gamma` and the protected set `prot`.
 
     One pass over the edges, in emission order, marks the expression atoms
     that the source or a transient variable reaches; variables keep their
-    `gamma` type.  A second pass reports every recorded edge from a
-    transient atom into the sink, or into a stable variable outside `prot`.
-    A recorded expression that reads a variable `gamma` does not type is an
-    error.
+    `gamma` type.  A second pass reports each recorded edge from a transient
+    atom into the sink or into a stable variable outside `prot`.  A recorded
+    expression that reads a variable missing from `gamma` is an error.
     """
     hot = {T_SOURCE}
     untyped: dict = {}  # expression atom -> a variable it reads, not in gamma

@@ -1,10 +1,10 @@
 """Test oracles for the transient-flow and constant-time type systems.
 
-`typecheck_transient` here is the statement walk the library used to type
-programs directly: it computes each expression's transient-flow type under
-Γ and checks every rule in place.  The library now answers the same
-question by querying the constraint graph (`specrepair.typesys`); the two
-must return the same violations in the same order.
+`typecheck_transient` here types a program by walking its statements: it
+computes each expression's transient-flow type under Γ and checks every
+rule in place.  The library answers the same question by querying the
+constraint graph (`specrepair.typesys`); the two must return the same
+violations in the same order.
 
 The configuration typing extends both systems from programs to machine
 configurations (reorder buffer plus command stack), so that type
