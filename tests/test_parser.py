@@ -82,6 +82,54 @@ def test_syntax_error_has_position():
         pytest.fail("malformed assignment should not parse")
 
 
+# Each malformed program with the exact error it raises: message, line and
+# column.  A tab counts as one column; `\r` before `\n` is a column of the
+# line it ends; at end of input the position is where the last line's
+# comment starts, or just past the last character.
+ERROR_POSITIONS = [
+    ("tab", "x :=\t$;\n", "unexpected character '$'", 1, 6),
+    ("leading tab", "\tx := 1 $ 2;\n", "unexpected character '$'", 1, 9),
+    ("crlf", "x := 1;\r\ny := @;\r\n", "unexpected character '@'", 2, 6),
+    ("crlf eof", "x := 1;\r\ny := 2\r\n", "expected ';', found ''", 3, 1),
+    ("after comment", "# header comment\nx := 1;\n  y := 2 ?;\n",
+     "expected an expression", 3, 11),
+    ("after comments", "# only\n# comments\n\tz := `;\n",
+     "unexpected character '`'", 3, 7),
+    ("nested block",
+     "if (c) {\n  while (d) {\n    x := ;\n  }\n} else {\n  skip;\n}\n",
+     "expected an expression", 3, 10),
+    ("nested block character",
+     "if (c) {\n  while (d) {\n    x := 1 ! 2;\n  }\n} else {\n  skip;\n}\n",
+     "unexpected character '!'", 3, 12),
+    ("eof", "x := 1", "expected ';', found ''", 1, 7),
+    ("eof after comment", "x := 1 # c", "expected ';', found ''", 1, 8),
+    ("eof after comments", "x := 1   # c # d", "expected ';', found ''", 1, 10),
+    ("eof after comment line", "x := 1 # c\n", "expected ';', found ''", 2, 1),
+    ("eof on comment line", "x := 1\n# c", "expected ';', found ''", 2, 1),
+    ("bad label", "array a base=1 len=2 label=M;\nskip;\n",
+     "label must be L or H, found 'M'", 1, 28),
+    ("oversized literal", "x := 18446744073709551616;\n",
+     "literal 18446744073709551616 exceeds the 64-bit range", 1, 6),
+    ("duplicate declaration", "var x = 1;\nvar x = 2;\nskip;\n",
+     "duplicate declaration of 'x'", 2, 7),
+    ("no statements", "var x = 1;\npublic x;\n",
+     "empty program: at least one statement required", 3, 1),
+    ("empty", "", "empty program: at least one statement required", 1, 1),
+    ("only a comment", "# nothing\n",
+     "empty program: at least one statement required", 2, 1),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col",
+                         [row[1:] for row in ERROR_POSITIONS],
+                         ids=[row[0] for row in ERROR_POSITIONS])
+def test_error_positions(text, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    assert (str(info.value), info.value.line, info.value.col) == \
+        (f"{line}:{col}: {message}", line, col)
+
+
 def test_literal_pointer_address_warns():
     program = parse_program("public x;\nx := *L(5);\n")
     assert program.warnings
