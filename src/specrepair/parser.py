@@ -20,13 +20,22 @@ associative), `e < e` (non-associative), `e + e`, `e & e`.  `length(a)` and
 `base(a)` project array metadata.  Array names used inside expressions denote
 the array handle itself.
 
+Lexical rules: a name is a `str.isalpha` character or `_`, then any
+`str.isalnum` characters or `_`; keywords are names.  A natural is a run of
+ASCII digits `0-9` of value at most 2**64 - 1.  `#` starts a comment that
+runs to the end of the line; spaces, tabs, `\r` and newlines separate
+tokens.  A parse error reads `line:col: message`, both counted from 1, each
+character (a tab too) one column.
+
 The parser is the single source of truth for the format; `pretty_program`
 inverts it (parsing a pretty-printed program yields an equal AST).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lang import (
     Add,
@@ -113,62 +122,51 @@ class Program:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = [":=", "?", ":", ";", ",", "[", "]", "(", ")", "{", "}", "*", "&",
-            "+", "<", "="]
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name", "nat", "sym", "eof"
     text: str
-    line: int
-    col: int
+    offset: int
+
+
+# Whitespace and comments match no group; a character that starts no token
+# matches `bad`.  `\w` is `isalnum()` or `_`, and `[^\W\d]` admits the
+# non-decimal numerals (`²`, `½`) too, which `_tokenize` rejects there.
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+ | \#[^\n]*
+  | (?P<nat> [0-9]+ )
+  | (?P<name> [^\W\d]\w* )
+  | (?P<sym> := | [?:;,\[\](){}*&+<=] )
+  | (?P<bad> . )
+""", re.VERBOSE)
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of `offset`; every character, a tab
+    or a `\\r` included, is one column."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, then two eof tokens, so that one token of
+    lookahead never runs off the end.  The eof position is where a comment
+    on the last line starts, else the end of the text."""
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    append = tokens.append
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("nat", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        word = m[0]
+        if kind == "bad" or (kind == "name" and word >= "\x80"
+                             and not word[0].isalpha()):
+            raise ParseError(f"unexpected character {word[0]!r}",
+                             *_position(text, m.start()))
+        append(Token(kind, word, m.start()))
+    comment = text.find("#", text.rfind("\n") + 1)
+    eof = Token("eof", "", comment if comment >= 0 else len(text))
+    tokens += (eof, eof)
     return tokens
 
 
@@ -178,7 +176,11 @@ def _tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
+    """Recursive descent, one method per grammar rule.  Lookahead compares
+    token text alone: no two kinds of token share a spelling."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.arrays: dict[str, ArrayDecl] = {}
@@ -188,42 +190,43 @@ class _Parser:
         self.warnings: list[str] = []
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return tok
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].text == text
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise self.error(f"expected {want!r}, found {tok.text!r}")
-        return self.next()
+    def error(self, message: str, tok: Token | None = None) -> ParseError:
+        offset = (tok or self.tokens[self.pos]).offset
+        return ParseError(message, *_position(self.text, offset))
 
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
+    def expect(self, text: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.text != text:
+            raise self.error(f"expected {text!r}, found {tok.text!r}")
+        self.pos += 1
+        return tok
 
-    def at_name(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text == text
+    def expect_kind(self, kind: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            raise self.error(f"expected {kind!r}, found {tok.text!r}")
+        self.pos += 1
+        return tok
 
     # -- declarations -------------------------------------------------------
 
     def parse_program(self) -> Program:
-        while self.at_name("array") or self.at_name("var"):
-            if self.at_name("array"):
+        while self.at("array") or self.at("var"):
+            if self.at("array"):
                 self.parse_array_decl()
             else:
                 self.parse_var_decl()
-        while self.at_name("public"):
+        while self.at("public"):
             self.parse_policy_line()
         commands: list[Command] = []
         while self.peek().kind != "eof":
@@ -243,30 +246,30 @@ class _Parser:
         return program
 
     def parse_array_decl(self) -> None:
-        self.expect("name", "array")
-        name = self.expect("name").text
+        self.expect("array")
+        name = self.expect_kind("name").text
         if name in self.arrays or name in self.init_vars:
             raise self.error(f"duplicate declaration of {name!r}")
-        self.expect("name", "base")
-        self.expect("sym", "=")
+        self.expect("base")
+        self.expect("=")
         base = self.parse_nat_token()
-        self.expect("name", "len")
-        self.expect("sym", "=")
+        self.expect("len")
+        self.expect("=")
         length = self.parse_nat_token()
-        self.expect("name", "label")
-        self.expect("sym", "=")
+        self.expect("label")
+        self.expect("=")
         label = self.parse_label()
         init: list[int] = []
-        if self.at_name("init"):
+        if self.at("init"):
             self.next()
-            self.expect("sym", "=")
-            self.expect("sym", "[")
+            self.expect("=")
+            self.expect("[")
             init.append(self.parse_nat_token())
-            while self.at_sym(","):
+            while self.at(","):
                 self.next()
                 init.append(self.parse_nat_token())
-            self.expect("sym", "]")
-        self.expect("sym", ";")
+            self.expect("]")
+        self.expect(";")
         if base + length > WORD_MASK + 1:
             raise SemanticError(f"array {name!r} overflows the address space")
         if len(init) > length:
@@ -282,196 +285,189 @@ class _Parser:
             self.init_cells[base + i] = v
 
     def parse_var_decl(self) -> None:
-        self.expect("name", "var")
-        name = self.expect("name").text
+        self.expect("var")
+        name = self.expect_kind("name").text
         if name in self.arrays or name in self.init_vars:
             raise self.error(f"duplicate declaration of {name!r}")
-        self.expect("sym", "=")
-        tok = self.peek()
-        if tok.kind == "nat":
+        self.expect("=")
+        if self.peek().kind == "nat":
             self.init_vars[name] = self.parse_nat_token()
-        elif self.at_name("true"):
+        elif self.at("true"):
             self.next()
             self.init_vars[name] = True
-        elif self.at_name("false"):
+        elif self.at("false"):
             self.next()
             self.init_vars[name] = False
         else:
             raise self.error("variable initializer must be a literal")
-        self.expect("sym", ";")
+        self.expect(";")
 
     def parse_policy_line(self) -> None:
-        self.expect("name", "public")
-        self.public_names.append(self.expect("name").text)
-        while self.at_sym(","):
+        self.expect("public")
+        self.public_names.append(self.expect_kind("name").text)
+        while self.at(","):
             self.next()
-            self.public_names.append(self.expect("name").text)
-        self.expect("sym", ";")
+            self.public_names.append(self.expect_kind("name").text)
+        self.expect(";")
 
     def _resolve_policy(self, command: Command) -> Policy:
-        known_vars = set(self.init_vars) | command_vars(command)
-        public_vars: set[str] = set()
-        public_arrays: set[str] = set()
-        for name in self.public_names:
-            if name in self.arrays:
-                public_arrays.add(name)
-            elif name in known_vars:
-                public_vars.add(name)
-            else:
+        arrays = {x for x in self.public_names if x in self.arrays}
+        names = [x for x in self.public_names if x not in arrays]
+        known = set(self.init_vars)
+        if not known.issuperset(names):  # walk only when a name needs it
+            known |= command_vars(command)
+        for name in names:
+            if name not in known:
                 raise SemanticError(f"policy names unknown identifier {name!r}")
-        return Policy(frozenset(public_vars), frozenset(public_arrays))
+        return Policy(frozenset(names), frozenset(arrays))
 
     def parse_nat_token(self) -> int:
-        tok = self.expect("nat")
+        tok = self.expect_kind("nat")
         value = int(tok.text)
         if value > WORD_MASK:
-            raise ParseError(f"literal {tok.text} exceeds the 64-bit range",
-                             tok.line, tok.col)
+            raise self.error(f"literal {tok.text} exceeds the 64-bit range",
+                             tok)
         return value
 
     def parse_label(self) -> str:
-        tok = self.expect("name")
+        tok = self.expect_kind("name")
         if tok.text not in (LABEL_PUBLIC, LABEL_SECRET):
-            raise ParseError(f"label must be L or H, found {tok.text!r}",
-                             tok.line, tok.col)
+            raise self.error(f"label must be L or H, found {tok.text!r}", tok)
         return tok.text
 
     # -- statements ---------------------------------------------------------
 
     def parse_stmt(self) -> Command:
         tok = self.peek()
-        if self.at_name("skip"):
+        text = tok.text
+        if text == "skip":
             self.next()
-            self.expect("sym", ";")
+            self.expect(";")
             return Skip()
-        if self.at_name("fail"):
+        if text == "fail":
             self.next()
-            self.expect("sym", ";")
+            self.expect(";")
             return Fail()
-        if self.at_name("if"):
+        if text == "if":
             return self.parse_if()
-        if self.at_name("while"):
+        if text == "while":
             return self.parse_while()
-        if self.at_sym("*"):
+        if text == "*":
             return self.parse_ptr_write()
         if tok.kind == "name":
-            name = self.next().text
-            if self.at_sym("["):
-                return self.parse_array_write(name)
-            self.expect("sym", ":=")
+            self.next()
+            if self.at("["):
+                return self.parse_array_write(text)
+            self.expect(":=")
             rhs, protected = self.parse_rhs()
-            self.expect("sym", ";")
-            return Protect(name, rhs) if protected else Assign(name, rhs)
+            self.expect(";")
+            return Protect(text, rhs) if protected else Assign(text, rhs)
         raise self.error("expected a statement")
 
     def parse_if(self) -> Command:
-        self.expect("name", "if")
-        self.expect("sym", "(")
+        self.expect("if")
+        self.expect("(")
         cond = self.parse_expr()
-        self.expect("sym", ")")
+        self.expect(")")
         then = self.parse_block()
-        self.expect("name", "else")
+        self.expect("else")
         other = self.parse_block()
         return If(cond, then, other)
 
     def parse_while(self) -> Command:
-        self.expect("name", "while")
-        self.expect("sym", "(")
+        self.expect("while")
+        self.expect("(")
         cond = self.parse_expr()
-        self.expect("sym", ")")
+        self.expect(")")
         body = self.parse_block()
         return While(cond, body)
 
     def parse_block(self) -> Command:
-        self.expect("sym", "{")
+        self.expect("{")
         commands: list[Command] = []
-        while not self.at_sym("}"):
+        while not self.at("}"):
             commands.append(self.parse_stmt())
-        self.expect("sym", "}")
+        self.next()
         if not commands:
             return Skip()
         return seq_all(commands)
 
     def parse_ptr_write(self) -> Command:
-        self.expect("sym", "*")
+        self.expect("*")
         label = self.parse_opt_ptr_label()
-        self.expect("sym", "(")
+        self.expect("(")
         addr = self.parse_expr()
-        self.expect("sym", ")")
-        self.expect("sym", ":=")
+        self.expect(")")
+        self.expect(":=")
         value = self.parse_expr()
-        self.expect("sym", ";")
+        self.expect(";")
         if isinstance(addr, Lit):
             self.warnings.append(
                 f"pointer write at literal address {addr.value!r}")
         return PtrWrite(label, addr, value)
 
     def parse_opt_ptr_label(self) -> str:
-        if self.peek().kind == "name" and \
-                self.peek().text in (LABEL_PUBLIC, LABEL_SECRET) and \
-                self.peek(1).kind == "sym" and self.peek(1).text == "(":
+        if self.peek().text in (LABEL_PUBLIC, LABEL_SECRET) and \
+                self.peek(1).text == "(":
             return self.next().text
         return LABEL_PUBLIC
 
     def parse_array_write(self, name: str) -> Command:
         if name not in self.arrays:
             raise self.error(f"unknown array {name!r}")
-        self.expect("sym", "[")
+        self.expect("[")
         index = self.parse_expr()
-        self.expect("sym", "]")
-        self.expect("sym", ":=")
+        self.expect("]")
+        self.expect(":=")
         value = self.parse_expr()
-        self.expect("sym", ";")
+        self.expect(";")
         return ArrayWrite(self.arrays[name], index, value)
 
     # -- right-hand sides ---------------------------------------------------
 
     def parse_rhs(self):
-        if self.at_name("protect") and self.peek(1).kind == "sym" \
-                and self.peek(1).text == "(":
+        if self.at("protect") and self.peek(1).text == "(":
             self.next()
-            self.expect("sym", "(")
+            self.next()
             inner = self.parse_plain_rhs()
-            self.expect("sym", ")")
+            self.expect(")")
             return (inner, True)
         return (self.parse_plain_rhs(), False)
 
     def parse_plain_rhs(self) -> Rhs:
-        if self.at_sym("*"):
+        text = self.peek().text
+        if text == "*":
             self.next()
             label = self.parse_opt_ptr_label()
-            self.expect("sym", "(")
+            self.expect("(")
             addr = self.parse_expr()
-            self.expect("sym", ")")
+            self.expect(")")
             if isinstance(addr, Lit):
                 self.warnings.append(
                     f"pointer read at literal address {addr.value!r}")
             return PtrRead(label, addr)
-        tok = self.peek()
-        if tok.kind == "name" and tok.text in self.arrays and \
-                self.peek(1).kind == "sym" and self.peek(1).text == "[":
-            array = self.arrays[self.next().text]
-            self.expect("sym", "[")
+        if text in self.arrays and self.peek(1).text == "[":
+            self.pos += 2
             index = self.parse_expr()
-            self.expect("sym", "]")
-            return ArrayRead(array, index)
+            self.expect("]")
+            return ArrayRead(self.arrays[text], index)
         return Pure(self.parse_expr())
 
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> Expr:
         cond = self.parse_cmp()
-        if self.at_sym("?"):
+        if self.at("?"):
             self.next()
             then = self.parse_expr()
-            self.expect("sym", ":")
+            self.expect(":")
             other = self.parse_expr()
             return Ternary(cond, then, other)
         return cond
 
     def parse_cmp(self) -> Expr:
         left = self.parse_add()
-        if self.at_sym("<"):
+        if self.at("<"):
             self.next()
             right = self.parse_add()
             return Lt(left, right)
@@ -479,44 +475,42 @@ class _Parser:
 
     def parse_add(self) -> Expr:
         e = self.parse_band()
-        while self.at_sym("+"):
+        while self.at("+"):
             self.next()
             e = Add(e, self.parse_band())
         return e
 
     def parse_band(self) -> Expr:
         e = self.parse_atom()
-        while self.at_sym("&"):
+        while self.at("&"):
             self.next()
             e = BitAnd(e, self.parse_atom())
         return e
 
     def parse_atom(self) -> Expr:
         tok = self.peek()
+        text = tok.text
         if tok.kind == "nat":
             return Lit(self.parse_nat_token())
-        if self.at_sym("("):
+        if text == "(":
             self.next()
             e = self.parse_expr()
-            self.expect("sym", ")")
+            self.expect(")")
             return e
         if tok.kind == "name":
-            if tok.text == "true":
-                self.next()
+            self.next()
+            if text == "true":
                 return Lit(True)
-            if tok.text == "false":
-                self.next()
+            if text == "false":
                 return Lit(False)
-            if tok.text in ("length", "base") and self.peek(1).text == "(":
+            if text in ("length", "base") and self.at("("):
                 self.next()
-                self.expect("sym", "(")
                 arg = self.parse_expr()
-                self.expect("sym", ")")
-                return Length(arg) if tok.text == "length" else Base(arg)
-            name = self.next().text
-            if name in self.arrays:
-                return Lit(self.arrays[name])
-            return Var(name)
+                self.expect(")")
+                return Length(arg) if text == "length" else Base(arg)
+            if text in self.arrays:
+                return Lit(self.arrays[text])
+            return Var(text)
         raise self.error("expected an expression")
 
 

@@ -167,6 +167,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+def test_non_ascii_digit_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "digit.bl"
+    bad.write_text("x := 1²;\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert (code, out, err) == (1, "", "error: 1:7: unexpected character '²'\n")
+
+
 def test_installed_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "specrepair.cli", "infer", "--json", EX1],

@@ -130,6 +130,19 @@ def test_error_positions(text, message, line, col):
         (f"{line}:{col}: {message}", line, col)
 
 
+@pytest.mark.parametrize("text, col, char", [
+    ("x := 1²;\n", 7, "²"),  # str.isdigit, not a decimal digit
+    ("x := ٣;\n", 6, "٣"),  # a decimal digit, but not ASCII
+    ("public y;\ny := 2;\nx := 1 + ½;\n", 10, "½"),
+])
+def test_naturals_are_ascii_decimal(text, col, char):
+    line = text.count("\n")
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    assert (str(info.value), info.value.line, info.value.col) == \
+        (f"{line}:{col}: unexpected character {char!r}", line, col)
+
+
 def test_literal_pointer_address_warns():
     program = parse_program("public x;\nx := *L(5);\n")
     assert program.warnings
