@@ -149,9 +149,9 @@ def _position(text: str, offset: int) -> tuple[int, int]:
 
 
 def _tokenize(text: str) -> list[Token]:
-    """The tokens of `text`, then two eof tokens, so that one token of
-    lookahead never runs off the end.  The eof position is where a comment
-    on the last line starts, else the end of the text."""
+    """The tokens of `text`, then two eof tokens, so that `peek(1)` needs
+    no bounds check.  The eof position is where a comment on the last line
+    starts, else the end of the text."""
     tokens: list[Token] = []
     append = tokens.append
     for m in _TOKEN.finditer(text):
@@ -159,8 +159,8 @@ def _tokenize(text: str) -> list[Token]:
         if kind is None:
             continue
         word = m[0]
-        if kind == "bad" or (kind == "name" and word >= "\x80"
-                             and not word[0].isalpha()):
+        if kind == "bad" or (kind == "name" and not word[0].isalpha()
+                             and word[0] != "_"):
             raise ParseError(f"unexpected character {word[0]!r}",
                              *_position(text, m.start()))
         append(Token(kind, word, m.start()))

@@ -53,6 +53,7 @@ def _library(text):
 @example("x := 1 # c")
 @example("é_½ := ½;\r\n\t# end")
 @example("a\t²½")
+@example("_é x½")
 def test_scanner_matches_oracle(text):
     expected, non_ascii_nat = _oracle(text)
     if not non_ascii_nat:

@@ -117,6 +117,11 @@ ERROR_POSITIONS = [
     ("empty", "", "empty program: at least one statement required", 1, 1),
     ("only a comment", "# nothing\n",
      "empty program: at least one statement required", 2, 1),
+    # naturals are ASCII decimal: `²` is `str.isdigit` but not decimal,
+    # `٣` is decimal but not ASCII, `½` is neither
+    ("superscript digit", "x := 1²;\n", "unexpected character '²'", 1, 7),
+    ("arabic-indic digit", "x := ٣;\n", "unexpected character '٣'", 1, 6),
+    ("vulgar fraction", "x := 1 + ½;\n", "unexpected character '½'", 1, 10),
 ]
 
 
@@ -128,19 +133,6 @@ def test_error_positions(text, message, line, col):
         parse_program(text)
     assert (str(info.value), info.value.line, info.value.col) == \
         (f"{line}:{col}: {message}", line, col)
-
-
-@pytest.mark.parametrize("text, col, char", [
-    ("x := 1²;\n", 7, "²"),  # str.isdigit, not a decimal digit
-    ("x := ٣;\n", 6, "٣"),  # a decimal digit, but not ASCII
-    ("public y;\ny := 2;\nx := 1 + ½;\n", 10, "½"),
-])
-def test_naturals_are_ascii_decimal(text, col, char):
-    line = text.count("\n")
-    with pytest.raises(ParseError) as info:
-        parse_program(text)
-    assert (str(info.value), info.value.line, info.value.col) == \
-        (f"{line}:{col}: unexpected character {char!r}", line, col)
 
 
 def test_literal_pointer_address_warns():
