@@ -427,8 +427,7 @@ class _Parser:
 
     def parse_rhs(self):
         if self.at("protect") and self.peek(1).text == "(":
-            self.next()
-            self.next()
+            self.pos += 2
             inner = self.parse_plain_rhs()
             self.expect(")")
             return (inner, True)
