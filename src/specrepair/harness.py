@@ -261,8 +261,15 @@ def consistency_suite(programs: list[tuple[str, Program]],
                       budget: int = DEFAULT_BUDGET) -> ConsistencyReport:
     """For each program: the final state of every sampled complete schedule
     must equal the sequential run's, and the filtered speculative trace must
-    be a permutation of the sequential trace.  Programs whose whole schedule
-    space fits under `exhaustive_limit` are swept exhaustively as well."""
+    be a permutation of the sequential trace.
+
+    A program whose whole schedule space fits is swept exhaustively as
+    well: at most `exhaustive_limit` complete schedules, every branch
+    finished within `min(max_len, 40)` directives, and at most 400 000
+    configurations for a plain depth-first search.  `exhaustive_runs`
+    decides this by counting the space over cached configurations before
+    it enumerates any schedule, so a space that does not fit costs only
+    the count."""
     report = ConsistencyReport()
     for name, program in programs:
         seq_result = run_sequential(program.command, program.initial_memory(),

@@ -82,9 +82,19 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Lit(Expr):
+    """A literal value.  Literals are equal when their values are equal and
+    of the same kind, so `Lit(True) != Lit(1)` although `True == 1`."""
+
     value: Value
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is Lit and other.value == self.value
+                and type(other.value) is type(self.value))
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
 
 @dataclass(frozen=True, slots=True)

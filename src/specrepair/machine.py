@@ -742,8 +742,8 @@ def _config_key(config: Config, ids: tuple, parent: tuple,
     (None, (), ()).  A step changes the buffer in one place (fetch appends,
     `exec i` rewrites position i and a rollback also drops what follows
     it, retire drops the head), so only the instruction it made is coded.
-    Values compare by `==`, under which `True == 1`; a kind-checked program
-    never stores both kinds in one variable.
+    Values are told apart by kind as well as by value: `Lit(True)` and
+    `Lit(1)` are unequal, and so are the writes that retire them.
     """
     buffer, stack, _mem, _rho, next_pred, next_tmp = config
     d, old, old_codes = parent
@@ -851,46 +851,96 @@ def _retired_ids(config: Config, ids: tuple, writes: dict) -> tuple:
     """The (memory, variables) ids of `config` after it retires its head.
 
     Within one search, id 0 stands for the initial maps and each write
-    `_retire` makes (map id, name or address, value) gets the next id in
-    `writes`.  Equal ids mean equal maps, so a key never walks a map.
+    `_retire` makes (map id, name or address, value as a `Lit`, so that
+    `True` and `1` differ) gets the next id in `writes`.  Equal ids mean
+    equal maps, so a key never walks a map.
     """
     mem_id, vars_id = ids
     head = config.buffer[0]
     if type(head) is AssignI:
-        vars_id = writes.setdefault((vars_id, head.target, head.expr.value),
+        vars_id = writes.setdefault((vars_id, head.target, head.expr),
                                     len(writes) + 1)
     elif type(head) is StoreI:
         mem_id = writes.setdefault(
-            (mem_id, head.addr.value, head.value.value), len(writes) + 1)
+            (mem_id, head.addr.value, head.value), len(writes) + 1)
     return mem_id, vars_id
+
+
+def _count_space(c: Command, mem, rho, mode: str, max_len: int, limit: int,
+                 max_nodes: int) -> Optional[int]:
+    """How many complete schedules a plain depth-first search (one without
+    any memo) finds within `max_len` directives, or None when that search
+    would stop short of the whole space: past `limit` schedules, past
+    `max_nodes` visited configurations, or at a configuration that is not
+    terminal with no directive left.
+
+    The plain search visits a configuration once per path to it; this pass
+    visits each (configuration, directives left) once and takes the nodes
+    and schedules of its subtree from a memo the next time (state-space
+    caching, as in Holzmann's "Tracing Protocols", 1985).  It keeps running
+    totals of what the plain search would have visited so far and stops as
+    soon as one passes its cap.
+    """
+    writes: dict = {}  # see `_retired_ids`
+    codes: dict = {}  # see `_code`
+    memo: dict = {}  # (configuration key, left) -> (nodes, schedules)
+    nodes = schedules = 0
+    # Entries are (configuration, state ids, what `_config_key` takes from
+    # the parent, directives left) to visit, or, once every child of a
+    # configuration has been visited, (its memo key, and the totals before
+    # it): the totals grow by exactly its subtree in between.
+    stack: list = [(initial_config(c, mem, rho), (0, 0), (None, (), ()),
+                    max_len)]
+    while stack:
+        entry = stack.pop()
+        if len(entry) == 3:
+            at, nodes_before, schedules_before = entry
+            memo[at] = (nodes - nodes_before, schedules - schedules_before)
+            continue
+        config, ids, parent, left = entry
+        if config.terminal:
+            counted = (1, 1)
+        else:
+            key = _config_key(config, ids, parent, codes)
+            counted = memo.get((key, left))
+            if counted is None:  # count it, then its children
+                if not left:
+                    return None
+                stack.append(((key, left), nodes, schedules))
+                for d, cfg, _obs in _options(config, mode):
+                    stack.append((
+                        cfg, ids if d is not RETIRE else _retired_ids(
+                            config, ids, writes),
+                        (d, config.buffer, key[0]), left - 1))
+                counted = (1, 0)
+        nodes += counted[0]
+        schedules += counted[1]
+        if nodes > max_nodes or schedules > limit:
+            return None
+    return schedules
 
 
 def exhaustive_runs(c: Command, mem, rho, mode: str = MODE_HW,
                     max_len: int = 40, limit: int = 5000,
                     max_nodes: int = 400_000) -> Optional[list]:
-    """The complete schedule space as a list, or None when it does not fit
-    under `limit` schedules / `max_nodes` explored configurations."""
-    runs: list[CompletedRun] = []
-    explored = 0
-    start = initial_config(c, mem, rho)
-    stack: list[tuple[Config, tuple, tuple]] = [(start, (), ())]
-    while stack:
-        config, directives, trace = stack.pop()
-        explored += 1
-        if explored > max_nodes:
-            return None
-        if config.terminal:
-            runs.append(CompletedRun(directives, trace, config))
-            if len(runs) > limit:
-                return None
-            continue
-        if len(directives) >= max_len:
-            # an unfinished branch: the space within max_len is not complete
-            return None
-        options = [(cfg, directives + (d,), trace + (obs,))
-                   for d, cfg, obs in _options(config, mode)]
-        stack.extend(reversed(options))
-    return runs
+    """The complete schedule space within `max_len` directives, in the
+    depth-first order of `enumerate_schedules`, or None when it does not
+    fit: more than `limit` schedules, more than `max_nodes` configurations
+    visited by a plain depth-first search, or a branch still unfinished at
+    `max_len` directives.
+
+    Whether the space fits is decided first by `_count_space`, over
+    cached configurations, so a space that does not fit is never
+    enumerated.  One that fits is enumerated under the same caps, and
+    the result is still None unless it has as many schedules as counted.
+    """
+    count = _count_space(c, mem, rho, mode, max_len, limit, max_nodes)
+    if count is None:
+        return None
+    runs = list(enumerate_schedules(c, mem, rho, mode, max_len=max_len,
+                                    max_schedules=limit + 1,
+                                    max_nodes=max_nodes))
+    return runs if len(runs) == count else None
 
 
 def random_schedule(c: Command, mem, rho, mode: str = MODE_HW,

@@ -21,11 +21,13 @@ associative), `e < e` (non-associative), `e + e`, `e & e`.  `length(a)` and
 the array handle itself.
 
 Lexical rules: a name is a `str.isalpha` character or `_`, then any
-`str.isalnum` characters or `_`; keywords are names.  A natural is a run of
-ASCII digits `0-9` of value at most 2**64 - 1.  `#` starts a comment that
-runs to the end of the line; spaces, tabs, `\r` and newlines separate
-tokens.  A parse error reads `line:col: message`, both counted from 1, each
-character (a tab too) one column.
+`str.isalnum` characters or `_`; keywords are names.  The reserved words
+`true` and `false` always read as literals, so no declaration or assignment
+may name them.  A natural is a run of ASCII digits `0-9` of value at most
+2**64 - 1.  `#` starts a comment that runs to the end of the line; spaces,
+tabs, `\r` and newlines separate tokens.  A parse error reads
+`line:col: message`, both counted from 1, each character (a tab too) one
+column.
 
 The parser is the single source of truth for the format; `pretty_program`
 inverts it (parsing a pretty-printed program yields an equal AST).
@@ -121,6 +123,11 @@ class Program:
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------
+
+
+# Names that read as literals in an expression, so nothing may declare or
+# assign them.
+RESERVED_WORDS = ("true", "false")
 
 
 class Token(NamedTuple):
@@ -245,11 +252,19 @@ class _Parser:
         program._init_cells = self.init_cells
         return program
 
+    def parse_new_name(self) -> str:
+        """The name a declaration introduces, checked at its token."""
+        tok = self.expect_kind("name")
+        name = tok.text
+        if name in RESERVED_WORDS:
+            raise self.error(f"reserved word {name!r} used as a name", tok)
+        if name in self.arrays or name in self.init_vars:
+            raise self.error(f"duplicate declaration of {name!r}", tok)
+        return name
+
     def parse_array_decl(self) -> None:
         self.expect("array")
-        name = self.expect_kind("name").text
-        if name in self.arrays or name in self.init_vars:
-            raise self.error(f"duplicate declaration of {name!r}")
+        name = self.parse_new_name()
         self.expect("base")
         self.expect("=")
         base = self.parse_nat_token()
@@ -286,9 +301,7 @@ class _Parser:
 
     def parse_var_decl(self) -> None:
         self.expect("var")
-        name = self.expect_kind("name").text
-        if name in self.arrays or name in self.init_vars:
-            raise self.error(f"duplicate declaration of {name!r}")
+        name = self.parse_new_name()
         self.expect("=")
         if self.peek().kind == "nat":
             self.init_vars[name] = self.parse_nat_token()
@@ -355,9 +368,11 @@ class _Parser:
         if text == "*":
             return self.parse_ptr_write()
         if tok.kind == "name":
+            if text in RESERVED_WORDS:
+                raise self.error(f"reserved word {text!r} used as a name")
             self.next()
             if self.at("["):
-                return self.parse_array_write(text)
+                return self.parse_array_write(tok)
             self.expect(":=")
             rhs, protected = self.parse_rhs()
             self.expect(";")
@@ -412,9 +427,10 @@ class _Parser:
             return self.next().text
         return LABEL_PUBLIC
 
-    def parse_array_write(self, name: str) -> Command:
+    def parse_array_write(self, tok: Token) -> Command:
+        name = tok.text
         if name not in self.arrays:
-            raise self.error(f"unknown array {name!r}")
+            raise self.error(f"unknown array {name!r}", tok)
         self.expect("[")
         index = self.parse_expr()
         self.expect("]")

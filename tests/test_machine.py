@@ -44,6 +44,7 @@ from specrepair.machine import (
     WriteObs,
     applicable_directives,
     enumerate_schedules,
+    exhaustive_runs,
     filter_trace,
     format_observation,
     initial_config,
@@ -597,6 +598,138 @@ def test_memo_keeps_the_stream_on_random_programs(command):
         for max_len in _memo_lengths(command, INITIAL_MEM, INITIAL_RHO, mode):
             _assert_memo_keeps_the_stream(command, INITIAL_MEM, INITIAL_RHO,
                                           mode, max_len)
+
+
+# ---------------------------------------------------------------------------
+# `exhaustive_runs` against the plain depth-first search
+# ---------------------------------------------------------------------------
+
+
+def _plain_exhaustive_runs(command, mem, rho, mode, max_len=40, limit=5000,
+                           max_nodes=400_000):
+    """What `exhaustive_runs` returns, found by a depth-first search with no
+    memo: the complete runs in order, or None once the search passes
+    `limit` schedules or `max_nodes` configurations or meets a
+    configuration that is not terminal at `max_len` directives; and the
+    number of configurations it visited."""
+    runs = []
+    explored = 0
+    stack = [(initial_config(command, mem, rho), (), ())]
+    while stack:
+        config, directives, trace = stack.pop()
+        explored += 1
+        if explored > max_nodes:
+            return None, explored
+        if config.terminal:
+            runs.append(CompletedRun(directives, trace, config))
+            if len(runs) > limit:
+                return None, explored
+            continue
+        if len(directives) >= max_len:
+            return None, explored
+        children = []
+        for d in applicable_directives(config, mode):
+            nxt, obs = step(config, d, mode)
+            children.append((nxt, directives + (d,), trace + (obs,)))
+        stack.extend(reversed(children))
+    return runs, explored
+
+
+def _assert_exhaustive_runs_match(command, mem, rho, mode, **caps):
+    want, _explored = _plain_exhaustive_runs(command, mem, rho, mode, **caps)
+    assert exhaustive_runs(command, mem, rho, mode, **caps) == want
+    # the count decides alone, without the enumeration checked against it
+    caps = {"max_len": 40, "limit": 5000, "max_nodes": 400_000, **caps}
+    assert machine._count_space(command, mem, rho, mode, **caps) == \
+        (None if want is None else len(want))
+    return want
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_exhaustive_runs_match_the_plain_search_on_the_corpus(corpus, mode):
+    swept = [name for name, program in corpus
+             if _assert_exhaustive_runs_match(
+                 program.command, program.initial_memory(),
+                 program.initial_var_map(), mode) is not None]
+    # the spaces of the other programs pass a cap; the count decides that
+    assert len(swept) == 13, swept
+
+
+# The bounds check of `a[2]` is mispredicted, and its rollback squashes more
+# or less speculative work, so one configuration is reached with different
+# numbers of directives left: at a length cap of 11 only the visits with
+# fewer left meet unfinished branches.
+_SQUASHED_WORK = ("array a base=1 len=2 label=L;\n"
+                  "array c base=4 len=3 label=H;\n"
+                  "t0 := base(c);\nt1 := a[2];\n")
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_exhaustive_runs_match_the_plain_search_at_each_cap(corpus, mode):
+    # each cap exactly met keeps the space, and one less loses it
+    for name, program in [*corpus,
+                          ("squashed work", parse_program(_SQUASHED_WORK))]:
+        args = (program.command, program.initial_memory(),
+                program.initial_var_map(), mode)
+        runs, nodes = _plain_exhaustive_runs(*args)
+        if runs is None:
+            continue
+        longest = max(len(run.directives) for run in runs)
+        for cap, fits in (("limit", len(runs)), ("max_nodes", nodes),
+                          ("max_len", longest)):
+            assert _assert_exhaustive_runs_match(*args, **{cap: fits}) \
+                == runs, (name, cap)
+            assert _assert_exhaustive_runs_match(
+                *args, **{cap: fits - 1}) is None, (name, cap)
+
+
+@given(programs())
+@settings(max_examples=25, deadline=None)
+def test_exhaustive_runs_match_the_plain_search_on_random_programs(command):
+    for mode in (MODE_HW, MODE_SLH):
+        for max_len in _memo_lengths(command, INITIAL_MEM, INITIAL_RHO, mode):
+            _assert_exhaustive_runs_match(command, INITIAL_MEM, INITIAL_RHO,
+                                          mode, max_len=max_len, limit=200,
+                                          max_nodes=5_000)
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_exhaustive_runs_on_a_long_length_cap(mode):
+    # speculation can unroll the loop for all 5000 directives; with no cap
+    # on schedules or configurations, only such an unfinished branch stops
+    # the count, 5000 configurations deep
+    program = load_program("while_count")
+    args = (program.command, program.initial_memory(),
+            program.initial_var_map(), mode)
+    assert exhaustive_runs(*args, max_len=5000) is None
+    assert exhaustive_runs(*args, max_len=5000, limit=10 ** 9,
+                           max_nodes=10 ** 9) is None
+
+
+def test_exhaustive_runs_check_the_count(monkeypatch):
+    # a count the enumeration does not reproduce is not taken on trust
+    program = load_program("assign_chain")
+    args = (program.command, program.initial_memory(),
+            program.initial_var_map())
+    assert len(exhaustive_runs(*args)) == 5
+    for wrong in (4, 6):
+        monkeypatch.setattr(machine, "_count_space", lambda *a, n=wrong: n)
+        assert exhaustive_runs(*args) is None
+
+
+def test_state_keys_tell_a_bool_from_a_nat():
+    def config(value):
+        return Config(buffer=(AssignI("x", Lit(value)),), stack=(), mem={},
+                      vars={})
+
+    codes: dict = {}
+    keys = {machine._config_key(config(value), (0, 0), (None, (), ()), codes)
+            for value in (True, 1, False, 0)}
+    assert len(keys) == 4
+    writes: dict = {}
+    ids = {machine._retired_ids(config(value), (0, 0), writes)
+           for value in (True, 1, False, 0)}
+    assert len(ids) == 4
 
 
 def test_random_schedule_completes_and_replays(corpus):

@@ -111,7 +111,23 @@ ERROR_POSITIONS = [
     ("oversized literal", "x := 18446744073709551616;\n",
      "literal 18446744073709551616 exceeds the 64-bit range", 1, 6),
     ("duplicate declaration", "var x = 1;\nvar x = 2;\nskip;\n",
-     "duplicate declaration of 'x'", 2, 7),
+     "duplicate declaration of 'x'", 2, 5),
+    ("duplicate array", "var y = 1;\narray y base=1 len=1 label=L;\nskip;\n",
+     "duplicate declaration of 'y'", 2, 7),
+    ("unknown array", "q[1] := 2;\n", "unknown array 'q'", 1, 1),
+    ("unknown array after statements", "skip;\n  q[1] := 2;\n",
+     "unknown array 'q'", 2, 3),
+    # `true` and `false` always read as literals, so they name nothing
+    ("assign true", "true := 5;\n", "reserved word 'true' used as a name",
+     1, 1),
+    ("protect into false", "x := 1;\nfalse := protect(x);\n",
+     "reserved word 'false' used as a name", 2, 1),
+    ("var true", "var true = 1;\nskip;\n",
+     "reserved word 'true' used as a name", 1, 5),
+    ("array false", "array false base=1 len=2 label=L;\nskip;\n",
+     "reserved word 'false' used as a name", 1, 7),
+    ("write to array true", "true[0] := 1;\n",
+     "reserved word 'true' used as a name", 1, 1),
     ("no statements", "var x = 1;\npublic x;\n",
      "empty program: at least one statement required", 3, 1),
     ("empty", "", "empty program: at least one statement required", 1, 1),
