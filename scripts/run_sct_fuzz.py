@@ -8,12 +8,12 @@ The unrepaired programs are fuzzed too, to show which ones actually leak.
 """
 
 import argparse
+import dataclasses
 import sys
 
 from specrepair.corpus import load_all
 from specrepair.harness import sct_fuzz
 from specrepair.machine import MODE_HW, MODE_SLH
-from specrepair.parser import Program
 from specrepair.repair import pipeline
 from specrepair.typesys import Mode, typecheck_ct
 
@@ -45,8 +45,8 @@ def main() -> int:
                           schedule_count=args.schedules, pairs=args.pairs,
                           seed=args.seed)
         report = pipeline(program.command, analysis, program.variables())
-        repaired = Program(report.repaired, program.arrays, program.init_vars,
-                           program.policy, [], program._init_cells)
+        repaired = dataclasses.replace(program, command=report.repaired,
+                                       warnings=[])
         after = sct_fuzz(repaired, mode=args.mode, schedules="random",
                          schedule_count=args.schedules, pairs=args.pairs,
                          seed=args.seed)

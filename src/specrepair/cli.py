@@ -8,6 +8,7 @@ sorted keys.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -17,6 +18,7 @@ from .graphcut import Infeasible, build_graph, extract_env, max_flow_min_cut, \
 from .harness import consistency_suite, sct_fuzz
 from .lang import ArrayDecl, LangError, check_ssa, kind_check
 from .machine import (
+    EXHAUSTIVE_MAX_LEN,
     MODE_HW,
     MODE_SLH,
     applicable_directives,
@@ -30,7 +32,7 @@ from .machine import (
 )
 from .parser import Program, parse_program, pretty_program
 from .repair import pipeline
-from .seq import format_seq_observation, run_sequential
+from .seq import DEFAULT_BUDGET, format_seq_observation, run_sequential
 from .typesys import Mode, generate_constraints, least_type_env, \
     transient_violations, typecheck_ct
 
@@ -221,9 +223,8 @@ def cmd_repair(args) -> int:
         print("hint: rerun with --mode=hw to allow any variable",
               file=sys.stderr)
         return 1
-    repaired = Program(report.repaired, program.arrays, program.init_vars,
-                       program.policy, [], program._init_cells)
-    text = pretty_program(repaired)
+    text = pretty_program(dataclasses.replace(
+        program, command=report.repaired, warnings=[]))
     payload = {
         "cut": report.cut,
         "protect_count": report.protect_count,
@@ -357,14 +358,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     "leaks in while-language programs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=10 ** 6):
+    def common(p):
         p.add_argument("--json", action="store_true")
+
+    def seed(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=budget)
+
+    def seq_budget(p):
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="sequential step budget")
 
     p = sub.add_parser("run-seq", help="run the sequential semantics")
     p.add_argument("program")
     common(p)
+    seq_budget(p)
     p.set_defaults(func=cmd_run_seq)
 
     p = sub.add_parser("run-spec", help="run the speculative machine")
@@ -376,6 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, metavar="N",
                    help="take up to N random directives")
     common(p)
+    seed(p)
     p.set_defaults(func=cmd_run_spec)
 
     p = sub.add_parser("check", help="type-check a program")
@@ -417,7 +425,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedules", default="random:100",
                    help="'exhaustive' or 'random:N'")
     p.add_argument("--pairs", type=int, default=10)
-    common(p, budget=400)
+    common(p)
+    seed(p)
+    p.add_argument("--budget", type=int, default=400,
+                   help="random walk length; exhaustive search takes at "
+                        f"most min(budget, {EXHAUSTIVE_MAX_LEN}) directives")
     p.set_defaults(func=cmd_fuzz_sct)
 
     p = sub.add_parser("consistency",
@@ -426,11 +438,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[MODE_HW, MODE_SLH], default=MODE_HW)
     p.add_argument("--schedules", type=int, default=100)
     common(p)
+    seed(p)
+    seq_budget(p)
     p.set_defaults(func=cmd_consistency)
 
     p = sub.add_parser("corpus", help="list or validate bundled programs")
     p.add_argument("--validate", action="store_true")
     common(p)
+    seq_budget(p)
     p.set_defaults(func=cmd_corpus)
 
     return parser

@@ -232,11 +232,9 @@ def brute_force_min_cut(g: DefUseGraph, limit: int = 12) -> list[str]:
     raise Infeasible(_find_path(g.adjacency(), set(g.candidates)) or [])
 
 
-def extract_env(k_or_graph, cut, variables: list[str]) -> dict[str, str]:
+def extract_env(g: DefUseGraph, cut, variables: list[str]) -> dict[str, str]:
     """Typing environment induced by a cut: a variable is transient when the
     source still reaches its atom after the cut nodes are removed."""
-    g = k_or_graph if isinstance(k_or_graph, DefUseGraph) \
-        else build_graph(k_or_graph)
     cut_set = set(cut)
     reach = _reachable(g.adjacency(), T_SOURCE, _variable_nodes(g, cut_set))
     if S_SINK in reach:

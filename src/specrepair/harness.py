@@ -11,9 +11,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .lang import Command, Policy, Value
+from .lang import Policy, Value
 from .machine import (
     CompletedRun,
+    EXHAUSTIVE_MAX_LEN,
     MODE_HW,
     Replayer,
     enumerate_schedules,
@@ -55,10 +56,8 @@ def l_equivalent(policy: Policy, program: Program,
     return True
 
 
-def gen_lequiv_pairs(program: Program, count: int, seed: int,
-                     secret_scalar_max: int = SECRET_SCALAR_MAX,
-                     secret_cell_max: int = SECRET_CELL_MAX,
-                     public_cell_max: int = PUBLIC_CELL_MAX) -> list[StatePair]:
+def gen_lequiv_pairs(program: Program, count: int,
+                     seed: int) -> list[StatePair]:
     """Seeded pairs of policy-equivalent states.
 
     Public scalars and public array cells are sampled once and shared by both
@@ -66,7 +65,7 @@ def gen_lequiv_pairs(program: Program, count: int, seed: int,
     the program's declared initial values for the public part, so the
     canonical run of each example is always in the sample.  Public data is
     sampled small (scalars within twice the memory extent, cells below
-    `public_cell_max`) because public data drives control flow and indexing,
+    `PUBLIC_CELL_MAX`) because public data drives control flow and indexing,
     and small values keep loop counts and speculative addresses at desk
     scale; secret cells are range-limited only to keep out-of-bounds reads
     inside the occupied region of memory.
@@ -95,17 +94,17 @@ def gen_lequiv_pairs(program: Program, count: int, seed: int,
                     if isinstance(declared, bool):
                         rho[x] = rng.random() < 0.5
                     else:
-                        rho[x] = rng.randrange(0, secret_scalar_max)
+                        rho[x] = rng.randrange(0, SECRET_SCALAR_MAX)
         for a in program.arrays.values():
             public = a.name in policy.public_arrays
             for addr in range(a.base, a.base + a.length):
                 if public:
                     value = base_mem[addr] if index == 0 \
-                        else rng.randrange(0, public_cell_max)
+                        else rng.randrange(0, PUBLIC_CELL_MAX)
                     mem1[addr] = mem2[addr] = value
                 else:
-                    mem1[addr] = rng.randrange(0, secret_cell_max)
-                    mem2[addr] = rng.randrange(0, secret_cell_max)
+                    mem1[addr] = rng.randrange(0, SECRET_CELL_MAX)
+                    mem2[addr] = rng.randrange(0, SECRET_CELL_MAX)
         # cell 0 is the reserved dummy cell and must stay fixed
         mem1[0] = mem2[0] = 0
         pairs.append(StatePair(mem1, rho1, mem2, rho2))
@@ -156,11 +155,10 @@ def _compare_runs(program: Program, pair_index: int, run1: CompletedRun,
     return None
 
 
-def sct_fuzz(program: Program, command: Optional[Command] = None,
-             mode: str = MODE_HW, schedules: str = "random",
-             schedule_count: int = 100, pairs: int = 10, seed: int = 0,
-             max_len: int = 400,
-             max_exhaustive: int = 5000) -> SctResult:
+def sct_fuzz(program: Program, mode: str = MODE_HW,
+             schedules: str = "random", schedule_count: int = 100,
+             pairs: int = 10, seed: int = 0,
+             max_len: int = 400) -> SctResult:
     """Differential test of speculative constant time.
 
     For each policy-equivalent pair, complete schedules are drawn on the
@@ -170,26 +168,26 @@ def sct_fuzz(program: Program, command: Optional[Command] = None,
     silent observations and prediction identifiers included.  A replay steps
     only past the prefix it shares with the pair's previous schedule.
 
-    Exhaustive search is capped at `min(max_len, 40)` directives,
-    `max_exhaustive` schedules per pair and 400 000 explored
-    configurations, so a pass says no more than that no counterexample was
-    found within the caps.  The search skips configurations it has already
-    found to reach no complete schedule (see `enumerate_schedules`), which
-    lets loop programs such as `while_count` yield their schedules within
-    the node cap.  A program whose sequential run is longer than the
-    directive cap (`loop_protect`, `sha2_update_last`) has no complete
-    schedule within it: it passes with 0 trials and no search, which is not
-    evidence (ROADMAP item 2).
+    Exhaustive search is capped at `min(max_len, 40)` directives, 5000
+    schedules per pair and 400 000 explored configurations (the
+    `machine.EXHAUSTIVE_*` caps), so a pass says no more than that no
+    counterexample was found within the caps.  The search skips
+    configurations it has already found to reach no complete schedule (see
+    `enumerate_schedules`), which lets loop programs such as `while_count`
+    yield their schedules within the node cap.  A program whose sequential
+    run is longer than the directive cap (`loop_protect`,
+    `sha2_update_last`) has no complete schedule within it: it passes with
+    0 trials and no search, which is not evidence (ROADMAP item 2).
     """
-    command = command if command is not None else program.command
+    command = program.command
     state_pairs = gen_lequiv_pairs(program, pairs, seed)
     trials = 0
     for pair_index, pair in enumerate(state_pairs):
         replayer = Replayer(command, pair.mem2, pair.rho2, mode)
         if schedules == "exhaustive":
-            runs = enumerate_schedules(command, pair.mem1, pair.rho1, mode,
-                                       max_len=min(max_len, 40),
-                                       max_schedules=max_exhaustive)
+            runs = enumerate_schedules(
+                command, pair.mem1, pair.rho1, mode,
+                max_len=min(max_len, EXHAUSTIVE_MAX_LEN))
             for run1 in runs:
                 trials += 1
                 bad = _compare_runs(program, pair_index, run1, replayer)
@@ -256,16 +254,16 @@ def check_consistency_run(name: str, program: Program, run: CompletedRun,
 
 def consistency_suite(programs: list[tuple[str, Program]],
                       per_program_schedules: int = 100, seed: int = 0,
-                      mode: str = MODE_HW, max_len: int = 400,
-                      exhaustive_limit: int = 5000,
+                      mode: str = MODE_HW,
                       budget: int = DEFAULT_BUDGET) -> ConsistencyReport:
     """For each program: the final state of every sampled complete schedule
     must equal the sequential run's, and the filtered speculative trace must
     be a permutation of the sequential trace.
 
-    A program whose whole schedule space fits is swept exhaustively as
-    well: at most `exhaustive_limit` complete schedules, every branch
-    finished within `min(max_len, 40)` directives, and at most 400 000
+    Each sampled schedule is a random walk of at most 400 directives.  A
+    program whose whole schedule space fits the `machine.EXHAUSTIVE_*`
+    caps is swept exhaustively as well: at most 5000 complete schedules,
+    every branch finished within 40 directives, and at most 400 000
     configurations for a plain depth-first search.  `exhaustive_runs`
     decides this by counting the space over cached configurations before
     it enumerates any schedule, so a space that does not fit costs only
@@ -277,9 +275,7 @@ def consistency_suite(programs: list[tuple[str, Program]],
         report.checked += 1
         mem = program.initial_memory()
         rho = program.initial_var_map()
-        complete_space = exhaustive_runs(program.command, mem, rho, mode,
-                                         max_len=min(max_len, 40),
-                                         limit=exhaustive_limit)
+        complete_space = exhaustive_runs(program.command, mem, rho, mode)
         if complete_space is not None:
             for run in complete_space:
                 check_consistency_run(name, program, run, seq_result, seed,
@@ -290,8 +286,7 @@ def consistency_suite(programs: list[tuple[str, Program]],
         while produced < per_program_schedules and \
                 attempts < 4 * per_program_schedules:
             attempts += 1
-            run = random_schedule(program.command, mem, rho, mode, rng=rng,
-                                  max_len=max_len)
+            run = random_schedule(program.command, mem, rho, mode, rng=rng)
             if run is None:
                 continue
             produced += 1

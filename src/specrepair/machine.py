@@ -543,11 +543,10 @@ class RunResult:
         return self.stuck_at is None
 
 
-def run_schedule(c: Command, mem, rho, directives, mode: str = MODE_HW,
-                 config: Optional[Config] = None) -> RunResult:
+def run_schedule(c: Command, mem, rho, directives,
+                 mode: str = MODE_HW) -> RunResult:
     """Fold `step` over the directives; report the first stuck index."""
-    if config is None:
-        config = initial_config(c, mem, rho)
+    config = initial_config(c, mem, rho)
     trace: list = []
     for k, d in enumerate(directives):
         result = step(config, d, mode)
@@ -769,14 +768,25 @@ def _code(instr: Instruction, codes: dict) -> int:
     return codes.setdefault(instr, len(codes))
 
 
+# The caps of every exhaustive search: directives per schedule, complete
+# schedules, and configurations a plain depth-first search may visit.
+# `sct_fuzz` lowers the directive cap to its walk length when that is
+# shorter; tests lower all three to reach their boundaries on small
+# programs.
+EXHAUSTIVE_MAX_LEN = 40
+EXHAUSTIVE_MAX_SCHEDULES = 5000
+EXHAUSTIVE_MAX_NODES = 400_000
+
+
 def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
-                        max_len: int = 40, max_schedules: int = 5000,
-                        max_nodes: int = 400_000) -> Iterator[CompletedRun]:
+                        max_len: int = EXHAUSTIVE_MAX_LEN,
+                        max_schedules: int = EXHAUSTIVE_MAX_SCHEDULES,
+                        max_nodes: int = EXHAUSTIVE_MAX_NODES
+                        ) -> Iterator[CompletedRun]:
     """Depth-first stream of complete schedules reaching a terminal
     configuration within `max_len` directives.  Stuck or over-length
     branches are silently abandoned; at most `max_schedules` runs are
-    yielded and at most `max_nodes` configurations explored (`sct_fuzz`
-    asks for `min(max_len, 40)` directives, 5000 schedules, 400 000 nodes).
+    yielded and at most `max_nodes` configurations explored.
 
     Every complete schedule fetches, executes and retires the committed
     path at least once, so none is shorter than `sequential_schedule`.
@@ -921,8 +931,9 @@ def _count_space(c: Command, mem, rho, mode: str, max_len: int, limit: int,
 
 
 def exhaustive_runs(c: Command, mem, rho, mode: str = MODE_HW,
-                    max_len: int = 40, limit: int = 5000,
-                    max_nodes: int = 400_000) -> Optional[list]:
+                    max_len: int = EXHAUSTIVE_MAX_LEN,
+                    limit: int = EXHAUSTIVE_MAX_SCHEDULES,
+                    max_nodes: int = EXHAUSTIVE_MAX_NODES) -> Optional[list]:
     """The complete schedule space within `max_len` directives, in the
     depth-first order of `enumerate_schedules`, or None when it does not
     fit: more than `limit` schedules, more than `max_nodes` configurations
@@ -943,12 +954,12 @@ def exhaustive_runs(c: Command, mem, rho, mode: str = MODE_HW,
     return runs if len(runs) == count else None
 
 
-def random_schedule(c: Command, mem, rho, mode: str = MODE_HW,
-                    rng: Optional[random.Random] = None,
+def random_schedule(c: Command, mem, rho, mode: str = MODE_HW, *,
+                    rng: random.Random,
                     max_len: int = 400) -> Optional[CompletedRun]:
-    """A uniformly random walk over applicable directives; None if no
-    terminal configuration is reached within `max_len` steps."""
-    rng = rng or random.Random()
+    """A uniformly random walk over applicable directives, drawn from
+    `rng`; None if no terminal configuration is reached within `max_len`
+    steps."""
     config = initial_config(c, mem, rho)
     directives: list = []
     trace: list = []

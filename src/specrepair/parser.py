@@ -129,6 +129,14 @@ class Program:
 # assign them.
 RESERVED_WORDS = ("true", "false")
 
+# The deepest nesting a program may have.  Each `if`/`while` block, each
+# parenthesised or `length`/`base` argument, each `?:` and each further
+# `+` or `&` of a chain is one level, counted together, so the AST is at
+# most about twice as deep.  The parser and the expression walkers
+# recurse a few frames per level; this keeps them all well inside
+# Python's default recursion limit of 1000.
+MAX_NESTING = 64
+
 
 class Token(NamedTuple):
     kind: str  # "name", "nat", "sym", "eof"
@@ -190,6 +198,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # nesting levels open at `pos`
         self.arrays: dict[str, ArrayDecl] = {}
         self.init_vars: dict[str, Value] = {}
         self.init_cells: dict[int, Value] = {}
@@ -217,6 +226,16 @@ class _Parser:
             raise self.error(f"expected {text!r}, found {tok.text!r}")
         self.pos += 1
         return tok
+
+    def nest(self, tok: Token) -> int:
+        """Open one more nesting level at `tok`; returns the depth to
+        restore when it closes."""
+        outer = self.depth
+        if outer == MAX_NESTING:
+            raise self.error(
+                f"nested too deeply (at most {MAX_NESTING} levels)", tok)
+        self.depth = outer + 1
+        return outer
 
     def expect_kind(self, kind: str) -> Token:
         tok = self.tokens[self.pos]
@@ -398,11 +417,12 @@ class _Parser:
         return While(cond, body)
 
     def parse_block(self) -> Command:
-        self.expect("{")
+        outer = self.nest(self.expect("{"))
         commands: list[Command] = []
         while not self.at("}"):
             commands.append(self.parse_stmt())
         self.next()
+        self.depth = outer
         if not commands:
             return Skip()
         return seq_all(commands)
@@ -473,12 +493,19 @@ class _Parser:
     def parse_expr(self) -> Expr:
         cond = self.parse_cmp()
         if self.at("?"):
-            self.next()
-            then = self.parse_expr()
+            tok = self.next()
+            then = self.parse_nested_expr(tok)
             self.expect(":")
-            other = self.parse_expr()
+            other = self.parse_nested_expr(tok)
             return Ternary(cond, then, other)
         return cond
+
+    def parse_nested_expr(self, opener: Token) -> Expr:
+        """An expression one nesting level inside `opener`."""
+        outer = self.nest(opener)
+        e = self.parse_expr()
+        self.depth = outer
+        return e
 
     def parse_cmp(self) -> Expr:
         left = self.parse_add()
@@ -489,17 +516,21 @@ class _Parser:
         return left
 
     def parse_add(self) -> Expr:
+        outer = self.depth
         e = self.parse_band()
         while self.at("+"):
-            self.next()
+            self.nest(self.next())
             e = Add(e, self.parse_band())
+        self.depth = outer
         return e
 
     def parse_band(self) -> Expr:
+        outer = self.depth
         e = self.parse_atom()
         while self.at("&"):
-            self.next()
+            self.nest(self.next())
             e = BitAnd(e, self.parse_atom())
+        self.depth = outer
         return e
 
     def parse_atom(self) -> Expr:
@@ -508,8 +539,7 @@ class _Parser:
         if tok.kind == "nat":
             return Lit(self.parse_nat_token())
         if text == "(":
-            self.next()
-            e = self.parse_expr()
+            e = self.parse_nested_expr(self.next())
             self.expect(")")
             return e
         if tok.kind == "name":
@@ -519,8 +549,7 @@ class _Parser:
             if text == "false":
                 return Lit(False)
             if text in ("length", "base") and self.at("("):
-                self.next()
-                arg = self.parse_expr()
+                arg = self.parse_nested_expr(self.next())
                 self.expect(")")
                 return Length(arg) if text == "length" else Base(arg)
             if text in self.arrays:

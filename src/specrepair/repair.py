@@ -19,7 +19,6 @@ from .lang import (
     Protect,
     PtrRead,
     check_ssa,
-    command_vars,
     commands,
     rewrite_statements,
 )
@@ -95,16 +94,14 @@ class PipelineReport:
     violations: list = field(default_factory=list)
 
 
-def pipeline(c: Command, mode: Mode = Mode(),
-             variables: list[str] | None = None) -> PipelineReport:
+def pipeline(c: Command, mode: Mode,
+             variables: list[str]) -> PipelineReport:
     """Infer a minimum cut, repair, and re-check.
 
     The returned environment together with the cut accepts the original
     program, and the repaired program type-checks under an empty protected
     set.  Both verdicts are recomputed here rather than assumed.
     """
-    if variables is None:
-        variables = sorted(command_vars(c))
     k = generate_constraints(c, mode)
     g = build_graph(k, mode)
     cut = min_cut(g)

@@ -52,8 +52,6 @@ class SeqFail:
     pass
 
 
-SeqObservation = object  # SeqRead | SeqWrite | SeqFail
-
 DEFAULT_BUDGET = 10 ** 6
 
 

@@ -58,7 +58,6 @@ from .lang import (
     Ternary,
     Var,
     While,
-    command_vars,
     commands,
     is_constant_expr,
     label_flows_to,
@@ -100,14 +99,9 @@ def policy_label_maps(policy: Policy,
     return gv, ga
 
 
-def typecheck_ct(policy: Policy, c: Command,
-                 arrays: dict[str, ArrayDecl] | None = None,
-                 variables: list[str] | None = None) -> list[Violation]:
+def typecheck_ct(policy: Policy, c: Command, arrays: dict[str, ArrayDecl],
+                 variables: list[str]) -> list[Violation]:
     """Constant-time violations of `c` under `policy`; empty means accept."""
-    if variables is None:
-        variables = sorted(command_vars(c))
-    if arrays is None:
-        arrays = _collect_arrays(c)
     gv, ga = policy_label_maps(policy, variables, arrays)
     out: list[Violation] = []
 
@@ -189,45 +183,6 @@ def typecheck_ct(policy: Policy, c: Command,
                                      "loop condition may be secret"))
         else:
             raise LangError(f"cannot type {cmd!r}")
-    return out
-
-
-def _collect_arrays(c: Command) -> dict[str, ArrayDecl]:
-    """Every array `c` mentions, by name, in order of first mention."""
-    out: dict[str, ArrayDecl] = {}
-
-    def from_expr(e: Expr) -> None:
-        if isinstance(e, Lit) and isinstance(e.value, ArrayDecl):
-            out[e.value.name] = e.value
-        elif isinstance(e, (Add, Lt, BitAnd)):
-            from_expr(e.left)
-            from_expr(e.right)
-        elif isinstance(e, Ternary):
-            from_expr(e.cond)
-            from_expr(e.then)
-            from_expr(e.other)
-        elif isinstance(e, (Length, Base)):
-            from_expr(e.arg)
-
-    for cmd in commands(c):
-        if isinstance(cmd, (Assign, Protect)):
-            r = cmd.rhs
-            if isinstance(r, Pure):
-                from_expr(r.expr)
-            elif isinstance(r, ArrayRead):
-                out[r.array.name] = r.array
-                from_expr(r.index)
-            elif isinstance(r, PtrRead):
-                from_expr(r.addr)
-        elif isinstance(cmd, ArrayWrite):
-            out[cmd.array.name] = cmd.array
-            from_expr(cmd.index)
-            from_expr(cmd.value)
-        elif isinstance(cmd, PtrWrite):
-            from_expr(cmd.addr)
-            from_expr(cmd.value)
-        elif isinstance(cmd, (If, While)):
-            from_expr(cmd.cond)
     return out
 
 

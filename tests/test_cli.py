@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
-from specrepair.cli import main
+import pytest
+
+from specrepair.cli import _build_parser, main
 from specrepair.corpus import corpus_path, schedule_path
+from specrepair.parser import MAX_NESTING
+from test_parser import long_sum, nested_ifs, nested_parens
 
 EX1 = str(corpus_path("ex1"))
 EX1_PATCHED = str(corpus_path("ex1_patched"))
@@ -199,3 +204,61 @@ def test_kind_errors_surface_with_exit_1(tmp_path, capsys):
     bad.write_text("var b = true;\npublic b, x;\nx := b + 1;\n")
     code, _, err = run_cli(capsys, "check", str(bad))
     assert code == 1 and "natural" in err
+
+
+@pytest.mark.parametrize("shape", [nested_parens, nested_ifs, long_sum])
+def test_nesting_bound(tmp_path, capsys, shape):
+    at_bound = tmp_path / "at_bound.bl"
+    at_bound.write_text(shape(MAX_NESTING))
+    too_deep = tmp_path / "too_deep.bl"
+    too_deep.write_text(shape(MAX_NESTING + 1))
+    for argv in (["check"], ["infer"], ["repair"], ["run-seq"],
+                 ["run-spec", "--seq"]):
+        code, _, err = run_cli(capsys, *argv, "--json", str(at_bound))
+        assert (code, err) == (0, ""), argv
+        code, out, err = run_cli(capsys, *argv, "--json", str(too_deep))
+        assert code == 1 and out == "", argv
+        assert re.fullmatch(r"error: \d+:\d+: nested too deeply .*\n", err)
+
+
+# Which of --seed and --budget each subcommand reads; it accepts no other.
+SEED_AND_BUDGET = {
+    "run-seq": {"--budget"},
+    "run-spec": {"--seed"},
+    "check": set(),
+    "infer": set(),
+    "graph": set(),
+    "repair": set(),
+    "fuzz-sct": {"--seed", "--budget"},
+    "consistency": {"--seed", "--budget"},
+    "corpus": {"--budget"},
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in SEED_AND_BUDGET
+    for flag in ("--seed", "--budget")])
+def test_subcommand_accepts_the_flags_it_reads(capsys, command, flag):
+    argv = [command, flag, "7"] + ([] if command == "corpus" else [EX1])
+    if flag in SEED_AND_BUDGET[command]:
+        assert getattr(_build_parser().parse_args(argv), flag[2:]) == 7
+        return
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, one, other", [
+    (["run-spec", "--random", "50", "--json", EX1],
+     ["--seed", "1"], ["--seed", "2"]),
+    (["fuzz-sct", "--schedules", "random:5", "--pairs", "1", EX1_PATCHED],
+     ["--budget", "3"], ["--budget", "400"]),
+    (["run-seq", EX1], ["--budget", "1"], ["--budget", "100"]),
+    (["consistency", "--schedules", "2", EX1],
+     ["--budget", "1"], ["--budget", "100"]),
+    (["corpus", "--validate"], ["--budget", "1"], ["--budget", "10000"]),
+], ids=["run-spec seed", "fuzz-sct budget", "run-seq budget",
+        "consistency budget", "corpus budget"])
+def test_kept_flags_change_the_output(capsys, argv, one, other):
+    assert run_cli(capsys, *argv, *one) != run_cli(capsys, *argv, *other)

@@ -70,26 +70,26 @@ def test_cut_of_all_candidates_when_feasible(corpus):
 
 
 def test_extract_env_for_both_ex1_cuts(ex1):
-    k = generate_constraints(ex1.command)
-    env = extract_env(k, ["z"], ex1.variables())
+    g = build_graph(generate_constraints(ex1.command))
+    env = extract_env(g, ["z"], ex1.variables())
     assert env == {"i1": STABLE, "i2": STABLE, "x": TRANSIENT,
                    "y": TRANSIENT, "z": STABLE, "w": TRANSIENT}
     # the wider cut stops the flow before it spreads; only the load-assigned
     # but never-used w stays transient
-    env = extract_env(k, ["x", "y"], ex1.variables())
+    env = extract_env(g, ["x", "y"], ex1.variables())
     assert env == {"i1": STABLE, "i2": STABLE, "x": STABLE, "y": STABLE,
                    "z": STABLE, "w": TRANSIENT}
 
 
 def test_extract_env_empty_everything_stable():
-    assert extract_env(ConstraintSet(), [], ["p", "q"]) == \
+    assert extract_env(build_graph(ConstraintSet()), [], ["p", "q"]) == \
         {"p": STABLE, "q": STABLE}
 
 
 def test_extract_env_rejects_non_cuts(ex1):
-    k = generate_constraints(ex1.command)
+    g = build_graph(generate_constraints(ex1.command))
     with pytest.raises(Exception):
-        extract_env(k, ["x"], ex1.variables())
+        extract_env(g, ["x"], ex1.variables())
 
 
 def test_infeasible_when_no_candidate_on_path():

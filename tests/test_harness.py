@@ -91,8 +91,9 @@ def test_skip_trivially_sct():
 
 def test_repaired_ex1_passes_exhaustively(ex1):
     report = pipeline(ex1.command, Mode(), ex1.variables())
-    result = sct_fuzz(ex1, command=report.repaired, mode=MODE_HW,
-                      schedules="exhaustive", pairs=2, seed=7)
+    repaired = dataclasses.replace(ex1, command=report.repaired)
+    result = sct_fuzz(repaired, mode=MODE_HW, schedules="exhaustive",
+                      pairs=2, seed=7)
     assert result.passed and result.trials > 0
 
 

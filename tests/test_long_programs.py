@@ -42,7 +42,8 @@ def test_long_program_through_the_library():
     c = program.command
     assert kind_check(c, program.init_vars) == []
     assert check_ssa(c) == []
-    assert typecheck_ct(program.policy, c) == []
+    assert typecheck_ct(program.policy, c, program.arrays,
+                        program.variables()) == []
     report = pipeline(c, Mode(), program.variables())
     assert report.cut == [f"x{k}" for k in range(GADGETS)]
     assert report.protect_count == GADGETS

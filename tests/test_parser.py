@@ -30,6 +30,7 @@ from specrepair.lang import (
     seq_all,
 )
 from specrepair.parser import (
+    MAX_NESTING,
     ParseError,
     Program,
     SemanticError,
@@ -80,6 +81,24 @@ def test_syntax_error_has_position():
         assert exc.line == 1 and exc.col > 1
     else:
         pytest.fail("malformed assignment should not parse")
+
+
+def nested_parens(depth: int) -> str:
+    return "x := " + "(" * depth + "1" + ")" * depth + ";\n"
+
+
+def nested_ifs(depth: int) -> str:
+    return ("var c = true;\npublic c;\n" + "if (c) {\n" * depth + "x := 1;\n"
+            + "} else {\nskip;\n}\n" * depth)
+
+
+def long_sum(depth: int) -> str:
+    """`x := 1 + 1 + ...` with `depth` additions, each one level deeper in
+    the AST; `x` is public but not declared."""
+    return "public x;\nx := 1" + " + 1" * depth + ";\n"
+
+
+TOO_DEEP = f"nested too deeply (at most {MAX_NESTING} levels)"
 
 
 # Each malformed program with the exact error it raises: message, line and
@@ -138,6 +157,13 @@ ERROR_POSITIONS = [
     ("superscript digit", "x := 1²;\n", "unexpected character '²'", 1, 7),
     ("arabic-indic digit", "x := ٣;\n", "unexpected character '٣'", 1, 6),
     ("vulgar fraction", "x := 1 + ½;\n", "unexpected character '½'", 1, 10),
+    # one level past the bound, at the token that opens it
+    ("parentheses too deep", nested_parens(MAX_NESTING + 1), TOO_DEEP,
+     1, MAX_NESTING + 6),
+    ("blocks too deep", nested_ifs(MAX_NESTING + 1), TOO_DEEP,
+     MAX_NESTING + 3, 8),
+    ("sum too long", long_sum(MAX_NESTING + 1), TOO_DEEP,
+     2, 4 * MAX_NESTING + 8),
 ]
 
 
@@ -149,6 +175,19 @@ def test_error_positions(text, message, line, col):
         parse_program(text)
     assert (str(info.value), info.value.line, info.value.col) == \
         (f"{line}:{col}: {message}", line, col)
+
+
+def test_nesting_levels_close():
+    """A level closes with the block or expression that opened it, so
+    statements side by side may each reach the bound."""
+    n = MAX_NESTING
+    deep = [nested_parens(n),
+            "x := 1" + " + 1" * n + ";\n",
+            "x := 1" + " & 1" * n + ";\n",
+            "x := 1" + " + 1 & 1" * (n - 1) + ";\n",
+            "x := " + "true ? " * n + "1" + " : 2" * n + ";\n",
+            "x := " + "length(" * n + "x" + ")" * n + ";\n"]
+    parse_program(nested_ifs(n) + "".join(deep * 2))
 
 
 def test_literal_pointer_address_warns():
