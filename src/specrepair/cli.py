@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import random
 import sys
 
 from . import corpus as corpus_mod
@@ -21,14 +22,13 @@ from .machine import (
     EXHAUSTIVE_MAX_LEN,
     MODE_HW,
     MODE_SLH,
-    applicable_directives,
+    WALK_MAX_LEN,
+    StateGraph,
     format_directive,
     format_observation,
-    initial_config,
     parse_schedule,
     run_schedule,
     sequential_schedule,
-    step,
 )
 from .parser import Program, parse_program, pretty_program
 from .repair import pipeline
@@ -106,7 +106,8 @@ def cmd_run_spec(args) -> int:
         directives = sequential_schedule(program.command, mem, rho,
                                          mode=args.mode)
     elif args.random is not None:
-        directives = _random_walk(program, mem, rho, args)
+        directives = StateGraph(program.command, mem, rho, args.mode).walk(
+            random.Random(args.seed), args.random).directives
     else:
         print("run-spec needs --schedule, --seq, or --random", file=sys.stderr)
         return 2
@@ -128,22 +129,6 @@ def cmd_run_spec(args) -> int:
               f"{result.stuck_reason}", file=sys.stderr)
         return 1
     return 0
-
-
-def _random_walk(program: Program, mem, rho, args) -> list:
-    import random as _random
-
-    rng = _random.Random(args.seed)
-    config = initial_config(program.command, mem, rho)
-    directives = []
-    while not config.terminal and len(directives) < args.random:
-        options = applicable_directives(config, args.mode)
-        if not options:
-            break
-        d = rng.choice(options)
-        config, _obs = step(config, d, args.mode)
-        directives.append(d)
-    return directives
 
 
 def cmd_check(args) -> int:
@@ -427,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=10)
     common(p)
     seed(p)
-    p.add_argument("--budget", type=int, default=400,
+    p.add_argument("--budget", type=int, default=WALK_MAX_LEN,
                    help="random walk length; exhaustive search takes at "
                         f"most min(budget, {EXHAUSTIVE_MAX_LEN}) directives")
     p.set_defaults(func=cmd_fuzz_sct)

@@ -218,20 +218,6 @@ def min_cut(g: DefUseGraph) -> list[str]:
     return max_flow_min_cut(g).cut
 
 
-def brute_force_min_cut(g: DefUseGraph, limit: int = 12) -> list[str]:
-    """Exhaustive smallest cut, for cross-checking on small graphs."""
-    from itertools import combinations
-
-    names = [a.name for a in g.candidates]
-    if len(names) > limit:
-        raise LangError(f"brute force limited to {limit} candidates")
-    for size in range(len(names) + 1):
-        for subset in combinations(names, size):
-            if is_cut(g, subset):
-                return list(subset)
-    raise Infeasible(_find_path(g.adjacency(), set(g.candidates)) or [])
-
-
 def extract_env(g: DefUseGraph, cut, variables: list[str]) -> dict[str, str]:
     """Typing environment induced by a cut: a variable is transient when the
     source still reaches its atom after the cut nodes are removed."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 from .lang import Policy, Value
@@ -16,13 +17,13 @@ from .machine import (
     CompletedRun,
     EXHAUSTIVE_MAX_LEN,
     MODE_HW,
-    Replayer,
+    WALK_MAX_LEN,
+    StateGraph,
     enumerate_schedules,
     exhaustive_runs,
     filter_trace,
     format_directive,
     is_reserved_name,
-    random_schedule,
     traces_equivalent,
 )
 from .parser import Program
@@ -135,8 +136,8 @@ class SctResult:
 
 
 def _compare_runs(program: Program, pair_index: int, run1: CompletedRun,
-                  replayer: Replayer) -> Optional[SctCounterexample]:
-    replay = replayer.run(run1.directives)
+                  graph2: StateGraph) -> Optional[SctCounterexample]:
+    replay = graph2.run(run1.directives)
     if not replay.ok:
         return SctCounterexample(
             pair_index, run1.directives, "stuck",
@@ -158,15 +159,19 @@ def _compare_runs(program: Program, pair_index: int, run1: CompletedRun,
 def sct_fuzz(program: Program, mode: str = MODE_HW,
              schedules: str = "random", schedule_count: int = 100,
              pairs: int = 10, seed: int = 0,
-             max_len: int = 400) -> SctResult:
+             max_len: int = WALK_MAX_LEN) -> SctResult:
     """Differential test of speculative constant time.
 
     For each policy-equivalent pair, complete schedules are drawn on the
     first state (exhaustively, or by seeded random walks) and replayed on the
     second; any raw-trace difference, public-state difference, or one-sided
     stuckness is a counterexample.  Raw traces are compared syntactically,
-    silent observations and prediction identifiers included.  A replay steps
-    only past the prefix it shares with the pair's previous schedule.
+    silent observations and prediction identifiers included.  Each side of
+    a pair has one `StateGraph`: the walks run on the first side's, the
+    replays on the second's, so a configuration that many schedules reach
+    is stepped once per directive, up to `machine.GRAPH_MAX_NODES`
+    configurations a side; steps past that cap are made plainly.  Both
+    sides are stepped even when the pair's two states are equal.
 
     Exhaustive search is capped at `min(max_len, 40)` directives, 5000
     schedules per pair and 400 000 explored configurations (the
@@ -183,27 +188,22 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
     state_pairs = gen_lequiv_pairs(program, pairs, seed)
     trials = 0
     for pair_index, pair in enumerate(state_pairs):
-        replayer = Replayer(command, pair.mem2, pair.rho2, mode)
+        graph2 = StateGraph(command, pair.mem2, pair.rho2, mode)
         if schedules == "exhaustive":
             runs = enumerate_schedules(
                 command, pair.mem1, pair.rho1, mode,
                 max_len=min(max_len, EXHAUSTIVE_MAX_LEN))
-            for run1 in runs:
-                trials += 1
-                bad = _compare_runs(program, pair_index, run1, replayer)
-                if bad:
-                    return SctResult(False, trials, bad)
         else:
+            graph1 = StateGraph(command, pair.mem1, pair.rho1, mode)
             rng = random.Random(f"sct:{seed}:{pair_index}")
-            for _ in range(schedule_count):
-                run1 = random_schedule(command, pair.mem1, pair.rho1, mode,
-                                       rng=rng, max_len=max_len)
-                if run1 is None:
-                    continue  # walk exceeded the budget; not a verdict
-                trials += 1
-                bad = _compare_runs(program, pair_index, run1, replayer)
-                if bad:
-                    return SctResult(False, trials, bad)
+            walks = (graph1.walk(rng, max_len) for _ in range(schedule_count))
+            # a walk cut off at `max_len` is not a verdict
+            runs = (run for run in walks if run.config.terminal)
+        for run1 in runs:
+            trials += 1
+            bad = _compare_runs(program, pair_index, run1, graph2)
+            if bad:
+                return SctResult(False, trials, bad)
     return SctResult(True, trials)
 
 
@@ -260,7 +260,9 @@ def consistency_suite(programs: list[tuple[str, Program]],
     must equal the sequential run's, and the filtered speculative trace must
     be a permutation of the sequential trace.
 
-    Each sampled schedule is a random walk of at most 400 directives.  A
+    Each sampled schedule is a random walk of at most
+    `machine.WALK_MAX_LEN` directives, and a program's walks share one
+    `StateGraph` (capped at `machine.GRAPH_MAX_NODES` configurations).  A
     program whose whole schedule space fits the `machine.EXHAUSTIVE_*`
     caps is swept exhaustively as well: at most 5000 complete schedules,
     every branch finished within 40 directives, and at most 400 000
@@ -280,16 +282,12 @@ def consistency_suite(programs: list[tuple[str, Program]],
             for run in complete_space:
                 check_consistency_run(name, program, run, seq_result, seed,
                                       report)
+        graph = StateGraph(program.command, mem, rho, mode)
         rng = random.Random(f"consistency:{seed}:{name}")
-        produced = 0
-        attempts = 0
-        while produced < per_program_schedules and \
-                attempts < 4 * per_program_schedules:
-            attempts += 1
-            run = random_schedule(program.command, mem, rho, mode, rng=rng)
-            if run is None:
-                continue
-            produced += 1
+        walks = (graph.walk(rng, WALK_MAX_LEN)
+                 for _ in range(4 * per_program_schedules))
+        complete = (run for run in walks if run.config.terminal)
+        for run in islice(complete, per_program_schedules):
             check_consistency_run(name, program, run, seq_result, seed,
                                   report)
     return report

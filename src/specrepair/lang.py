@@ -34,15 +34,6 @@ def label_join(l1: str, l2: str) -> str:
     return LABEL_SECRET if LABEL_SECRET in (l1, l2) else LABEL_PUBLIC
 
 
-def flow_leq(t1: str, t2: str) -> bool:
-    """Transient-flow lattice order: S below T, T never below S."""
-    return t1 == STABLE or t2 == TRANSIENT
-
-
-def flow_join(t1: str, t2: str) -> str:
-    return TRANSIENT if TRANSIENT in (t1, t2) else STABLE
-
-
 @dataclass(frozen=True, slots=True)
 class ArrayDecl:
     """A named array occupying memory cells [base, base + length)."""

@@ -60,7 +60,7 @@ from .lang import (
     eval_expr,
     is_nat,
 )
-from .seq import BudgetExceeded, SeqFail, SeqRead, SeqWrite
+from .seq import DEFAULT_BUDGET, BudgetExceeded, SeqFail, SeqRead, SeqWrite
 
 MODE_HW = "hw"
 MODE_SLH = "slh"
@@ -558,43 +558,6 @@ def run_schedule(c: Command, mem, rho, directives,
     return RunResult(config, trace)
 
 
-class Replayer:
-    """`run_schedule` from one initial configuration, for many schedules.
-
-    It keeps the configuration, observation and directive at each depth of
-    the last schedule it ran, and steps a new schedule only past the prefix
-    the two share, so consecutive depth-first schedules cost their suffix.
-    Prefixes are compared by identity: directives are shared singletons,
-    and a false mismatch only costs sharing.
-    """
-
-    def __init__(self, c: Command, mem, rho, mode: str = MODE_HW):
-        self._mode = mode
-        self._configs = [initial_config(c, mem, rho)]
-        self._trace: list = []
-        self._directives: list = []
-
-    def run(self, directives) -> RunResult:
-        configs, trace, done = self._configs, self._trace, self._directives
-        shared = 0
-        limit = min(len(done), len(directives))
-        while shared < limit and directives[shared] is done[shared]:
-            shared += 1
-        del configs[shared + 1:], trace[shared:], done[shared:]
-        config = configs[-1]
-        for k in range(shared, len(directives)):
-            d = directives[k]
-            result = step(config, d, self._mode)
-            if type(result) is Stuck:
-                return RunResult(config, list(trace), stuck_at=k,
-                                 stuck_reason=result.reason)
-            config, obs = result
-            configs.append(config)
-            trace.append(obs)
-            done.append(d)
-        return RunResult(config, list(trace))
-
-
 def _defined(e: Expr, trho) -> Optional[Value]:
     try:
         return eval_expr(e, trho)
@@ -683,7 +646,7 @@ def _options(config: Config, mode: str) -> list:
 
 
 def sequential_schedule(c: Command, mem, rho, mode: str = MODE_HW,
-                        budget: int = 10 ** 6) -> list:
+                        budget: int = DEFAULT_BUDGET) -> list:
     """A schedule that executes and retires every instruction as soon as it
     is fetched, predicting each branch with its actual outcome, so the run
     mirrors the sequential semantics and never rolls back."""
@@ -748,7 +711,7 @@ def _config_key(config: Config, ids: tuple, parent: tuple,
     d, old, old_codes = parent
     if buffer is old:
         made = old_codes
-    elif d is RETIRE:
+    elif type(d) is Retire:
         made = old_codes[1:len(buffer) + 1]
     elif d is None:
         made = tuple([_code(x, codes) for x in buffer])
@@ -954,28 +917,104 @@ def exhaustive_runs(c: Command, mem, rho, mode: str = MODE_HW,
     return runs if len(runs) == count else None
 
 
+# Directives in one random walk: `random_schedule`, `sct_fuzz`,
+# `consistency_suite` and `fuzz-sct --budget`.
+WALK_MAX_LEN = 400
+
+# Nodes one `StateGraph` keeps.  On the sct-random benchmark (seed 1, one
+# process on a shared 2-vCPU virtual machine), 100, 250, 500 and 1000 gave
+# 20 200, 21 800, 23 800 and 23 200 trials/s; peak RSS was 24.4 MB at 500
+# and 29.1 MB uncapped (one `loop_protect` SLH pair reaches 2 850 nodes a
+# side), against 23.7 MB with no graph.
+GRAPH_MAX_NODES = 500
+
+
+class _Node:
+    """A `StateGraph` configuration with its `_retired_ids` ids, its key's
+    instruction codes (None off the graph), its applicable directives once
+    asked for, and its edges: directive -> (child, observation) or Stuck."""
+
+    __slots__ = ("config", "ids", "codes", "options", "edges")
+
+    def __init__(self, config: Config, ids, codes) -> None:
+        self.config, self.ids, self.codes = config, ids, codes
+        self.options, self.edges = None, {}
+
+
+class StateGraph:
+    """The transitions from one initial configuration, stepped lazily and
+    shared by every run and walk from it.  Nodes are merged by
+    `_config_key`, as in the explorers, and edges are keyed by directive
+    value.  Once the graph holds `GRAPH_MAX_NODES` nodes, a step it has not
+    kept is made plainly, with no key and nothing kept, and so is the rest
+    of that run.  Returned configurations share the graph's `mem` and
+    `vars` dicts: callers must not mutate them."""
+
+    def __init__(self, c: Command, mem, rho, mode: str = MODE_HW):
+        self._mode = mode
+        self._writes: dict = {}  # see `_retired_ids`
+        self._codes: dict = {}  # see `_code`
+        config = initial_config(c, mem, rho)
+        key = _config_key(config, (0, 0), (None, (), ()), self._codes)
+        self._root = _Node(config, (0, 0), key[0])
+        self._nodes = {key: self._root}
+
+    def _step(self, node: _Node, d: Directive):
+        """(child, observation) for `d` from `node`, or the `Stuck`."""
+        result = step(node.config, d, self._mode)
+        if len(self._nodes) >= GRAPH_MAX_NODES:  # a full graph stays full
+            if type(result) is Stuck:
+                return result
+            return _Node(result[0], None, None), result[1]
+        if type(result) is not Stuck:
+            config, obs = result
+            ids = node.ids if type(d) is not Retire else _retired_ids(
+                node.config, node.ids, self._writes)
+            key = _config_key(config, ids, (d, node.config.buffer,
+                                            node.codes), self._codes)
+            child = self._nodes.get(key)
+            if child is None:
+                child = self._nodes[key] = _Node(config, ids, key[0])
+            result = child, obs
+        node.edges[d] = result
+        return result
+
+    def run(self, directives) -> RunResult:
+        """`run_schedule` of `directives` from the initial configuration."""
+        node, trace = self._root, []
+        for k, d in enumerate(directives):
+            edge = node.edges.get(d) or self._step(node, d)
+            if type(edge) is Stuck:
+                return RunResult(node.config, trace, k, edge.reason)
+            node, obs = edge
+            trace.append(obs)
+        return RunResult(node.config, trace)
+
+    def walk(self, rng: random.Random, max_len: int) -> CompletedRun:
+        """A uniformly random walk, each directive `rng.choice` of the
+        applicable ones.  It stops after `max_len` directives or where none
+        applies, so it is complete only if its config is terminal."""
+        node, directives, trace = self._root, [], []
+        while len(directives) < max_len:
+            if node.options is None:
+                node.options = applicable_directives(node.config, self._mode)
+            if not node.options:
+                break
+            d = rng.choice(node.options)
+            node, obs = node.edges.get(d) or self._step(node, d)
+            directives.append(d)
+            trace.append(obs)
+        return CompletedRun(tuple(directives), tuple(trace), node.config)
+
+
 def random_schedule(c: Command, mem, rho, mode: str = MODE_HW, *,
                     rng: random.Random,
-                    max_len: int = 400) -> Optional[CompletedRun]:
+                    max_len: int = WALK_MAX_LEN) -> Optional[CompletedRun]:
     """A uniformly random walk over applicable directives, drawn from
     `rng`; None if no terminal configuration is reached within `max_len`
     steps."""
-    config = initial_config(c, mem, rho)
-    directives: list = []
-    trace: list = []
-    while not config.terminal:
-        if len(directives) >= max_len:
-            return None
-        options = applicable_directives(config, mode)
-        if not options:
-            return None
-        d = rng.choice(options)
-        result = step(config, d, mode)
-        assert not isinstance(result, Stuck), (d, result)
-        config, obs = result
-        directives.append(d)
-        trace.append(obs)
-    return CompletedRun(tuple(directives), tuple(trace), config)
+    run = StateGraph(c, mem, rho, mode).walk(rng, max_len)
+    return run if run.config.terminal else None
 
 
 # ---------------------------------------------------------------------------

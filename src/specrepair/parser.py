@@ -97,7 +97,7 @@ class Program:
     init_vars: dict[str, Value]
     policy: Policy
     warnings: list[str] = field(default_factory=list)
-    _init_cells: dict[int, Value] = field(default_factory=dict)
+    init_cells: dict[int, Value] = field(default_factory=dict)
 
     def variables(self) -> list[str]:
         """The variable universe: declared plus assigned names, sorted."""
@@ -115,7 +115,7 @@ class Program:
         for a in self.arrays.values():
             for i in range(a.length):
                 mem.setdefault(a.base + i, 0)
-        mem.update(self._init_cells)
+        mem.update(self.init_cells)
         mem[0] = 0
         return mem
 
@@ -261,15 +261,14 @@ class _Parser:
             raise self.error("empty program: at least one statement required")
         command = seq_all(commands)
         policy = self._resolve_policy(command)
-        program = Program(
+        return Program(
             command=command,
             arrays=self.arrays,
             init_vars=self.init_vars,
             policy=policy,
             warnings=self.warnings,
+            init_cells=self.init_cells,
         )
-        program._init_cells = self.init_cells
-        return program
 
     def parse_new_name(self) -> str:
         """The name a declaration introduces, checked at its token."""
@@ -668,7 +667,7 @@ def pretty_program(program: Program) -> str:
     lines: list[str] = []
     for a in program.arrays.values():
         decl = f"array {a.name} base={a.base} len={a.length} label={a.label}"
-        cells = [program._init_cells.get(a.base + i) for i in range(a.length)]
+        cells = [program.init_cells.get(a.base + i) for i in range(a.length)]
         if any(v is not None for v in cells):
             init = ",".join(str(v if v is not None else 0) for v in cells)
             decl += f" init=[{init}]"

@@ -13,8 +13,7 @@ import pytest
 from specrepair.cli import main as cli_main
 from specrepair.corpus import corpus_path, load_program, \
     schedule_path
-from specrepair.graphcut import brute_force_min_cut, build_graph, is_cut, \
-    min_cut
+from specrepair.graphcut import build_graph, is_cut, min_cut
 from specrepair.harness import consistency_suite, gen_lequiv_pairs, sct_fuzz
 from specrepair.lang import (
     ArrayRead,
@@ -44,6 +43,7 @@ from specrepair.parser import Program, pretty_program
 from specrepair.repair import pipeline
 from specrepair.typesys import Mode, generate_constraints, least_type_env, \
     typecheck_ct, typecheck_transient
+from tests.cut_oracle import brute_force_min_cut
 from tests.test_graphcut import random_graph
 
 
@@ -166,7 +166,7 @@ def test_criterion_6_soundness_and_sct(corpus):
                                   program.variables())
                 repaired = Program(report.repaired, program.arrays,
                                    program.init_vars, program.policy, [],
-                                   program._init_cells)
+                                   program.init_cells)
                 text = pretty_program(repaired)
                 for machine_mode in (MODE_HW, MODE_SLH):
                     key = (text, machine_mode)

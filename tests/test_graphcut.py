@@ -7,7 +7,6 @@ import pytest
 from specrepair.graphcut import (
     DefUseGraph,
     Infeasible,
-    brute_force_min_cut,
     build_graph,
     extract_env,
     is_cut,
@@ -25,6 +24,7 @@ from specrepair.typesys import (
     VarAtom,
     generate_constraints,
 )
+from tests.cut_oracle import brute_force_min_cut
 
 
 def _graph(ex1, mode=Mode()):

@@ -35,10 +35,10 @@ from specrepair.machine import (
     Nop,
     ProtectI,
     ReadObs,
-    Replayer,
     Retire,
     RollbackObs,
     SILENT,
+    StateGraph,
     StoreI,
     Stuck,
     WriteObs,
@@ -258,24 +258,58 @@ def _same_result(a, b) -> bool:
         (b.config, b.trace, b.stuck_at, b.stuck_reason)
 
 
+def _reference_walk(program, mode, rng) -> tuple:
+    """A random walk the way the graph must draw it: `rng.choice` over
+    `applicable_directives`, then `step`."""
+    config = initial_config(program.command, program.initial_memory(),
+                            program.initial_var_map())
+    directives: list = []
+    while len(directives) < machine.WALK_MAX_LEN:
+        options = applicable_directives(config, mode)
+        if not options:
+            break
+        d = rng.choice(options)
+        config, _obs = step(config, d, mode)
+        directives.append(d)
+    return tuple(directives)
+
+
 @pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
-def test_replayer_matches_fresh_replays(ex1, mode):
-    # depth-first schedules interleaved with cut-short and stuck variants:
-    # each replay, sharing a prefix or not, equals a replay from scratch
-    mem, rho = ex1.initial_memory(), ex1.initial_var_map()
-    replayer = Replayer(ex1.command, mem, rho, mode)
-    rng = random.Random(3)
+def test_state_graph_matches_fresh_runs(corpus, mode, monkeypatch):
+    # walks draw the reference walk's directives; walks and depth-first
+    # schedules, whole, cut short or sent stuck by built-again directives,
+    # replay as `run_schedule` runs them; all with the graph's cap as it
+    # is and cut down to a few nodes
     stuck = 0
-    for run in enumerate_schedules(ex1.command, mem, rho, mode,
-                                   max_schedules=200):
-        cut = run.directives[:rng.randrange(len(run.directives))]
-        for directives in (run.directives, cut, cut + (Exec(30),),
-                           cut + (Retire(),), run.directives):
-            got = replayer.run(directives)
-            want = run_schedule(ex1.command, mem, rho, directives, mode)
-            assert _same_result(got, want), directives
-            stuck += not got.ok
-    assert stuck > 200
+    for cap in (machine.GRAPH_MAX_NODES, 60, 3):
+        monkeypatch.setattr(machine, "GRAPH_MAX_NODES", cap)
+        for name, program in corpus:
+            mem, rho = program.initial_memory(), program.initial_var_map()
+            graph = StateGraph(program.command, mem, rho, mode)
+            rng, reference = random.Random(name), random.Random(name)
+            walks = [graph.walk(rng, machine.WALK_MAX_LEN) for _ in range(3)]
+            for walk in walks:
+                assert walk.directives == _reference_walk(
+                    program, mode, reference), name
+                fresh = run_schedule(program.command, mem, rho,
+                                     walk.directives, mode)
+                assert (walk.config, list(walk.trace)) == \
+                    (fresh.config, fresh.trace), name
+            cuts = random.Random(3)
+            for run in walks + list(enumerate_schedules(
+                    program.command, mem, rho, mode, max_schedules=10)):
+                cut = run.directives[:cuts.randrange(len(run.directives))]
+                rebuilt = tuple(Retire() if d == Retire() else d
+                                for d in run.directives)
+                for directives in (run.directives, cut, cut + (Exec(30),),
+                                   cut + (Retire(),), rebuilt):
+                    got = graph.run(directives)
+                    want = run_schedule(program.command, mem, rho,
+                                        directives, mode)
+                    assert _same_result(got, want), (name, directives)
+                    stuck += not got.ok
+            assert len(graph._nodes) <= cap, name
+    assert stuck > 1000
 
 
 def test_fig6_replay(ex1):

@@ -54,8 +54,6 @@ from specrepair.lang import (
     command_vars,
     commands,
     expr_vars,
-    flow_join,
-    flow_leq,
     is_constant_expr,
     label_flows_to,
     label_join,
@@ -74,6 +72,15 @@ from specrepair.typesys import (
     policy_label_maps,
     typecheck_ct,
 )
+
+
+def flow_leq(t1: str, t2: str) -> bool:
+    """Transient-flow lattice order: S below T, T never below S."""
+    return t1 == STABLE or t2 == TRANSIENT
+
+
+def flow_join(t1: str, t2: str) -> str:
+    return TRANSIENT if TRANSIENT in (t1, t2) else STABLE
 
 
 # ---------------------------------------------------------------------------
