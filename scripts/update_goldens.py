@@ -32,6 +32,8 @@ GOLDEN_COMMANDS = {
                             "--mode", "slh", "--json"],
     "fuzz_sct": ["fuzz-sct", "--schedules", "random:20", "--pairs", "2",
                  "--seed", "1", "--json"],
+    "fuzz_sct_exhaustive": ["fuzz-sct", "--schedules", "exhaustive",
+                            "--pairs", "2", "--seed", "7", "--json"],
     "graph": ["graph", "--json"],
 }
 
