@@ -25,8 +25,6 @@ from .machine import (
 from .typesys import (
     Mode,
     generate_constraints,
-    satisfiable,
-    solve,
     typecheck_ct,
     typecheck_transient,
 )
@@ -40,7 +38,7 @@ __all__ = [
     "MODE_HW", "MODE_SLH", "enumerate_schedules", "filter_trace",
     "random_schedule", "run_schedule", "sequential_schedule", "step",
     "traces_equivalent", "transient_map", "Mode", "generate_constraints",
-    "satisfiable", "solve", "typecheck_ct", "typecheck_transient",
+    "typecheck_ct", "typecheck_transient",
     "build_graph", "extract_env", "is_cut", "min_cut", "baseline_repair",
     "pipeline", "repair", "consistency_suite", "gen_lequiv_pairs",
     "sct_fuzz",

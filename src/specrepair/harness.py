@@ -19,12 +19,12 @@ from .machine import (
     MODE_HW,
     WALK_MAX_LEN,
     StateGraph,
-    enumerate_schedules,
     exhaustive_runs,
     filter_trace,
     format_directive,
     is_reserved_name,
     traces_equivalent,
+    unwind,
 )
 from .parser import Program
 from .seq import DEFAULT_BUDGET, run_sequential
@@ -135,25 +135,25 @@ class SctResult:
     counterexample: Optional[SctCounterexample] = None
 
 
-def _compare_runs(program: Program, pair_index: int, run1: CompletedRun,
-                  graph2: StateGraph) -> Optional[SctCounterexample]:
-    replay = graph2.run(run1.directives)
-    if not replay.ok:
-        return SctCounterexample(
-            pair_index, run1.directives, "stuck",
-            f"second run stuck at directive {replay.stuck_at}: "
-            f"{replay.stuck_reason}")
-    if list(run1.trace) != list(replay.trace):
-        return SctCounterexample(
-            pair_index, run1.directives, "trace",
-            "observation traces differ under identical directives")
-    if not l_equivalent(program.policy, program,
-                        run1.config.mem, run1.config.vars,
-                        replay.config.mem, replay.config.vars):
-        return SctCounterexample(
-            pair_index, run1.directives, "state",
-            "final states differ on public data")
+def _difference(program: Program, config1, config2, agreed) -> Optional[tuple]:
+    """Kind and detail of a counterexample: the second run got stuck
+    (`agreed` is its index and reason), its trace or its public state."""
+    if type(agreed) is tuple:
+        return "stuck", (f"second run stuck at directive {agreed[0]}: "
+                         f"{agreed[1]}")
+    if not agreed:
+        return "trace", "observation traces differ under identical directives"
+    if not l_equivalent(program.policy, program, config1.mem, config1.vars,
+                        config2.mem, config2.vars):
+        return "state", "final states differ on public data"
     return None
+
+
+def _replayed(run1: CompletedRun, graph2: StateGraph) -> tuple:
+    run2 = graph2.run(run1.directives)
+    agreed = (run2.stuck_at, run2.stuck_reason) if not run2.ok \
+        else list(run1.trace) == run2.trace
+    return run1.config, run1.directives, run2.config, agreed
 
 
 def sct_fuzz(program: Program, mode: str = MODE_HW,
@@ -163,47 +163,40 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
     """Differential test of speculative constant time.
 
     For each policy-equivalent pair, complete schedules are drawn on the
-    first state (exhaustively, or by seeded random walks) and replayed on the
-    second; any raw-trace difference, public-state difference, or one-sided
-    stuckness is a counterexample.  Raw traces are compared syntactically,
-    silent observations and prediction identifiers included.  Each side of
-    a pair has one `StateGraph`: the walks run on the first side's, the
-    replays on the second's, so a configuration that many schedules reach
-    is stepped once per directive, up to `machine.GRAPH_MAX_NODES`
-    configurations a side; steps past that cap are made plainly.  Both
-    sides are stepped even when the pair's two states are equal.
-
-    Exhaustive search is capped at `min(max_len, 40)` directives, 5000
-    schedules per pair and 400 000 explored configurations (the
-    `machine.EXHAUSTIVE_*` caps), so a pass says no more than that no
-    counterexample was found within the caps.  The search skips
-    configurations it has already found to reach no complete schedule (see
-    `enumerate_schedules`), which lets loop programs such as `while_count`
-    yield their schedules within the node cap.  A program whose sequential
-    run is longer than the directive cap (`loop_protect`,
-    `sha2_update_last`) has no complete schedule within it: it passes with
-    0 trials and no search, which is not evidence (ROADMAP item 2).
+    first state (exhaustively, or by seeded random walks) and run on the
+    second.  A one-sided stuck run, a raw-trace difference or a public-state
+    difference is a counterexample, tested in that order.  Raw traces are
+    compared syntactically, silent observations and prediction identifiers
+    included.  Each side of a pair has one `StateGraph`, also when the two
+    states are equal.  Walks are replayed on the second side's graph; the
+    exhaustive search (`enumerate_schedules`, capped by the
+    `machine.EXHAUSTIVE_*` caps and `max_len`) runs on the first side's,
+    and the second side's follows each complete schedule from where it
+    left the one before, in lockstep, so nothing is replayed.  A pass says
+    no more than that no counterexample was found within the caps.
     """
     command = program.command
-    state_pairs = gen_lequiv_pairs(program, pairs, seed)
+    exhaustive = schedules == "exhaustive"
     trials = 0
-    for pair_index, pair in enumerate(state_pairs):
+    for pair_index, pair in enumerate(gen_lequiv_pairs(program, pairs, seed)):
+        graph1 = StateGraph(command, pair.mem1, pair.rho1, mode)
         graph2 = StateGraph(command, pair.mem2, pair.rho2, mode)
-        if schedules == "exhaustive":
-            runs = enumerate_schedules(
-                command, pair.mem1, pair.rho1, mode,
-                max_len=min(max_len, EXHAUSTIVE_MAX_LEN))
+        if exhaustive:
+            runs = ((config1, path, *graph2.follow(path)) for config1, path
+                    in graph1.schedules(min(max_len, EXHAUSTIVE_MAX_LEN)))
         else:
-            graph1 = StateGraph(command, pair.mem1, pair.rho1, mode)
             rng = random.Random(f"sct:{seed}:{pair_index}")
             walks = (graph1.walk(rng, max_len) for _ in range(schedule_count))
             # a walk cut off at `max_len` is not a verdict
-            runs = (run for run in walks if run.config.terminal)
-        for run1 in runs:
+            runs = (_replayed(run, graph2) for run in walks
+                    if run.config.terminal)
+        for config1, schedule, config2, agreed in runs:
             trials += 1
-            bad = _compare_runs(program, pair_index, run1, graph2)
-            if bad:
-                return SctResult(False, trials, bad)
+            found = _difference(program, config1, config2, agreed)
+            if found:
+                directives = unwind(schedule)[0] if exhaustive else schedule
+                return SctResult(False, trials, SctCounterexample(
+                    pair_index, directives, *found))
     return SctResult(True, trials)
 
 
@@ -262,14 +255,10 @@ def consistency_suite(programs: list[tuple[str, Program]],
 
     Each sampled schedule is a random walk of at most
     `machine.WALK_MAX_LEN` directives, and a program's walks share one
-    `StateGraph` (capped at `machine.GRAPH_MAX_NODES` configurations).  A
-    program whose whole schedule space fits the `machine.EXHAUSTIVE_*`
-    caps is swept exhaustively as well: at most 5000 complete schedules,
-    every branch finished within 40 directives, and at most 400 000
-    configurations for a plain depth-first search.  `exhaustive_runs`
-    decides this by counting the space over cached configurations before
-    it enumerates any schedule, so a space that does not fit costs only
-    the count."""
+    `StateGraph`.  A program whose whole schedule space fits the
+    `machine.EXHAUSTIVE_*` caps is swept exhaustively as well
+    (`exhaustive_runs`, which counts the space before it enumerates any
+    schedule, so a space that does not fit costs only the count)."""
     report = ConsistencyReport()
     for name, program in programs:
         seq_result = run_sequential(program.command, program.initial_memory(),

@@ -701,7 +701,7 @@ def _config_key(config: Config, ids: tuple, parent: tuple,
     as the ids `_retired_ids` gives their contents.  Each instruction
     enters as its `_code`.  `parent` is the directive, buffer and
     instruction codes of the configuration `config` was stepped from, or
-    (None, (), ()).  A step changes the buffer in one place (fetch appends,
+    `_NO_PARENT`.  A step changes the buffer in one place (fetch appends,
     `exec i` rewrites position i and a rollback also drops what follows
     it, retire drops the head), so only the instruction it made is coded.
     Values are told apart by kind as well as by value: `Lit(True)` and
@@ -731,11 +731,10 @@ def _code(instr: Instruction, codes: dict) -> int:
     return codes.setdefault(instr, len(codes))
 
 
+_NO_PARENT = (None, (), ())
+
 # The caps of every exhaustive search: directives per schedule, complete
 # schedules, and configurations a plain depth-first search may visit.
-# `sct_fuzz` lowers the directive cap to its walk length when that is
-# shorter; tests lower all three to reach their boundaries on small
-# programs.
 EXHAUSTIVE_MAX_LEN = 40
 EXHAUSTIVE_MAX_SCHEDULES = 5000
 EXHAUSTIVE_MAX_NODES = 400_000
@@ -747,77 +746,35 @@ def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
                         max_nodes: int = EXHAUSTIVE_MAX_NODES
                         ) -> Iterator[CompletedRun]:
     """Depth-first stream of complete schedules reaching a terminal
-    configuration within `max_len` directives.  Stuck or over-length
-    branches are silently abandoned; at most `max_schedules` runs are
-    yielded and at most `max_nodes` configurations explored.
-
-    Every complete schedule fetches, executes and retires the committed
-    path at least once, so none is shorter than `sequential_schedule`.
-    When that schedule exceeds `max_len` the stream is empty and no search
-    is made; such a program's SCT run (`loop_protect`, `sha2_update_last`
-    at 40 directives) reports `pass` with 0 trials, which is not evidence
-    (ROADMAP item 2).
+    configuration within `max_len` directives, searched on a `StateGraph`
+    (`StateGraph.schedules`).  Stuck or over-length branches are silently
+    abandoned; at most `max_schedules` runs are yielded and at most
+    `max_nodes` configurations explored.  No complete schedule is shorter
+    than `sequential_schedule`; when that one exceeds `max_len` no search is
+    made, so `loop_protect` and `sha2_update_last` pass SCT with 0 trials,
+    which is not evidence (ROADMAP item 2).
 
     The search remembers each configuration whose subtree yielded no
-    complete schedule, with the number of directives it had left, and does
-    not enter it again with as many or fewer (state-space caching, as in
-    Holzmann's "Tracing Protocols", 1985).  Such a subtree would yield
-    nothing again, so the stream is that of the plain depth-first search;
-    the memo only makes `max_nodes` reach further, so a stream that cap
-    cut short can grow.  Loops reach one configuration along very many
-    interleavings: repaired `while_count` and `while_transient` yield 5000
-    schedules within about 45 000 configurations, where the plain search
-    found none in 400 000.  The memo lives for one search, holds only the
-    dead configurations, and builds no key until it holds one.
+    complete schedule, with the directives it had left, and does not enter
+    it again with as many or fewer (state-space caching, as in Holzmann's
+    "Tracing Protocols", 1985).  The stream is that of the plain search;
+    the memo only makes `max_nodes` reach further.  Repaired `while_count`
+    and `while_transient` yield 5000 schedules within about 45 000
+    configurations, where the plain search found none in 400 000.
     """
-    try:
-        sequential_schedule(c, mem, rho, mode, budget=max_len)
-    except BudgetExceeded:
-        return
-    except LangError:
-        pass  # no sequential run to bound the search by
-    produced = 0
-    explored = 0
-    dead: dict = {}  # configuration key -> directives it had left
-    writes: dict = {}  # see `_retired_ids`
-    codes: dict = {}  # see `_code`
-    no_parent = (None, (), ())
-    # Entries are (configuration, directives, trace, state ids, what
-    # `_config_key` takes from the parent) to visit, or, once every child
-    # of a configuration has been visited, (None, configuration, state ids,
-    # its key or None, directives it had left, schedules yielded before).
-    stack: list = [(initial_config(c, mem, rho), (), (), (0, 0), no_parent)]
-    while stack:
-        entry = stack.pop()
-        if entry[0] is None:
-            _, config, ids, key, left, before = entry
-            if produced == before:
-                dead[key or _config_key(config, ids, no_parent, codes)] = left
-            continue
-        config, directives, trace, ids, parent = entry
-        explored += 1
-        if explored > max_nodes:
-            return
-        if config.terminal:
-            yield CompletedRun(directives, trace, config)
-            produced += 1
-            if produced >= max_schedules:
-                return
-            continue
-        left = max_len - len(directives)
-        if left <= 0:
-            continue
-        key = None
-        if dead:  # a search that finds no dead configuration builds no key
-            key = _config_key(config, ids, parent, codes)
-            if dead.get(key, 0) >= left:
-                continue
-        stack.append((None, config, ids, key, left, produced))
-        stack.extend(reversed([
-            (cfg, directives + (d,), trace + (obs,),
-             ids if d is not RETIRE else _retired_ids(config, ids, writes),
-             no_parent if key is None else (d, config.buffer, key[0]))
-            for d, cfg, obs in _options(config, mode)]))
+    graph = StateGraph(c, mem, rho, mode)
+    for config, path in graph.schedules(max_len, max_schedules, max_nodes):
+        yield CompletedRun(*unwind(path), config)
+
+
+def unwind(path) -> tuple[tuple, tuple]:
+    """The directives and the trace along a `StateGraph.schedules` path."""
+    directives, trace = [], []
+    while path is not None:
+        path, d, obs, _ = path
+        directives.append(d)
+        trace.append(obs)
+    return tuple(reversed(directives)), tuple(reversed(trace))
 
 
 def _retired_ids(config: Config, ids: tuple, writes: dict) -> tuple:
@@ -845,14 +802,9 @@ def _count_space(c: Command, mem, rho, mode: str, max_len: int, limit: int,
     any memo) finds within `max_len` directives, or None when that search
     would stop short of the whole space: past `limit` schedules, past
     `max_nodes` visited configurations, or at a configuration that is not
-    terminal with no directive left.
-
-    The plain search visits a configuration once per path to it; this pass
-    visits each (configuration, directives left) once and takes the nodes
-    and schedules of its subtree from a memo the next time (state-space
-    caching, as in Holzmann's "Tracing Protocols", 1985).  It keeps running
-    totals of what the plain search would have visited so far and stops as
-    soon as one passes its cap.
+    terminal with no directive left.  Each (configuration, directives left)
+    is expanded once; the totals of its subtree come from a memo the next
+    time, and the pass stops as soon as one total passes its cap.
     """
     writes: dict = {}  # see `_retired_ids`
     codes: dict = {}  # see `_code`
@@ -862,8 +814,7 @@ def _count_space(c: Command, mem, rho, mode: str, max_len: int, limit: int,
     # the parent, directives left) to visit, or, once every child of a
     # configuration has been visited, (its memo key, and the totals before
     # it): the totals grow by exactly its subtree in between.
-    stack: list = [(initial_config(c, mem, rho), (0, 0), (None, (), ()),
-                    max_len)]
+    stack: list = [(initial_config(c, mem, rho), (0, 0), _NO_PARENT, max_len)]
     while stack:
         entry = stack.pop()
         if len(entry) == 3:
@@ -898,15 +849,12 @@ def exhaustive_runs(c: Command, mem, rho, mode: str = MODE_HW,
                     limit: int = EXHAUSTIVE_MAX_SCHEDULES,
                     max_nodes: int = EXHAUSTIVE_MAX_NODES) -> Optional[list]:
     """The complete schedule space within `max_len` directives, in the
-    depth-first order of `enumerate_schedules`, or None when it does not
-    fit: more than `limit` schedules, more than `max_nodes` configurations
-    visited by a plain depth-first search, or a branch still unfinished at
-    `max_len` directives.
-
-    Whether the space fits is decided first by `_count_space`, over
-    cached configurations, so a space that does not fit is never
-    enumerated.  One that fits is enumerated under the same caps, and
-    the result is still None unless it has as many schedules as counted.
+    order of `enumerate_schedules`, or None when it does not fit: more than
+    `limit` schedules, more than `max_nodes` configurations visited by a
+    plain depth-first search, or a branch unfinished at `max_len`
+    directives.  `_count_space` decides that first, so a space that does
+    not fit is never enumerated; one that fits is enumerated under the same
+    caps, and is still None unless it has as many schedules as counted.
     """
     count = _count_space(c, mem, rho, mode, max_len, limit, max_nodes)
     if count is None:
@@ -921,42 +869,41 @@ def exhaustive_runs(c: Command, mem, rho, mode: str = MODE_HW,
 # `consistency_suite` and `fuzz-sct --budget`.
 WALK_MAX_LEN = 400
 
-# Nodes one `StateGraph` keeps.  On the sct-random benchmark (seed 1, one
-# process on a shared 2-vCPU virtual machine), 100, 250, 500 and 1000 gave
-# 20 200, 21 800, 23 800 and 23 200 trials/s; peak RSS was 24.4 MB at 500
-# and 29.1 MB uncapped (one `loop_protect` SLH pair reaches 2 850 nodes a
-# side), against 23.7 MB with no graph.
+# Nodes one `StateGraph` keeps.  On sct-random (seed 1, shared 2-vCPU
+# machine) 100, 250, 500 and 1000 gave 20 200, 21 800, 23 800 and 23 200
+# trials/s; peak RSS was 24.4 MB at 500 and 29.1 MB uncapped.
 GRAPH_MAX_NODES = 500
 
 
 class _Node:
-    """A `StateGraph` configuration with its `_retired_ids` ids, its key's
-    instruction codes (None off the graph), its applicable directives once
-    asked for, and its edges: directive -> (child, observation) or Stuck."""
+    """A `StateGraph` configuration with its `_retired_ids` ids, its
+    `_config_key` (None if not worked out), its applicable directives once
+    asked for, its edges (directive -> (child, observation) or Stuck) and
+    the search's (directive, child, observation) list once expanded."""
 
-    __slots__ = ("config", "ids", "codes", "options", "edges")
+    __slots__ = ("config", "ids", "key", "options", "edges", "out")
 
-    def __init__(self, config: Config, ids, codes) -> None:
-        self.config, self.ids, self.codes = config, ids, codes
-        self.options, self.edges = None, {}
+    def __init__(self, config: Config, ids, key=None) -> None:
+        self.config, self.ids, self.key = config, ids, key
+        self.options, self.edges, self.out = None, {}, None
 
 
 class StateGraph:
     """The transitions from one initial configuration, stepped lazily and
-    shared by every run and walk from it.  Nodes are merged by
-    `_config_key`, as in the explorers, and edges are keyed by directive
-    value.  Once the graph holds `GRAPH_MAX_NODES` nodes, a step it has not
-    kept is made plainly, with no key and nothing kept, and so is the rest
-    of that run.  Returned configurations share the graph's `mem` and
-    `vars` dicts: callers must not mutate them."""
+    shared by every run, walk and search from it.  Nodes are merged by
+    `_config_key`, and edges are keyed by directive value.  Once the graph
+    holds `GRAPH_MAX_NODES` nodes, a step it has not kept is made plainly,
+    with no key and nothing kept, and so is the rest of that run.  Returned
+    configurations share the graph's `mem` and `vars` dicts: callers must
+    not mutate them."""
 
     def __init__(self, c: Command, mem, rho, mode: str = MODE_HW):
         self._mode = mode
         self._writes: dict = {}  # see `_retired_ids`
         self._codes: dict = {}  # see `_code`
         config = initial_config(c, mem, rho)
-        key = _config_key(config, (0, 0), (None, (), ()), self._codes)
-        self._root = _Node(config, (0, 0), key[0])
+        key = _config_key(config, (0, 0), _NO_PARENT, self._codes)
+        self._root = _Node(config, (0, 0), key)
         self._nodes = {key: self._root}
 
     def _step(self, node: _Node, d: Directive):
@@ -965,16 +912,16 @@ class StateGraph:
         if len(self._nodes) >= GRAPH_MAX_NODES:  # a full graph stays full
             if type(result) is Stuck:
                 return result
-            return _Node(result[0], None, None), result[1]
+            return _Node(result[0], None), result[1]
         if type(result) is not Stuck:
             config, obs = result
             ids = node.ids if type(d) is not Retire else _retired_ids(
                 node.config, node.ids, self._writes)
             key = _config_key(config, ids, (d, node.config.buffer,
-                                            node.codes), self._codes)
+                                            node.key[0]), self._codes)
             child = self._nodes.get(key)
             if child is None:
-                child = self._nodes[key] = _Node(config, ids, key[0])
+                child = self._nodes[key] = _Node(config, ids, key)
             result = child, obs
         node.edges[d] = result
         return result
@@ -1005,6 +952,94 @@ class StateGraph:
             directives.append(d)
             trace.append(obs)
         return CompletedRun(tuple(directives), tuple(trace), node.config)
+
+    def schedules(self, max_len: int = EXHAUSTIVE_MAX_LEN,
+                  max_schedules: int = EXHAUSTIVE_MAX_SCHEDULES,
+                  max_nodes: int = EXHAUSTIVE_MAX_NODES) -> Iterator[tuple]:
+        """The search of `enumerate_schedules`: (terminal configuration,
+        path) for each complete schedule, a path being a chain of [parent
+        path, directive, observation, None] links for `unwind` and `follow`.
+        A node of the graph is expanded once; a configuration expanded a
+        second time joins the graph while it has room, and any other is
+        expanded afresh on each visit."""
+        root = self._root.config
+        try:
+            sequential_schedule(root.stack[0], root.mem, root.vars,
+                                self._mode, budget=max_len)
+        except BudgetExceeded:
+            return
+        except LangError:
+            pass  # no sequential run to bound the search by
+        produced = explored = 0
+        memo: dict = {}  # expanded key -> directives left if dead, else 0
+        # Entries are (node, path, its length, the parent's buffer and key
+        # codes) to visit, or, once every child of a node has been visited,
+        # (None, its key, directives it had left, schedules before).
+        stack: list = [(self._root, None, 0, None)]
+        while stack:
+            entry = stack.pop()
+            if entry[0] is None:
+                _, key, left, before = entry
+                if produced == before:
+                    memo[key] = left
+                continue
+            node, path, depth, up = entry
+            explored += 1
+            if explored > max_nodes:
+                return
+            config = node.config
+            if not config.buffer and not config.stack:
+                yield config, path
+                produced += 1
+                if produced >= max_schedules:
+                    return
+                continue
+            left = max_len - depth
+            if left <= 0:
+                continue
+            key = node.key
+            if key is None:
+                key = node.key = _config_key(config, node.ids,
+                                             (path[1], *up), self._codes)
+            if memo.get(key, 0) >= left:
+                continue
+            stack.append((None, key, left, produced))
+            if node.out is None:  # not a node of the graph, or not expanded
+                node = self._nodes.get(key, node)
+            out = node.out
+            if out is None:
+                config, ids = node.config, node.ids
+                out = [(d, _Node(cfg, ids if d is not RETIRE else _retired_ids(
+                    config, ids, self._writes)), obs)
+                    for d, cfg, obs in _options(config, self._mode)]
+                if key in memo and len(self._nodes) < GRAPH_MAX_NODES:
+                    self._nodes[key] = node
+                if self._nodes.get(key) is node:
+                    node.out = out
+                memo.setdefault(key, 0)
+            up = node.config.buffer, key[0]
+            stack.extend(reversed([(child, [path, d, obs, None], depth + 1, up)
+                                   for d, child, obs in out]))
+
+    def follow(self, path) -> tuple:
+        """(configuration or None, agreement) of another graph's `schedules`
+        path run on this one: (index, reason) where it got stuck, else
+        whether every observation equalled the path's.  Links keep their
+        result, so paths follow one graph and a shared link steps once."""
+        pending = []
+        while path is not None and path[3] is None:
+            pending.append(path)
+            path = path[0]
+        node, agreed, depth = path[3] if path else (self._root, True, 0)
+        for link in reversed(pending):
+            if node is not None:
+                edge = node.edges.get(link[1]) or self._step(node, link[1])
+                node, agreed = (None, (depth, edge.reason)) \
+                    if type(edge) is Stuck \
+                    else (edge[0], agreed and edge[1] == link[2])
+            depth += 1
+            link[3] = node, agreed, depth
+        return node and node.config, agreed
 
 
 def random_schedule(c: Command, mem, rho, mode: str = MODE_HW, *,

@@ -461,23 +461,14 @@ def typecheck_transient(gamma: dict[str, str], prot: set[str], c: Command,
 
 
 # ---------------------------------------------------------------------------
-# Satisfiability and solutions
+# Reachability from the transient source
 # ---------------------------------------------------------------------------
 
 
-class Unsatisfiable(LangError):
-    pass
-
-
-def _adjacency(k: ConstraintSet) -> dict:
+def reachable_from_source(k: ConstraintSet) -> set:
     adj: dict = {}
     for e in k:
         adj.setdefault(e.src, []).append(e.dst)
-    return adj
-
-
-def reachable_from_source(k: ConstraintSet) -> set:
-    adj = _adjacency(k)
     seen: set = set()
     frontier = [T_SOURCE]
     while frontier:
@@ -487,20 +478,6 @@ def reachable_from_source(k: ConstraintSet) -> set:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
-
-
-def satisfiable(k: ConstraintSet) -> bool:
-    """True exactly when no path connects the source to the sink."""
-    return S_SINK not in reachable_from_source(k)
-
-
-def solve(k: ConstraintSet) -> dict:
-    """Least solution of a satisfiable constraint set: transient exactly on
-    the atoms the source reaches."""
-    reach = reachable_from_source(k)
-    if S_SINK in reach:
-        raise Unsatisfiable("constraints admit a transient-to-stable path")
-    return {a: TRANSIENT if a in reach else STABLE for a in k.atoms()}
 
 
 def least_type_env(k: ConstraintSet, variables: list[str]) -> dict[str, str]:

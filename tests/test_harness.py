@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from functools import partialmethod
 
 import pytest
 
-from specrepair.corpus import load_program
+from specrepair import machine
+from specrepair.corpus import corpus_names, load_program
 from specrepair.harness import (
     consistency_suite,
     gen_lequiv_pairs,
@@ -13,8 +15,10 @@ from specrepair.harness import (
     sct_fuzz,
 )
 from specrepair.machine import (
+    EXHAUSTIVE_MAX_SCHEDULES,
     MODE_HW,
     MODE_SLH,
+    StateGraph,
     enumerate_schedules,
     random_schedule,
     run_schedule,
@@ -135,14 +139,16 @@ def test_divergent_stuckness_is_a_violation():
 
 
 def _reference_sct(program, command, mode, schedules, pairs, seed,
-                   schedule_count=100, max_len=400):
+                   schedule_count=100, max_len=400,
+                   max_schedules=EXHAUSTIVE_MAX_SCHEDULES):
     """`sct_fuzz` with every schedule replayed afresh from the second
     state; (passed, trials, counterexample fields)."""
     trials = 0
     for index, pair in enumerate(gen_lequiv_pairs(program, pairs, seed)):
         if schedules == "exhaustive":
             runs = enumerate_schedules(command, pair.mem1, pair.rho1, mode,
-                                       max_len=min(max_len, 40))
+                                       max_len=min(max_len, 40),
+                                       max_schedules=max_schedules)
         else:
             rng = random.Random(f"sct:{seed}:{index}")
             runs = (random_schedule(command, pair.mem1, pair.rho1, mode,
@@ -177,30 +183,97 @@ def _repaired(name):
     return dataclasses.replace(program, command=report.repaired)
 
 
-@pytest.mark.parametrize("program, mode, schedules, pairs, seed", [
-    (load_program("ex1"), MODE_HW, "exhaustive", 2, 7),
-    (parse_program("array a base=1 len=2 label=L;\nvar s = 0;\n"
-                   "public x, a;\n"
-                   "if ((s & 1) < 1) { x := a[0]; } else { skip; }\n"),
-     MODE_HW, "exhaustive", 6, 21),
-    (_repaired("nested_if"), MODE_HW, "exhaustive", 2, 3),
-    (_repaired("protect_array_slh"), MODE_SLH, "exhaustive", 1, 3),
-    (_repaired("ex1_patched"), MODE_HW, "random", 3, 5),
-], ids=["ex1", "divergent_stuck", "nested_if", "protect_array_slh",
-        "random"])
-def test_sct_fuzz_matches_fresh_replays(program, mode, schedules, pairs,
-                                        seed):
-    # the prefix-sharing replay gives the verdict of replaying every
-    # schedule from scratch
-    result = sct_fuzz(program, mode=mode, schedules=schedules, pairs=pairs,
+_DIVERGENT_STUCK = ("array a base=1 len=2 label=L;\nvar s = 0;\n"
+                    "public x, a;\n"
+                    "if ((s & 1) < 1) { x := a[0]; } else { skip; }\n")
+
+# Schedules per pair in the corpus-wide cases.  At the machine's 5000 the
+# four of them take about 160 s on a shared 2-vCPU machine, two thirds of it
+# in the reference's fresh replays; a lower cap cuts the same depth-first
+# stream short.
+CORPUS_MAX_SCHEDULES = 150
+
+
+def _corpus(repair):
+    """(program, schedules, pairs, seed, schedule cap) for every corpus
+    program, as written or repaired, at two seeds."""
+    return [(_repaired(name) if repair else load_program(name),
+             "exhaustive", pairs, seed, CORPUS_MAX_SCHEDULES)
+            for name in corpus_names() for seed, pairs in ((0, 1), (7, 3))]
+
+
+@pytest.mark.parametrize("cases, mode", [
+    pytest.param(lambda: [(load_program("ex1"), "exhaustive", 2, 7,
+                           EXHAUSTIVE_MAX_SCHEDULES)], MODE_HW, id="ex1"),
+    pytest.param(lambda: [(parse_program(_DIVERGENT_STUCK), "exhaustive", 6,
+                           21, EXHAUSTIVE_MAX_SCHEDULES)], MODE_HW,
+                 id="divergent_stuck"),
+    pytest.param(lambda: [(_repaired("nested_if"), "exhaustive", 2, 3,
+                           EXHAUSTIVE_MAX_SCHEDULES)], MODE_HW,
+                 id="nested_if"),
+    pytest.param(lambda: [(_repaired("protect_array_slh"), "exhaustive", 1,
+                           3, EXHAUSTIVE_MAX_SCHEDULES)], MODE_SLH,
+                 id="protect_array_slh"),
+    pytest.param(lambda: [(_repaired("ex1_patched"), "random", 3, 5,
+                           EXHAUSTIVE_MAX_SCHEDULES)], MODE_HW, id="random"),
+    pytest.param(lambda: _corpus(False), MODE_HW, id="corpus-hw"),
+    pytest.param(lambda: _corpus(False), MODE_SLH, id="corpus-slh"),
+    pytest.param(lambda: _corpus(True), MODE_HW, id="repaired-hw"),
+    pytest.param(lambda: _corpus(True), MODE_SLH, id="repaired-slh"),
+])
+def test_sct_fuzz_matches_fresh_replays(cases, mode, monkeypatch):
+    # the lockstep search, and walks replayed on the second graph, give the
+    # verdict of replaying every schedule from scratch, with the graphs at
+    # their cap and cut down to 3 nodes (past which the search steps, and
+    # keys its memo, plainly)
+    results = []
+    for program, schedules, pairs, seed, max_schedules in cases():
+        want = _reference_sct(program, program.command, mode, schedules,
+                              pairs, seed, max_schedules=max_schedules)
+        for cap in (machine.GRAPH_MAX_NODES, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(machine, "GRAPH_MAX_NODES", cap)
+                patch.setattr(StateGraph, "schedules", partialmethod(
+                    StateGraph.schedules, max_schedules=max_schedules))
+                result = sct_fuzz(program, mode=mode, schedules=schedules,
+                                  pairs=pairs, seed=seed)
+            ce = result.counterexample
+            got = (result.passed, result.trials, ce and
+                   (ce.pair_index, ce.directives, ce.kind, ce.detail))
+            assert got == want, (program.command, seed, pairs, cap)
+            results.append(result)
+    assert any(not r.passed or r.trials > 1 for r in results)
+
+
+@pytest.mark.parametrize("source, pairs, seed, trials, kind, detail, lines", [
+    (_DIVERGENT_STUCK, 6, 21, 1, "stuck",
+     "second run stuck at directive 6: no instruction at buffer position 2",
+     "fetch true/fetch/fetch true/fetch/exec 3/exec 1/exec 2/retire/retire/"
+     "retire"),
+    ("var s = 0; var x = 0; public x; x := s;", 1, 0, 1, "state",
+     "final states differ on public data", "fetch/exec 1/retire"),
+    ("ex1", 2, 7, 1, "trace",
+     "observation traces differ under identical directives",
+     "fetch/fetch/fetch true/fetch/fetch/fetch/fetch true/fetch/fetch/fetch/"
+     "fetch/fetch true/fetch/exec 2/exec 4/exec 5/exec 7/exec 1/exec 3/"
+     "fetch/fetch/fetch/fetch/fetch true/fetch/exec 5/exec 7/exec 6/retire/"
+     "retire/retire/retire"),
+], ids=["stuck", "state", "trace"])
+def test_exhaustive_counterexample_of_each_kind(source, pairs, seed, trials,
+                                                kind, detail, lines):
+    # in the stuck case the traces already differ at directive 5, one
+    # before the second run gets stuck: stuck is reported first
+    program = load_program(source) if source == "ex1" \
+        else parse_program(source)
+    result = sct_fuzz(program, schedules="exhaustive", pairs=pairs,
                       seed=seed)
     ce = result.counterexample
-    got = (result.passed, result.trials, ce and
-           (ce.pair_index, ce.directives, ce.kind, ce.detail))
-    want = _reference_sct(program, program.command, mode, schedules, pairs,
-                          seed)
-    assert got == want
-    assert not result.passed or result.trials > 1
+    assert (result.passed, result.trials, ce.pair_index, ce.kind,
+            ce.detail, "/".join(ce.schedule_lines())) == \
+        (False, trials, 0, kind, detail, lines)
+    assert _reference_sct(program, program.command, MODE_HW, "exhaustive",
+                          pairs, seed) == \
+        (False, trials, (0, ce.directives, kind, detail))
 
 
 @pytest.mark.parametrize("name", ["while_count", "while_transient"])

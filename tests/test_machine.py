@@ -861,7 +861,9 @@ def test_step_never_mutates_its_input(corpus, mode):
 
 
 def test_exploration_never_mutates_a_configuration(monkeypatch):
-    # the depth-first explorer steps every sibling from one shared parent
+    # the depth-first explorer steps every sibling from one shared parent;
+    # past a graph of 3 nodes it steps each configuration on every visit
+    monkeypatch.setattr(machine, "GRAPH_MAX_NODES", 3)
     program = load_program("guard_chain")
     original_step = machine.step
     calls = 0

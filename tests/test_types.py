@@ -28,20 +28,20 @@ from specrepair.typesys import (
     Mode,
     S_SINK,
     T_SOURCE,
-    Unsatisfiable,
     VarAtom,
     generate_constraints,
     least_type_env,
-    satisfiable,
-    solve,
     typecheck_ct,
     typecheck_transient,
 )
 from typing_oracle import (
+    Unsatisfiable,
     config_well_typed_ct,
     config_well_typed_transient,
     induced_solution,
+    satisfiable,
     solution_satisfies,
+    solve,
 )
 
 A = ArrayDecl("a", 1, 2, "L")

@@ -14,7 +14,8 @@ mask-hardened-load rule of `_transient_rhs`.
 
 `induced_solution` and `solution_satisfies` read a constraint set as a
 system of inequalities over a substitution, independently of graph
-reachability.
+reachability; `satisfiable` and `solve` answer by reachability from the
+transient source, as the library's `least_type_env` does.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from specrepair.typesys import (
     VarAtom,
     Violation,
     policy_label_maps,
+    reachable_from_source,
     typecheck_ct,
 )
 
@@ -197,6 +199,24 @@ def typecheck_transient(gamma: dict[str, str], prot: set[str], c: Command,
 # ---------------------------------------------------------------------------
 # Constraint sets as inequalities
 # ---------------------------------------------------------------------------
+
+
+class Unsatisfiable(LangError):
+    pass
+
+
+def satisfiable(k: ConstraintSet) -> bool:
+    """True exactly when no path connects the source to the sink."""
+    return S_SINK not in reachable_from_source(k)
+
+
+def solve(k: ConstraintSet) -> dict:
+    """Least solution of a satisfiable constraint set: transient exactly on
+    the atoms the source reaches."""
+    reach = reachable_from_source(k)
+    if S_SINK in reach:
+        raise Unsatisfiable("constraints admit a transient-to-stable path")
+    return {a: TRANSIENT if a in reach else STABLE for a in k.atoms()}
 
 
 def induced_solution(k: ConstraintSet, gamma: dict[str, str]) -> dict:
