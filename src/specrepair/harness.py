@@ -168,12 +168,14 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
     difference is a counterexample, tested in that order.  Raw traces are
     compared syntactically, silent observations and prediction identifiers
     included.  Each side of a pair has one `StateGraph`, also when the two
-    states are equal.  Walks are replayed on the second side's graph; the
-    exhaustive search (`enumerate_schedules`, capped by the
-    `machine.EXHAUSTIVE_*` caps and `max_len`) runs on the first side's,
-    and the second side's follows each complete schedule from where it
-    left the one before, in lockstep, so nothing is replayed.  A pass says
-    no more than that no counterexample was found within the caps.
+    states are equal.  Walks are replayed on the second side's graph.  The
+    exhaustive search (`StateGraph.schedules`, capped by the
+    `machine.EXHAUSTIVE_*` caps and `max_len`) runs on the first side's
+    graph and follows each complete schedule on the second side's, so
+    nothing is replayed; a subtree it has already passed, entered again
+    with the same pair of configurations, comes back as a count of trials.
+    A pass says no more than that no counterexample was found within the
+    caps.
     """
     command = program.command
     exhaustive = schedules == "exhaustive"
@@ -182,15 +184,19 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
         graph1 = StateGraph(command, pair.mem1, pair.rho1, mode)
         graph2 = StateGraph(command, pair.mem2, pair.rho2, mode)
         if exhaustive:
-            runs = ((config1, path, *graph2.follow(path)) for config1, path
-                    in graph1.schedules(min(max_len, EXHAUSTIVE_MAX_LEN)))
+            runs = graph1.schedules(min(max_len, EXHAUSTIVE_MAX_LEN),
+                                    second=graph2)
         else:
             rng = random.Random(f"sct:{seed}:{pair_index}")
             walks = (graph1.walk(rng, max_len) for _ in range(schedule_count))
             # a walk cut off at `max_len` is not a verdict
             runs = (_replayed(run, graph2) for run in walks
                     if run.config.terminal)
-        for config1, schedule, config2, agreed in runs:
+        for run in runs:
+            if type(run) is int:  # schedules of subtrees that passed
+                trials += run
+                continue
+            config1, schedule, config2, agreed = run
             trials += 1
             found = _difference(program, config1, config2, agreed)
             if found:

@@ -797,45 +797,49 @@ def _retired_ids(config: Config, ids: tuple, writes: dict) -> tuple:
 
 
 def _count_space(c: Command, mem, rho, mode: str, max_len: int, limit: int,
-                 max_nodes: int) -> Optional[int]:
+                 max_nodes: int, graph: Optional[StateGraph] = None
+                 ) -> Optional[int]:
     """How many complete schedules a plain depth-first search (one without
     any memo) finds within `max_len` directives, or None when that search
     would stop short of the whole space: past `limit` schedules, past
     `max_nodes` visited configurations, or at a configuration that is not
     terminal with no directive left.  Each (configuration, directives left)
     is expanded once; the totals of its subtree come from a memo the next
-    time, and the pass stops as soon as one total passes its cap.
+    time, and the pass stops as soon as one total passes its cap.  The
+    count runs on `graph` (a new `StateGraph` if None), and every
+    configuration it expands joins the graph while the graph has room.
     """
-    writes: dict = {}  # see `_retired_ids`
-    codes: dict = {}  # see `_code`
+    graph = graph or StateGraph(c, mem, rho, mode)
     memo: dict = {}  # (configuration key, left) -> (nodes, schedules)
     nodes = schedules = 0
-    # Entries are (configuration, state ids, what `_config_key` takes from
-    # the parent, directives left) to visit, or, once every child of a
-    # configuration has been visited, (its memo key, and the totals before
-    # it): the totals grow by exactly its subtree in between.
-    stack: list = [(initial_config(c, mem, rho), (0, 0), _NO_PARENT, max_len)]
+    # Entries are (node, what `_config_key` takes from the parent,
+    # directives left) to visit, or, once every child of a configuration
+    # has been visited, (its memo key, and the totals before it): the
+    # totals grow by exactly its subtree in between.
+    stack: list = [(graph._root, None, max_len)]
     while stack:
         entry = stack.pop()
-        if len(entry) == 3:
-            at, nodes_before, schedules_before = entry
+        if len(entry) == 2:
+            at, (nodes_before, schedules_before) = entry
             memo[at] = (nodes - nodes_before, schedules - schedules_before)
             continue
-        config, ids, parent, left = entry
-        if config.terminal:
+        node, parent, left = entry
+        if node.config.terminal:
             counted = (1, 1)
         else:
-            key = _config_key(config, ids, parent, codes)
+            key = node.key
+            if key is None:
+                key = node.key = _config_key(node.config, node.ids, parent,
+                                             graph._codes)
             counted = memo.get((key, left))
             if counted is None:  # count it, then its children
                 if not left:
                     return None
-                stack.append(((key, left), nodes, schedules))
-                for d, cfg, _obs in _options(config, mode):
-                    stack.append((
-                        cfg, ids if d is not RETIRE else _retired_ids(
-                            config, ids, writes),
-                        (d, config.buffer, key[0]), left - 1))
+                stack.append(((key, left), (nodes, schedules)))
+                node, out = graph._expand(node, key, True)
+                buffer = node.config.buffer
+                stack.extend((child, (d, buffer, key[0]), left - 1)
+                             for d, child, _obs in out)
                 counted = (1, 0)
         nodes += counted[0]
         schedules += counted[1]
@@ -854,14 +858,15 @@ def exhaustive_runs(c: Command, mem, rho, mode: str = MODE_HW,
     plain depth-first search, or a branch unfinished at `max_len`
     directives.  `_count_space` decides that first, so a space that does
     not fit is never enumerated; one that fits is enumerated under the same
-    caps, and is still None unless it has as many schedules as counted.
+    caps, on the graph the count expanded, and is still None unless it has
+    as many schedules as counted.
     """
-    count = _count_space(c, mem, rho, mode, max_len, limit, max_nodes)
+    graph = StateGraph(c, mem, rho, mode)
+    count = _count_space(c, mem, rho, mode, max_len, limit, max_nodes, graph)
     if count is None:
         return None
-    runs = list(enumerate_schedules(c, mem, rho, mode, max_len=max_len,
-                                    max_schedules=limit + 1,
-                                    max_nodes=max_nodes))
+    runs = [CompletedRun(*unwind(path), config) for config, path
+            in graph.schedules(max_len, limit + 1, max_nodes)]
     return runs if len(runs) == count else None
 
 
@@ -879,7 +884,7 @@ class _Node:
     """A `StateGraph` configuration with its `_retired_ids` ids, its
     `_config_key` (None if not worked out), its applicable directives once
     asked for, its edges (directive -> (child, observation) or Stuck) and
-    the search's (directive, child, observation) list once expanded."""
+    its (directive, child, observation) list once `StateGraph._expand`ed."""
 
     __slots__ = ("config", "ids", "key", "options", "edges", "out")
 
@@ -955,13 +960,25 @@ class StateGraph:
 
     def schedules(self, max_len: int = EXHAUSTIVE_MAX_LEN,
                   max_schedules: int = EXHAUSTIVE_MAX_SCHEDULES,
-                  max_nodes: int = EXHAUSTIVE_MAX_NODES) -> Iterator[tuple]:
+                  max_nodes: int = EXHAUSTIVE_MAX_NODES,
+                  second: Optional[StateGraph] = None) -> Iterator:
         """The search of `enumerate_schedules`: (terminal configuration,
         path) for each complete schedule, a path being a chain of [parent
         path, directive, observation, None] links for `unwind` and `follow`.
         A node of the graph is expanded once; a configuration expanded a
         second time joins the graph while it has room, and any other is
-        expanded afresh on each visit."""
+        expanded afresh on each visit.
+
+        With a `second` graph it yields (configuration, path,
+        *`second.follow(path)`), and the caller stops at a counterexample,
+        so a subtree left with a schedule in it has passed: its schedule
+        count is kept under (key, directives left, `second`'s key at its
+        entry).  Entering that configuration again with as many directives
+        left, along a path that agreed on `second` and ends at a kept key,
+        the search yields the count, capped at the schedules left, as an
+        int instead of searching the subtree.  What lies below depends only
+        on the two configurations, so verdicts and counts are the plain
+        search's, and only `max_nodes` reaches further."""
         root = self._root.config
         try:
             sequential_schedule(root.stack[0], root.mem, root.vars,
@@ -972,16 +989,23 @@ class StateGraph:
             pass  # no sequential run to bound the search by
         produced = explored = 0
         memo: dict = {}  # expanded key -> directives left if dead, else 0
+        passed: dict = {}  # (key, left) -> {second's key: schedules}
         # Entries are (node, path, its length, the parent's buffer and key
         # codes) to visit, or, once every child of a node has been visited,
-        # (None, its key, directives it had left, schedules before).
+        # (None, its key, directives it had left, schedules before, path).
         stack: list = [(self._root, None, 0, None)]
         while stack:
             entry = stack.pop()
             if entry[0] is None:
-                _, key, left, before = entry
+                _, key, left, before, path = entry
                 if produced == before:
                     memo[key] = left
+                elif second is not None and path is not None:
+                    # the schedules below followed this link on `second`
+                    key2 = path[3][0].key
+                    if key2 is not None:
+                        passed.setdefault((key, left), {})[key2] = \
+                            produced - before
                 continue
             node, path, depth, up = entry
             explored += 1
@@ -989,7 +1013,8 @@ class StateGraph:
                 return
             config = node.config
             if not config.buffer and not config.stack:
-                yield config, path
+                yield (config, path) if second is None \
+                    else (config, path, *second.follow(path))
                 produced += 1
                 if produced >= max_schedules:
                     return
@@ -1003,23 +1028,42 @@ class StateGraph:
                                              (path[1], *up), self._codes)
             if memo.get(key, 0) >= left:
                 continue
-            stack.append((None, key, left, produced))
-            if node.out is None:  # not a node of the graph, or not expanded
-                node = self._nodes.get(key, node)
-            out = node.out
-            if out is None:
-                config, ids = node.config, node.ids
-                out = [(d, _Node(cfg, ids if d is not RETIRE else _retired_ids(
-                    config, ids, self._writes)), obs)
-                    for d, cfg, obs in _options(config, self._mode)]
-                if key in memo and len(self._nodes) < GRAPH_MAX_NODES:
-                    self._nodes[key] = node
-                if self._nodes.get(key) is node:
-                    node.out = out
-                memo.setdefault(key, 0)
+            counts = passed.get((key, left))
+            if counts:
+                second.follow(path)
+                node2, agreed, _ = path[3]
+                count = agreed is True and counts.get(node2.key)
+                if count:
+                    count = min(count, max_schedules - produced)
+                    yield count
+                    produced += count
+                    if produced >= max_schedules:
+                        return
+                    continue
+            stack.append((None, key, left, produced, path))
+            node, out = self._expand(node, key, key in memo)
+            memo.setdefault(key, 0)
             up = node.config.buffer, key[0]
             stack.extend(reversed([(child, [path, d, obs, None], depth + 1, up)
                                    for d, child, obs in out]))
+
+    def _expand(self, node: _Node, key, admit: bool) -> tuple:
+        """The graph's node keyed `key`, else `node`, and its (directive,
+        child, observation) list.  A node of the graph keeps its list; any
+        other joins the graph if `admit` and the graph has room."""
+        if node.out is None:  # not a node of the graph, or not expanded
+            node = self._nodes.get(key, node)
+        out = node.out
+        if out is None:
+            config, ids = node.config, node.ids
+            out = [(d, _Node(cfg, ids if d is not RETIRE else _retired_ids(
+                config, ids, self._writes)), obs)
+                for d, cfg, obs in _options(config, self._mode)]
+            if admit and len(self._nodes) < GRAPH_MAX_NODES:
+                self._nodes[key] = node
+            if self._nodes.get(key) is node:
+                node.out = out
+        return node, out
 
     def follow(self, path) -> tuple:
         """(configuration or None, agreement) of another graph's `schedules`

@@ -6,7 +6,7 @@ from functools import partialmethod
 
 import pytest
 
-from specrepair import machine
+from specrepair import harness, machine
 from specrepair.corpus import corpus_names, load_program
 from specrepair.harness import (
     consistency_suite,
@@ -274,6 +274,55 @@ def test_exhaustive_counterexample_of_each_kind(source, pairs, seed, trials,
     assert _reference_sct(program, program.command, MODE_HW, "exhaustive",
                           pairs, seed) == \
         (False, trials, (0, ce.directives, kind, detail))
+
+
+# Both branches are mispredicted speculatively.  The search first tries the
+# inner `fetch true`, reads at the public address p, and rolls the outer
+# branch back into a configuration whose subtree passes; the inner `fetch
+# false` then reads at the secret address k and rolls back into the same
+# configuration after as many directives.  Only the second side's
+# disagreement tells the two apart.
+_SECRET_READ_ROLLED_BACK = (
+    "var p = 1;\nvar k = 0;\npublic p, u, y;\n"
+    "if (p < 2) { skip; } else {\n"
+    "  if (p < 2) { u := *L(p); } else { y := *L(k); }\n}\n")
+
+
+@pytest.mark.parametrize("cap", [machine.GRAPH_MAX_NODES, 3])
+def test_count_memo_needs_the_second_side(cap, monkeypatch):
+    # a memo that skipped the configuration on the first side's key alone
+    # would report the leak 2 schedules later, along another schedule
+    program = parse_program(_SECRET_READ_ROLLED_BACK)
+    monkeypatch.setattr(machine, "GRAPH_MAX_NODES", cap)
+    result = sct_fuzz(program, schedules="exhaustive", pairs=1, seed=0)
+    ce = result.counterexample
+    assert (result.trials, ce.kind, "/".join(ce.schedule_lines())) == \
+        (22, "trace", "fetch false/fetch false/fetch/exec 3/exec 1/fetch/"
+         "retire/retire")
+    assert _reference_sct(program, program.command, MODE_HW, "exhaustive", 1,
+                          0) == \
+        (False, 22, (0, ce.directives, ce.kind, ce.detail))
+
+
+def test_count_memo_engages(monkeypatch):
+    # a search that followed and checked each of the 5000 schedules would
+    # make 5000 calls of each
+    calls = {"follow": 0, "difference": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(StateGraph, "follow",
+                        counted("follow", StateGraph.follow))
+    monkeypatch.setattr(harness, "_difference",
+                        counted("difference", harness._difference))
+    result = sct_fuzz(_repaired("guard_chain"), schedules="exhaustive",
+                      pairs=1, seed=1)
+    assert result.passed and result.trials == EXHAUSTIVE_MAX_SCHEDULES
+    assert calls["difference"] <= 10 and calls["follow"] <= 1000, calls
 
 
 @pytest.mark.parametrize("name", ["while_count", "while_transient"])
