@@ -5,6 +5,8 @@ Each constant-time program is repaired under the chosen analysis flags and
 then fuzzed: pairs of policy-equivalent states run under identical directive
 schedules must produce identical raw traces and equivalent public finals.
 The unrepaired programs are fuzzed too, to show which ones actually leak.
+The `distinct` column counts the repaired run's pairs whose two states
+differ; a pass with 0 there is vacuous, since equal states cannot leak.
 """
 
 import argparse
@@ -34,12 +36,13 @@ def main() -> int:
                     slh_only_cuts=(args.mode == MODE_SLH))
     failures = 0
     print(f"{'program':24} {'ct':3} {'cut':>3} {'unrepaired':>11} "
-          f"{'repaired':>9} {'trials':>7}")
+          f"{'repaired':>9} {'trials':>7} {'distinct':>8}")
     for name, program in load_all():
         ct_ok = not typecheck_ct(program.policy, program.command,
                                  program.arrays, program.variables())
         if not ct_ok:
-            print(f"{name:24} {'no':3} {'-':>3} {'-':>11} {'-':>9} {'-':>7}")
+            print(f"{name:24} {'no':3} {'-':>3} {'-':>11} {'-':>9} {'-':>7} "
+                  f"{'-':>8}")
             continue
         before = sct_fuzz(program, mode=args.mode, schedules="random",
                           schedule_count=args.schedules, pairs=args.pairs,
@@ -55,7 +58,7 @@ def main() -> int:
         print(f"{name:24} {'yes':3} {len(report.cut):>3} "
               f"{'leaks' if not before.passed else 'pass':>11} "
               f"{'pass' if after.passed else 'LEAKS':>9} "
-              f"{after.trials:>7}")
+              f"{after.trials:>7} {after.distinct_pairs:>8}")
     return 1 if failures else 0
 
 

@@ -245,20 +245,16 @@ def cmd_fuzz_sct(args) -> int:
                       schedule_count=count, pairs=args.pairs, seed=args.seed,
                       max_len=args.budget)
     payload = {"passed": result.passed, "trials": result.trials}
-    if result.counterexample is not None:
-        ce = result.counterexample
+    ce = result.counterexample
+    if ce is not None:
         payload["counterexample"] = {
-            "pair": ce.pair_index,
-            "kind": ce.kind,
-            "detail": ce.detail,
-            "schedule": ce.schedule_lines(),
-        }
+            "pair": ce.pair_index, "kind": ce.kind, "detail": ce.detail,
+            "schedule": ce.schedule_lines()}
     if args.json:
         _emit_json(payload)
     else:
         print("pass" if result.passed else "FAIL", f"trials={result.trials}")
-        if result.counterexample is not None:
-            ce = result.counterexample
+        if ce is not None:
             print(f"counterexample on pair {ce.pair_index} ({ce.kind}): "
                   f"{ce.detail}")
             for line in ce.schedule_lines():

@@ -133,6 +133,7 @@ class SctResult:
     passed: bool
     trials: int
     counterexample: Optional[SctCounterexample] = None
+    distinct_pairs: int = 0  # pairs checked whose two states differ
 
 
 def _difference(program: Program, config1, config2, agreed) -> Optional[tuple]:
@@ -149,11 +150,9 @@ def _difference(program: Program, config1, config2, agreed) -> Optional[tuple]:
     return None
 
 
-def _replayed(run1: CompletedRun, graph2: StateGraph) -> tuple:
-    run2 = graph2.run(run1.directives)
-    agreed = (run2.stuck_at, run2.stuck_reason) if not run2.ok \
-        else list(run1.trace) == run2.trace
-    return run1.config, run1.directives, run2.config, agreed
+def _kinds(mem, rho) -> tuple:
+    """A state with each value paired with its kind, so `True` is not `1`."""
+    return tuple({k: (type(v), v) for k, v in m.items()} for m in (mem, rho))
 
 
 def sct_fuzz(program: Program, mode: str = MODE_HW,
@@ -167,31 +166,33 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
     second.  A one-sided stuck run, a raw-trace difference or a public-state
     difference is a counterexample, tested in that order.  Raw traces are
     compared syntactically, silent observations and prediction identifiers
-    included.  Each side of a pair has one `StateGraph`, also when the two
-    states are equal.  Walks are replayed on the second side's graph.  The
-    exhaustive search (`StateGraph.schedules`, capped by the
-    `machine.EXHAUSTIVE_*` caps and `max_len`) runs on the first side's
-    graph and follows each complete schedule on the second side's, so
-    nothing is replayed; a subtree it has already passed, entered again
-    with the same pair of configurations, comes back as a count of trials.
-    A pass says no more than that no counterexample was found within the
-    caps.
+    included.  Two states equal kind by kind share one `StateGraph` and
+    pass by construction; others have one each and count in
+    `distinct_pairs`.  Walks step both sides at once.  The exhaustive search
+    (`StateGraph.schedules`, capped by the `machine.EXHAUSTIVE_*` caps and
+    `max_len`) runs on the first side's graph and follows each complete
+    schedule on the second's; a subtree it has already passed, entered
+    again with the same pair of configurations, comes back as a count of
+    trials.  A pass says no more than that no counterexample was found
+    within the caps.
     """
     command = program.command
     exhaustive = schedules == "exhaustive"
-    trials = 0
+    trials = distinct = 0
     for pair_index, pair in enumerate(gen_lequiv_pairs(program, pairs, seed)):
-        graph1 = StateGraph(command, pair.mem1, pair.rho1, mode)
-        graph2 = StateGraph(command, pair.mem2, pair.rho2, mode)
+        graph1 = graph2 = StateGraph(command, pair.mem1, pair.rho1, mode)
+        if _kinds(pair.mem1, pair.rho1) != _kinds(pair.mem2, pair.rho2):
+            distinct += 1
+            graph2 = StateGraph(command, pair.mem2, pair.rho2, mode)
         if exhaustive:
             runs = graph1.schedules(min(max_len, EXHAUSTIVE_MAX_LEN),
                                     second=graph2)
         else:
             rng = random.Random(f"sct:{seed}:{pair_index}")
-            walks = (graph1.walk(rng, max_len) for _ in range(schedule_count))
+            walks = (graph1.walk(rng, max_len, graph2)
+                     for _ in range(schedule_count))
             # a walk cut off at `max_len` is not a verdict
-            runs = (_replayed(run, graph2) for run in walks
-                    if run.config.terminal)
+            runs = (run for run in walks if run[0].terminal)
         for run in runs:
             if type(run) is int:  # schedules of subtrees that passed
                 trials += run
@@ -202,8 +203,8 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
             if found:
                 directives = unwind(schedule)[0] if exhaustive else schedule
                 return SctResult(False, trials, SctCounterexample(
-                    pair_index, directives, *found))
-    return SctResult(True, trials)
+                    pair_index, directives, *found), distinct)
+    return SctResult(True, trials, distinct_pairs=distinct)
 
 
 # ---------------------------------------------------------------------------

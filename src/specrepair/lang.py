@@ -43,9 +43,6 @@ class ArrayDecl:
     length: int
     label: str
 
-    def covers(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.length
-
 
 # A value is a natural (int), a boolean, or an array handle.  Note that bool
 # is a subclass of int in Python, so dispatch must test bool first.

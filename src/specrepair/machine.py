@@ -895,12 +895,12 @@ class _Node:
 
 class StateGraph:
     """The transitions from one initial configuration, stepped lazily and
-    shared by every run, walk and search from it.  Nodes are merged by
-    `_config_key`, and edges are keyed by directive value.  Once the graph
-    holds `GRAPH_MAX_NODES` nodes, a step it has not kept is made plainly,
-    with no key and nothing kept, and so is the rest of that run.  Returned
-    configurations share the graph's `mem` and `vars` dicts: callers must
-    not mutate them."""
+    shared by every walk and search from it, on both sides of an SCT pair
+    of equal states.  Nodes are merged by `_config_key`, and edges are
+    keyed by directive value.  Once the graph holds `GRAPH_MAX_NODES`
+    nodes, a step it has not kept is made plainly, with no key and nothing
+    kept, and so is the rest of that run.  Returned configurations share
+    the graph's `mem` and `vars` dicts: callers must not mutate them."""
 
     def __init__(self, c: Command, mem, rho, mode: str = MODE_HW):
         self._mode = mode
@@ -931,32 +931,36 @@ class StateGraph:
         node.edges[d] = result
         return result
 
-    def run(self, directives) -> RunResult:
-        """`run_schedule` of `directives` from the initial configuration."""
-        node, trace = self._root, []
-        for k, d in enumerate(directives):
-            edge = node.edges.get(d) or self._step(node, d)
-            if type(edge) is Stuck:
-                return RunResult(node.config, trace, k, edge.reason)
-            node, obs = edge
-            trace.append(obs)
-        return RunResult(node.config, trace)
-
-    def walk(self, rng: random.Random, max_len: int) -> CompletedRun:
+    def walk(self, rng: random.Random, max_len: int,
+             second: Optional[StateGraph] = None):
         """A uniformly random walk, each directive `rng.choice` of the
-        applicable ones.  It stops after `max_len` directives or where none
-        applies, so it is complete only if its config is terminal."""
+        applicable ones, stopped after `max_len` directives or where none
+        applies: complete only if its config is terminal.  A `second` graph
+        is stepped too (by the first side's edge where both share a node),
+        and the walk returns (config, directives, *as `follow` returns)."""
         node, directives, trace = self._root, [], []
+        node2, agreed = second and second._root, True
         while len(directives) < max_len:
             if node.options is None:
                 node.options = applicable_directives(node.config, self._mode)
             if not node.options:
                 break
             d = rng.choice(node.options)
-            node, obs = node.edges.get(d) or self._step(node, d)
+            edge = node.edges.get(d) or self._step(node, d)
+            if node2 is node:
+                node2 = edge[0]
+            elif node2 is not None:
+                edge2 = node2.edges.get(d) or second._step(node2, d)
+                if type(edge2) is Stuck:
+                    node2, agreed = None, (len(directives), edge2.reason)
+                else:
+                    node2, agreed = edge2[0], agreed and edge2[1] == edge[1]
+            node, obs = edge
             directives.append(d)
             trace.append(obs)
-        return CompletedRun(tuple(directives), tuple(trace), node.config)
+        if second is None:
+            return CompletedRun(tuple(directives), tuple(trace), node.config)
+        return node.config, tuple(directives), node2 and node2.config, agreed
 
     def schedules(self, max_len: int = EXHAUSTIVE_MAX_LEN,
                   max_schedules: int = EXHAUSTIVE_MAX_SCHEDULES,
@@ -978,7 +982,8 @@ class StateGraph:
         the search yields the count, capped at the schedules left, as an
         int instead of searching the subtree.  What lies below depends only
         on the two configurations, so verdicts and counts are the plain
-        search's, and only `max_nodes` reaches further."""
+        search's, and only `max_nodes` reaches further.  Links come followed
+        when `second` is this graph."""
         root = self._root.config
         try:
             sequential_schedule(root.stack[0], root.mem, root.vars,
@@ -1044,8 +1049,9 @@ class StateGraph:
             node, out = self._expand(node, key, key in memo)
             memo.setdefault(key, 0)
             up = node.config.buffer, key[0]
-            stack.extend(reversed([(child, [path, d, obs, None], depth + 1, up)
-                                   for d, child, obs in out]))
+            stack.extend(reversed([(child, [path, d, obs, (
+                child, True, depth + 1) if second is self else None],
+                depth + 1, up) for d, child, obs in out]))
 
     def _expand(self, node: _Node, key, admit: bool) -> tuple:
         """The graph's node keyed `key`, else `node`, and its (directive,

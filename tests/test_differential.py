@@ -4,10 +4,13 @@ randomly generated programs, not just the bundled corpus."""
 from __future__ import annotations
 
 import random
+from functools import partialmethod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specrepair import machine
+from specrepair.harness import sct_fuzz
 from specrepair.lang import (
     Add,
     ArrayDecl,
@@ -23,8 +26,10 @@ from specrepair.lang import (
     Lt,
     Protect,
     PtrRead,
+    Policy,
     PtrWrite,
     Pure,
+    Seq,
     Skip,
     Ternary,
     Var,
@@ -38,6 +43,7 @@ from specrepair.machine import (
     FetchBranch,
     Retire,
     RollbackObs,
+    StateGraph,
     Stuck,
     applicable_directives,
     filter_trace,
@@ -48,7 +54,9 @@ from specrepair.machine import (
     step,
     traces_equivalent,
 )
+from specrepair.parser import Program
 from specrepair.seq import run_sequential
+from test_harness import _reference_sct
 
 A = ArrayDecl("a", 1, 2, "L")
 C = ArrayDecl("c", 4, 3, "H")
@@ -60,30 +68,30 @@ INITIAL_RHO = {"i0": 0, "i1": 1, "i2": 5, "b0": True,
 INITIAL_MEM = {0: 0, 1: 3, 2: 0, 4: 7, 5: 1, 6: 2}
 
 
-def nat_exprs(depth: int):
+def nat_exprs(depth: int, arrays=(A, C)):
     leaf = st.one_of(
         st.integers(min_value=0, max_value=8).map(Lit),
         st.sampled_from(NAT_VARS + TARGETS).map(Var),
-        st.sampled_from([A, C]).map(lambda a: Length(Lit(a))),
-        st.sampled_from([A, C]).map(lambda a: Base(Lit(a))),
+        st.sampled_from(arrays).map(lambda a: Length(Lit(a))),
+        st.sampled_from(arrays).map(lambda a: Base(Lit(a))),
     )
     if depth <= 0:
         return leaf
-    sub = nat_exprs(depth - 1)
+    sub = nat_exprs(depth - 1, arrays)
     return st.one_of(
         leaf,
         st.tuples(sub, sub).map(lambda t: Add(*t)),
         st.tuples(sub, sub).map(lambda t: BitAnd(*t)),
-        st.tuples(bool_exprs(depth - 1), sub, sub).map(
+        st.tuples(bool_exprs(depth - 1, arrays), sub, sub).map(
             lambda t: Ternary(*t)),
     )
 
 
-def bool_exprs(depth: int):
+def bool_exprs(depth: int, arrays=(A, C)):
     leaf = st.one_of(st.booleans().map(Lit), st.just(Var("b0")))
     if depth <= 0:
         return leaf
-    sub = nat_exprs(depth - 1)
+    sub = nat_exprs(depth - 1, arrays)
     return st.one_of(leaf, st.tuples(sub, sub).map(lambda t: Lt(*t)))
 
 
@@ -130,6 +138,96 @@ def programs(draw):
         return out
 
     return seq_all(statements(2, 4))
+
+
+# A secret array just past `a`.  `leaky_programs` reads and writes `a`
+# through bounds checks only, and reads past it (so in `s`) only in the else
+# branch of a bounds check that always passes: only a mispredicted check
+# reaches `s`, so the two states of a pair differ there and their runs
+# diverge only speculatively.
+S = ArrayDecl("s", A.base + A.length, 4, "H")
+
+
+@st.composite
+def leaky_programs(draw):
+    """One planted gadget, alone or among flat public statements over `a`,
+    every scalar and `a` being public:
+
+        if ((v & 1) < length(a)) { skip; } else {
+          if (c) { x := *L(base(a) + e1); y := *L(x + 7); }
+          else   { x := *L(base(a) + e2); y := *L(x + 7); }
+        }
+
+    where `e1` falls in `a`, `e2` in `s`, and `x + 7` past both arrays.
+    The inner branch's two sides take as many directives, so a search that
+    runs one and then the other under the mispredicted check rolls back
+    twice into one configuration: first along a public read, then along a
+    secret one (the depth-first search takes `fetch true` first)."""
+    fresh = iter(TARGETS[:-2])
+    nats = nat_exprs(1, (A,))
+
+    def statements() -> list:
+        out = []
+        # none half the time: the gadget alone reaches the rollbacks soonest
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            kind = draw(st.integers(min_value=0, max_value=4))
+            target = next(fresh, None)
+            if kind == 0 or target is None:
+                out.append(Skip())
+            elif kind == 1:
+                out.append(ArrayWrite(A, draw(nats), draw(nats)))
+            elif kind == 2:
+                out.append(Protect(target, ArrayRead(A, draw(nats))))
+            elif kind == 3:
+                out.append(Assign(target, Pure(draw(nat_exprs(2, (A,))))))
+            else:
+                out.append(Assign(target, ArrayRead(A, draw(nats))))
+        return out
+
+    x, y = TARGETS[-2:]
+
+    def side(low: int, high: int) -> Seq:
+        offset = Lit(draw(st.integers(min_value=low, max_value=high)))
+        return Seq(Assign(x, PtrRead("L", Add(Base(Lit(A)), offset))),
+                   Assign(y, PtrRead("L", Add(Var(x), Lit(7)))))
+
+    v = draw(st.sampled_from(NAT_VARS + TARGETS[:-2]))
+    check = Lt(BitAnd(Var(v), Lit(1)), Length(Lit(A)))
+    planted = If(check, Skip(), If(draw(bool_exprs(1, (A,))),
+                                   side(0, A.length - 1),
+                                   side(A.length, A.length + S.length - 1)))
+    command = seq_all(statements() + [planted] + statements())
+    return Program(command, {"a": A, "s": S}, dict(INITIAL_RHO),
+                   Policy(frozenset(INITIAL_RHO), frozenset({"a"})),
+                   init_cells={1: 3, 2: 0, 3: 7, 4: 1, 5: 2, 6: 4})
+
+
+@given(leaky_programs(), st.integers(min_value=0, max_value=2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_sct_fuzz_matches_fresh_replays_on_leaky_programs(program, seed):
+    # lockstep walks and the lockstep search, with its count memo's
+    # second-side check, against every schedule replayed from scratch;
+    # `count` caps the search's schedules or sets the walks per pair
+    for mode in (MODE_HW, MODE_SLH):
+        for schedules, count in (("exhaustive", 200), ("random", 20)):
+            want = _reference_sct(program, program.command, mode, schedules,
+                                  2, seed, schedule_count=count,
+                                  max_schedules=count)
+            for cap in (machine.GRAPH_MAX_NODES, 3):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(machine, "GRAPH_MAX_NODES", cap)
+                    patch.setattr(StateGraph, "schedules", partialmethod(
+                        StateGraph.schedules, max_schedules=count))
+                    result = sct_fuzz(program, mode=mode,
+                                      schedules=schedules,
+                                      schedule_count=count, pairs=2,
+                                      seed=seed)
+                ce = result.counterexample
+                got = (result.passed, result.trials, ce and
+                       (ce.pair_index, ce.directives, ce.kind, ce.detail))
+                assert got == want, (mode, schedules, cap)
+                assert result.distinct_pairs == (ce.pair_index + 1 if ce
+                                                 else 2)
 
 
 @given(programs(), st.integers(min_value=0, max_value=2 ** 32))

@@ -188,17 +188,21 @@ _DIVERGENT_STUCK = ("array a base=1 len=2 label=L;\nvar s = 0;\n"
                     "if ((s & 1) < 1) { x := a[0]; } else { skip; }\n")
 
 # Schedules per pair in the corpus-wide cases.  At the machine's 5000 the
-# four of them take about 160 s on a shared 2-vCPU machine, two thirds of it
-# in the reference's fresh replays; a lower cap cuts the same depth-first
-# stream short.
+# four exhaustive ones take about 160 s on a shared 2-vCPU machine, two
+# thirds of it in the reference's fresh replays; a lower cap cuts the same
+# depth-first stream short.  Random walks per pair are fewer still, since
+# the reference walks each of them afresh.
 CORPUS_MAX_SCHEDULES = 150
+CORPUS_WALKS = 40
 
 
-def _corpus(repair):
-    """(program, schedules, pairs, seed, schedule cap) for every corpus
-    program, as written or repaired, at two seeds."""
+def _corpus(repair, schedules="exhaustive"):
+    """(program, schedules, pairs, seed, schedules per pair) for every
+    corpus program, as written or repaired, at two seeds."""
+    count = CORPUS_MAX_SCHEDULES if schedules == "exhaustive" \
+        else CORPUS_WALKS
     return [(_repaired(name) if repair else load_program(name),
-             "exhaustive", pairs, seed, CORPUS_MAX_SCHEDULES)
+             schedules, pairs, seed, count)
             for name in corpus_names() for seed, pairs in ((0, 1), (7, 3))]
 
 
@@ -208,35 +212,47 @@ def _corpus(repair):
     pytest.param(lambda: [(parse_program(_DIVERGENT_STUCK), "exhaustive", 6,
                            21, EXHAUSTIVE_MAX_SCHEDULES)], MODE_HW,
                  id="divergent_stuck"),
+    pytest.param(lambda: [(parse_program(_DIVERGENT_STUCK), "random", 6, 21,
+                           100)], MODE_HW, id="divergent_stuck-random"),
     pytest.param(lambda: [(_repaired("nested_if"), "exhaustive", 2, 3,
                            EXHAUSTIVE_MAX_SCHEDULES)], MODE_HW,
                  id="nested_if"),
     pytest.param(lambda: [(_repaired("protect_array_slh"), "exhaustive", 1,
                            3, EXHAUSTIVE_MAX_SCHEDULES)], MODE_SLH,
                  id="protect_array_slh"),
-    pytest.param(lambda: [(_repaired("ex1_patched"), "random", 3, 5,
-                           EXHAUSTIVE_MAX_SCHEDULES)], MODE_HW, id="random"),
+    pytest.param(lambda: [(_repaired("ex1_patched"), "random", 3, 5, 100)],
+                 MODE_HW, id="random"),
     pytest.param(lambda: _corpus(False), MODE_HW, id="corpus-hw"),
     pytest.param(lambda: _corpus(False), MODE_SLH, id="corpus-slh"),
     pytest.param(lambda: _corpus(True), MODE_HW, id="repaired-hw"),
     pytest.param(lambda: _corpus(True), MODE_SLH, id="repaired-slh"),
+    pytest.param(lambda: _corpus(False, "random"), MODE_HW,
+                 id="corpus-random-hw"),
+    pytest.param(lambda: _corpus(False, "random"), MODE_SLH,
+                 id="corpus-random-slh"),
+    pytest.param(lambda: _corpus(True, "random"), MODE_HW,
+                 id="repaired-random-hw"),
+    pytest.param(lambda: _corpus(True, "random"), MODE_SLH,
+                 id="repaired-random-slh"),
 ])
 def test_sct_fuzz_matches_fresh_replays(cases, mode, monkeypatch):
-    # the lockstep search, and walks replayed on the second graph, give the
-    # verdict of replaying every schedule from scratch, with the graphs at
-    # their cap and cut down to 3 nodes (past which the search steps, and
-    # keys its memo, plainly)
+    # the lockstep search and the lockstep walks give the verdict of
+    # replaying every schedule from scratch, with the graphs at their cap
+    # and cut down to 3 nodes (past which the search steps, and keys its
+    # memo, plainly); `count` caps the search's schedules or sets the walks
     results = []
-    for program, schedules, pairs, seed, max_schedules in cases():
+    for program, schedules, pairs, seed, count in cases():
         want = _reference_sct(program, program.command, mode, schedules,
-                              pairs, seed, max_schedules=max_schedules)
+                              pairs, seed, schedule_count=count,
+                              max_schedules=count)
         for cap in (machine.GRAPH_MAX_NODES, 3):
             with monkeypatch.context() as patch:
                 patch.setattr(machine, "GRAPH_MAX_NODES", cap)
                 patch.setattr(StateGraph, "schedules", partialmethod(
-                    StateGraph.schedules, max_schedules=max_schedules))
+                    StateGraph.schedules, max_schedules=count))
                 result = sct_fuzz(program, mode=mode, schedules=schedules,
-                                  pairs=pairs, seed=seed)
+                                  schedule_count=count, pairs=pairs,
+                                  seed=seed)
             ce = result.counterexample
             got = (result.passed, result.trials, ce and
                    (ce.pair_index, ce.directives, ce.kind, ce.detail))
@@ -304,9 +320,9 @@ def test_count_memo_needs_the_second_side(cap, monkeypatch):
         (False, 22, (0, ce.directives, ce.kind, ce.detail))
 
 
-def test_count_memo_engages(monkeypatch):
-    # a search that followed and checked each of the 5000 schedules would
-    # make 5000 calls of each
+def _exhaustive_calls(name, monkeypatch) -> tuple:
+    """Exhaustive `sct_fuzz` of repaired `name` (pairs 1, seed 1), and the
+    `follow` and `_difference` calls it made."""
     calls = {"follow": 0, "difference": 0}
 
     def counted(name, function):
@@ -319,10 +335,25 @@ def test_count_memo_engages(monkeypatch):
                         counted("follow", StateGraph.follow))
     monkeypatch.setattr(harness, "_difference",
                         counted("difference", harness._difference))
-    result = sct_fuzz(_repaired("guard_chain"), schedules="exhaustive",
-                      pairs=1, seed=1)
+    return sct_fuzz(_repaired(name), schedules="exhaustive", pairs=1,
+                    seed=1), calls
+
+
+def test_count_memo_engages(monkeypatch):
+    # a search that followed and checked each of the 5000 schedules would
+    # make 5000 calls of each
+    result, calls = _exhaustive_calls("guard_chain", monkeypatch)
     assert result.passed and result.trials == EXHAUSTIVE_MAX_SCHEDULES
     assert calls["difference"] <= 10 and calls["follow"] <= 1000, calls
+
+
+def test_count_memo_engages_on_distinct_states(monkeypatch):
+    # guard_chain's two states are equal; ex1_patched's differ in the
+    # secret cell, so the memo has a second side to follow
+    result, calls = _exhaustive_calls("ex1_patched", monkeypatch)
+    assert (result.passed, result.distinct_pairs) == (True, 1)
+    assert result.trials == EXHAUSTIVE_MAX_SCHEDULES
+    assert calls["difference"] <= 30 and calls["follow"] <= 1000, calls
 
 
 @pytest.mark.parametrize("name", ["while_count", "while_transient"])
@@ -365,3 +396,80 @@ def test_already_safe_programs_are_sct(corpus):
                               schedule_count=40, pairs=5, seed=19)
             assert result.passed, (name, mode, result.counterexample)
     assert covered >= 10
+
+
+@pytest.mark.parametrize("name, repair, distinct", [
+    ("guard_chain", True, 0), ("loop_protect", True, 0),
+    ("while_count", True, 0), ("ex1", False, 10), ("ex1_patched", False, 10),
+    ("implicit_flow", False, 10),
+])
+def test_distinct_pairs_counts_pairs_whose_states_differ(name, repair,
+                                                         distinct):
+    # the first three declare no secret, so every pair passes by
+    # construction
+    program = _repaired(name) if repair else load_program(name)
+    pairs = gen_lequiv_pairs(program, 10, 1)
+    assert sum(harness._kinds(p.mem1, p.rho1) != harness._kinds(p.mem2, p.rho2)
+               for p in pairs) == distinct
+    result = sct_fuzz(program, schedules="random", schedule_count=5,
+                      pairs=10, seed=1)
+    assert (result.passed, result.distinct_pairs) == (True, distinct)
+
+
+def test_states_equal_only_kind_by_kind():
+    assert harness._kinds({1: 0}, {"b": True}) == \
+        harness._kinds({1: 0}, {"b": True})
+    assert harness._kinds({1: 0}, {"b": True}) != \
+        harness._kinds({1: 0}, {"b": 1})
+    assert harness._kinds({1: 1}, {}) != harness._kinds({1: True}, {})
+
+
+@pytest.mark.parametrize("schedules", ["random", "exhaustive"])
+def test_equal_states_share_one_graph(schedules, monkeypatch):
+    built = []
+
+    class Counted(StateGraph):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(harness, "StateGraph", Counted)
+    for name, graphs in (("guard_chain", 3), ("ex1_patched", 6)):
+        built.clear()
+        result = sct_fuzz(_repaired(name), schedules=schedules,
+                          schedule_count=5, pairs=3, seed=1)
+        assert result.passed and len(built) == graphs, name
+        assert result.distinct_pairs == graphs - 3
+
+
+@pytest.mark.parametrize("cap", [machine.GRAPH_MAX_NODES, 3])
+@pytest.mark.parametrize("name", ["guard_chain", "while_count"])
+def test_equal_states_step_once(name, cap, monkeypatch):
+    # on the diagonal the second side takes the first side's edges, so the
+    # lockstep walks step as often as the first side's walks alone; past a
+    # full graph every step is made afresh, and still only once.  The
+    # search expands through `_options`, and on the diagonal its links come
+    # followed, so it makes no step at all.
+    program = _repaired(name)
+    monkeypatch.setattr(machine, "GRAPH_MAX_NODES", cap)
+    steps = []
+    plain_step = StateGraph._step
+
+    def counted(graph, node, d):
+        steps.append(d)
+        return plain_step(graph, node, d)
+
+    monkeypatch.setattr(StateGraph, "_step", counted)
+    result = sct_fuzz(program, schedules="random", schedule_count=30,
+                      pairs=2, seed=1)
+    lockstep, steps[:] = list(steps), []
+    for index, pair in enumerate(gen_lequiv_pairs(program, 2, 1)):
+        graph = StateGraph(program.command, pair.mem1, pair.rho1)
+        rng = random.Random(f"sct:1:{index}")
+        for _ in range(30):
+            graph.walk(rng, machine.WALK_MAX_LEN)
+    assert (result.passed, result.distinct_pairs) == (True, 0)
+    assert lockstep == steps and len(steps) > 100
+    steps.clear()
+    result = sct_fuzz(program, schedules="exhaustive", pairs=2, seed=1)
+    assert result.passed and result.trials > 0 and not steps

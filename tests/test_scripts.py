@@ -32,3 +32,6 @@ def test_run_sct_fuzz(monkeypatch, capsys):
     lines = run_script(monkeypatch, capsys, "run_sct_fuzz.py",
                        "--pairs", "1", "--schedules", "5")
     assert [line.split()[0] for line in lines[1:]] == corpus_names()
+    assert lines[0].split()[-1] == "distinct"
+    distinct = {line.split()[0]: line.split()[-1] for line in lines[1:]}
+    assert distinct["guard_chain"] == "0" and int(distinct["ex1"]) > 0
