@@ -29,6 +29,7 @@ from .machine import (
     parse_schedule,
     run_schedule,
     sequential_schedule,
+    unwind,
 )
 from .parser import Program, parse_program, pretty_program
 from .repair import pipeline
@@ -106,8 +107,9 @@ def cmd_run_spec(args) -> int:
         directives = sequential_schedule(program.command, mem, rho,
                                          mode=args.mode)
     elif args.random is not None:
-        directives = StateGraph(program.command, mem, rho, args.mode).walk(
-            random.Random(args.seed), args.random).directives
+        _config, path = StateGraph(program.command, mem, rho, args.mode).walk(
+            random.Random(args.seed), args.random)
+        directives = unwind(path)[0]
     else:
         print("run-spec needs --schedule, --seq, or --random", file=sys.stderr)
         return 2
@@ -233,14 +235,7 @@ def cmd_repair(args) -> int:
 
 def cmd_fuzz_sct(args) -> int:
     program = _load(args.program)
-    if args.schedules == "exhaustive":
-        kind, count = "exhaustive", 0
-    elif args.schedules.startswith("random:"):
-        kind, count = "random", int(args.schedules.split(":", 1)[1])
-    else:
-        print("--schedules must be 'exhaustive' or 'random:N'",
-              file=sys.stderr)
-        return 2
+    kind, count = args.schedules
     result = sct_fuzz(program, mode=args.mode, schedules=kind,
                       schedule_count=count, pairs=args.pairs, seed=args.seed,
                       max_len=args.budget)
@@ -332,6 +327,31 @@ def cmd_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def count(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {least}, got {text!r}")
+    return count
+
+
+_POSITIVE, _NON_NEGATIVE = _at_least(1), _at_least(0)
+
+
+def _schedules(text: str) -> tuple:
+    """`fuzz-sct --schedules`: ("exhaustive", 0) or ("random", N)."""
+    if text == "exhaustive":
+        return "exhaustive", 0
+    if not text.startswith("random:"):
+        raise argparse.ArgumentTypeError("expected 'exhaustive' or 'random:N'")
+    return "random", _POSITIVE(text[len("random:"):])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specrepair",
@@ -361,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", help="file with one directive per line")
     p.add_argument("--seq", action="store_true",
                    help="use the in-order schedule")
-    p.add_argument("--random", type=int, metavar="N",
+    p.add_argument("--random", type=_NON_NEGATIVE, metavar="N",
                    help="take up to N random directives")
     common(p)
     seed(p)
@@ -403,12 +423,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="differential speculative constant-time fuzzing")
     p.add_argument("program")
     p.add_argument("--mode", choices=[MODE_HW, MODE_SLH], default=MODE_HW)
-    p.add_argument("--schedules", default="random:100",
+    p.add_argument("--schedules", type=_schedules, default="random:100",
                    help="'exhaustive' or 'random:N'")
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=_POSITIVE, default=10)
     common(p)
     seed(p)
-    p.add_argument("--budget", type=int, default=WALK_MAX_LEN,
+    p.add_argument("--budget", type=_POSITIVE, default=WALK_MAX_LEN,
                    help="random walk length; exhaustive search takes at "
                         f"most min(budget, {EXHAUSTIVE_MAX_LEN}) directives")
     p.set_defaults(func=cmd_fuzz_sct)
@@ -417,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="compare the machine against the sequential run")
     p.add_argument("programs", nargs="*")
     p.add_argument("--mode", choices=[MODE_HW, MODE_SLH], default=MODE_HW)
-    p.add_argument("--schedules", type=int, default=100)
+    p.add_argument("--schedules", type=_NON_NEGATIVE, default=100)
     common(p)
     seed(p)
     seq_budget(p)

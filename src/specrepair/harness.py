@@ -168,10 +168,10 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
     compared syntactically, silent observations and prediction identifiers
     included.  Two states equal kind by kind share one `StateGraph` and
     pass by construction; others have one each and count in
-    `distinct_pairs`.  Walks step both sides at once.  The exhaustive search
+    `distinct_pairs`.  Walks and the exhaustive search
     (`StateGraph.schedules`, capped by the `machine.EXHAUSTIVE_*` caps and
-    `max_len`) runs on the first side's graph and follows each complete
-    schedule on the second's; a subtree it has already passed, entered
+    `max_len`) run on the first side's graph, and each complete schedule
+    is followed on the second's; a subtree the search has passed, entered
     again with the same pair of configurations, comes back as a count of
     trials.  A pass says no more than that no counterexample was found
     within the caps.
@@ -189,21 +189,21 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
                                     second=graph2)
         else:
             rng = random.Random(f"sct:{seed}:{pair_index}")
-            walks = (graph1.walk(rng, max_len, graph2)
-                     for _ in range(schedule_count))
+            walks = (graph1.walk(rng, max_len) for _ in range(schedule_count))
             # a walk cut off at `max_len` is not a verdict
-            runs = (run for run in walks if run[0].terminal)
+            runs = ((config, path, *(graph2.follow(path) if graph2 is not
+                                     graph1 else (config, True)))
+                    for config, path in walks if config.terminal)
         for run in runs:
             if type(run) is int:  # schedules of subtrees that passed
                 trials += run
                 continue
-            config1, schedule, config2, agreed = run
+            config1, path, config2, agreed = run
             trials += 1
             found = _difference(program, config1, config2, agreed)
             if found:
-                directives = unwind(schedule)[0] if exhaustive else schedule
                 return SctResult(False, trials, SctCounterexample(
-                    pair_index, directives, *found), distinct)
+                    pair_index, unwind(path)[0], *found), distinct)
     return SctResult(True, trials, distinct_pairs=distinct)
 
 
@@ -282,7 +282,8 @@ def consistency_suite(programs: list[tuple[str, Program]],
         rng = random.Random(f"consistency:{seed}:{name}")
         walks = (graph.walk(rng, WALK_MAX_LEN)
                  for _ in range(4 * per_program_schedules))
-        complete = (run for run in walks if run.config.terminal)
+        complete = (CompletedRun(*unwind(path), config)
+                    for config, path in walks if config.terminal)
         for run in islice(complete, per_program_schedules):
             check_consistency_run(name, program, run, seq_result, seed,
                                   report)

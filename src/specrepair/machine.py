@@ -634,17 +634,6 @@ def applicable_directives(config: Config, mode: str = MODE_HW) -> list:
     return out
 
 
-def _options(config: Config, mode: str) -> list:
-    """(directive, next configuration, observation) for each applicable
-    directive."""
-    out = []
-    for d in applicable_directives(config, mode):
-        result = step(config, d, mode)
-        assert not isinstance(result, Stuck), (d, result)
-        out.append((d, result[0], result[1]))
-    return out
-
-
 def sequential_schedule(c: Command, mem, rho, mode: str = MODE_HW,
                         budget: int = DEFAULT_BUDGET) -> list:
     """A schedule that executes and retires every instruction as soon as it
@@ -796,50 +785,41 @@ def _retired_ids(config: Config, ids: tuple, writes: dict) -> tuple:
     return mem_id, vars_id
 
 
-def _count_space(c: Command, mem, rho, mode: str, max_len: int, limit: int,
-                 max_nodes: int, graph: Optional[StateGraph] = None
-                 ) -> Optional[int]:
+def _count_space(graph: StateGraph, max_len: int, limit: int,
+                 max_nodes: int) -> Optional[int]:
     """How many complete schedules a plain depth-first search (one without
-    any memo) finds within `max_len` directives, or None when that search
-    would stop short of the whole space: past `limit` schedules, past
-    `max_nodes` visited configurations, or at a configuration that is not
-    terminal with no directive left.  Each (configuration, directives left)
-    is expanded once; the totals of its subtree come from a memo the next
-    time, and the pass stops as soon as one total passes its cap.  The
-    count runs on `graph` (a new `StateGraph` if None), and every
-    configuration it expands joins the graph while the graph has room.
+    any memo) finds on `graph` within `max_len` directives, or None when
+    that search would stop short of the whole space: past `limit`
+    schedules, past `max_nodes` visited configurations, or at a
+    configuration that is not terminal with no directive left.  Each
+    (configuration, directives left) is expanded once; the totals of its
+    subtree come from a memo the next time, and the pass stops as soon as
+    one total passes its cap.  Every configuration it expands joins the
+    graph while the graph has room.
     """
-    graph = graph or StateGraph(c, mem, rho, mode)
     memo: dict = {}  # (configuration key, left) -> (nodes, schedules)
     nodes = schedules = 0
-    # Entries are (node, what `_config_key` takes from the parent,
-    # directives left) to visit, or, once every child of a configuration
-    # has been visited, (its memo key, and the totals before it): the
-    # totals grow by exactly its subtree in between.
-    stack: list = [(graph._root, None, max_len)]
+    # Entries are (node, directives left) to visit, or, once every child
+    # of a configuration has been visited, (its memo key, and the totals
+    # before it): the totals grow by exactly its subtree in between.
+    stack: list = [(graph._root, max_len)]
     while stack:
         entry = stack.pop()
-        if len(entry) == 2:
-            at, (nodes_before, schedules_before) = entry
+        if len(entry) == 3:
+            at, nodes_before, schedules_before = entry
             memo[at] = (nodes - nodes_before, schedules - schedules_before)
             continue
-        node, parent, left = entry
+        node, left = entry
         if node.config.terminal:
             counted = (1, 1)
         else:
-            key = node.key
-            if key is None:
-                key = node.key = _config_key(node.config, node.ids, parent,
-                                             graph._codes)
-            counted = memo.get((key, left))
+            counted = memo.get((node.key, left))
             if counted is None:  # count it, then its children
                 if not left:
                     return None
-                stack.append(((key, left), (nodes, schedules)))
-                node, out = graph._expand(node, key, True)
-                buffer = node.config.buffer
-                stack.extend((child, (d, buffer, key[0]), left - 1)
-                             for d, child, _obs in out)
+                stack.append(((node.key, left), nodes, schedules))
+                stack.extend((child, left - 1)
+                             for child, _obs in graph._expand(node, True)[1])
                 counted = (1, 0)
         nodes += counted[0]
         schedules += counted[1]
@@ -862,7 +842,7 @@ def exhaustive_runs(c: Command, mem, rho, mode: str = MODE_HW,
     as many schedules as counted.
     """
     graph = StateGraph(c, mem, rho, mode)
-    count = _count_space(c, mem, rho, mode, max_len, limit, max_nodes, graph)
+    count = _count_space(graph, max_len, limit, max_nodes)
     if count is None:
         return None
     runs = [CompletedRun(*unwind(path), config) for config, path
@@ -881,86 +861,95 @@ GRAPH_MAX_NODES = 500
 
 
 class _Node:
-    """A `StateGraph` configuration with its `_retired_ids` ids, its
-    `_config_key` (None if not worked out), its applicable directives once
-    asked for, its edges (directive -> (child, observation) or Stuck) and
-    its (directive, child, observation) list once `StateGraph._expand`ed."""
+    """A `StateGraph` configuration with its `_retired_ids` ids and its
+    `_config_key` (both None past a full graph), its applicable directives
+    once asked for, and, if the graph keeps it, `out`: for each of those
+    directives, (child, observation) once stepped, else None."""
 
-    __slots__ = ("config", "ids", "key", "options", "edges", "out")
+    __slots__ = ("config", "ids", "key", "options", "out")
 
     def __init__(self, config: Config, ids, key=None) -> None:
         self.config, self.ids, self.key = config, ids, key
-        self.options, self.edges, self.out = None, {}, None
+        self.options = self.out = None
 
 
 class StateGraph:
     """The transitions from one initial configuration, stepped lazily and
-    shared by every walk and search from it, on both sides of an SCT pair
-    of equal states.  Nodes are merged by `_config_key`, and edges are
-    keyed by directive value.  Once the graph holds `GRAPH_MAX_NODES`
-    nodes, a step it has not kept is made plainly, with no key and nothing
-    kept, and so is the rest of that run.  Returned configurations share
-    the graph's `mem` and `vars` dicts: callers must not mutate them."""
+    shared by every walk and search from it, and by both sides of an SCT
+    pair of equal states.  Every child is keyed by `_config_key` from its
+    parent and merged with the graph's node of that key; a node the graph
+    keeps holds each transition stepped from it.  A walk keeps each new
+    configuration while the graph holds fewer than `GRAPH_MAX_NODES` nodes;
+    past that it steps plainly, with no key and nothing kept, for the rest
+    of the run.  The search keeps a configuration when it expands it a
+    second time (`_expand`).  Returned configurations share the graph's
+    `mem` and `vars` dicts: callers must not mutate them."""
 
     def __init__(self, c: Command, mem, rho, mode: str = MODE_HW):
         self._mode = mode
         self._writes: dict = {}  # see `_retired_ids`
         self._codes: dict = {}  # see `_code`
+        self._nodes: dict = {}  # key -> kept node
         config = initial_config(c, mem, rho)
-        key = _config_key(config, (0, 0), _NO_PARENT, self._codes)
-        self._root = _Node(config, (0, 0), key)
-        self._nodes = {key: self._root}
+        self._root = _Node(config, (0, 0), _config_key(
+            config, (0, 0), _NO_PARENT, self._codes))
+        self._keep(self._root)
 
-    def _step(self, node: _Node, d: Directive):
-        """(child, observation) for `d` from `node`, or the `Stuck`."""
-        result = step(node.config, d, self._mode)
-        if len(self._nodes) >= GRAPH_MAX_NODES:  # a full graph stays full
-            if type(result) is Stuck:
-                return result
-            return _Node(result[0], None), result[1]
-        if type(result) is not Stuck:
-            config, obs = result
-            ids = node.ids if type(d) is not Retire else _retired_ids(
-                node.config, node.ids, self._writes)
-            key = _config_key(config, ids, (d, node.config.buffer,
-                                            node.key[0]), self._codes)
-            child = self._nodes.get(key)
-            if child is None:
-                child = self._nodes[key] = _Node(config, ids, key)
-            result = child, obs
-        node.edges[d] = result
-        return result
+    def _directives(self, node: _Node) -> list:
+        if node.options is None:
+            node.options = applicable_directives(node.config, self._mode)
+        return node.options
 
-    def walk(self, rng: random.Random, max_len: int,
-             second: Optional[StateGraph] = None):
-        """A uniformly random walk, each directive `rng.choice` of the
-        applicable ones, stopped after `max_len` directives or where none
-        applies: complete only if its config is terminal.  A `second` graph
-        is stepped too (by the first side's edge where both share a node),
-        and the walk returns (config, directives, *as `follow` returns)."""
-        node, directives, trace = self._root, [], []
-        node2, agreed = second and second._root, True
-        while len(directives) < max_len:
-            if node.options is None:
-                node.options = applicable_directives(node.config, self._mode)
-            if not node.options:
+    def _keep(self, node: _Node) -> None:
+        node.out = [None] * len(self._directives(node))
+        self._nodes[node.key] = node
+
+    def _step(self, node: _Node, i: int, walk: bool = True) -> tuple:
+        """(child, observation) for option `i` of `node`, kept in `out` if
+        the graph keeps `node`.  A walk's new child joins the graph; past a
+        full graph, it has no key and is not kept.  The search's child is
+        keyed and joins the graph only through `_expand`."""
+        d = node.options[i]
+        config, obs = step(node.config, d, self._mode)
+        if walk and len(self._nodes) >= GRAPH_MAX_NODES:
+            return _Node(config, None), obs  # a full graph stays full
+        ids = node.ids if type(d) is not Retire else _retired_ids(
+            node.config, node.ids, self._writes)
+        key = _config_key(config, ids, (d, node.config.buffer, node.key[0]),
+                          self._codes)
+        child = self._nodes.get(key)
+        if child is None:
+            child = _Node(config, ids, key)
+            if walk:
+                self._keep(child)
+        if node.out is not None:
+            node.out[i] = child, obs
+        return child, obs
+
+    def _edge(self, node: _Node, d: Directive):
+        """(child, observation) for `d` from `node`, or the `Stuck` that
+        `step` gives where `d` does not apply."""
+        try:
+            i = self._directives(node).index(d)
+        except ValueError:
+            return step(node.config, d, self._mode)
+        return node.out and node.out[i] or self._step(node, i)
+
+    def walk(self, rng: random.Random, max_len: int) -> tuple:
+        """(configuration, path, as `schedules` gives it) of a random walk
+        drawing each directive by `rng.randrange` over the applicable ones,
+        as `rng.choice` draws.  It stops after `max_len` directives or where
+        none applies, and is complete only if it ends terminal."""
+        node, path = self._root, None
+        for _ in range(max_len):
+            options = self._directives(node)
+            if not options:
                 break
-            d = rng.choice(node.options)
-            edge = node.edges.get(d) or self._step(node, d)
-            if node2 is node:
-                node2 = edge[0]
-            elif node2 is not None:
-                edge2 = node2.edges.get(d) or second._step(node2, d)
-                if type(edge2) is Stuck:
-                    node2, agreed = None, (len(directives), edge2.reason)
-                else:
-                    node2, agreed = edge2[0], agreed and edge2[1] == edge[1]
-            node, obs = edge
-            directives.append(d)
-            trace.append(obs)
-        if second is None:
-            return CompletedRun(tuple(directives), tuple(trace), node.config)
-        return node.config, tuple(directives), node2 and node2.config, agreed
+            i = rng.randrange(len(options))
+            child, obs = node.out and node.out[i] or self._step(node, i)
+            path = [path, options[i], obs, None]
+            node = child
+        return node.config, path
 
     def schedules(self, max_len: int = EXHAUSTIVE_MAX_LEN,
                   max_schedules: int = EXHAUSTIVE_MAX_SCHEDULES,
@@ -995,10 +984,10 @@ class StateGraph:
         produced = explored = 0
         memo: dict = {}  # expanded key -> directives left if dead, else 0
         passed: dict = {}  # (key, left) -> {second's key: schedules}
-        # Entries are (node, path, its length, the parent's buffer and key
-        # codes) to visit, or, once every child of a node has been visited,
-        # (None, its key, directives it had left, schedules before, path).
-        stack: list = [(self._root, None, 0, None)]
+        # Entries are (node, path, its length) to visit, or, once every
+        # child of a node has been visited, (None, its key, directives it had
+        # left, schedules before, path).
+        stack: list = [(self._root, None, 0)]
         while stack:
             entry = stack.pop()
             if entry[0] is None:
@@ -1012,7 +1001,7 @@ class StateGraph:
                         passed.setdefault((key, left), {})[key2] = \
                             produced - before
                 continue
-            node, path, depth, up = entry
+            node, path, depth = entry
             explored += 1
             if explored > max_nodes:
                 return
@@ -1028,9 +1017,6 @@ class StateGraph:
             if left <= 0:
                 continue
             key = node.key
-            if key is None:
-                key = node.key = _config_key(config, node.ids,
-                                             (path[1], *up), self._codes)
             if memo.get(key, 0) >= left:
                 continue
             counts = passed.get((key, left))
@@ -1046,36 +1032,31 @@ class StateGraph:
                         return
                     continue
             stack.append((None, key, left, produced, path))
-            node, out = self._expand(node, key, key in memo)
+            node, out = self._expand(node, key in memo)
             memo.setdefault(key, 0)
-            up = node.config.buffer, key[0]
             stack.extend(reversed([(child, [path, d, obs, (
                 child, True, depth + 1) if second is self else None],
-                depth + 1, up) for d, child, obs in out]))
+                depth + 1) for d, (child, obs) in zip(node.options, out)]))
 
-    def _expand(self, node: _Node, key, admit: bool) -> tuple:
-        """The graph's node keyed `key`, else `node`, and its (directive,
-        child, observation) list.  A node of the graph keeps its list; any
-        other joins the graph if `admit` and the graph has room."""
-        if node.out is None:  # not a node of the graph, or not expanded
-            node = self._nodes.get(key, node)
-        out = node.out
-        if out is None:
-            config, ids = node.config, node.ids
-            out = [(d, _Node(cfg, ids if d is not RETIRE else _retired_ids(
-                config, ids, self._writes)), obs)
-                for d, cfg, obs in _options(config, self._mode)]
-            if admit and len(self._nodes) < GRAPH_MAX_NODES:
-                self._nodes[key] = node
-            if self._nodes.get(key) is node:
-                node.out = out
-        return node, out
+    def _expand(self, node: _Node, admit: bool) -> tuple:
+        """The graph's node keyed as `node`, else `node`, and its (child,
+        observation) for each applicable directive.  A node the graph
+        keeps steps each directive once; any other joins the graph if
+        `admit` and the graph has room, and is stepped afresh if not."""
+        if node.out is None:  # not a node of the graph
+            node = self._nodes.get(node.key, node)
+            if node.out is None and admit \
+                    and len(self._nodes) < GRAPH_MAX_NODES:
+                self._keep(node)
+        out = node.out or [None] * len(self._directives(node))
+        return node, [edge or self._step(node, i, False)
+                      for i, edge in enumerate(out)]
 
     def follow(self, path) -> tuple:
-        """(configuration or None, agreement) of another graph's `schedules`
-        path run on this one: (index, reason) where it got stuck, else
-        whether every observation equalled the path's.  Links keep their
-        result, so paths follow one graph and a shared link steps once."""
+        """(configuration or None, agreement) of another graph's path run
+        on this one: (index, reason) where it got stuck, else whether every
+        observation equalled the path's.  Links keep their result, so paths
+        follow one graph and a shared link is looked up once."""
         pending = []
         while path is not None and path[3] is None:
             pending.append(path)
@@ -1083,7 +1064,7 @@ class StateGraph:
         node, agreed, depth = path[3] if path else (self._root, True, 0)
         for link in reversed(pending):
             if node is not None:
-                edge = node.edges.get(link[1]) or self._step(node, link[1])
+                edge = self._edge(node, link[1])
                 node, agreed = (None, (depth, edge.reason)) \
                     if type(edge) is Stuck \
                     else (edge[0], agreed and edge[1] == link[2])
@@ -1098,8 +1079,8 @@ def random_schedule(c: Command, mem, rho, mode: str = MODE_HW, *,
     """A uniformly random walk over applicable directives, drawn from
     `rng`; None if no terminal configuration is reached within `max_len`
     steps."""
-    run = StateGraph(c, mem, rho, mode).walk(rng, max_len)
-    return run if run.config.terminal else None
+    config, path = StateGraph(c, mem, rho, mode).walk(rng, max_len)
+    return CompletedRun(*unwind(path), config) if config.terminal else None
 
 
 # ---------------------------------------------------------------------------

@@ -262,3 +262,40 @@ def test_subcommand_accepts_the_flags_it_reads(capsys, command, flag):
         "consistency budget", "corpus budget"])
 def test_kept_flags_change_the_output(capsys, argv, one, other):
     assert run_cli(capsys, *argv, *one) != run_cli(capsys, *argv, *other)
+
+
+# Counts a subcommand takes: a count of runs to draw, of pairs or of walk
+# directives must be positive; a count of extra schedules or of directives
+# to take may be zero.
+@pytest.mark.parametrize("argv, flag", [
+    (["fuzz-sct", "--schedules", "random:abc"], "--schedules"),
+    (["fuzz-sct", "--schedules", "random:0"], "--schedules"),
+    (["fuzz-sct", "--schedules", "random:-5"], "--schedules"),
+    (["fuzz-sct", "--schedules", "random"], "--schedules"),
+    (["fuzz-sct", "--schedules", "bogus"], "--schedules"),
+    (["fuzz-sct", "--pairs", "0"], "--pairs"),
+    (["fuzz-sct", "--budget", "0"], "--budget"),
+    (["fuzz-sct", "--schedules", "exhaustive", "--budget", "-1"], "--budget"),
+    (["consistency", "--schedules", "-1"], "--schedules"),
+    (["consistency", "--schedules", "x"], "--schedules"),
+    (["run-spec", "--random", "-3"], "--random"),
+])
+def test_bad_counts_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, EX1])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert f"error: argument {flag}: expected" in captured.err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["fuzz-sct", "--schedules", "random:1", "--pairs", "1", "--budget",
+      "1"], {"passed": True, "trials": 0}),
+    (["consistency", "--schedules", "0"],
+     {"failures": [], "programs": 1, "schedules": 0}),
+    (["run-spec", "--random", "0"], {"stuck_at": None, "stuck_reason": "",
+                                     "terminal": False, "trace": []}),
+])
+def test_least_counts_are_accepted(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv, "--json", EX1)
+    assert (code, json.loads(out), err) == (0, want, "")

@@ -445,21 +445,26 @@ def test_equal_states_share_one_graph(schedules, monkeypatch):
 @pytest.mark.parametrize("cap", [machine.GRAPH_MAX_NODES, 3])
 @pytest.mark.parametrize("name", ["guard_chain", "while_count"])
 def test_equal_states_step_once(name, cap, monkeypatch):
-    # on the diagonal the second side takes the first side's edges, so the
-    # lockstep walks step as often as the first side's walks alone; past a
-    # full graph every step is made afresh, and still only once.  The
-    # search expands through `_options`, and on the diagonal its links come
-    # followed, so it makes no step at all.
+    # on the diagonal the second side follows nothing, so the walks step
+    # as often as the first side's walks alone; past a full graph every
+    # step is made afresh, and still only once.  The search's links come
+    # followed on the diagonal, so `follow` looks up no edge, and every
+    # step is one the search makes to expand a configuration.
     program = _repaired(name)
     monkeypatch.setattr(machine, "GRAPH_MAX_NODES", cap)
-    steps = []
-    plain_step = StateGraph._step
+    steps, lookups = [], []
+    plain_step, plain_edge = StateGraph._step, StateGraph._edge
 
-    def counted(graph, node, d):
-        steps.append(d)
-        return plain_step(graph, node, d)
+    def counted(graph, node, i, walk=True):
+        steps.append((node.options[i], walk))
+        return plain_step(graph, node, i, walk)
+
+    def looked_up(graph, node, d):
+        lookups.append(d)
+        return plain_edge(graph, node, d)
 
     monkeypatch.setattr(StateGraph, "_step", counted)
+    monkeypatch.setattr(StateGraph, "_edge", looked_up)
     result = sct_fuzz(program, schedules="random", schedule_count=30,
                       pairs=2, seed=1)
     lockstep, steps[:] = list(steps), []
@@ -472,4 +477,5 @@ def test_equal_states_step_once(name, cap, monkeypatch):
     assert lockstep == steps and len(steps) > 100
     steps.clear()
     result = sct_fuzz(program, schedules="exhaustive", pairs=2, seed=1)
-    assert result.passed and result.trials > 0 and not steps
+    assert result.passed and result.trials > 0 and not lookups
+    assert steps and not any(walk for _d, walk in steps)

@@ -57,6 +57,7 @@ from specrepair.machine import (
     step,
     traces_equivalent,
     transient_map,
+    unwind,
 )
 from specrepair.parser import parse_program
 from specrepair.repair import pipeline
@@ -264,7 +265,7 @@ def _graph_run(graph, directives) -> RunResult:
     the graph where it has no edge yet."""
     node, trace = graph._root, []
     for k, d in enumerate(directives):
-        edge = node.edges.get(d) or graph._step(node, d)
+        edge = graph._edge(node, d)
         if type(edge) is Stuck:
             return RunResult(node.config, trace, k, edge.reason)
         node, obs = edge
@@ -301,7 +302,8 @@ def test_state_graph_matches_fresh_runs(corpus, mode, monkeypatch):
             mem, rho = program.initial_memory(), program.initial_var_map()
             graph = StateGraph(program.command, mem, rho, mode)
             rng, reference = random.Random(name), random.Random(name)
-            walks = [graph.walk(rng, machine.WALK_MAX_LEN) for _ in range(3)]
+            walks = [CompletedRun(*unwind(path), config) for config, path in (
+                graph.walk(rng, machine.WALK_MAX_LEN) for _ in range(3))]
             for walk in walks:
                 assert walk.directives == _reference_walk(
                     program, mode, reference), name
@@ -551,10 +553,10 @@ def test_enumerate_skips_the_search_past_the_length_cap(monkeypatch, mode):
     mem, rho = program.initial_memory(), program.initial_var_map()
     assert len(sequential_schedule(report.repaired, mem, rho, mode)) > 40
 
-    def no_search(config, mode):
+    def no_search(graph, node, admit):
         raise AssertionError("the explorer searched")
 
-    monkeypatch.setattr(machine, "_options", no_search)
+    monkeypatch.setattr(StateGraph, "_expand", no_search)
     assert list(enumerate_schedules(report.repaired, mem, rho, mode,
                                     max_len=40)) == []
 
@@ -688,7 +690,8 @@ def _assert_exhaustive_runs_match(command, mem, rho, mode, **caps):
     assert exhaustive_runs(command, mem, rho, mode, **caps) == want
     # the count decides alone, without the enumeration checked against it
     caps = {"max_len": 40, "limit": 5000, "max_nodes": 400_000, **caps}
-    assert machine._count_space(command, mem, rho, mode, **caps) == \
+    assert machine._count_space(StateGraph(command, mem, rho, mode),
+                                **caps) == \
         (None if want is None else len(want))
     return want
 
@@ -701,6 +704,36 @@ def test_exhaustive_runs_match_the_plain_search_on_the_corpus(corpus, mode):
                  program.initial_var_map(), mode) is not None]
     # the spaces of the other programs pass a cap; the count decides that
     assert len(swept) == 13, swept
+
+
+def test_walks_reuse_what_the_sweep_stepped(corpus, monkeypatch):
+    # the count and the enumeration of a swept space step every
+    # configuration a walk can reach, and keep each transition on one list
+    # that walks read too
+    steps = []
+    plain_step = machine.step
+
+    def counted(config, d, mode=MODE_HW):
+        steps.append(d)
+        return plain_step(config, d, mode)
+
+    swept = 0
+    for name, program in corpus:
+        graph = StateGraph(program.command, program.initial_memory(),
+                           program.initial_var_map())
+        caps = (machine.EXHAUSTIVE_MAX_LEN, machine.EXHAUSTIVE_MAX_SCHEDULES,
+                machine.EXHAUSTIVE_MAX_NODES)
+        if machine._count_space(graph, *caps) is None:
+            continue
+        swept += 1
+        list(graph.schedules(*caps))
+        monkeypatch.setattr(machine, "step", counted)
+        rng = random.Random(name)
+        for _ in range(100):
+            assert graph.walk(rng, machine.WALK_MAX_LEN)[0].terminal, name
+        monkeypatch.setattr(machine, "step", plain_step)
+        assert steps == [], name
+    assert swept == 13
 
 
 # The bounds check of `a[2]` is mispredicted, and its rollback squashes more

@@ -35,3 +35,34 @@ def test_run_sct_fuzz(monkeypatch, capsys):
     assert lines[0].split()[-1] == "distinct"
     distinct = {line.split()[0]: line.split()[-1] for line in lines[1:]}
     assert distinct["guard_chain"] == "0" and int(distinct["ex1"]) > 0
+
+
+_SAMPLE = '''"""A module docstring
+on two lines."""
+
+# a comment line
+x = """a string value
+on two lines"""  # and a trailing comment
+
+
+def f():
+    """A function docstring."""
+    return x
+'''
+
+
+def test_count_lines(monkeypatch, capsys, tmp_path):
+    (tmp_path / "sample.py").write_text(_SAMPLE)
+    lines = run_script(monkeypatch, capsys, "count_lines.py", str(tmp_path))
+    assert [line.split() for line in lines] == [
+        ["module", "code", "docstring", "comment", "blank"],
+        ["sample.py", "4", "3", "1", "3"],
+        ["total", "4", "3", "1", "3"]]
+    # the library's modules by default, no kind counted below zero
+    lines = run_script(monkeypatch, capsys, "count_lines.py")
+    src = SCRIPTS.parent / "src" / "specrepair"
+    modules = sorted(path.name for path in src.glob("*.py"))
+    assert [line.split()[0] for line in lines[1:]] == [*modules, "total"]
+    assert all(int(n) >= 0 for line in lines[1:] for n in line.split()[1:])
+    assert sum(map(int, lines[-1].split()[1:])) == sum(
+        len(path.read_text().splitlines()) for path in src.glob("*.py"))
