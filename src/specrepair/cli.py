@@ -366,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     def seq_budget(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_POSITIVE, default=DEFAULT_BUDGET,
                        help="sequential step budget")
 
     p = sub.add_parser("run-seq", help="run the sequential semantics")
@@ -378,11 +378,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-spec", help="run the speculative machine")
     p.add_argument("program")
     p.add_argument("--mode", choices=[MODE_HW, MODE_SLH], default=MODE_HW)
-    p.add_argument("--schedule", help="file with one directive per line")
-    p.add_argument("--seq", action="store_true",
-                   help="use the in-order schedule")
-    p.add_argument("--random", type=_NON_NEGATIVE, metavar="N",
-                   help="take up to N random directives")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--schedule",
+                        help="file with one directive per line")
+    source.add_argument("--seq", action="store_true",
+                        help="use the in-order schedule")
+    source.add_argument("--random", type=_NON_NEGATIVE, metavar="N",
+                        help="take up to N random directives")
     common(p)
     seed(p)
     p.set_defaults(func=cmd_run_spec)

@@ -8,6 +8,7 @@ reported counterexample replays exactly.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional
@@ -23,7 +24,6 @@ from .machine import (
     filter_trace,
     format_directive,
     is_reserved_name,
-    traces_equivalent,
     unwind,
 )
 from .parser import Program
@@ -138,14 +138,17 @@ class SctResult:
 
 def _difference(program: Program, config1, config2, agreed) -> Optional[tuple]:
     """Kind and detail of a counterexample: the second run got stuck
-    (`agreed` is its index and reason), its trace or its public state."""
+    (`agreed` is its index and reason), its trace or its public state.
+    One configuration on both sides, as a shared graph gives, is equal to
+    itself and is not compared."""
     if type(agreed) is tuple:
         return "stuck", (f"second run stuck at directive {agreed[0]}: "
                          f"{agreed[1]}")
     if not agreed:
         return "trace", "observation traces differ under identical directives"
-    if not l_equivalent(program.policy, program, config1.mem, config1.vars,
-                        config2.mem, config2.vars):
+    if config1 is not config2 and not l_equivalent(
+            program.policy, program, config1.mem, config1.vars,
+            config2.mem, config2.vars):
         return "state", "final states differ on public data"
     return None
 
@@ -235,18 +238,19 @@ def _source_vars(rho: dict[str, Value]) -> dict[str, Value]:
     return {x: v for x, v in rho.items() if not is_reserved_name(x)}
 
 
-def check_consistency_run(name: str, program: Program, run: CompletedRun,
-                          seq_result, seed: int,
-                          report: ConsistencyReport) -> None:
+def check_consistency_run(name: str, run: CompletedRun, seq_side: tuple,
+                          seed: int, report: ConsistencyReport) -> None:
+    """Check one speculative run against `seq_side`: the sequential run's
+    memory, its `_source_vars` and the `Counter` of its filtered trace."""
     report.schedules += 1
-    spec_vars = _source_vars(run.config.vars)
-    seq_vars = _source_vars(seq_result.vars)
-    if run.config.mem != seq_result.mem or spec_vars != seq_vars:
+    seq_mem, seq_vars, seq_counts = seq_side
+    if run.config.mem != seq_mem \
+            or _source_vars(run.config.vars) != seq_vars:
         report.failures.append(ConsistencyFailure(
             name, run.directives, seed,
             "final state differs from the sequential run"))
         return
-    if not traces_equivalent(seq_result.trace, filter_trace(run.trace)):
+    if Counter(filter_trace(run.trace)) != seq_counts:
         report.failures.append(ConsistencyFailure(
             name, run.directives, seed,
             "filtered trace is not a permutation of the sequential trace"))
@@ -270,14 +274,15 @@ def consistency_suite(programs: list[tuple[str, Program]],
     for name, program in programs:
         seq_result = run_sequential(program.command, program.initial_memory(),
                                     program.initial_var_map(), budget=budget)
+        seq_side = (seq_result.mem, _source_vars(seq_result.vars),
+                    Counter(filter_trace(seq_result.trace)))
         report.checked += 1
         mem = program.initial_memory()
         rho = program.initial_var_map()
         complete_space = exhaustive_runs(program.command, mem, rho, mode)
         if complete_space is not None:
             for run in complete_space:
-                check_consistency_run(name, program, run, seq_result, seed,
-                                      report)
+                check_consistency_run(name, run, seq_side, seed, report)
         graph = StateGraph(program.command, mem, rho, mode)
         rng = random.Random(f"consistency:{seed}:{name}")
         walks = (graph.walk(rng, WALK_MAX_LEN)
@@ -285,6 +290,5 @@ def consistency_suite(programs: list[tuple[str, Program]],
         complete = (CompletedRun(*unwind(path), config)
                     for config, path in walks if config.terminal)
         for run in islice(complete, per_program_schedules):
-            check_consistency_run(name, program, run, seq_result, seed,
-                                  report)
+            check_consistency_run(name, run, seq_side, seed, report)
     return report

@@ -482,6 +482,19 @@ def is_constant_expr(e: Expr) -> bool:
     return not expr_vars(e)
 
 
+def is_constant_in_bounds(r: ArrayRead) -> bool:
+    """True when the index of `r` is a constant inside its array.  Only such
+    a read stays in its own array under a mispredicted bounds check; a
+    constant index past the end reads the cells that follow the array."""
+    if not is_constant_expr(r.index):
+        return False
+    try:
+        index = eval_expr(r.index, {})
+    except EvalError:
+        return False
+    return is_nat(index) and 0 <= index < r.array.length
+
+
 # Value kinds for the static front-end check.
 KIND_NAT = "nat"
 KIND_BOOL = "bool"

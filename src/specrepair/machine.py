@@ -58,7 +58,6 @@ from .lang import (
     Var,
     While,
     eval_expr,
-    is_nat,
 )
 from .seq import DEFAULT_BUDGET, BudgetExceeded, SeqFail, SeqRead, SeqWrite
 
@@ -90,12 +89,10 @@ class FailInstr:
 
 @dataclass(frozen=True, slots=True)
 class AssignI:
+    """An assignment; resolved once `expr` is a `Lit`."""
+
     target: str
     expr: Expr
-
-    @property
-    def resolved(self) -> bool:
-        return isinstance(self.expr, Lit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,26 +106,21 @@ class LoadI:
 class StoreI:
     """A pending store.  Unlike assignments, a store with literal operands
     still needs its execute step: that step is what emits the write
-    observation, so `resolved` tracks execution, not operand shape."""
+    observation, so it is resolved once `executed`, whatever its operands."""
 
     label: str
     addr: Expr
     value: Expr
     executed: bool = False
 
-    @property
-    def resolved(self) -> bool:
-        return self.executed
-
 
 @dataclass(frozen=True, slots=True)
 class ProtectI:
+    """A protect; resolved once `expr` is a `Lit`, released to an
+    assignment once no guard precedes it."""
+
     target: str
     expr: Expr
-
-    @property
-    def resolved(self) -> bool:
-        return isinstance(self.expr, Lit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,7 +256,8 @@ def transient_map(rho: dict[str, Value],
     for instr in prefix:
         kind = type(instr)
         if kind is AssignI:
-            out[instr.target] = instr.expr.value if instr.resolved else None
+            e = instr.expr
+            out[instr.target] = e.value if type(e) is Lit else None
         elif kind is LoadI or kind is ProtectI:
             out[instr.target] = None
     return out
@@ -440,7 +433,7 @@ def _exec(config: Config, index: int):
         return Stuck(f"no instruction at buffer position {index}")
     prefix = buffer[:index - 1]
     instr = buffer[index - 1]
-    trho = transient_map(rho, prefix)
+    trho = transient_map(rho, prefix) if prefix else rho
     kind = type(instr)
     obs = SILENT
     try:
@@ -461,19 +454,19 @@ def _exec(config: Config, index: int):
             addr = eval_expr(instr.addr, trho)
             if addr is None:
                 return Stuck("load address is still undefined")
-            if not is_nat(addr):
+            if type(addr) is not int:
                 return Stuck("load address is not a natural")
             obs = ReadObs(addr, pending_ids(prefix))
             new_instr = AssignI(instr.target, Lit(mem.get(addr, 0)))
         elif kind is AssignI:
-            if instr.resolved:
+            if type(instr.expr) is Lit:
                 return Stuck("assignment already resolved")
             v = eval_expr(instr.expr, trho)
             if v is None:
                 return Stuck("assignment operand is still undefined")
             new_instr = AssignI(instr.target, Lit(v))
         elif kind is ProtectI:
-            if not instr.resolved:
+            if type(instr.expr) is not Lit:
                 v = eval_expr(instr.expr, trho)
                 if v is None:
                     return Stuck("protected operand is still undefined")
@@ -483,12 +476,12 @@ def _exec(config: Config, index: int):
             else:
                 new_instr = AssignI(instr.target, instr.expr)
         elif kind is StoreI:
-            if instr.resolved:
+            if instr.executed:
                 return Stuck("store already executed")
             addr = eval_expr(instr.addr, trho)
             if addr is None:
                 return Stuck("store address is still undefined")
-            if not is_nat(addr):
+            if type(addr) is not int:
                 return Stuck("store address is not a natural")
             value = eval_expr(instr.value, trho)
             if value is None:
@@ -512,11 +505,11 @@ def _retire(config: Config):
     kind = type(head)
     if kind is Nop:
         return Config(rest, stack, mem, rho, next_pred, next_tmp), SILENT
-    if kind is AssignI and head.resolved:
+    if kind is AssignI and type(head.expr) is Lit:
         new_vars = dict(rho)
         new_vars[head.target] = head.expr.value
         return Config(rest, stack, mem, new_vars, next_pred, next_tmp), SILENT
-    if kind is StoreI and head.resolved:
+    if kind is StoreI and head.executed:
         new_mem = dict(mem)
         new_mem[head.addr.value] = head.value.value
         return Config(rest, stack, new_mem, rho, next_pred, next_tmp), SILENT
@@ -558,13 +551,6 @@ def run_schedule(c: Command, mem, rho, directives,
     return RunResult(config, trace)
 
 
-def _defined(e: Expr, trho) -> Optional[Value]:
-    try:
-        return eval_expr(e, trho)
-    except EvalError:
-        return None
-
-
 def applicable_directives(config: Config, mode: str = MODE_HW) -> list:
     """Directives that do not leave the machine stuck, in a fixed
     speculate-first order: fetches (predicting true before false), data
@@ -574,10 +560,12 @@ def applicable_directives(config: Config, mode: str = MODE_HW) -> list:
 
     This recomputes the side conditions of the step rules incrementally (one
     left-to-right pass over the buffer) instead of attempting each step, so
-    random walks stay cheap.  The test
-    `test_applicable_directives_agree_with_step` checks along seeded walks
-    that a directive is listed exactly when `step` does not leave the
-    machine stuck on it.
+    random walks stay cheap.  An operand is evaluated inside one `try` per
+    instruction, and one that raises `EvalError` counts as undefined; an
+    address must be of type `int`, since values are only `int`, `bool` or
+    `ArrayDecl`.  The test `test_applicable_directives_agree_with_step`
+    checks along seeded walks that a directive is listed exactly when
+    `step` does not leave the machine stuck on it.
     """
     out: list[Directive] = []
     if config.stack:
@@ -597,39 +585,57 @@ def applicable_directives(config: Config, mode: str = MODE_HW) -> list:
     for idx, instr in enumerate(buffer, start=1):
         kind = type(instr)
         if kind is AssignI:
-            if not instr.resolved and _defined(instr.expr, trho) is not None:
-                data_execs.append(_exec_directive(idx))
-            trho[instr.target] = instr.expr.value if instr.resolved else None
+            e = instr.expr
+            if type(e) is Lit:
+                trho[instr.target] = e.value
+                continue
+            try:
+                if eval_expr(e, trho) is not None:
+                    data_execs.append(_exec_directive(idx))
+            except EvalError:
+                pass
+            trho[instr.target] = None
         elif kind is GuardI:
-            if type(_defined(instr.cond, trho)) is bool:
-                guard_execs.append(_exec_directive(idx))
+            try:
+                if type(eval_expr(instr.cond, trho)) is bool:
+                    guard_execs.append(_exec_directive(idx))
+            except EvalError:
+                pass
             seen_guard = True
         elif kind is LoadI:
             if not seen_store:
-                addr = _defined(instr.addr, trho)
-                if addr is not None and is_nat(addr):
-                    data_execs.append(_exec_directive(idx))
+                try:
+                    if type(eval_expr(instr.addr, trho)) is int:
+                        data_execs.append(_exec_directive(idx))
+                except EvalError:
+                    pass
             trho[instr.target] = None
         elif kind is ProtectI:
-            if not instr.resolved:
-                if _defined(instr.expr, trho) is not None:
-                    data_execs.append(_exec_directive(idx))
+            if type(instr.expr) is not Lit:
+                try:
+                    if eval_expr(instr.expr, trho) is not None:
+                        data_execs.append(_exec_directive(idx))
+                except EvalError:
+                    pass
             elif not seen_guard:
                 data_execs.append(_exec_directive(idx))
             trho[instr.target] = None
         elif kind is StoreI:
-            if not instr.resolved:
-                addr = _defined(instr.addr, trho)
-                if addr is not None and is_nat(addr) \
-                        and _defined(instr.value, trho) is not None:
-                    data_execs.append(_exec_directive(idx))
+            if not instr.executed:
+                try:
+                    if type(eval_expr(instr.addr, trho)) is int \
+                            and eval_expr(instr.value, trho) is not None:
+                        data_execs.append(_exec_directive(idx))
+                except EvalError:
+                    pass
             seen_store = True
     out.extend(data_execs)
     out.extend(guard_execs)
     head = buffer[0]
     kind = type(head)
-    if kind is Nop or kind is FailInstr or \
-            ((kind is AssignI or kind is StoreI) and head.resolved):
+    if kind is Nop or kind is FailInstr \
+            or kind is AssignI and type(head.expr) is Lit \
+            or kind is StoreI and head.executed:
         out.append(RETIRE)
     return out
 
@@ -651,7 +657,8 @@ def sequential_schedule(c: Command, mem, rho, mode: str = MODE_HW,
             head = config.buffer[0]
             if isinstance(head, (Nop, FailInstr)):
                 d: Directive = RETIRE
-            elif isinstance(head, (AssignI, StoreI)) and head.resolved:
+            elif type(head) is AssignI and type(head.expr) is Lit \
+                    or type(head) is StoreI and head.executed:
                 d = RETIRE
             else:
                 d = _EXECS[1]
@@ -937,16 +944,27 @@ class StateGraph:
 
     def walk(self, rng: random.Random, max_len: int) -> tuple:
         """(configuration, path, as `schedules` gives it) of a random walk
-        drawing each directive by `rng.randrange` over the applicable ones,
-        as `rng.choice` draws.  It stops after `max_len` directives or where
-        none applies, and is complete only if it ends terminal."""
+        drawing each directive uniformly over the applicable ones.  The
+        draw is `rng.randrange(n)` as CPython makes it, inline: `getrandbits`
+        of `n.bit_length()` bits until the result is below `n`, so the
+        stream and every index equal `randrange`'s (and `rng.choice`'s).
+        It stops after `max_len` directives or where none applies, and is
+        complete only if it ends terminal."""
         node, path = self._root, None
+        getrandbits = rng.getrandbits
         for _ in range(max_len):
-            options = self._directives(node)
-            if not options:
+            options = node.options
+            if options is None:
+                options = self._directives(node)
+            n = len(options)
+            if not n:
                 break
-            i = rng.randrange(len(options))
-            child, obs = node.out and node.out[i] or self._step(node, i)
+            bits = n.bit_length()
+            i = getrandbits(bits)
+            while i >= n:
+                i = getrandbits(bits)
+            out = node.out
+            child, obs = out and out[i] or self._step(node, i)
             path = [path, options[i], obs, None]
             node = child
         return node.config, path

@@ -3,7 +3,8 @@
 The inference pipeline strings everything together: generate constraints,
 find a minimum cut over the allowed candidates, rewrite the program, and
 re-check the result.  Baseline repairs (protect every read, or every read
-with a non-constant address) exist only for protect-count comparisons.
+but those at a constant, in-bounds address) exist only for protect-count
+comparisons.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .lang import (
     Command,
     LangError,
     is_constant_expr,
+    is_constant_in_bounds,
     Protect,
     PtrRead,
     check_ssa,
@@ -61,14 +63,15 @@ def count_protects(c: Command) -> int:
 
 
 def baseline_repair(c: Command, mode: Mode = Mode()) -> Command:
-    """Protect every read (v1.1), or every read with a non-constant address
-    (v1).  Deliberately blunt; used as the comparison point for counts."""
+    """Protect every read (v1.1), or in v1 every read but those at a
+    constant address, within bounds for an array read.  Deliberately
+    blunt; used as the comparison point for counts."""
     if check_ssa(c):
         raise RepairError("program is not single-assignment")
 
     def needs_protect(rhs) -> bool:
         if isinstance(rhs, ArrayRead):
-            return mode.spectre_v1_1 or not is_constant_expr(rhs.index)
+            return mode.spectre_v1_1 or not is_constant_in_bounds(rhs)
         if isinstance(rhs, PtrRead):
             return mode.spectre_v1_1 or not is_constant_expr(rhs.addr)
         return False

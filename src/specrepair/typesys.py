@@ -6,7 +6,8 @@ addresses, and branch conditions must be stable; assignments may not move a
 transient value into a stable variable unless the assignment is protected
 (explicitly, or by membership in the protected set).  The Spectre v1.1 mode
 additionally treats stored values as sinks, and treats constant-address reads
-as transient sources (plain v1 mode exempts them).
+as transient sources (plain v1 mode exempts them, array reads only when the
+constant index is in bounds).
 
 These rules are written once, in `generate_constraints`: it emits
 can-flow-to edges between atoms (a shared atom per variable, one atom per
@@ -60,6 +61,7 @@ from .lang import (
     While,
     commands,
     is_constant_expr,
+    is_constant_in_bounds,
     label_flows_to,
     label_join,
 )
@@ -290,9 +292,11 @@ def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
     and assignment edge.
 
     Protected assignments contribute no edge into their target, which is how
-    a protect cuts the flow.  Reads with a literal index are sources only in
-    v1.1 mode; v1 trusts constant addresses to be in bounds.  An expression
-    atom's incoming edges are all emitted before any edge out of it.
+    a protect cuts the flow.  Reads at a constant address are sources only
+    in v1.1 mode, except array reads whose constant index is out of bounds:
+    under a mispredicted bounds check those read the next array.  An
+    expression atom's incoming edges are all emitted before any edge out of
+    it.
     """
     k = ConstraintSet()
     add = k.add
@@ -334,7 +338,7 @@ def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
         if isinstance(r, ArrayRead):
             flow("Array-Read", cmd, expr_atom(r.index, path + ".idx"), S_SINK)
             me = ExprAtom(path, pretty_rhs(r), "read")
-            if mode.spectre_v1_1 or not is_constant_expr(r.index):
+            if mode.spectre_v1_1 or not is_constant_in_bounds(r):
                 add(T_SOURCE, me)
             return me
         if isinstance(r, PtrRead):

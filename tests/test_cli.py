@@ -288,6 +288,33 @@ def test_bad_counts_are_usage_errors(capsys, argv, flag):
     assert f"error: argument {flag}: expected" in captured.err
 
 
+# `run-spec` takes one schedule source, and a sequential step budget must be
+# positive.
+@pytest.mark.parametrize("argv, message", [
+    (["run-spec", "--random", "5", "--seq", EX1],
+     "argument --seq: not allowed with argument --random"),
+    (["run-spec", "--seq", "--random", "5", EX1],
+     "argument --random: not allowed with argument --seq"),
+    (["run-spec", "--schedule", FIG6, "--seq", EX1],
+     "argument --seq: not allowed with argument --schedule"),
+    (["run-spec", "--random", "0", "--schedule", FIG6, EX1],
+     "argument --schedule: not allowed with argument --random"),
+    (["run-seq", "--budget", "0", EX1], "argument --budget: expected"),
+    (["run-seq", "--budget", "-1", EX1], "argument --budget: expected"),
+    (["consistency", "--budget", "0", EX1], "argument --budget: expected"),
+    (["corpus", "--validate", "--budget", "-5"],
+     "argument --budget: expected"),
+], ids=["random, seq", "seq, random", "schedule, seq", "random, schedule",
+        "run-seq budget 0", "run-seq budget -1", "consistency budget 0",
+        "corpus budget -5"])
+def test_usage_conflicts_and_bad_budgets(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 @pytest.mark.parametrize("argv, want", [
     (["fuzz-sct", "--schedules", "random:1", "--pairs", "1", "--budget",
       "1"], {"passed": True, "trials": 0}),

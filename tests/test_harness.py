@@ -442,6 +442,31 @@ def test_equal_states_share_one_graph(schedules, monkeypatch):
         assert result.distinct_pairs == graphs - 3
 
 
+@pytest.mark.parametrize("schedules", ["random", "exhaustive"])
+def test_only_distinct_states_are_compared(schedules, monkeypatch):
+    # both sides of a shared graph end in one configuration, which is not
+    # compared with itself; a pair of distinct states still is
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return l_equivalent(*args)
+
+    monkeypatch.setattr(harness, "l_equivalent", counted)
+    result = sct_fuzz(_repaired("guard_chain"), schedules=schedules,
+                      schedule_count=20, pairs=2, seed=1)
+    assert (result.passed, result.distinct_pairs) == (True, 0)
+    assert result.trials > 0 and not calls
+    result = sct_fuzz(parse_program("var s = 0; var x = 0; public x; x := s;"),
+                      schedules=schedules, pairs=1, seed=0)
+    ce = result.counterexample
+    assert (result.passed, result.trials, ce.kind, ce.detail,
+            "/".join(ce.schedule_lines())) == \
+        (False, 1, "state", "final states differ on public data",
+         "fetch/exec 1/retire")
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("cap", [machine.GRAPH_MAX_NODES, 3])
 @pytest.mark.parametrize("name", ["guard_chain", "while_count"])
 def test_equal_states_step_once(name, cap, monkeypatch):

@@ -736,6 +736,23 @@ def test_walks_reuse_what_the_sweep_stepped(corpus, monkeypatch):
     assert swept == 13
 
 
+def test_walk_draws_as_randrange():
+    # a root with n options, each a loop back to it whose observation is
+    # its index: the walk's path lists its draws, which must be those of
+    # `randrange(n)`, leaving the generator in the same state
+    graph = StateGraph(Skip(), {}, {})
+    root = graph._root
+    for n in range(1, 65):
+        root.options = list(range(n))
+        root.out = [(root, i) for i in range(n)]
+        for seed in (0, 1, 7, 2**40 + 3):
+            rng, reference = random.Random(seed), random.Random(seed)
+            _config, path = graph.walk(rng, 50)
+            assert unwind(path)[1] == \
+                tuple(reference.randrange(n) for _ in range(50)), (n, seed)
+            assert rng.getstate() == reference.getstate(), (n, seed)
+
+
 # The bounds check of `a[2]` is mispredicted, and its rollback squashes more
 # or less speculative work, so one configuration is reached with different
 # numbers of directives left: at a length cap of 11 only the visits with

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from specrepair.harness import sct_fuzz
 from specrepair.lang import (
     Assign,
     Lit,
     Pure,
     Seq,
+    TRANSIENT,
 )
 from specrepair.parser import parse_program, pretty_command
 from specrepair.repair import (
@@ -17,7 +21,7 @@ from specrepair.repair import (
     repair,
 )
 from specrepair.seq import run_sequential
-from specrepair.typesys import Mode
+from specrepair.typesys import Mode, generate_constraints, least_type_env
 
 
 def test_repair_wraps_the_unique_assignment(ex1, ex1_patched):
@@ -148,3 +152,30 @@ def test_protect_assignments_stay_protected():
     report = pipeline(program.command, Mode(), program.variables())
     assert report.cut == []
     assert count_protects(report.repaired) == 1
+
+
+# `a[2]` with `len(a) = 2` is a constant index past the end: under a
+# mispredicted bounds check it reads `c[0]`, and the store address then
+# depends on that secret.
+OUT_OF_BOUNDS_CONSTANT = """\
+array a base=1 len=2 label=L;
+array c base=3 len=1 label=H init=[7];
+var t0 = 0;
+public a, t0;
+t0 := a[2];
+a[t0] := 1;
+"""
+
+
+def test_constant_index_out_of_bounds_is_a_transient_source():
+    program = parse_program(OUT_OF_BOUNDS_CONSTANT)
+    k = generate_constraints(program.command, Mode())
+    assert least_type_env(k, program.variables())["t0"] == TRANSIENT
+    report = pipeline(program.command, Mode(), program.variables())
+    assert report.cut == ["t0"]
+    assert count_protects(baseline_repair(program.command, Mode())) == 1
+    repaired = dataclasses.replace(program, command=report.repaired)
+    for mode in ("hw", "slh"):
+        assert not sct_fuzz(program, mode, "exhaustive").passed, mode
+        result = sct_fuzz(repaired, mode, "exhaustive")
+        assert result.passed and result.trials > 0, mode

@@ -54,6 +54,7 @@ from specrepair.lang import (
     assignments,
     command_vars,
     commands,
+    eval_expr,
     expr_vars,
     is_constant_expr,
     label_flows_to,
@@ -113,6 +114,17 @@ def transient_expr_type(e: Expr, gamma: dict[str, str]) -> str:
     raise LangError(f"cannot type {e!r}")
 
 
+def _constant_index_in_bounds(r: ArrayRead) -> bool:
+    if not is_constant_expr(r.index):
+        return False
+    try:
+        index = eval_expr(r.index, {})
+    except LangError:
+        return False
+    return isinstance(index, int) and not isinstance(index, bool) \
+        and 0 <= index < r.array.length
+
+
 def _transient_rhs(r: Rhs, gamma, mode: Mode, where,
                    out: list[Violation]) -> str:
     if isinstance(r, Pure):
@@ -123,8 +135,9 @@ def _transient_rhs(r: Rhs, gamma, mode: Mode, where,
                                  f"index {pretty_expr(r.index)} may be "
                                  "transient"))
         # without store forwarding a constant in-bounds address can never
-        # yield misprediction-influenced data, so plain v1 trusts it
-        if is_constant_expr(r.index) and not mode.spectre_v1_1:
+        # yield misprediction-influenced data, so plain v1 trusts it; a
+        # constant index past the end reads the next array when mispredicted
+        if _constant_index_in_bounds(r) and not mode.spectre_v1_1:
             return STABLE
         return TRANSIENT
     if isinstance(r, PtrRead):
