@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Print the library's verdicts over a fixed matrix, one JSON line per
+case, so that the output of two trees can be compared with `cmp`.
+
+The matrix:
+- `sct_fuzz` of each corpus program, as written and as repaired under
+  `Mode()`, in hw and slh, random and exhaustive, at (seed, pairs) (0, 1),
+  (1, 2) and (7, 3);
+- `exhaustive_runs` from each of those programs' declared state, in hw and
+  slh, as its run count and a SHA-256 of its runs, or null;
+- `consistency_suite` over the corpus as written, 30 walks per program, at
+  seeds 0 and 3, in hw and slh;
+each with `machine.GRAPH_MAX_NODES` at 500 and at 3.
+
+Usage: python scripts/verdict_matrix.py [program ...]
+The named corpus programs, or all of them, make up the matrix.
+"""
+
+import dataclasses
+import hashlib
+import json
+import sys
+
+from specrepair import machine
+from specrepair.corpus import corpus_names, load_program
+from specrepair.harness import consistency_suite, exhaustive_runs, sct_fuzz
+from specrepair.machine import (
+    MODE_HW,
+    MODE_SLH,
+    format_directive,
+    format_observation,
+)
+from specrepair.repair import pipeline
+from specrepair.typesys import Mode
+
+MODES = (MODE_HW, MODE_SLH)
+SEED_PAIRS = ((0, 1), (1, 2), (7, 3))
+GRAPH_CAPS = (500, 3)
+CONSISTENCY_WALKS = 30
+CONSISTENCY_SEEDS = (0, 3)
+
+
+def schedule(directives) -> str:
+    return "/".join(map(format_directive, directives))
+
+
+def sct_record(result) -> dict:
+    ce = result.counterexample
+    return {"passed": result.passed, "trials": result.trials,
+            "distinct_pairs": result.distinct_pairs,
+            "counterexample": ce and {
+                "pair_index": ce.pair_index, "kind": ce.kind,
+                "detail": ce.detail, "schedule": schedule(ce.directives)}}
+
+
+def runs_record(runs) -> dict:
+    if runs is None:
+        return None
+    digest = hashlib.sha256()
+    for run in runs:
+        digest.update(repr((
+            schedule(run.directives),
+            [format_observation(o) for o in run.trace],
+            sorted(run.config.mem.items()),
+            sorted(run.config.vars.items()))).encode())
+    return {"runs": len(runs), "sha256": digest.hexdigest()}
+
+
+def consistency_record(report) -> dict:
+    return {"checked": report.checked, "schedules": report.schedules,
+            "failures": [[f.program, schedule(f.directives), f.seed, f.detail]
+                         for f in report.failures]}
+
+
+def cases(names):
+    """(case, verdict) for every case of the matrix over `names`."""
+    programs = []
+    for name in names:
+        program = load_program(name)
+        repaired = pipeline(program.command, Mode(),
+                            program.variables()).repaired
+        programs.append((name, "raw", program))
+        programs.append((name, "repaired",
+                         dataclasses.replace(program, command=repaired)))
+    for cap in GRAPH_CAPS:
+        machine.GRAPH_MAX_NODES = cap
+        for name, form, program in programs:
+            for mode in MODES:
+                for kind in ("random", "exhaustive"):
+                    for seed, pairs in SEED_PAIRS:
+                        yield (["sct", cap, name, form, mode, kind, seed,
+                                pairs],
+                               sct_record(sct_fuzz(
+                                   program, mode=mode, schedules=kind,
+                                   pairs=pairs, seed=seed)))
+                yield (["exhaustive_runs", cap, name, form, mode],
+                       runs_record(exhaustive_runs(
+                           program.command, program.initial_memory(),
+                           program.initial_var_map(), mode)))
+        corpus = [(name, program) for name, form, program in programs
+                  if form == "raw"]
+        for mode in MODES:
+            for seed in CONSISTENCY_SEEDS:
+                yield (["consistency", cap, mode, seed],
+                       consistency_record(consistency_suite(
+                           corpus, per_program_schedules=CONSISTENCY_WALKS,
+                           seed=seed, mode=mode)))
+
+
+def main() -> int:
+    names = sys.argv[1:] or corpus_names()
+    unknown = sorted(set(names) - set(corpus_names()))
+    if unknown:
+        print(f"unknown corpus programs: {' '.join(unknown)}",
+              file=sys.stderr)
+        return 2
+    default_cap = machine.GRAPH_MAX_NODES
+    try:
+        for case, verdict in cases(names):
+            print(json.dumps({"case": case, "verdict": verdict}))
+    finally:
+        machine.GRAPH_MAX_NODES = default_cap
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

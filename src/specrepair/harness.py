@@ -17,9 +17,11 @@ from .lang import Policy, Value
 from .machine import (
     CompletedRun,
     EXHAUSTIVE_MAX_LEN,
+    EXHAUSTIVE_MAX_SCHEDULES,
     MODE_HW,
     WALK_MAX_LEN,
     StateGraph,
+    _count_space,
     exhaustive_runs,
     filter_trace,
     format_directive,
@@ -138,17 +140,14 @@ class SctResult:
 
 def _difference(program: Program, config1, config2, agreed) -> Optional[tuple]:
     """Kind and detail of a counterexample: the second run got stuck
-    (`agreed` is its index and reason), its trace or its public state.
-    One configuration on both sides, as a shared graph gives, is equal to
-    itself and is not compared."""
+    (`agreed` is its index and reason), its trace or its public state."""
     if type(agreed) is tuple:
         return "stuck", (f"second run stuck at directive {agreed[0]}: "
                          f"{agreed[1]}")
     if not agreed:
         return "trace", "observation traces differ under identical directives"
-    if config1 is not config2 and not l_equivalent(
-            program.policy, program, config1.mem, config1.vars,
-            config2.mem, config2.vars):
+    if not l_equivalent(program.policy, program, config1.mem, config1.vars,
+                        config2.mem, config2.vars):
         return "state", "final states differ on public data"
     return None
 
@@ -169,9 +168,10 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
     second.  A one-sided stuck run, a raw-trace difference or a public-state
     difference is a counterexample, tested in that order.  Raw traces are
     compared syntactically, silent observations and prediction identifiers
-    included.  Two states equal kind by kind share one `StateGraph` and
-    pass by construction; others have one each and count in
-    `distinct_pairs`.  Walks and the exhaustive search
+    included.  Two states equal kind by kind cannot differ, so such a
+    pair adds to the trials its terminal walks, or the count of its
+    schedule space (`machine._count_space`).  Other pairs count in
+    `distinct_pairs` and get a `StateGraph` each.  Walks and the search
     (`StateGraph.schedules`, capped by the `machine.EXHAUSTIVE_*` caps and
     `max_len`) run on the first side's graph, and each complete schedule
     is followed on the second's; a subtree the search has passed, entered
@@ -181,22 +181,23 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
     """
     command = program.command
     exhaustive = schedules == "exhaustive"
+    length = min(max_len, EXHAUSTIVE_MAX_LEN)
     trials = distinct = 0
     for pair_index, pair in enumerate(gen_lequiv_pairs(program, pairs, seed)):
-        graph1 = graph2 = StateGraph(command, pair.mem1, pair.rho1, mode)
-        if _kinds(pair.mem1, pair.rho1) != _kinds(pair.mem2, pair.rho2):
-            distinct += 1
-            graph2 = StateGraph(command, pair.mem2, pair.rho2, mode)
-        if exhaustive:
-            runs = graph1.schedules(min(max_len, EXHAUSTIVE_MAX_LEN),
-                                    second=graph2)
-        else:
-            rng = random.Random(f"sct:{seed}:{pair_index}")
-            walks = (graph1.walk(rng, max_len) for _ in range(schedule_count))
-            # a walk cut off at `max_len` is not a verdict
-            runs = ((config, path, *(graph2.follow(path) if graph2 is not
-                                     graph1 else (config, True)))
-                    for config, path in walks if config.terminal)
+        graph1 = StateGraph(command, pair.mem1, pair.rho1, mode)
+        rng = random.Random(f"sct:{seed}:{pair_index}")
+        # a walk cut off at `max_len` is not a trial
+        walks = (graph1.walk(rng, max_len) for _ in range(schedule_count))
+        if _kinds(pair.mem1, pair.rho1) == _kinds(pair.mem2, pair.rho2):
+            trials += _count_space(
+                graph1, length, EXHAUSTIVE_MAX_SCHEDULES)[0] if exhaustive \
+                else sum(config.terminal for config, _path in walks)
+            continue
+        distinct += 1
+        graph2 = StateGraph(command, pair.mem2, pair.rho2, mode)
+        runs = graph1.schedules(length, second=graph2) if exhaustive \
+            else ((config, path, *graph2.follow(path))
+                  for config, path in walks if config.terminal)
         for run in runs:
             if type(run) is int:  # schedules of subtrees that passed
                 trials += run

@@ -16,10 +16,11 @@ stuck is an ordinary result, not an error.
 
 Two implementations of `protect` are provided.  In hardware mode the buffer
 holds a dedicated protect instruction that resolves like an assignment but
-releases its value only once no guard precedes it.  In SLH mode a protected
-array read is instead expanded at fetch time into bounds-check code that
-masks the load address, so the load stalls until the check resolves and a
-mispredicted out-of-bounds access can only touch the reserved address 0.
+releases its value only once no guard or fail precedes it.  In SLH mode a
+protected array read is instead expanded at fetch time into bounds-check
+code that masks the load address, so the load stalls until the check
+resolves and a mispredicted out-of-bounds access can only touch the
+reserved address 0.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class StoreI:
 @dataclass(frozen=True, slots=True)
 class ProtectI:
     """A protect; resolved once `expr` is a `Lit`, released to an
-    assignment once no guard precedes it."""
+    assignment once no guard or fail precedes it."""
 
     target: str
     expr: Expr
@@ -471,8 +472,8 @@ def _exec(config: Config, index: int):
                 if v is None:
                     return Stuck("protected operand is still undefined")
                 new_instr = ProtectI(instr.target, Lit(v))
-            elif any(type(i) is GuardI for i in prefix):
-                return Stuck("protected value waits for earlier guards")
+            elif pending_ids(prefix):
+                return Stuck("protected value waits for earlier speculation")
             else:
                 new_instr = AssignI(instr.target, instr.expr)
         elif kind is StoreI:
@@ -579,7 +580,6 @@ def applicable_directives(config: Config, mode: str = MODE_HW) -> list:
         return out
     trho = dict(config.vars)
     seen_store = False
-    seen_guard = False
     data_execs: list[Directive] = []
     guard_execs: list[Directive] = []
     for idx, instr in enumerate(buffer, start=1):
@@ -601,7 +601,6 @@ def applicable_directives(config: Config, mode: str = MODE_HW) -> list:
                     guard_execs.append(_exec_directive(idx))
             except EvalError:
                 pass
-            seen_guard = True
         elif kind is LoadI:
             if not seen_store:
                 try:
@@ -617,7 +616,7 @@ def applicable_directives(config: Config, mode: str = MODE_HW) -> list:
                         data_execs.append(_exec_directive(idx))
                 except EvalError:
                     pass
-            elif not seen_guard:
+            elif not pending_ids(buffer[:idx - 1]):
                 data_execs.append(_exec_directive(idx))
             trho[instr.target] = None
         elif kind is StoreI:
@@ -764,10 +763,10 @@ def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
 
 
 def unwind(path) -> tuple[tuple, tuple]:
-    """The directives and the trace along a `StateGraph.schedules` path."""
+    """The directives and the trace along a `StateGraph` path."""
     directives, trace = [], []
     while path is not None:
-        path, d, obs, _ = path
+        path, d, obs = path
         directives.append(d)
         trace.append(obs)
     return tuple(reversed(directives)), tuple(reversed(trace))
@@ -792,68 +791,69 @@ def _retired_ids(config: Config, ids: tuple, writes: dict) -> tuple:
     return mem_id, vars_id
 
 
-def _count_space(graph: StateGraph, max_len: int, limit: int,
-                 max_nodes: int) -> Optional[int]:
-    """How many complete schedules a plain depth-first search (one without
-    any memo) finds on `graph` within `max_len` directives, or None when
-    that search would stop short of the whole space: past `limit`
-    schedules, past `max_nodes` visited configurations, or at a
-    configuration that is not terminal with no directive left.  Each
-    (configuration, directives left) is expanded once; the totals of its
-    subtree come from a memo the next time, and the pass stops as soon as
-    one total passes its cap.  Every configuration it expands joins the
-    graph while the graph has room.
-    """
-    memo: dict = {}  # (configuration key, left) -> (nodes, schedules)
-    nodes = schedules = 0
+def _count_space(graph: StateGraph, max_len: int,
+                 cap: int) -> tuple[int, bool]:
+    """The number of complete schedules on `graph` within `max_len`
+    directives, counted up to `cap`, and whether it is the whole space:
+    every branch finished, fewer than `cap` schedules, and at most
+    `EXHAUSTIVE_MAX_NODES` configurations expanded.  It is the number
+    `StateGraph.schedules` yields where neither meets its node cap, and
+    none when the sequential schedule does not fit.  Each (configuration,
+    directives left) is expanded once, and joins the graph while it has
+    room; its subtree's count comes from a memo the next time."""
+    if graph._too_long(max_len):
+        return 0, False
+    memo: dict = {}  # (configuration key, left) -> schedules
+    schedules = expanded = 0
+    finished = True
     # Entries are (node, directives left) to visit, or, once every child
-    # of a configuration has been visited, (its memo key, and the totals
-    # before it): the totals grow by exactly its subtree in between.
+    # of a configuration has been visited, (None, its memo key, the
+    # schedules before it): they grow by exactly its subtree in between.
     stack: list = [(graph._root, max_len)]
     while stack:
         entry = stack.pop()
         if len(entry) == 3:
-            at, nodes_before, schedules_before = entry
-            memo[at] = (nodes - nodes_before, schedules - schedules_before)
+            _, at, before = entry
+            memo[at] = schedules - before
             continue
         node, left = entry
+        at = node.key, left
         if node.config.terminal:
-            counted = (1, 1)
+            schedules += 1
+        elif at in memo:
+            schedules += memo[at]
+        elif not left:
+            finished = False
         else:
-            counted = memo.get((node.key, left))
-            if counted is None:  # count it, then its children
-                if not left:
-                    return None
-                stack.append(((node.key, left), nodes, schedules))
-                stack.extend((child, left - 1)
-                             for child, _obs in graph._expand(node, True)[1])
-                counted = (1, 0)
-        nodes += counted[0]
-        schedules += counted[1]
-        if nodes > max_nodes or schedules > limit:
-            return None
-    return schedules
+            expanded += 1
+            if expanded > EXHAUSTIVE_MAX_NODES:
+                return schedules, False
+            stack.append((None, at, schedules))
+            stack.extend((child, left - 1)
+                         for child, _obs in graph._expand(node, True)[1])
+        if schedules >= cap:
+            return cap, False
+    return schedules, finished
 
 
 def exhaustive_runs(c: Command, mem, rho, mode: str = MODE_HW,
                     max_len: int = EXHAUSTIVE_MAX_LEN,
-                    limit: int = EXHAUSTIVE_MAX_SCHEDULES,
-                    max_nodes: int = EXHAUSTIVE_MAX_NODES) -> Optional[list]:
+                    limit: int = EXHAUSTIVE_MAX_SCHEDULES) -> Optional[list]:
     """The complete schedule space within `max_len` directives, in the
-    order of `enumerate_schedules`, or None when it does not fit: more than
-    `limit` schedules, more than `max_nodes` configurations visited by a
-    plain depth-first search, or a branch unfinished at `max_len`
-    directives.  `_count_space` decides that first, so a space that does
-    not fit is never enumerated; one that fits is enumerated under the same
-    caps, on the graph the count expanded, and is still None unless it has
-    as many schedules as counted.
+    order of `enumerate_schedules`, or None when `_count_space` finds that
+    it does not fit: more than `limit` schedules, more than
+    `EXHAUSTIVE_MAX_NODES` configurations expanded, or a branch unfinished
+    at `max_len` directives.  A space that does not fit is never
+    enumerated; one that fits is enumerated on the graph the count
+    expanded, and is still None unless it has as many schedules as
+    counted.
     """
     graph = StateGraph(c, mem, rho, mode)
-    count = _count_space(graph, max_len, limit, max_nodes)
-    if count is None:
+    count, whole = _count_space(graph, max_len, limit + 1)
+    if not whole:
         return None
-    runs = [CompletedRun(*unwind(path), config) for config, path
-            in graph.schedules(max_len, limit + 1, max_nodes)]
+    runs = [CompletedRun(*unwind(path), config)
+            for config, path in graph.schedules(max_len, limit + 1)]
     return runs if len(runs) == count else None
 
 
@@ -882,15 +882,15 @@ class _Node:
 
 class StateGraph:
     """The transitions from one initial configuration, stepped lazily and
-    shared by every walk and search from it, and by both sides of an SCT
-    pair of equal states.  Every child is keyed by `_config_key` from its
-    parent and merged with the graph's node of that key; a node the graph
-    keeps holds each transition stepped from it.  A walk keeps each new
-    configuration while the graph holds fewer than `GRAPH_MAX_NODES` nodes;
-    past that it steps plainly, with no key and nothing kept, for the rest
-    of the run.  The search keeps a configuration when it expands it a
-    second time (`_expand`).  Returned configurations share the graph's
-    `mem` and `vars` dicts: callers must not mutate them."""
+    shared by every walk, search and count from it.  Every child is keyed
+    by `_config_key` from its parent and merged with the graph's node of
+    that key; a node the graph keeps holds each transition stepped from
+    it.  A walk keeps each new configuration while the graph holds fewer
+    than `GRAPH_MAX_NODES` nodes; past that it steps plainly, with no key
+    and nothing kept, for the rest of the run.  The count keeps each
+    configuration it expands, and the search one it expands a second time
+    (`_expand`).  Returned configurations share the graph's `mem` and
+    `vars` dicts: callers must not mutate them."""
 
     def __init__(self, c: Command, mem, rho, mode: str = MODE_HW):
         self._mode = mode
@@ -942,6 +942,16 @@ class StateGraph:
             return step(node.config, d, self._mode)
         return node.out and node.out[i] or self._step(node, i)
 
+    def _too_long(self, max_len: int) -> bool:
+        """Whether no schedule fits `max_len`: the sequential one does not."""
+        root = self._root.config
+        try:
+            sequential_schedule(root.stack[0], root.mem, root.vars,
+                                self._mode, budget=max_len)
+        except LangError as error:  # any other: no sequential run to bound by
+            return isinstance(error, BudgetExceeded)
+        return False
+
     def walk(self, rng: random.Random, max_len: int) -> tuple:
         """(configuration, path, as `schedules` gives it) of a random walk
         drawing each directive uniformly over the applicable ones.  The
@@ -965,7 +975,7 @@ class StateGraph:
                 i = getrandbits(bits)
             out = node.out
             child, obs = out and out[i] or self._step(node, i)
-            path = [path, options[i], obs, None]
+            path = (path, options[i], obs)
             node = child
         return node.config, path
 
@@ -974,87 +984,76 @@ class StateGraph:
                   max_nodes: int = EXHAUSTIVE_MAX_NODES,
                   second: Optional[StateGraph] = None) -> Iterator:
         """The search of `enumerate_schedules`: (terminal configuration,
-        path) for each complete schedule, a path being a chain of [parent
-        path, directive, observation, None] links for `unwind` and `follow`.
-        A node of the graph is expanded once; a configuration expanded a
-        second time joins the graph while it has room, and any other is
-        expanded afresh on each visit.
+        path) for each complete schedule, a path being a chain of (parent
+        path, directive, observation) links for `unwind`.  A node of the
+        graph is expanded once; a configuration expanded a second time
+        joins the graph while it has room, and any other is expanded
+        afresh on each visit.
 
-        With a `second` graph it yields (configuration, path,
-        *`second.follow(path)`), and the caller stops at a counterexample,
-        so a subtree left with a schedule in it has passed: its schedule
-        count is kept under (key, directives left, `second`'s key at its
-        entry).  Entering that configuration again with as many directives
-        left, along a path that agreed on `second` and ends at a kept key,
-        the search yields the count, capped at the schedules left, as an
-        int instead of searching the subtree.  What lies below depends only
-        on the two configurations, so verdicts and counts are the plain
-        search's, and only `max_nodes` reaches further.  Links come followed
-        when `second` is this graph."""
-        root = self._root.config
-        try:
-            sequential_schedule(root.stack[0], root.mem, root.vars,
-                                self._mode, budget=max_len)
-        except BudgetExceeded:
+        With a `second` graph, of another initial state, it steps that
+        graph along each link it enters (`_edge`) and yields (configuration,
+        path, *`second.follow(path)`).  The caller stops at a
+        counterexample, so a subtree left with a schedule in it has passed.
+        Entered again with as many directives left, on an agreeing path at
+        the same `second` key, it comes back as its schedule count, capped
+        at the schedules left, an int.  What lies below depends only on the
+        two configurations, so verdicts and counts are the plain search's;
+        only `max_nodes` reaches further."""
+        if self._too_long(max_len):
             return
-        except LangError:
-            pass  # no sequential run to bound the search by
         produced = explored = 0
         memo: dict = {}  # expanded key -> directives left if dead, else 0
-        passed: dict = {}  # (key, left) -> {second's key: schedules}
-        # Entries are (node, path, its length) to visit, or, once every
-        # child of a node has been visited, (None, its key, directives it had
-        # left, schedules before, path).
-        stack: list = [(self._root, None, 0)]
+        passed: dict = {}  # (key, left, second's key) -> schedules
+        # Entries are (node, path, its length, `second`'s node and
+        # agreement at the path's parent) to visit, or, once every child of
+        # a node has been visited, (None, its key, directives it had left,
+        # schedules before, `second`'s key there).
+        stack: list = [(self._root, None, 0, second and second._root, True)]
         while stack:
             entry = stack.pop()
             if entry[0] is None:
-                _, key, left, before, path = entry
+                _, key, left, before, key2 = entry
                 if produced == before:
                     memo[key] = left
-                elif second is not None and path is not None:
-                    # the schedules below followed this link on `second`
-                    key2 = path[3][0].key
-                    if key2 is not None:
-                        passed.setdefault((key, left), {})[key2] = \
-                            produced - before
+                elif key2 is not None:
+                    passed[key, left, key2] = produced - before
                 continue
-            node, path, depth = entry
+            node, path, depth, node2, agreed = entry
             explored += 1
             if explored > max_nodes:
                 return
             config = node.config
-            if not config.buffer and not config.stack:
+            terminal = not config.buffer and not config.stack
+            key, left = node.key, max_len - depth
+            # a memo entry is never negative, so this also skips a
+            # configuration with no directive left
+            if not terminal and memo.get(key, 0) >= left:
+                continue
+            if second is not None and depth:
+                node2, agreed = second._along(node2, agreed, depth - 1,
+                                              path[1], path[2])
+            if terminal:
                 yield (config, path) if second is None \
-                    else (config, path, *second.follow(path))
+                    else (config, path, node2 and node2.config, agreed)
                 produced += 1
                 if produced >= max_schedules:
                     return
                 continue
-            left = max_len - depth
-            if left <= 0:
+            count = agreed is True and node2 is not None \
+                and passed.get((key, left, node2.key))
+            if count:
+                count = min(count, max_schedules - produced)
+                yield count
+                produced += count
+                if produced >= max_schedules:
+                    return
                 continue
-            key = node.key
-            if memo.get(key, 0) >= left:
-                continue
-            counts = passed.get((key, left))
-            if counts:
-                second.follow(path)
-                node2, agreed, _ = path[3]
-                count = agreed is True and counts.get(node2.key)
-                if count:
-                    count = min(count, max_schedules - produced)
-                    yield count
-                    produced += count
-                    if produced >= max_schedules:
-                        return
-                    continue
-            stack.append((None, key, left, produced, path))
+            stack.append((None, key, left, produced, node2 and node2.key))
             node, out = self._expand(node, key in memo)
             memo.setdefault(key, 0)
-            stack.extend(reversed([(child, [path, d, obs, (
-                child, True, depth + 1) if second is self else None],
-                depth + 1) for d, (child, obs) in zip(node.options, out)]))
+            stack.extend(reversed([
+                (child, (path, d, obs), depth + 1, node2, agreed)
+                for d, (child, obs) in zip(node.options, out)]))
 
     def _expand(self, node: _Node, admit: bool) -> tuple:
         """The graph's node keyed as `node`, else `node`, and its (child,
@@ -1070,24 +1069,25 @@ class StateGraph:
         return node, [edge or self._step(node, i, False)
                       for i, edge in enumerate(out)]
 
+    def _along(self, node: Optional[_Node], agreed, k: int,
+               d: Directive, obs) -> tuple:
+        """`node` and its agreement `agreed` one link further along another
+        graph's path, whose `k`-th directive `d` observed `obs`: None and
+        (k, reason) if `d` gets stuck, and None once stuck."""
+        if node is None:
+            return None, agreed
+        edge = self._edge(node, d)
+        if type(edge) is Stuck:
+            return None, (k, edge.reason)
+        return edge[0], agreed and edge[1] == obs
+
     def follow(self, path) -> tuple:
         """(configuration or None, agreement) of another graph's path run
         on this one: (index, reason) where it got stuck, else whether every
-        observation equalled the path's.  Links keep their result, so paths
-        follow one graph and a shared link is looked up once."""
-        pending = []
-        while path is not None and path[3] is None:
-            pending.append(path)
-            path = path[0]
-        node, agreed, depth = path[3] if path else (self._root, True, 0)
-        for link in reversed(pending):
-            if node is not None:
-                edge = self._edge(node, link[1])
-                node, agreed = (None, (depth, edge.reason)) \
-                    if type(edge) is Stuck \
-                    else (edge[0], agreed and edge[1] == link[2])
-            depth += 1
-            link[3] = node, agreed, depth
+        observation equalled the path's."""
+        node, agreed = self._root, True
+        for k, (d, obs) in enumerate(zip(*unwind(path))):
+            node, agreed = self._along(node, agreed, k, d, obs)
         return node and node.config, agreed
 
 

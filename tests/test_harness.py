@@ -236,10 +236,11 @@ def _corpus(repair, schedules="exhaustive"):
                  id="repaired-random-slh"),
 ])
 def test_sct_fuzz_matches_fresh_replays(cases, mode, monkeypatch):
-    # the lockstep search and the lockstep walks give the verdict of
-    # replaying every schedule from scratch, with the graphs at their cap
-    # and cut down to 3 nodes (past which the search steps, and keys its
-    # memo, plainly); `count` caps the search's schedules or sets the walks
+    # the search, the walks and the count of an equal pair's schedules
+    # give the verdict of replaying every schedule from scratch, with the
+    # graphs at their cap and cut down to 3 nodes (past which the search
+    # steps, and keys its memo, plainly); `count` caps the search's and the
+    # equal-pair count's schedules or sets the walks
     results = []
     for program, schedules, pairs, seed, count in cases():
         want = _reference_sct(program, program.command, mode, schedules,
@@ -250,6 +251,10 @@ def test_sct_fuzz_matches_fresh_replays(cases, mode, monkeypatch):
                 patch.setattr(machine, "GRAPH_MAX_NODES", cap)
                 patch.setattr(StateGraph, "schedules", partialmethod(
                     StateGraph.schedules, max_schedules=count))
+                patch.setattr(harness, "_count_space",
+                              lambda graph, max_len, limit, count=count:
+                              machine._count_space(graph, max_len,
+                                                   min(limit, count)))
                 result = sct_fuzz(program, mode=mode, schedules=schedules,
                                   schedule_count=count, pairs=pairs,
                                   seed=seed)
@@ -322,8 +327,9 @@ def test_count_memo_needs_the_second_side(cap, monkeypatch):
 
 def _exhaustive_calls(name, monkeypatch) -> tuple:
     """Exhaustive `sct_fuzz` of repaired `name` (pairs 1, seed 1), and the
-    `follow` and `_difference` calls it made."""
-    calls = {"follow": 0, "difference": 0}
+    expansions, second-side edge lookups, `follow` and `_difference` calls
+    it made."""
+    calls = {"expand": 0, "edge": 0, "follow": 0, "difference": 0}
 
     def counted(name, function):
         def wrapper(*args):
@@ -331,8 +337,10 @@ def _exhaustive_calls(name, monkeypatch) -> tuple:
             return function(*args)
         return wrapper
 
-    monkeypatch.setattr(StateGraph, "follow",
-                        counted("follow", StateGraph.follow))
+    for key, attr in (("expand", "_expand"), ("edge", "_edge"),
+                      ("follow", "follow")):
+        monkeypatch.setattr(StateGraph, attr,
+                            counted(key, getattr(StateGraph, attr)))
     monkeypatch.setattr(harness, "_difference",
                         counted("difference", harness._difference))
     return sct_fuzz(_repaired(name), schedules="exhaustive", pairs=1,
@@ -340,20 +348,25 @@ def _exhaustive_calls(name, monkeypatch) -> tuple:
 
 
 def test_count_memo_engages(monkeypatch):
-    # a search that followed and checked each of the 5000 schedules would
-    # make 5000 calls of each
+    # guard_chain's two states are equal, so its 5000 schedules are
+    # counted, on a memo that expands far fewer configurations, and none
+    # is run on a second side or checked
     result, calls = _exhaustive_calls("guard_chain", monkeypatch)
-    assert result.passed and result.trials == EXHAUSTIVE_MAX_SCHEDULES
-    assert calls["difference"] <= 10 and calls["follow"] <= 1000, calls
+    assert (result.passed, result.distinct_pairs) == (True, 0)
+    assert result.trials == EXHAUSTIVE_MAX_SCHEDULES
+    assert calls["expand"] <= 1000, calls
+    assert calls["edge"] == calls["follow"] == calls["difference"] == 0, calls
 
 
 def test_count_memo_engages_on_distinct_states(monkeypatch):
-    # guard_chain's two states are equal; ex1_patched's differ in the
-    # secret cell, so the memo has a second side to follow
+    # ex1_patched's states differ in the secret cell, so the search steps
+    # the second side along each link it enters; a search that checked
+    # each of the 5000 schedules would make 5000 `_difference` calls
     result, calls = _exhaustive_calls("ex1_patched", monkeypatch)
     assert (result.passed, result.distinct_pairs) == (True, 1)
     assert result.trials == EXHAUSTIVE_MAX_SCHEDULES
-    assert calls["difference"] <= 30 and calls["follow"] <= 1000, calls
+    assert calls["difference"] <= 30 and calls["follow"] == 0, calls
+    assert 0 < calls["edge"] <= 1000 and calls["expand"] <= 1000, calls
 
 
 @pytest.mark.parametrize("name", ["while_count", "while_transient"])
@@ -426,20 +439,36 @@ def test_states_equal_only_kind_by_kind():
 
 @pytest.mark.parametrize("schedules", ["random", "exhaustive"])
 def test_equal_states_share_one_graph(schedules, monkeypatch):
-    built = []
+    # a pair of equal states builds one graph and only counts its
+    # schedules: it is neither searched as a pair, nor followed, nor
+    # compared
+    built, calls = [], []
 
     class Counted(StateGraph):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
 
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(harness, "StateGraph", Counted)
+    for name in ("schedules", "follow"):
+        monkeypatch.setattr(StateGraph, name,
+                            counted(name, getattr(StateGraph, name)))
+    monkeypatch.setattr(harness, "_difference",
+                        counted("_difference", harness._difference))
     for name, graphs in (("guard_chain", 3), ("ex1_patched", 6)):
         built.clear()
+        calls.clear()
         result = sct_fuzz(_repaired(name), schedules=schedules,
                           schedule_count=5, pairs=3, seed=1)
         assert result.passed and len(built) == graphs, name
         assert result.distinct_pairs == graphs - 3
+        assert bool(calls) == (graphs > 3), (name, calls)
 
 
 @pytest.mark.parametrize("schedules", ["random", "exhaustive"])
@@ -470,11 +499,10 @@ def test_only_distinct_states_are_compared(schedules, monkeypatch):
 @pytest.mark.parametrize("cap", [machine.GRAPH_MAX_NODES, 3])
 @pytest.mark.parametrize("name", ["guard_chain", "while_count"])
 def test_equal_states_step_once(name, cap, monkeypatch):
-    # on the diagonal the second side follows nothing, so the walks step
+    # an equal pair follows nothing on a second side, so the walks step
     # as often as the first side's walks alone; past a full graph every
-    # step is made afresh, and still only once.  The search's links come
-    # followed on the diagonal, so `follow` looks up no edge, and every
-    # step is one the search makes to expand a configuration.
+    # step is made afresh, and still only once.  Exhaustively, it looks up
+    # no edge, and steps exactly as `_count_space` does on its graph.
     program = _repaired(name)
     monkeypatch.setattr(machine, "GRAPH_MAX_NODES", cap)
     steps, lookups = [], []
@@ -503,4 +531,11 @@ def test_equal_states_step_once(name, cap, monkeypatch):
     steps.clear()
     result = sct_fuzz(program, schedules="exhaustive", pairs=2, seed=1)
     assert result.passed and result.trials > 0 and not lookups
-    assert steps and not any(walk for _d, walk in steps)
+    counting, steps[:] = list(steps), []
+    for pair in gen_lequiv_pairs(program, 2, 1):
+        machine._count_space(StateGraph(program.command, pair.mem1,
+                                        pair.rho1),
+                             machine.EXHAUSTIVE_MAX_LEN,
+                             EXHAUSTIVE_MAX_SCHEDULES)
+    assert counting == steps and not any(walk for _d, walk in steps)
+    assert steps and not lookups

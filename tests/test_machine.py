@@ -689,10 +689,11 @@ def _assert_exhaustive_runs_match(command, mem, rho, mode, **caps):
     want, _explored = _plain_exhaustive_runs(command, mem, rho, mode, **caps)
     assert exhaustive_runs(command, mem, rho, mode, **caps) == want
     # the count decides alone, without the enumeration checked against it
-    caps = {"max_len": 40, "limit": 5000, "max_nodes": 400_000, **caps}
-    assert machine._count_space(StateGraph(command, mem, rho, mode),
-                                **caps) == \
-        (None if want is None else len(want))
+    caps = {"max_len": 40, "limit": 5000, **caps}
+    count, whole = machine._count_space(StateGraph(command, mem, rho, mode),
+                                        caps["max_len"], caps["limit"] + 1)
+    assert whole == (want is not None)
+    assert want is None or count == len(want)
     return want
 
 
@@ -721,9 +722,9 @@ def test_walks_reuse_what_the_sweep_stepped(corpus, monkeypatch):
     for name, program in corpus:
         graph = StateGraph(program.command, program.initial_memory(),
                            program.initial_var_map())
-        caps = (machine.EXHAUSTIVE_MAX_LEN, machine.EXHAUSTIVE_MAX_SCHEDULES,
-                machine.EXHAUSTIVE_MAX_NODES)
-        if machine._count_space(graph, *caps) is None:
+        caps = (machine.EXHAUSTIVE_MAX_LEN,
+                machine.EXHAUSTIVE_MAX_SCHEDULES + 1)
+        if not machine._count_space(graph, *caps)[1]:
             continue
         swept += 1
         list(graph.schedules(*caps))
@@ -734,6 +735,23 @@ def test_walks_reuse_what_the_sweep_stepped(corpus, monkeypatch):
         monkeypatch.setattr(machine, "step", plain_step)
         assert steps == [], name
     assert swept == 13
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_count_is_the_number_of_searched_schedules(corpus, mode):
+    # what an SCT pair of equal states adds to its trials: the count of its
+    # schedules is the number the search yields, at the production caps
+    for name, program in corpus:
+        mem, rho = program.initial_memory(), program.initial_var_map()
+        repaired = pipeline(program.command, Mode(),
+                            program.variables()).repaired
+        for command in (program.command, repaired):
+            searched = sum(1 for _ in StateGraph(command, mem, rho,
+                                                 mode).schedules())
+            count, _whole = machine._count_space(
+                StateGraph(command, mem, rho, mode),
+                machine.EXHAUSTIVE_MAX_LEN, machine.EXHAUSTIVE_MAX_SCHEDULES)
+            assert count == searched, (name, command is repaired)
 
 
 def test_walk_draws_as_randrange():
@@ -762,23 +780,47 @@ _SQUASHED_WORK = ("array a base=1 len=2 label=L;\n"
                   "t0 := base(c);\nt1 := a[2];\n")
 
 
+def _expansions(monkeypatch, command, mem, rho, mode) -> int:
+    """The configurations `_count_space` expands at the production caps."""
+    expanded = []
+    plain_expand = StateGraph._expand
+
+    def counted(graph, node, admit):
+        expanded.append(node)
+        return plain_expand(graph, node, admit)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(StateGraph, "_expand", counted)
+        machine._count_space(StateGraph(command, mem, rho, mode),
+                             machine.EXHAUSTIVE_MAX_LEN,
+                             machine.EXHAUSTIVE_MAX_SCHEDULES + 1)
+    return len(expanded)
+
+
 @pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
-def test_exhaustive_runs_match_the_plain_search_at_each_cap(corpus, mode):
+def test_exhaustive_runs_match_the_plain_search_at_each_cap(corpus, mode,
+                                                             monkeypatch):
     # each cap exactly met keeps the space, and one less loses it
     for name, program in [*corpus,
                           ("squashed work", parse_program(_SQUASHED_WORK))]:
         args = (program.command, program.initial_memory(),
                 program.initial_var_map(), mode)
-        runs, nodes = _plain_exhaustive_runs(*args)
+        runs, _nodes = _plain_exhaustive_runs(*args)
         if runs is None:
             continue
         longest = max(len(run.directives) for run in runs)
-        for cap, fits in (("limit", len(runs)), ("max_nodes", nodes),
-                          ("max_len", longest)):
+        for cap, fits in (("limit", len(runs)), ("max_len", longest)):
             assert _assert_exhaustive_runs_match(*args, **{cap: fits}) \
                 == runs, (name, cap)
             assert _assert_exhaustive_runs_match(
                 *args, **{cap: fits - 1}) is None, (name, cap)
+        # the expansion cap counts each (configuration, directives left)
+        # the count expands once
+        expanded = _expansions(monkeypatch, *args)
+        for nodes, want in ((expanded, runs), (expanded - 1, None)):
+            with monkeypatch.context() as patch:
+                patch.setattr(machine, "EXHAUSTIVE_MAX_NODES", nodes)
+                assert exhaustive_runs(*args) == want, (name, nodes)
 
 
 @given(programs())
@@ -787,21 +829,19 @@ def test_exhaustive_runs_match_the_plain_search_on_random_programs(command):
     for mode in (MODE_HW, MODE_SLH):
         for max_len in _memo_lengths(command, INITIAL_MEM, INITIAL_RHO, mode):
             _assert_exhaustive_runs_match(command, INITIAL_MEM, INITIAL_RHO,
-                                          mode, max_len=max_len, limit=200,
-                                          max_nodes=5_000)
+                                          mode, max_len=max_len, limit=200)
 
 
 @pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
 def test_exhaustive_runs_on_a_long_length_cap(mode):
-    # speculation can unroll the loop for all 5000 directives; with no cap
-    # on schedules or configurations, only such an unfinished branch stops
-    # the count, 5000 configurations deep
+    # speculation can unroll the loop for all 5000 directives, so the
+    # space does not fit; the count ends on its schedule cap, at the
+    # production one and at 10**9, about 150 directives deep
     program = load_program("while_count")
     args = (program.command, program.initial_memory(),
             program.initial_var_map(), mode)
     assert exhaustive_runs(*args, max_len=5000) is None
-    assert exhaustive_runs(*args, max_len=5000, limit=10 ** 9,
-                           max_nodes=10 ** 9) is None
+    assert exhaustive_runs(*args, max_len=5000, limit=10 ** 9) is None
 
 
 def test_exhaustive_runs_check_the_count(monkeypatch):
@@ -811,7 +851,8 @@ def test_exhaustive_runs_check_the_count(monkeypatch):
             program.initial_var_map())
     assert len(exhaustive_runs(*args)) == 5
     for wrong in (4, 6):
-        monkeypatch.setattr(machine, "_count_space", lambda *a, n=wrong: n)
+        monkeypatch.setattr(machine, "_count_space",
+                            lambda *a, n=wrong: (n, True))
         assert exhaustive_runs(*args) is None
 
 

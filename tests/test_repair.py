@@ -20,7 +20,7 @@ from specrepair.repair import (
     pipeline,
     repair,
 )
-from specrepair.seq import run_sequential
+from specrepair.seq import SeqFail, run_sequential
 from specrepair.typesys import Mode, generate_constraints, least_type_env
 
 
@@ -179,3 +179,38 @@ def test_constant_index_out_of_bounds_is_a_transient_source():
         assert not sct_fuzz(program, mode, "exhaustive").passed, mode
         result = sct_fuzz(repaired, mode, "exhaustive")
         assert result.passed and result.trials > 0, mode
+
+
+# The `*L` read of `c` runs only past a pending `fail`: `a[3]` is out of
+# bounds, so the sequential run fails at once, but the machine keeps
+# fetching, and a protect released while that `fail` is pending would
+# forward the secret to the store address.
+READ_PAST_A_FAIL = """\
+array a base=1 len=2 label=L;
+array c base=4 len=3 label=H init=[7,1,2];
+var k = 0;
+public k, t0, a;
+a[3] := 1;
+t0 := *L(base(c) + k);
+a[t0] := 6;
+"""
+
+
+def test_protect_waits_for_a_pending_fail():
+    program = parse_program(READ_PAST_A_FAIL)
+    assert run_sequential(program.command, program.initial_memory(),
+                          program.initial_var_map()).trace == [SeqFail()]
+    for analysis in (Mode(), Mode(slh_only_cuts=True),
+                     Mode(spectre_v1_1=True)):
+        assert pipeline(program.command, analysis,
+                        program.variables()).cut == ["t0"]
+    report = pipeline(program.command, Mode(), program.variables())
+    repaired = dataclasses.replace(program, command=report.repaired)
+    for mode in ("hw", "slh"):
+        assert not sct_fuzz(program, mode, "exhaustive", pairs=2).passed
+        result = sct_fuzz(repaired, mode, "exhaustive", pairs=2)
+        assert result.passed and result.trials > 0, mode
+        # criterion 6's settings
+        result = sct_fuzz(repaired, mode, "random", schedule_count=110,
+                          pairs=10, seed=101)
+        assert result.passed and result.distinct_pairs > 0, mode

@@ -3,12 +3,15 @@ bundled corpus and exits 0."""
 
 from __future__ import annotations
 
+import json
 import runpy
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from specrepair import machine
 from specrepair.corpus import corpus_names
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -35,6 +38,28 @@ def test_run_sct_fuzz(monkeypatch, capsys):
     assert lines[0].split()[-1] == "distinct"
     distinct = {line.split()[0]: line.split()[-1] for line in lines[1:]}
     assert distinct["guard_chain"] == "0" and int(distinct["ex1"]) > 0
+
+
+def test_verdict_matrix(monkeypatch, capsys):
+    cap = machine.GRAPH_MAX_NODES
+    lines = run_script(monkeypatch, capsys, "verdict_matrix.py", "skip",
+                       "ex1")
+    records = [json.loads(line) for line in lines]
+    # at each of the 2 graph caps, for 2 programs, as written and repaired,
+    # in 2 modes: SCT random and exhaustive at 3 seeds, and the schedule
+    # space; and 4 consistency reports over both programs
+    assert Counter(record["case"][0] for record in records) == \
+        {"sct": 2 * 2 * 2 * 2 * 2 * 3, "exhaustive_runs": 2 * 2 * 2 * 2,
+         "consistency": 2 * 4}
+    leaks = {tuple(record["case"][2:6]) for record in records
+             if record["case"][0] == "sct"
+             and not record["verdict"]["passed"]}
+    assert leaks == {("ex1", "raw", mode, "exhaustive")
+                     for mode in ("hw", "slh")}
+    assert all(record["verdict"] == {"checked": 2, "schedules": 61,
+                                     "failures": []}
+               for record in records if record["case"][0] == "consistency")
+    assert machine.GRAPH_MAX_NODES == cap
 
 
 _SAMPLE = '''"""A module docstring
