@@ -133,6 +133,12 @@ ERROR_POSITIONS = [
      "duplicate declaration of 'x'", 2, 5),
     ("duplicate array", "var y = 1;\narray y base=1 len=1 label=L;\nskip;\n",
      "duplicate declaration of 'y'", 2, 7),
+    ("policy not a name", "public 1;", "expected 'name', found '1'", 1, 8),
+    ("base not a natural", "array a base=x len=1 label=L;",
+     "expected 'nat', found 'x'", 1, 14),
+    ("initializer not a literal", "var x = y;",
+     "variable initializer must be a literal", 1, 9),
+    ("not a statement", "skip;\n  }\n", "expected a statement", 2, 3),
     ("unknown array", "q[1] := 2;\n", "unknown array 'q'", 1, 1),
     ("unknown array after statements", "skip;\n  q[1] := 2;\n",
      "unknown array 'q'", 2, 3),
