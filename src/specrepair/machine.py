@@ -933,14 +933,17 @@ class StateGraph:
             node.out[i] = child, obs
         return child, obs
 
-    def _edge(self, node: _Node, d: Directive):
+    def _edge(self, node: _Node, d: Directive, walk: bool = True):
         """(child, observation) for `d` from `node`, or the `Stuck` that
-        `step` gives where `d` does not apply."""
+        `step` gives where `d` does not apply.  A walk's new child is
+        `_step`'s; the search's joins the graph while it has room, and
+        past a full graph is keyed but not kept, as `_expand`'s are."""
         try:
             i = self._directives(node).index(d)
         except ValueError:
             return step(node.config, d, self._mode)
-        return node.out and node.out[i] or self._step(node, i)
+        return node.out and node.out[i] or self._step(
+            node, i, walk or len(self._nodes) < GRAPH_MAX_NODES)
 
     def _too_long(self, max_len: int) -> bool:
         """Whether no schedule fits `max_len`: the sequential one does not."""
@@ -1031,7 +1034,7 @@ class StateGraph:
                 continue
             if second is not None and depth:
                 node2, agreed = second._along(node2, agreed, depth - 1,
-                                              path[1], path[2])
+                                              path[1], path[2], False)
             if terminal:
                 yield (config, path) if second is None \
                     else (config, path, node2 and node2.config, agreed)
@@ -1070,13 +1073,14 @@ class StateGraph:
                       for i, edge in enumerate(out)]
 
     def _along(self, node: Optional[_Node], agreed, k: int,
-               d: Directive, obs) -> tuple:
+               d: Directive, obs, walk: bool = True) -> tuple:
         """`node` and its agreement `agreed` one link further along another
-        graph's path, whose `k`-th directive `d` observed `obs`: None and
-        (k, reason) if `d` gets stuck, and None once stuck."""
+        graph's path, whose `k`-th directive `d` observed `obs`, stepped
+        as `_edge(node, d, walk)`: None and (k, reason) if `d` gets stuck,
+        and None once stuck."""
         if node is None:
             return None, agreed
-        edge = self._edge(node, d)
+        edge = self._edge(node, d, walk)
         if type(edge) is Stuck:
             return None, (k, edge.reason)
         return edge[0], agreed and edge[1] == obs

@@ -29,6 +29,10 @@ tabs, `\r` and newlines separate tokens.  A parse error reads
 `line:col: message`, both counted from 1, each character (a tab too) one
 column.
 
+The lexer scans the whole text with one regular expression and gives each
+token as its text alone: its kind follows from its first character, and its
+position is worked out again only when an error message needs it.
+
 The parser is the single source of truth for the format; `pretty_program`
 inverts it (parsing a pretty-printed program yields an equal AST).
 """
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from operator import itemgetter
 
 from .lang import (
     Add,
@@ -138,22 +142,30 @@ RESERVED_WORDS = ("true", "false")
 MAX_NESTING = 64
 
 
-class Token(NamedTuple):
-    kind: str  # "name", "nat", "sym", "eof"
-    text: str
-    offset: int
-
-
-# Whitespace and comments match no group; a character that starts no token
-# matches `bad`.  `\w` is `isalnum()` or `_`, and `[^\W\d]` admits the
-# non-decimal numerals (`²`, `½`) too, which `_tokenize` rejects there.
+# Whitespace and comments match no group, so `findall` gives each as "";
+# every other match is one token, a character that starts none included.
+# `\w` is `isalnum()` or `_`, and `[^\W\d]` admits the non-decimal
+# numerals (`²`, `½`) too, which `_tokenize` rejects there.
 _TOKEN = re.compile(r"""
     [ \t\r\n]+ | \#[^\n]*
-  | (?P<nat> [0-9]+ )
-  | (?P<name> [^\W\d]\w* )
-  | (?P<sym> := | [?:;,\[\](){}*&+<=] )
-  | (?P<bad> . )
+  | ( [0-9]+ | [^\W\d]\w* | := | [?:;,\[\](){}*&+<=] | . )
 """, re.VERBOSE)
+
+# The characters other than letters that may start a token.
+_STARTS = frozenset("0123456789_?:;,[](){}*&+<=")
+
+
+def _kind(token: str) -> str:
+    """The kind of a token, from its first character: "eof" (the empty
+    token), "nat", "name" or "sym"."""
+    first = token[:1]
+    if not first:
+        return "eof"
+    if "0" <= first <= "9":
+        return "nat"
+    if first.isalpha() or first == "_":
+        return "name"
+    return "sym"
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -163,25 +175,32 @@ def _position(text: str, offset: int) -> tuple[int, int]:
             offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[Token]:
-    """The tokens of `text`, then two eof tokens, so that `peek(1)` needs
-    no bounds check.  The eof position is where a comment on the last line
-    starts, else the end of the text."""
-    tokens: list[Token] = []
-    append = tokens.append
+def _offset(text: str, k: int) -> int:
+    """Where token `k` of `_tokenize(text)` starts.  The eof tokens start
+    where a comment on the last line starts, else at the end of the text.
+    Only an error needs a position, so it walks the scan again."""
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        word = m[0]
-        if kind == "bad" or (kind == "name" and not word[0].isalpha()
-                             and word[0] != "_"):
-            raise ParseError(f"unexpected character {word[0]!r}",
-                             *_position(text, m.start()))
-        append(Token(kind, word, m.start()))
+        if m.lastindex:  # a token, not whitespace or a comment
+            if not k:
+                return m.start()
+            k -= 1
     comment = text.find("#", text.rfind("\n") + 1)
-    eof = Token("eof", "", comment if comment >= 0 else len(text))
-    tokens += (eof, eof)
+    return comment if comment >= 0 else len(text)
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text`, each as its text, then two eof tokens `""`,
+    so that `peek(1)` needs no bounds check.  A character that starts no
+    token, or a name that starts with a numeral other than a letter, is
+    an error at its position."""
+    tokens = list(filter(None, _TOKEN.findall(text)))
+    bad = {c for c in set(map(itemgetter(0), tokens))
+           if not (c.isalpha() or c in _STARTS)}
+    if bad:
+        k = next(k for k, token in enumerate(tokens) if token[0] in bad)
+        raise ParseError(f"unexpected character {tokens[k][0]!r}",
+                         *_position(text, _offset(text, k)))
+    tokens += ("", "")
     return tokens
 
 
@@ -205,44 +224,45 @@ class _Parser:
         self.public_names: list[str] = []
         self.warnings: list[str] = []
 
-    def peek(self, ahead: int = 0) -> Token:
+    def peek(self, ahead: int = 0) -> str:
         return self.tokens[self.pos + ahead]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> int:
+        """The index of the current token, which it steps past."""
         self.pos += 1
-        return tok
+        return self.pos - 1
 
     def at(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
+        return self.tokens[self.pos] == text
 
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        offset = (tok or self.tokens[self.pos]).offset
+    def error(self, message: str, k: int | None = None) -> ParseError:
+        """The error `message` at token `k`, by default the current one."""
+        offset = _offset(self.text, self.pos if k is None else k)
         return ParseError(message, *_position(self.text, offset))
 
-    def expect(self, text: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.text != text:
-            raise self.error(f"expected {text!r}, found {tok.text!r}")
-        self.pos += 1
-        return tok
+    def expect(self, text: str) -> int:
+        k = self.pos
+        if self.tokens[k] != text:
+            raise self.error(f"expected {text!r}, found {self.tokens[k]!r}")
+        self.pos = k + 1
+        return k
 
-    def nest(self, tok: Token) -> int:
-        """Open one more nesting level at `tok`; returns the depth to
+    def nest(self, k: int) -> int:
+        """Open one more nesting level at token `k`; returns the depth to
         restore when it closes."""
         outer = self.depth
         if outer == MAX_NESTING:
             raise self.error(
-                f"nested too deeply (at most {MAX_NESTING} levels)", tok)
+                f"nested too deeply (at most {MAX_NESTING} levels)", k)
         self.depth = outer + 1
         return outer
 
-    def expect_kind(self, kind: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            raise self.error(f"expected {kind!r}, found {tok.text!r}")
-        self.pos += 1
-        return tok
+    def expect_kind(self, kind: str) -> int:
+        k = self.pos
+        if _kind(self.tokens[k]) != kind:
+            raise self.error(f"expected {kind!r}, found {self.tokens[k]!r}")
+        self.pos = k + 1
+        return k
 
     # -- declarations -------------------------------------------------------
 
@@ -255,7 +275,7 @@ class _Parser:
         while self.at("public"):
             self.parse_policy_line()
         commands: list[Command] = []
-        while self.peek().kind != "eof":
+        while self.peek():
             commands.append(self.parse_stmt())
         if not commands:
             raise self.error("empty program: at least one statement required")
@@ -272,12 +292,12 @@ class _Parser:
 
     def parse_new_name(self) -> str:
         """The name a declaration introduces, checked at its token."""
-        tok = self.expect_kind("name")
-        name = tok.text
+        k = self.expect_kind("name")
+        name = self.tokens[k]
         if name in RESERVED_WORDS:
-            raise self.error(f"reserved word {name!r} used as a name", tok)
+            raise self.error(f"reserved word {name!r} used as a name", k)
         if name in self.arrays or name in self.init_vars:
-            raise self.error(f"duplicate declaration of {name!r}", tok)
+            raise self.error(f"duplicate declaration of {name!r}", k)
         return name
 
     def parse_array_decl(self) -> None:
@@ -321,7 +341,7 @@ class _Parser:
         self.expect("var")
         name = self.parse_new_name()
         self.expect("=")
-        if self.peek().kind == "nat":
+        if _kind(self.peek()) == "nat":
             self.init_vars[name] = self.parse_nat_token()
         elif self.at("true"):
             self.next()
@@ -335,10 +355,10 @@ class _Parser:
 
     def parse_policy_line(self) -> None:
         self.expect("public")
-        self.public_names.append(self.expect_kind("name").text)
+        self.public_names.append(self.tokens[self.expect_kind("name")])
         while self.at(","):
             self.next()
-            self.public_names.append(self.expect_kind("name").text)
+            self.public_names.append(self.tokens[self.expect_kind("name")])
         self.expect(";")
 
     def _resolve_policy(self, command: Command) -> Policy:
@@ -353,24 +373,25 @@ class _Parser:
         return Policy(frozenset(names), frozenset(arrays))
 
     def parse_nat_token(self) -> int:
-        tok = self.expect_kind("nat")
-        value = int(tok.text)
+        k = self.expect_kind("nat")
+        value = int(self.tokens[k])
         if value > WORD_MASK:
-            raise self.error(f"literal {tok.text} exceeds the 64-bit range",
-                             tok)
+            raise self.error(
+                f"literal {self.tokens[k]} exceeds the 64-bit range", k)
         return value
 
     def parse_label(self) -> str:
-        tok = self.expect_kind("name")
-        if tok.text not in (LABEL_PUBLIC, LABEL_SECRET):
-            raise self.error(f"label must be L or H, found {tok.text!r}", tok)
-        return tok.text
+        k = self.expect_kind("name")
+        label = self.tokens[k]
+        if label not in (LABEL_PUBLIC, LABEL_SECRET):
+            raise self.error(f"label must be L or H, found {label!r}", k)
+        return label
 
     # -- statements ---------------------------------------------------------
 
     def parse_stmt(self) -> Command:
-        tok = self.peek()
-        text = tok.text
+        k = self.pos
+        text = self.tokens[k]
         if text == "skip":
             self.next()
             self.expect(";")
@@ -385,12 +406,12 @@ class _Parser:
             return self.parse_while()
         if text == "*":
             return self.parse_ptr_write()
-        if tok.kind == "name":
+        if _kind(text) == "name":
             if text in RESERVED_WORDS:
                 raise self.error(f"reserved word {text!r} used as a name")
             self.next()
             if self.at("["):
-                return self.parse_array_write(tok)
+                return self.parse_array_write(k)
             self.expect(":=")
             rhs, protected = self.parse_rhs()
             self.expect(";")
@@ -441,15 +462,16 @@ class _Parser:
         return PtrWrite(label, addr, value)
 
     def parse_opt_ptr_label(self) -> str:
-        if self.peek().text in (LABEL_PUBLIC, LABEL_SECRET) and \
-                self.peek(1).text == "(":
-            return self.next().text
+        if self.peek() in (LABEL_PUBLIC, LABEL_SECRET) and \
+                self.peek(1) == "(":
+            return self.tokens[self.next()]
         return LABEL_PUBLIC
 
-    def parse_array_write(self, tok: Token) -> Command:
-        name = tok.text
+    def parse_array_write(self, k: int) -> Command:
+        """The write to the array named by token `k`."""
+        name = self.tokens[k]
         if name not in self.arrays:
-            raise self.error(f"unknown array {name!r}", tok)
+            raise self.error(f"unknown array {name!r}", k)
         self.expect("[")
         index = self.parse_expr()
         self.expect("]")
@@ -461,7 +483,7 @@ class _Parser:
     # -- right-hand sides ---------------------------------------------------
 
     def parse_rhs(self):
-        if self.at("protect") and self.peek(1).text == "(":
+        if self.at("protect") and self.peek(1) == "(":
             self.pos += 2
             inner = self.parse_plain_rhs()
             self.expect(")")
@@ -469,7 +491,7 @@ class _Parser:
         return (self.parse_plain_rhs(), False)
 
     def parse_plain_rhs(self) -> Rhs:
-        text = self.peek().text
+        text = self.peek()
         if text == "*":
             self.next()
             label = self.parse_opt_ptr_label()
@@ -480,7 +502,7 @@ class _Parser:
                 self.warnings.append(
                     f"pointer read at literal address {addr.value!r}")
             return PtrRead(label, addr)
-        if text in self.arrays and self.peek(1).text == "[":
+        if text in self.arrays and self.peek(1) == "[":
             self.pos += 2
             index = self.parse_expr()
             self.expect("]")
@@ -492,15 +514,15 @@ class _Parser:
     def parse_expr(self) -> Expr:
         cond = self.parse_cmp()
         if self.at("?"):
-            tok = self.next()
-            then = self.parse_nested_expr(tok)
+            k = self.next()
+            then = self.parse_nested_expr(k)
             self.expect(":")
-            other = self.parse_nested_expr(tok)
+            other = self.parse_nested_expr(k)
             return Ternary(cond, then, other)
         return cond
 
-    def parse_nested_expr(self, opener: Token) -> Expr:
-        """An expression one nesting level inside `opener`."""
+    def parse_nested_expr(self, opener: int) -> Expr:
+        """An expression one nesting level inside token `opener`."""
         outer = self.nest(opener)
         e = self.parse_expr()
         self.depth = outer
@@ -533,15 +555,15 @@ class _Parser:
         return e
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        text = tok.text
-        if tok.kind == "nat":
+        text = self.peek()
+        kind = _kind(text)
+        if kind == "nat":
             return Lit(self.parse_nat_token())
         if text == "(":
             e = self.parse_nested_expr(self.next())
             self.expect(")")
             return e
-        if tok.kind == "name":
+        if kind == "name":
             self.next()
             if text == "true":
                 return Lit(True)

@@ -369,6 +369,16 @@ def test_count_memo_engages_on_distinct_states(monkeypatch):
     assert 0 < calls["edge"] <= 1000 and calls["expand"] <= 1000, calls
 
 
+def test_count_memo_engages_past_a_full_second_graph(monkeypatch):
+    # past a full graph the second side's children are keyed though not
+    # kept, so the pair memo still hits: with the memo lost, a graph of 3
+    # nodes made 12 736 edge lookups and 5000 `_difference` calls
+    monkeypatch.setattr(machine, "GRAPH_MAX_NODES", 3)
+    result, calls = _exhaustive_calls("ex1_patched", monkeypatch)
+    assert (result.passed, result.trials) == (True, EXHAUSTIVE_MAX_SCHEDULES)
+    assert (calls["edge"], calls["difference"]) == (191, 14), calls
+
+
 @pytest.mark.parametrize("name", ["while_count", "while_transient"])
 def test_exhaustive_sct_checks_repaired_loops(name):
     # without the explorer's dead-configuration memo the 400 000-node cap

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lexer_oracle as oracle
-from specrepair.parser import ParseError, _position, _tokenize
+from specrepair.parser import ParseError, _kind, _offset, _position, _tokenize
 
 ALPHABET = sorted(set("".join(oracle.SYMBOLS))) + [
     *"abcdefghijklmnopqrstuvwxyzLH", *"ABCXYZ", *"0123456789",
@@ -44,8 +44,9 @@ def _library(text):
         tokens = _tokenize(text)
     except ParseError as exc:
         return _error(exc)
-    assert tokens[-1] == tokens[-2] and tokens[-1].kind == "eof"
-    return [(t.kind, t.text, *_position(text, t.offset)) for t in tokens[:-1]]
+    assert tokens[-1] == tokens[-2] and _kind(tokens[-1]) == "eof"
+    return [(_kind(token), token, *_position(text, _offset(text, k)))
+            for k, token in enumerate(tokens[:-1])]
 
 
 @given(texts)

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from specrepair.cli import main
 from specrepair.harness import sct_fuzz
 from specrepair.lang import check_ssa, kind_check
-from specrepair.parser import parse_program, pretty_program
+from specrepair.parser import ParseError, parse_program, pretty_program
 from specrepair.repair import pipeline
 from specrepair.typesys import Mode, typecheck_ct
 
@@ -83,3 +85,16 @@ def test_exhaustive_sct_of_a_long_untaken_branch():
                             "} else {\n  skip;\n}\n")
     result = sct_fuzz(program, schedules="exhaustive", pairs=1, seed=1)
     assert (result.passed, result.trials) == (True, 75)
+
+
+@pytest.mark.parametrize("bad", [0, 9_999], ids=["first", "last"])
+def test_syntax_error_in_a_long_program(bad):
+    # a position is worked out only for an error, by scanning again up to
+    # its token; it is exact at either end of 10 000 statements
+    lines = [f"x{k} := {k} + 1;  # statement {k}" for k in range(10_000)]
+    lines[bad] = f"x{bad} := + 1;"
+    with pytest.raises(ParseError) as info:
+        parse_program("# header\npublic x0;\n" + "\n".join(lines) + "\n")
+    line, col = bad + 3, len(f"x{bad} := ") + 1
+    assert (str(info.value), info.value.line, info.value.col) == \
+        (f"{line}:{col}: expected an expression", line, col)
