@@ -159,13 +159,11 @@ def _kind(token: str) -> str:
     """The kind of a token, from its first character: "eof" (the empty
     token), "nat", "name" or "sym"."""
     first = token[:1]
-    if not first:
-        return "eof"
     if "0" <= first <= "9":
         return "nat"
     if first.isalpha() or first == "_":
         return "name"
-    return "sym"
+    return "sym" if first else "eof"
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -178,12 +176,10 @@ def _position(text: str, offset: int) -> tuple[int, int]:
 def _offset(text: str, k: int) -> int:
     """Where token `k` of `_tokenize(text)` starts.  The eof tokens start
     where a comment on the last line starts, else at the end of the text.
-    Only an error needs a position, so it walks the scan again."""
-    for m in _TOKEN.finditer(text):
-        if m.lastindex:  # a token, not whitespace or a comment
-            if not k:
-                return m.start()
-            k -= 1
+    Only an error needs a position, so it scans the text again."""
+    starts = [m.start() for m in _TOKEN.finditer(text) if m.lastindex]
+    if k < len(starts):
+        return starts[k]
     comment = text.find("#", text.rfind("\n") + 1)
     return comment if comment >= 0 else len(text)
 
@@ -191,8 +187,8 @@ def _offset(text: str, k: int) -> int:
 def _tokenize(text: str) -> list[str]:
     """The tokens of `text`, each as its text, then two eof tokens `""`,
     so that `peek(1)` needs no bounds check.  A character that starts no
-    token, or a name that starts with a numeral other than a letter, is
-    an error at its position."""
+    token, or a numeral such as `²` that starts a name, is an error at
+    its position."""
     tokens = list(filter(None, _TOKEN.findall(text)))
     bad = {c for c in set(map(itemgetter(0), tokens))
            if not (c.isalpha() or c in _STARTS)}

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lexer_oracle as oracle
-from specrepair.parser import ParseError, _kind, _offset, _position, _tokenize
+from specrepair.parser import (ParseError, _kind, _offset, _position,
+                               _tokenize)
 
 ALPHABET = sorted(set("".join(oracle.SYMBOLS))) + [
     *"abcdefghijklmnopqrstuvwxyzLH", *"ABCXYZ", *"0123456789",
