@@ -869,9 +869,10 @@ GRAPH_MAX_NODES = 500
 
 class _Node:
     """A `StateGraph` configuration with its `_retired_ids` ids and its
-    `_config_key` (both None past a full graph), its applicable directives
-    once asked for, and, if the graph keeps it, `out`: for each of those
-    directives, (child, observation) once stepped, else None."""
+    `_config_key` (both None where a walk steps past a full graph), its
+    applicable directives once asked for, and, if the graph keeps it,
+    `out`: for each of those directives, (child, observation) once
+    stepped, else None."""
 
     __slots__ = ("config", "ids", "key", "options", "out")
 
@@ -889,8 +890,10 @@ class StateGraph:
     than `GRAPH_MAX_NODES` nodes; past that it steps plainly, with no key
     and nothing kept, for the rest of the run.  The count keeps each
     configuration it expands, and the search one it expands a second time
-    (`_expand`).  Returned configurations share the graph's `mem` and
-    `vars` dicts: callers must not mutate them."""
+    (`_expand`); a search stepping this graph as its second side keeps
+    each new configuration while there is room, and past that keys it
+    without keeping it.  Returned configurations share the graph's `mem`
+    and `vars` dicts: callers must not mutate them."""
 
     def __init__(self, c: Command, mem, rho, mode: str = MODE_HW):
         self._mode = mode
