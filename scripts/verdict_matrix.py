@@ -27,6 +27,7 @@ from specrepair.harness import consistency_suite, exhaustive_runs, sct_fuzz
 from specrepair.machine import (
     MODE_HW,
     MODE_SLH,
+    StateGraph,
     format_directive,
     format_observation,
 )
@@ -94,9 +95,9 @@ def cases(names):
                                    program, mode=mode, schedules=kind,
                                    pairs=pairs, seed=seed)))
                 yield (["exhaustive_runs", cap, name, form, mode],
-                       runs_record(exhaustive_runs(
+                       runs_record(exhaustive_runs(StateGraph(
                            program.command, program.initial_memory(),
-                           program.initial_var_map(), mode)))
+                           program.initial_var_map(), mode))))
         corpus = [(name, program) for name, form, program in programs
                   if form == "raw"]
         for mode in MODES:

@@ -265,12 +265,12 @@ def consistency_suite(programs: list[tuple[str, Program]],
     must equal the sequential run's, and the filtered speculative trace must
     be a permutation of the sequential trace.
 
-    Each sampled schedule is a random walk of at most
-    `machine.WALK_MAX_LEN` directives, and a program's walks share one
-    `StateGraph`.  A program whose whole schedule space fits the
-    `machine.EXHAUSTIVE_*` caps is swept exhaustively as well
-    (`exhaustive_runs`, which counts the space before it enumerates any
-    schedule, so a space that does not fit costs only the count)."""
+    Each program gets one `StateGraph`.  Its whole schedule space is
+    swept where it fits the `machine.EXHAUSTIVE_*` caps (`exhaustive_runs`,
+    which counts the space before it enumerates any schedule, so a space
+    that does not fit costs only the count).  Then it is sampled by random
+    walks of at most `machine.WALK_MAX_LEN` directives on the graph that
+    the count stepped."""
     report = ConsistencyReport()
     for name, program in programs:
         seq_result = run_sequential(program.command, program.initial_memory(),
@@ -278,13 +278,10 @@ def consistency_suite(programs: list[tuple[str, Program]],
         seq_side = (seq_result.mem, _source_vars(seq_result.vars),
                     Counter(filter_trace(seq_result.trace)))
         report.checked += 1
-        mem = program.initial_memory()
-        rho = program.initial_var_map()
-        complete_space = exhaustive_runs(program.command, mem, rho, mode)
-        if complete_space is not None:
-            for run in complete_space:
-                check_consistency_run(name, run, seq_side, seed, report)
-        graph = StateGraph(program.command, mem, rho, mode)
+        graph = StateGraph(program.command, program.initial_memory(),
+                           program.initial_var_map(), mode)
+        for run in exhaustive_runs(graph) or ():
+            check_consistency_run(name, run, seq_side, seed, report)
         rng = random.Random(f"consistency:{seed}:{name}")
         walks = (graph.walk(rng, WALK_MAX_LEN)
                  for _ in range(4 * per_program_schedules))

@@ -664,7 +664,7 @@ def sequential_schedule(c: Command, mem, rho, mode: str = MODE_HW,
         else:
             head = config.stack[0]
             if isinstance(head, If):
-                cond = eval_expr(head.cond, transient_map(config.vars, ()))
+                cond = eval_expr(head.cond, config.vars)
                 if not isinstance(cond, bool):
                     raise LangError("branch condition is not a boolean")
                 d = FETCH_TRUE if cond else FETCH_FALSE
@@ -729,7 +729,8 @@ def _code(instr: Instruction, codes: dict) -> int:
 _NO_PARENT = (None, (), ())
 
 # The caps of every exhaustive search: directives per schedule, complete
-# schedules, and configurations a plain depth-first search may visit.
+# schedules, and configurations, those `StateGraph.schedules` visits and
+# the (configuration, directives left) pairs `_count_space` expands.
 EXHAUSTIVE_MAX_LEN = 40
 EXHAUSTIVE_MAX_SCHEDULES = 5000
 EXHAUSTIVE_MAX_NODES = 400_000
@@ -799,8 +800,8 @@ def _count_space(graph: StateGraph, max_len: int,
     `EXHAUSTIVE_MAX_NODES` configurations expanded.  It is the number
     `StateGraph.schedules` yields where neither meets its node cap, and
     none when the sequential schedule does not fit.  Each (configuration,
-    directives left) is expanded once, and joins the graph while it has
-    room; its subtree's count comes from a memo the next time."""
+    directives left) is expanded once; its subtree's count comes from a
+    memo the next time."""
     if graph._too_long(max_len):
         return 0, False
     memo: dict = {}  # (configuration key, left) -> schedules
@@ -830,25 +831,23 @@ def _count_space(graph: StateGraph, max_len: int,
                 return schedules, False
             stack.append((None, at, schedules))
             stack.extend((child, left - 1)
-                         for child, _obs in graph._expand(node, True)[1])
+                         for child, _obs in graph._expand(node))
         if schedules >= cap:
             return cap, False
     return schedules, finished
 
 
-def exhaustive_runs(c: Command, mem, rho, mode: str = MODE_HW,
-                    max_len: int = EXHAUSTIVE_MAX_LEN,
+def exhaustive_runs(graph: StateGraph, max_len: int = EXHAUSTIVE_MAX_LEN,
                     limit: int = EXHAUSTIVE_MAX_SCHEDULES) -> Optional[list]:
-    """The complete schedule space within `max_len` directives, in the
-    order of `enumerate_schedules`, or None when `_count_space` finds that
-    it does not fit: more than `limit` schedules, more than
-    `EXHAUSTIVE_MAX_NODES` configurations expanded, or a branch unfinished
-    at `max_len` directives.  A space that does not fit is never
-    enumerated; one that fits is enumerated on the graph the count
-    expanded, and is still None unless it has as many schedules as
+    """The complete schedule space of `graph` within `max_len`
+    directives, in the order of `enumerate_schedules`, or None when
+    `_count_space` finds that it does not fit: more than `limit`
+    schedules, more than `EXHAUSTIVE_MAX_NODES` configurations expanded,
+    or a branch unfinished at `max_len` directives.  A space that does not
+    fit is never enumerated; one that fits is enumerated on the graph the
+    count stepped, and is still None unless it has as many schedules as
     counted.
     """
-    graph = StateGraph(c, mem, rho, mode)
     count, whole = _count_space(graph, max_len, limit + 1)
     if not whole:
         return None
@@ -869,30 +868,25 @@ GRAPH_MAX_NODES = 500
 
 class _Node:
     """A `StateGraph` configuration with its `_retired_ids` ids and its
-    `_config_key` (both None where a walk steps past a full graph), its
-    applicable directives once asked for, and, if the graph keeps it,
-    `out`: for each of those directives, (child, observation) once
-    stepped, else None."""
+    `_config_key`, its applicable directives once asked for, and, if the
+    graph keeps it, `out`: for each of those directives, (child,
+    observation) once stepped, else None."""
 
     __slots__ = ("config", "ids", "key", "options", "out")
 
-    def __init__(self, config: Config, ids, key=None) -> None:
+    def __init__(self, config: Config, ids, key) -> None:
         self.config, self.ids, self.key = config, ids, key
         self.options = self.out = None
 
 
 class StateGraph:
     """The transitions from one initial configuration, stepped lazily and
-    shared by every walk, search and count from it.  Every child is keyed
-    by `_config_key` from its parent and merged with the graph's node of
-    that key; a node the graph keeps holds each transition stepped from
-    it.  A walk keeps each new configuration while the graph holds fewer
-    than `GRAPH_MAX_NODES` nodes; past that it steps plainly, with no key
-    and nothing kept, for the rest of the run.  The count keeps each
-    configuration it expands, and the search one it expands a second time
-    (`_expand`); a search stepping this graph as its second side keeps
-    each new configuration while there is room, and past that keys it
-    without keeping it.  Returned configurations share the graph's `mem`
+    shared by every walk, search and count from it.  Every stepped child
+    is keyed by `_config_key` from its parent and merged with the graph's
+    node of that key; a new one joins the graph while it holds fewer than
+    `GRAPH_MAX_NODES` nodes.  A kept node holds each transition stepped
+    from it.  A full graph stays full, so a node it does not keep has a
+    key it never holds.  Returned configurations share the graph's `mem`
     and `vars` dicts: callers must not mutate them."""
 
     def __init__(self, c: Command, mem, rho, mode: str = MODE_HW):
@@ -914,15 +908,12 @@ class StateGraph:
         node.out = [None] * len(self._directives(node))
         self._nodes[node.key] = node
 
-    def _step(self, node: _Node, i: int, walk: bool = True) -> tuple:
+    def _step(self, node: _Node, i: int) -> tuple:
         """(child, observation) for option `i` of `node`, kept in `out` if
-        the graph keeps `node`.  A walk's new child joins the graph; past a
-        full graph, it has no key and is not kept.  The search's child is
-        keyed and joins the graph only through `_expand`."""
+        the graph keeps `node`: the child is the graph's node of its key,
+        or a new node, which joins the graph while it has room."""
         d = node.options[i]
         config, obs = step(node.config, d, self._mode)
-        if walk and len(self._nodes) >= GRAPH_MAX_NODES:
-            return _Node(config, None), obs  # a full graph stays full
         ids = node.ids if type(d) is not Retire else _retired_ids(
             node.config, node.ids, self._writes)
         key = _config_key(config, ids, (d, node.config.buffer, node.key[0]),
@@ -930,23 +921,21 @@ class StateGraph:
         child = self._nodes.get(key)
         if child is None:
             child = _Node(config, ids, key)
-            if walk:
+            if len(self._nodes) < GRAPH_MAX_NODES:
                 self._keep(child)
         if node.out is not None:
             node.out[i] = child, obs
         return child, obs
 
-    def _edge(self, node: _Node, d: Directive, walk: bool = True):
-        """(child, observation) for `d` from `node`, or the `Stuck` that
-        `step` gives where `d` does not apply.  A walk's new child is
-        `_step`'s; the search's joins the graph while it has room, and
-        past a full graph is keyed but not kept, as `_expand`'s are."""
+    def _edge(self, node: _Node, d: Directive):
+        """(child, observation) for `d` from `node`, stepped once by
+        `_step`, or the `Stuck` that `step` gives where `d` does not
+        apply."""
         try:
             i = self._directives(node).index(d)
         except ValueError:
             return step(node.config, d, self._mode)
-        return node.out and node.out[i] or self._step(
-            node, i, walk or len(self._nodes) < GRAPH_MAX_NODES)
+        return node.out and node.out[i] or self._step(node, i)
 
     def _too_long(self, max_len: int) -> bool:
         """Whether no schedule fits `max_len`: the sequential one does not."""
@@ -991,10 +980,9 @@ class StateGraph:
                   second: Optional[StateGraph] = None) -> Iterator:
         """The search of `enumerate_schedules`: (terminal configuration,
         path) for each complete schedule, a path being a chain of (parent
-        path, directive, observation) links for `unwind`.  A node of the
-        graph is expanded once; a configuration expanded a second time
-        joins the graph while it has room, and any other is expanded
-        afresh on each visit.
+        path, directive, observation) links for `unwind`.  A configuration
+        the graph keeps is stepped once, and any other afresh on each visit
+        (`_expand`).
 
         With a `second` graph, of another initial state, it steps that
         graph along each link it enters (`_edge`) and yields (configuration,
@@ -1008,7 +996,7 @@ class StateGraph:
         if self._too_long(max_len):
             return
         produced = explored = 0
-        memo: dict = {}  # expanded key -> directives left if dead, else 0
+        memo: dict = {}  # key -> directives left where its subtree was dead
         passed: dict = {}  # (key, left, second's key) -> schedules
         # Entries are (node, path, its length, `second`'s node and
         # agreement at the path's parent) to visit, or, once every child of
@@ -1037,7 +1025,7 @@ class StateGraph:
                 continue
             if second is not None and depth:
                 node2, agreed = second._along(node2, agreed, depth - 1,
-                                              path[1], path[2], False)
+                                              path[1], path[2])
             if terminal:
                 yield (config, path) if second is None \
                     else (config, path, node2 and node2.config, agreed)
@@ -1055,35 +1043,26 @@ class StateGraph:
                     return
                 continue
             stack.append((None, key, left, produced, node2 and node2.key))
-            node, out = self._expand(node, key in memo)
-            memo.setdefault(key, 0)
             stack.extend(reversed([
                 (child, (path, d, obs), depth + 1, node2, agreed)
-                for d, (child, obs) in zip(node.options, out)]))
+                for d, (child, obs) in zip(self._directives(node),
+                                           self._expand(node))]))
 
-    def _expand(self, node: _Node, admit: bool) -> tuple:
-        """The graph's node keyed as `node`, else `node`, and its (child,
-        observation) for each applicable directive.  A node the graph
-        keeps steps each directive once; any other joins the graph if
-        `admit` and the graph has room, and is stepped afresh if not."""
-        if node.out is None:  # not a node of the graph
-            node = self._nodes.get(node.key, node)
-            if node.out is None and admit \
-                    and len(self._nodes) < GRAPH_MAX_NODES:
-                self._keep(node)
+    def _expand(self, node: _Node) -> list:
+        """(child, observation) for each applicable directive of `node`,
+        each stepped once if the graph keeps `node`, else afresh."""
         out = node.out or [None] * len(self._directives(node))
-        return node, [edge or self._step(node, i, False)
-                      for i, edge in enumerate(out)]
+        return [edge or self._step(node, i) for i, edge in enumerate(out)]
 
     def _along(self, node: Optional[_Node], agreed, k: int,
-               d: Directive, obs, walk: bool = True) -> tuple:
+               d: Directive, obs) -> tuple:
         """`node` and its agreement `agreed` one link further along another
-        graph's path, whose `k`-th directive `d` observed `obs`, stepped
-        as `_edge(node, d, walk)`: None and (k, reason) if `d` gets stuck,
-        and None once stuck."""
+        graph's path, whose `k`-th directive `d` observed `obs`, stepped by
+        `_edge`: None and (k, reason) if `d` gets stuck, and None once
+        stuck."""
         if node is None:
             return None, agreed
-        edge = self._edge(node, d, walk)
+        edge = self._edge(node, d)
         if type(edge) is Stuck:
             return None, (k, edge.reason)
         return edge[0], agreed and edge[1] == obs

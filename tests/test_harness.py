@@ -10,6 +10,7 @@ from specrepair import harness, machine
 from specrepair.corpus import corpus_names, load_program
 from specrepair.harness import (
     consistency_suite,
+    exhaustive_runs,
     gen_lequiv_pairs,
     l_equivalent,
     sct_fuzz,
@@ -127,6 +128,34 @@ def test_consistency_both_modes(mode):
     assert report.ok
 
 
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_consistency_walks_reuse_the_sweep(corpus, mode, monkeypatch):
+    # a program's walks run on the graph its sweep stepped, so on a swept
+    # program they step nothing of their own
+    steps = []
+    plain_step = machine.step
+
+    def counted(config, d, *rest):
+        steps.append(d)
+        return plain_step(config, d, *rest)
+
+    monkeypatch.setattr(machine, "step", counted)
+    swept = 0
+    for name, program in corpus:
+        steps.clear()
+        if exhaustive_runs(StateGraph(program.command,
+                                      program.initial_memory(),
+                                      program.initial_var_map(),
+                                      mode)) is None:
+            continue
+        swept += 1
+        alone, steps[:] = list(steps), []
+        report = consistency_suite([(name, program)], 30, seed=0, mode=mode)
+        assert report.ok and report.schedules > 30, name
+        assert steps == alone, (name, len(steps), len(alone))
+    assert swept == 13
+
+
 def test_divergent_stuckness_is_a_violation():
     # branch on a secret: the same schedule resolves differently across the
     # pair, so one side goes down a path where some directive is inapplicable
@@ -238,8 +267,8 @@ def _corpus(repair, schedules="exhaustive"):
 def test_sct_fuzz_matches_fresh_replays(cases, mode, monkeypatch):
     # the search, the walks and the count of an equal pair's schedules
     # give the verdict of replaying every schedule from scratch, with the
-    # graphs at their cap and cut down to 3 nodes (past which the search
-    # steps, and keys its memo, plainly); `count` caps the search's and the
+    # graphs at their cap and cut down to 3 nodes (past which every step
+    # is keyed but not kept); `count` caps the search's and the
     # equal-pair count's schedules or sets the walks
     results = []
     for program, schedules, pairs, seed, count in cases():
@@ -510,17 +539,17 @@ def test_only_distinct_states_are_compared(schedules, monkeypatch):
 @pytest.mark.parametrize("name", ["guard_chain", "while_count"])
 def test_equal_states_step_once(name, cap, monkeypatch):
     # an equal pair follows nothing on a second side, so the walks step
-    # as often as the first side's walks alone; past a full graph every
-    # step is made afresh, and still only once.  Exhaustively, it looks up
-    # no edge, and steps exactly as `_count_space` does on its graph.
+    # as often as the first side's walks alone, past a full graph too.
+    # Exhaustively, it looks up no edge, and steps exactly as
+    # `_count_space` does on its graph.
     program = _repaired(name)
     monkeypatch.setattr(machine, "GRAPH_MAX_NODES", cap)
     steps, lookups = [], []
     plain_step, plain_edge = StateGraph._step, StateGraph._edge
 
-    def counted(graph, node, i, walk=True):
-        steps.append((node.options[i], walk))
-        return plain_step(graph, node, i, walk)
+    def counted(graph, node, i):
+        steps.append(node.options[i])
+        return plain_step(graph, node, i)
 
     def looked_up(graph, node, d):
         lookups.append(d)
@@ -547,5 +576,5 @@ def test_equal_states_step_once(name, cap, monkeypatch):
                                         pair.rho1),
                              machine.EXHAUSTIVE_MAX_LEN,
                              EXHAUSTIVE_MAX_SCHEDULES)
-    assert counting == steps and not any(walk for _d, walk in steps)
+    assert counting == steps
     assert steps and not lookups

@@ -553,7 +553,7 @@ def test_enumerate_skips_the_search_past_the_length_cap(monkeypatch, mode):
     mem, rho = program.initial_memory(), program.initial_var_map()
     assert len(sequential_schedule(report.repaired, mem, rho, mode)) > 40
 
-    def no_search(graph, node, admit):
+    def no_search(graph, node):
         raise AssertionError("the explorer searched")
 
     monkeypatch.setattr(StateGraph, "_expand", no_search)
@@ -687,7 +687,8 @@ def _plain_exhaustive_runs(command, mem, rho, mode, max_len=40, limit=5000,
 
 def _assert_exhaustive_runs_match(command, mem, rho, mode, **caps):
     want, _explored = _plain_exhaustive_runs(command, mem, rho, mode, **caps)
-    assert exhaustive_runs(command, mem, rho, mode, **caps) == want
+    assert exhaustive_runs(StateGraph(command, mem, rho, mode),
+                           **caps) == want
     # the count decides alone, without the enumeration checked against it
     caps = {"max_len": 40, "limit": 5000, **caps}
     count, whole = machine._count_space(StateGraph(command, mem, rho, mode),
@@ -735,6 +736,40 @@ def test_walks_reuse_what_the_sweep_stepped(corpus, monkeypatch):
         monkeypatch.setattr(machine, "step", plain_step)
         assert steps == [], name
     assert swept == 13
+
+
+@pytest.mark.parametrize("cap", [machine.GRAPH_MAX_NODES, 3])
+@pytest.mark.parametrize("name", ["guard_chain", "while_count",
+                                  "ex1_patched"])
+def test_a_stepped_node_is_the_graphs_node_of_its_key(name, cap,
+                                                      monkeypatch):
+    # every child a walk, the search or the count steps is keyed, and is
+    # the graph's node of its key unless the graph never keeps that key
+    monkeypatch.setattr(machine, "GRAPH_MAX_NODES", cap)
+    stepped = []
+    plain_step = StateGraph._step
+
+    def recorded(graph, node, i):
+        edge = plain_step(graph, node, i)
+        stepped.append(edge[0])
+        return edge
+
+    monkeypatch.setattr(StateGraph, "_step", recorded)
+    program = load_program(name)
+    graph = StateGraph(program.command, program.initial_memory(),
+                       program.initial_var_map())
+    rng = random.Random(name)
+    for _ in range(30):
+        graph.walk(rng, machine.WALK_MAX_LEN)
+    assert sum(1 for _ in graph.schedules(40, 300)) > 0
+    machine._count_space(graph, machine.EXHAUSTIVE_MAX_LEN,
+                         machine.EXHAUSTIVE_MAX_SCHEDULES)
+    for _ in range(30):
+        graph.walk(rng, machine.WALK_MAX_LEN)
+    bad = [node for node in stepped if node.key is None
+           or graph._nodes.get(node.key, node) is not node]
+    assert stepped and not bad, (len(bad), len(stepped))
+    assert len(graph._nodes) <= cap
 
 
 @pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
@@ -785,9 +820,9 @@ def _expansions(monkeypatch, command, mem, rho, mode) -> int:
     expanded = []
     plain_expand = StateGraph._expand
 
-    def counted(graph, node, admit):
+    def counted(graph, node):
         expanded.append(node)
-        return plain_expand(graph, node, admit)
+        return plain_expand(graph, node)
 
     with monkeypatch.context() as patch:
         patch.setattr(StateGraph, "_expand", counted)
@@ -820,7 +855,8 @@ def test_exhaustive_runs_match_the_plain_search_at_each_cap(corpus, mode,
         for nodes, want in ((expanded, runs), (expanded - 1, None)):
             with monkeypatch.context() as patch:
                 patch.setattr(machine, "EXHAUSTIVE_MAX_NODES", nodes)
-                assert exhaustive_runs(*args) == want, (name, nodes)
+                assert exhaustive_runs(StateGraph(*args)) == want, \
+                    (name, nodes)
 
 
 @given(programs())
@@ -840,8 +876,9 @@ def test_exhaustive_runs_on_a_long_length_cap(mode):
     program = load_program("while_count")
     args = (program.command, program.initial_memory(),
             program.initial_var_map(), mode)
-    assert exhaustive_runs(*args, max_len=5000) is None
-    assert exhaustive_runs(*args, max_len=5000, limit=10 ** 9) is None
+    assert exhaustive_runs(StateGraph(*args), max_len=5000) is None
+    assert exhaustive_runs(StateGraph(*args), max_len=5000,
+                           limit=10 ** 9) is None
 
 
 def test_exhaustive_runs_check_the_count(monkeypatch):
@@ -849,11 +886,11 @@ def test_exhaustive_runs_check_the_count(monkeypatch):
     program = load_program("assign_chain")
     args = (program.command, program.initial_memory(),
             program.initial_var_map())
-    assert len(exhaustive_runs(*args)) == 5
+    assert len(exhaustive_runs(StateGraph(*args))) == 5
     for wrong in (4, 6):
         monkeypatch.setattr(machine, "_count_space",
                             lambda *a, n=wrong: (n, True))
-        assert exhaustive_runs(*args) is None
+        assert exhaustive_runs(StateGraph(*args)) is None
 
 
 def test_state_keys_tell_a_bool_from_a_nat():
