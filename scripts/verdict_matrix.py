@@ -3,6 +3,10 @@
 case, so that the output of two trees can be compared with `cmp`.
 
 The matrix:
+- `pipeline` of each corpus program under the four analysis modes, as its
+  report (cut, environment, protect and baseline counts, both verdicts,
+  violations, and a SHA-256 of the pretty-printed repaired program) or as
+  the type and message of the error it raises;
 - `sct_fuzz` of each corpus program, as written and as repaired under
   `Mode()`, in hw and slh, random and exhaustive, at (seed, pairs) (0, 1),
   (1, 2) and (7, 3);
@@ -23,6 +27,7 @@ import sys
 
 from specrepair import machine
 from specrepair.corpus import corpus_names, load_program
+from specrepair.lang import LangError
 from specrepair.harness import consistency_suite, exhaustive_runs, sct_fuzz
 from specrepair.machine import (
     MODE_HW,
@@ -31,9 +36,12 @@ from specrepair.machine import (
     format_directive,
     format_observation,
 )
+from specrepair.parser import pretty_program
 from specrepair.repair import pipeline
 from specrepair.typesys import Mode
 
+ANALYSES = tuple(Mode(spectre_v1_1=v11, slh_only_cuts=slh)
+                 for v11 in (False, True) for slh in (False, True))
 MODES = (MODE_HW, MODE_SLH)
 SEED_PAIRS = ((0, 1), (1, 2), (7, 3))
 GRAPH_CAPS = (500, 3)
@@ -43,6 +51,22 @@ CONSISTENCY_SEEDS = (0, 3)
 
 def schedule(directives) -> str:
     return "/".join(map(format_directive, directives))
+
+
+def pipeline_record(program, mode) -> dict:
+    try:
+        report = pipeline(program.command, mode, program.variables())
+    except LangError as error:
+        return {"error": type(error).__name__, "message": str(error)}
+    repaired = pretty_program(
+        dataclasses.replace(program, command=report.repaired))
+    return {"cut": report.cut, "gamma": report.gamma,
+            "protect_count": report.protect_count,
+            "baseline_count": report.baseline_count,
+            "original_accepts": report.original_accepts,
+            "repaired_accepts": report.repaired_accepts,
+            "violations": [str(v) for v in report.violations],
+            "repaired_sha256": hashlib.sha256(repaired.encode()).hexdigest()}
 
 
 def sct_record(result) -> dict:
@@ -78,6 +102,9 @@ def cases(names):
     programs = []
     for name in names:
         program = load_program(name)
+        for mode in ANALYSES:
+            yield (["pipeline", name, mode.spectre_v1_1, mode.slh_only_cuts],
+                   pipeline_record(program, mode))
         repaired = pipeline(program.command, Mode(),
                             program.variables()).repaired
         programs.append((name, "raw", program))

@@ -7,10 +7,15 @@ source/sink are permanent.  A minimum-cardinality cut is computed by the
 classic node-splitting reduction to max flow: each candidate becomes an
 in/out pair joined by a unit-capacity edge, everything else is effectively
 infinite, and the saturated unit edges on the source side of the final
-residual graph form the cut.  The flow is Dinic's algorithm over integer
-node ids (atom `i` is node `i`, a candidate's out-node is `n + i`); with
-unit capacities on every split node it takes O(E * sqrt(V)) time (Even and
-Tarjan, SIAM J. Comput. 1975).
+residual graph form the cut.  Before the flow, each expression atom with a
+single out-edge is folded into the node that edge enters: most expression
+atoms are such pass-throughs, none of them can be cut, and folding them
+changes neither the flow nor the cut.  The flow is Dinic's algorithm over
+integer node ids (atom `i` is node `i`, a candidate's out-node is `n + i`);
+with unit capacities on every split node it takes O(E * sqrt(V)) time (Even
+and Tarjan, SIAM J. Comput. 1975).  A source-to-sink path with no candidate
+on it shows as a flow above any candidate cut, so infeasibility is read off
+the flow.
 
 Everything here is deterministic.  The nodes the source reaches in the
 residual graph are the same for every maximum flow, so the cut is always the
@@ -124,45 +129,77 @@ class MinCutResult:
     flow: int
 
 
+# marks of a folded atom in `max_flow_min_cut` before its node is known
+_UNSEEN, _ON_WALK = -2, -3
+
+
 def max_flow_min_cut(g: DefUseGraph) -> MinCutResult:
     """Dinic max flow on the node-split graph, and the source-closest
     minimum cut.
 
     Node `i` is atom `g.nodes[i]`; a candidate's node is its in-node and
-    `n + i` its out-node, joined by a unit arc.  Arcs live in flat lists
-    with each reverse arc at `arc ^ 1`.  Each phase builds BFS levels, then
-    an iterative depth-first search with per-node arc pointers saturates
-    the level graph, so deep graphs never reach the recursion limit.
+    `n + i` its out-node, joined by a unit arc.  An expression atom that is
+    not a candidate and has exactly one out-edge is folded into the node
+    that edge enters, following chains of such atoms (each resolved once):
+    every path through it continues along that edge and it can never be
+    cut, so the flow and the source-closest cut are those of the unfolded
+    graph.  A cycle of such atoms, and what leads only into one, never
+    reaches the sink and is dropped.  Arcs live in flat lists with each
+    reverse arc at `arc ^ 1`.  Each phase builds BFS levels, then an
+    iterative depth-first search with per-node arc pointers saturates the
+    level graph, so deep graphs never reach the recursion limit.
 
     Raises Infeasible when some source-to-sink path carries no candidate
-    (only possible with a restricted candidate set).
+    (only possible with a restricted candidate set).  Such a path carries
+    `inf`, more than any cut of candidates can, so the flow shows it; only
+    then is the path searched for, to name it.
     """
-    blocked = _find_path(g.adjacency(), set(g.candidates))
-    if blocked is not None:
-        raise Infeasible(blocked)
-
     inf = len(g.candidates) + 1
     n = len(g.nodes)
     index = {a: i for i, a in enumerate(g.nodes)}
     out_node = list(range(n))
     to: list[int] = []
-    cap: list[int] = []
     arcs: list[list[int]] = [[] for _ in range(2 * n)]
-
-    def add_arc(u: int, v: int, c: int) -> None:
-        arcs[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        arcs[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-
     for a in g.candidates:
         i = index[a]
         out_node[i] = n + i
-        add_arc(i, n + i, 1)
-    for e in g.edges:
-        add_arc(out_node[index[e.src]], index[e.dst], inf)
+        arcs[i].append(len(to))
+        arcs[n + i].append(len(to) + 1)
+        to += (n + i, i)
+    cap = [1, 0] * len(g.candidates)
+
+    # fold: `rep[i]` is the node that stands for atom `i`, or -1 if dropped
+    ends = [(index[e.src], index[e.dst]) for e in g.edges]
+    exits = [0] * n
+    head = [0] * n
+    for u, v in ends:
+        exits[u] += 1
+        head[u] = v
+    rep = list(range(n))
+    folded = [i for i, a in enumerate(g.nodes)
+              if exits[i] == 1 and out_node[i] == i
+              and isinstance(a, ExprAtom)]
+    for i in folded:
+        rep[i] = _UNSEEN
+    for i in folded:
+        walk = []
+        j = i
+        while rep[j] == _UNSEEN:
+            rep[j] = _ON_WALK
+            walk.append(j)
+            j = head[j]
+        root = rep[j] if rep[j] != _ON_WALK else -1
+        for j in walk:
+            rep[j] = root
+
+    for u, v in ends:
+        v = rep[v]
+        if rep[u] == u and v >= 0:
+            u = out_node[u]
+            arcs[u].append(len(to))
+            arcs[v].append(len(to) + 1)
+            to += (v, u)
+    cap += [inf, 0] * (len(to) // 2 - len(g.candidates))
 
     source, sink = index[T_SOURCE], index[S_SINK]
     flow = 0
@@ -207,6 +244,8 @@ def max_flow_min_cut(g: DefUseGraph) -> MinCutResult:
             else:
                 break
 
+    if flow >= inf:
+        raise Infeasible(_find_path(g.adjacency(), set(g.candidates)))
     # `level` now marks what the source reaches in the final residual graph.
     cut = [a.name for a in g.candidates
            if level[index[a]] >= 0 and level[n + index[a]] < 0]

@@ -62,6 +62,15 @@ def count_protects(c: Command) -> int:
     return sum(type(cmd) is Protect for cmd in commands(c))
 
 
+def _baseline_protects(rhs, mode: Mode) -> bool:
+    """Whether `baseline_repair` protects an assignment of `rhs`."""
+    if isinstance(rhs, ArrayRead):
+        return mode.spectre_v1_1 or not is_constant_in_bounds(rhs)
+    if isinstance(rhs, PtrRead):
+        return mode.spectre_v1_1 or not is_constant_expr(rhs.addr)
+    return False
+
+
 def baseline_repair(c: Command, mode: Mode = Mode()) -> Command:
     """Protect every read (v1.1), or in v1 every read but those at a
     constant address, within bounds for an array read.  Deliberately
@@ -69,15 +78,8 @@ def baseline_repair(c: Command, mode: Mode = Mode()) -> Command:
     if check_ssa(c):
         raise RepairError("program is not single-assignment")
 
-    def needs_protect(rhs) -> bool:
-        if isinstance(rhs, ArrayRead):
-            return mode.spectre_v1_1 or not is_constant_in_bounds(rhs)
-        if isinstance(rhs, PtrRead):
-            return mode.spectre_v1_1 or not is_constant_expr(rhs.addr)
-        return False
-
     def protect(cmd: Command) -> Command:
-        if isinstance(cmd, Assign) and needs_protect(cmd.rhs):
+        if isinstance(cmd, Assign) and _baseline_protects(cmd.rhs, mode):
             return Protect(cmd.target, cmd.rhs)
         return cmd
 
@@ -113,14 +115,21 @@ def pipeline(c: Command, mode: Mode,
     original_violations = transient_violations(k, gamma, set(cut))
     repaired_violations = transient_violations(
         generate_constraints(repaired, mode), gamma, set())
-    already = count_protects(c)
+    # `repair` protects the one assignment of each cut variable that is not
+    # protected yet, and `baseline_repair` each one its rule picks
+    cut_set = set(cut)
+    protect_count = baseline_count = 0
+    for cmd in commands(c):
+        if type(cmd) is Assign:
+            protect_count += cmd.target in cut_set
+            baseline_count += _baseline_protects(cmd.rhs, mode)
     return PipelineReport(
         repaired=repaired,
         cut=cut,
         gamma=gamma,
         constraints=k,
-        protect_count=count_protects(repaired) - already,
-        baseline_count=count_protects(baseline_repair(c, mode)) - already,
+        protect_count=protect_count,
+        baseline_count=baseline_count,
         original_accepts=not original_violations,
         repaired_accepts=not repaired_violations,
         violations=original_violations + repaired_violations,

@@ -7,6 +7,8 @@ import pytest
 from specrepair.graphcut import (
     DefUseGraph,
     Infeasible,
+    MinCutResult,
+    _find_path,
     build_graph,
     extract_env,
     is_cut,
@@ -17,6 +19,7 @@ from specrepair.graphcut import (
 from specrepair.lang import STABLE, TRANSIENT
 from specrepair.typesys import (
     ConstraintSet,
+    Edge,
     ExprAtom,
     Mode,
     S_SINK,
@@ -153,6 +156,99 @@ def test_min_cut_matches_brute_force_oracle():
                                g.nodes, g.candidates)
         assert min_cut(shuffled) == fast, g.edges
     assert infeasible < 150  # the sample covers feasible graphs too
+
+
+def _expr(key: str) -> ExprAtom:
+    return ExprAtom(key, key, "expr")
+
+
+def _graph_of(edges, candidates, isolated=()) -> DefUseGraph:
+    """The graph of `edges`, (src, dst) pairs, with the named candidates;
+    `isolated` atoms are nodes on no edge."""
+    k = ConstraintSet()
+    for src, dst in edges:
+        k.add(src, dst)
+    return DefUseGraph(list(k.edges), build_graph(k).nodes + list(isolated),
+                       [VarAtom(x) for x in candidates])
+
+
+def _unfolded(g: DefUseGraph) -> DefUseGraph:
+    """`g` with every expression atom renamed to a variable atom that is
+    not a candidate, so that no atom of it can be folded."""
+    def rename(a):
+        return VarAtom(f"expr {a.key}") if isinstance(a, ExprAtom) else a
+    edges = [Edge(rename(e.src), rename(e.dst)) for e in g.edges]
+    return DefUseGraph(edges, [rename(a) for a in g.nodes], g.candidates)
+
+
+def _assert_cut(g: DefUseGraph, cut: list[str]) -> None:
+    result = max_flow_min_cut(g)
+    assert result == MinCutResult(cut, len(cut))
+    assert is_cut(g, result.cut)
+    assert len(brute_force_min_cut(g)) == len(cut)
+    assert max_flow_min_cut(_unfolded(g)) == result
+
+
+def test_min_cut_through_chains_of_single_exit_atoms():
+    e = [_expr(f"e{i}") for i in range(4)]
+    x, y = VarAtom("x"), VarAtom("y")
+    # a chain from the source into x, one from x into the sink, and y
+    # joining the second chain half way
+    g = _graph_of([(T_SOURCE, e[0]), (e[0], e[1]), (e[1], x), (x, e[2]),
+                   (e[2], e[3]), (e[3], S_SINK), (T_SOURCE, y), (y, e[3])],
+                  ["x", "y"])
+    _assert_cut(g, ["x", "y"])
+
+
+def test_min_cut_through_an_atom_with_two_exits():
+    e0 = _expr("e0")
+    b, c = VarAtom("b"), VarAtom("c")
+    g = _graph_of([(T_SOURCE, e0), (e0, b), (e0, c), (b, S_SINK),
+                   (c, S_SINK)], ["b", "c"])
+    _assert_cut(g, ["b", "c"])
+
+
+def test_min_cut_past_atoms_with_no_exit():
+    e0, e1 = _expr("e0"), _expr("e1")
+    v, w = VarAtom("v"), VarAtom("w")
+    # v leads only into the dead end e0; e2 is on no edge at all
+    g = _graph_of([(T_SOURCE, v), (v, e0), (T_SOURCE, w), (w, e1),
+                   (e1, S_SINK)], ["v", "w"], isolated=[_expr("e2")])
+    _assert_cut(g, ["w"])
+
+
+def test_min_cut_past_a_cycle_of_single_exit_atoms():
+    e = [_expr(f"e{i}") for i in range(6)]
+    u, v, w = VarAtom("u"), VarAtom("v"), VarAtom("w")
+    g = _graph_of([
+        # e0 -> e1 -> e2 -> e0 never reaches the sink, nor e3 leading in
+        (T_SOURCE, v), (v, e[0]), (e[0], e[1]), (e[1], e[2]), (e[2], e[0]),
+        (T_SOURCE, e[3]), (e[3], e[0]),
+        # e4 -> e5 -> e4, where e5 also exits to the sink
+        (T_SOURCE, u), (u, e[4]), (e[4], e[5]), (e[5], e[4]),
+        (e[5], S_SINK),
+        (T_SOURCE, w), (w, S_SINK)], ["u", "v", "w"])
+    _assert_cut(g, ["u", "w"])
+
+
+def test_infeasible_path_through_folded_atoms():
+    read, e1, e2, e3, e4 = (ExprAtom("r0", "a[i]", "read"), _expr("e1"),
+                            _expr("e2"), _expr("e3"), _expr("e4"))
+    x, y = VarAtom("x"), VarAtom("y")
+    k = ConstraintSet()
+    for src, dst in [(T_SOURCE, read), (read, x), (x, e1), (e1, S_SINK),
+                     (T_SOURCE, e2), (e2, y), (y, e3), (e3, e4),
+                     (e4, S_SINK)]:
+        k.add(src, dst)
+    mode = Mode(slh_only_cuts=True)
+    g = build_graph(k, mode)
+    assert g.candidates == [x]  # y is assigned no memory read
+    with pytest.raises(Infeasible) as excinfo:
+        max_flow_min_cut(g)
+    path = _find_path(g.adjacency(), set(g.candidates))
+    assert excinfo.value.path == path == [T_SOURCE, e2, y, e3, e4, S_SINK]
+    assert str(excinfo.value) == \
+        "uncuttable flow: T -> e2 -> y -> e3 -> e4 -> S"
 
 
 def test_min_cut_of_deep_chain_is_source_closest():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
 
 from specrepair.harness import sct_fuzz
 from specrepair.lang import (
@@ -11,6 +12,7 @@ from specrepair.lang import (
     Pure,
     Seq,
     TRANSIENT,
+    command_vars,
 )
 from specrepair.parser import parse_program, pretty_command
 from specrepair.repair import (
@@ -22,6 +24,10 @@ from specrepair.repair import (
 )
 from specrepair.seq import SeqFail, run_sequential
 from specrepair.typesys import Mode, generate_constraints, least_type_env
+from tests.test_differential import programs
+
+ANALYSES = [Mode(spectre_v1_1=v11, slh_only_cuts=slh)
+            for v11 in (False, True) for slh in (False, True)]
 
 
 def test_repair_wraps_the_unique_assignment(ex1, ex1_patched):
@@ -71,6 +77,32 @@ def test_baseline_constant_reads():
     assert count_protects(baseline_repair(program.command, Mode())) == 0
     assert count_protects(baseline_repair(
         program.command, Mode(spectre_v1_1=True))) == 1
+
+
+def _assert_counts_match_the_rewrites(c, mode, variables) -> None:
+    """The pipeline's counts are those of the programs `repair` and
+    `baseline_repair` build."""
+    report = pipeline(c, mode, variables)
+    already = count_protects(c)
+    assert report.protect_count == count_protects(report.repaired) - already
+    assert report.baseline_count == \
+        count_protects(baseline_repair(c, mode)) - already
+
+
+@pytest.mark.parametrize("mode", ANALYSES,
+                         ids=["v1", "v1-slh", "v1.1", "v1.1-slh"])
+def test_pipeline_counts_match_the_rewrites(corpus, mode):
+    for _name, program in corpus:
+        _assert_counts_match_the_rewrites(program.command, mode,
+                                          program.variables())
+
+
+@given(programs())
+@settings(max_examples=60, deadline=None)
+def test_pipeline_counts_match_the_rewrites_on_random_programs(command):
+    for mode in ANALYSES:
+        _assert_counts_match_the_rewrites(command, mode,
+                                          sorted(command_vars(command)))
 
 
 def test_pipeline_on_ex1(ex1):

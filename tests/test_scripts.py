@@ -45,12 +45,19 @@ def test_verdict_matrix(monkeypatch, capsys):
     lines = run_script(monkeypatch, capsys, "verdict_matrix.py", "skip",
                        "ex1")
     records = [json.loads(line) for line in lines]
-    # at each of the 2 graph caps, for 2 programs, as written and repaired,
-    # in 2 modes: SCT random and exhaustive at 3 seeds, and the schedule
-    # space; and 4 consistency reports over both programs
+    # the pipeline of 2 programs in 4 analysis modes; at each of the 2
+    # graph caps, for 2 programs, as written and repaired, in 2 modes: SCT
+    # random and exhaustive at 3 seeds, and the schedule space; and 4
+    # consistency reports over both programs
     assert Counter(record["case"][0] for record in records) == \
-        {"sct": 2 * 2 * 2 * 2 * 2 * 3, "exhaustive_runs": 2 * 2 * 2 * 2,
-         "consistency": 2 * 4}
+        {"pipeline": 2 * 4, "sct": 2 * 2 * 2 * 2 * 2 * 3,
+         "exhaustive_runs": 2 * 2 * 2 * 2, "consistency": 2 * 4}
+    cuts = {tuple(record["case"][1:]): record["verdict"]["cut"]
+            for record in records if record["case"][0] == "pipeline"}
+    assert cuts == {("skip", v11, slh): [] for v11 in (False, True)
+                    for slh in (False, True)} | \
+        {("ex1", v11, slh): ["x", "y"] if slh else ["z"]
+         for v11 in (False, True) for slh in (False, True)}
     leaks = {tuple(record["case"][2:6]) for record in records
              if record["case"][0] == "sct"
              and not record["verdict"]["passed"]}
