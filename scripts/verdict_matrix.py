@@ -35,6 +35,7 @@ from specrepair.machine import (
     StateGraph,
     format_directive,
     format_observation,
+    lower_protects,
 )
 from specrepair.parser import pretty_program
 from specrepair.repair import pipeline
@@ -123,8 +124,9 @@ def cases(names):
                                    pairs=pairs, seed=seed)))
                 yield (["exhaustive_runs", cap, name, form, mode],
                        runs_record(exhaustive_runs(StateGraph(
-                           program.command, program.initial_memory(),
-                           program.initial_var_map(), mode))))
+                           lower_protects(program.command, mode),
+                           program.initial_memory(),
+                           program.initial_var_map()))))
         corpus = [(name, program) for name, form, program in programs
                   if form == "raw"]
         for mode in MODES:

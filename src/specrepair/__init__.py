@@ -15,6 +15,7 @@ from .machine import (
     MODE_SLH,
     enumerate_schedules,
     filter_trace,
+    lower_protects,
     random_schedule,
     run_schedule,
     sequential_schedule,
@@ -36,9 +37,9 @@ __all__ = [
     "ALL_ONES", "ArrayDecl", "Policy", "check_ssa", "eval_expr",
     "Program", "parse_program", "pretty_program", "run_sequential",
     "MODE_HW", "MODE_SLH", "enumerate_schedules", "filter_trace",
-    "random_schedule", "run_schedule", "sequential_schedule", "step",
-    "traces_equivalent", "transient_map", "Mode", "generate_constraints",
-    "typecheck_ct", "typecheck_transient",
+    "lower_protects", "random_schedule", "run_schedule",
+    "sequential_schedule", "step", "traces_equivalent", "transient_map",
+    "Mode", "generate_constraints", "typecheck_ct", "typecheck_transient",
     "build_graph", "extract_env", "is_cut", "min_cut", "baseline_repair",
     "pipeline", "repair", "consistency_suite", "gen_lequiv_pairs",
     "sct_fuzz",

@@ -26,6 +26,7 @@ from .machine import (
     StateGraph,
     format_directive,
     format_observation,
+    lower_protects,
     parse_schedule,
     run_schedule,
     sequential_schedule,
@@ -98,23 +99,22 @@ def cmd_run_seq(args) -> int:
 
 def cmd_run_spec(args) -> int:
     program = _load(args.program)
+    command = lower_protects(program.command, args.mode)
     mem = program.initial_memory()
     rho = program.initial_var_map()
     if args.schedule:
         with open(args.schedule, "r", encoding="utf-8") as handle:
             directives = parse_schedule(handle.read())
     elif args.seq:
-        directives = sequential_schedule(program.command, mem, rho,
-                                         mode=args.mode)
+        directives = sequential_schedule(command, mem, rho)
     elif args.random is not None:
-        _config, path = StateGraph(program.command, mem, rho, args.mode).walk(
+        _config, path = StateGraph(command, mem, rho).walk(
             random.Random(args.seed), args.random)
         directives = unwind(path)[0]
     else:
         print("run-spec needs --schedule, --seq, or --random", file=sys.stderr)
         return 2
-    result = run_schedule(program.command, mem, rho, directives,
-                          mode=args.mode)
+    result = run_schedule(command, mem, rho, directives)
     if args.json:
         _emit_json({
             "trace": [format_observation(o) for o in result.trace],

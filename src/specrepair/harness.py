@@ -26,6 +26,7 @@ from .machine import (
     filter_trace,
     format_directive,
     is_reserved_name,
+    lower_protects,
     unwind,
 )
 from .parser import Program
@@ -161,7 +162,8 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
              schedules: str = "random", schedule_count: int = 100,
              pairs: int = 10, seed: int = 0,
              max_len: int = WALK_MAX_LEN) -> SctResult:
-    """Differential test of speculative constant time.
+    """Differential test of speculative constant time, of the program's
+    protected reads lowered for `mode` (`machine.lower_protects`).
 
     For each policy-equivalent pair, complete schedules are drawn on the
     first state (exhaustively, or by seeded random walks) and run on the
@@ -179,12 +181,12 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
     trials.  A pass says no more than that no counterexample was found
     within the caps.
     """
-    command = program.command
+    command = lower_protects(program.command, mode)
     exhaustive = schedules == "exhaustive"
     length = min(max_len, EXHAUSTIVE_MAX_LEN)
     trials = distinct = 0
     for pair_index, pair in enumerate(gen_lequiv_pairs(program, pairs, seed)):
-        graph1 = StateGraph(command, pair.mem1, pair.rho1, mode)
+        graph1 = StateGraph(command, pair.mem1, pair.rho1)
         rng = random.Random(f"sct:{seed}:{pair_index}")
         # a walk cut off at `max_len` is not a trial
         walks = (graph1.walk(rng, max_len) for _ in range(schedule_count))
@@ -194,7 +196,7 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
                 else sum(config.terminal for config, _path in walks)
             continue
         distinct += 1
-        graph2 = StateGraph(command, pair.mem2, pair.rho2, mode)
+        graph2 = StateGraph(command, pair.mem2, pair.rho2)
         runs = graph1.schedules(length, second=graph2) if exhaustive \
             else ((config, path, *graph2.follow(path))
                   for config, path in walks if config.terminal)
@@ -265,12 +267,12 @@ def consistency_suite(programs: list[tuple[str, Program]],
     must equal the sequential run's, and the filtered speculative trace must
     be a permutation of the sequential trace.
 
-    Each program gets one `StateGraph`.  Its whole schedule space is
-    swept where it fits the `machine.EXHAUSTIVE_*` caps (`exhaustive_runs`,
-    which counts the space before it enumerates any schedule, so a space
-    that does not fit costs only the count).  Then it is sampled by random
-    walks of at most `machine.WALK_MAX_LEN` directives on the graph that
-    the count stepped."""
+    Each program, lowered for `mode`, gets one `StateGraph`.  Its whole
+    schedule space is swept where it fits the `machine.EXHAUSTIVE_*` caps
+    (`exhaustive_runs`, which counts the space before it enumerates any
+    schedule, so a space that does not fit costs only the count).  Then it
+    is sampled by random walks of at most `machine.WALK_MAX_LEN` directives
+    on the graph that the count stepped."""
     report = ConsistencyReport()
     for name, program in programs:
         seq_result = run_sequential(program.command, program.initial_memory(),
@@ -278,8 +280,8 @@ def consistency_suite(programs: list[tuple[str, Program]],
         seq_side = (seq_result.mem, _source_vars(seq_result.vars),
                     Counter(filter_trace(seq_result.trace)))
         report.checked += 1
-        graph = StateGraph(program.command, program.initial_memory(),
-                           program.initial_var_map(), mode)
+        graph = StateGraph(lower_protects(program.command, mode),
+                           program.initial_memory(), program.initial_var_map())
         for run in exhaustive_runs(graph) or ():
             check_consistency_run(name, run, seq_side, seed, report)
         rng = random.Random(f"consistency:{seed}:{name}")

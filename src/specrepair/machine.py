@@ -14,17 +14,20 @@ front of them, mispredictions yield `rollback(p)`, and retired failures yield
 `fail(p)`.  A directive that no rule matches leaves the machine *stuck*;
 stuck is an ordinary result, not an error.
 
-Two implementations of `protect` are provided.  In hardware mode the buffer
-holds a dedicated protect instruction that resolves like an assignment but
-releases its value only once no guard or fail precedes it.  In SLH mode a
-protected array read is instead expanded at fetch time into bounds-check
-code that masks the load address, so the load stalls until the check
-resolves and a mispredicted out-of-bounds access can only touch the
-reserved address 0.
+The machine runs one form of `protect`: a protect of a pure expression,
+held in the buffer as an instruction that resolves like an assignment but
+releases its value only once no guard or fail precedes it.  A protected
+read is lowered before the program runs, once per program, by
+`lower_protects`, in one of two implementations.  In hardware mode it reads
+into a fresh temporary and protects that.  In SLH mode a protected array
+read becomes bounds-check code that masks the load address, so the load
+stalls until the check resolves and a mispredicted out-of-bounds access can
+only touch the reserved address 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -59,6 +62,7 @@ from .lang import (
     Var,
     While,
     eval_expr,
+    rewrite_statements,
 )
 from .seq import DEFAULT_BUDGET, BudgetExceeded, SeqFail, SeqRead, SeqWrite
 
@@ -213,9 +217,8 @@ def _exec_directive(index: int) -> Exec:
 class Config(NamedTuple):
     """Machine state.  Terminal when both buffer and stack are empty.
 
-    The prediction-id and temporary-name counters live in the configuration
-    so that a step is a pure function of (configuration, directive, mode) and
-    replays are exact.
+    The prediction-id counter lives in the configuration so that a step is
+    a pure function of (configuration, directive) and replays are exact.
 
     A named tuple rather than a frozen dataclass, because every step builds
     one and a tuple is several times cheaper to construct; each rule builds
@@ -231,7 +234,6 @@ class Config(NamedTuple):
     mem: dict[int, Value]
     vars: dict[str, Value]
     next_pred: int = 1
-    next_tmp: int = 0
 
     @property
     def terminal(self) -> bool:
@@ -275,11 +277,11 @@ def pending_ids(prefix: tuple[Instruction, ...]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def step(config: Config, directive: Directive,
-         mode: str = MODE_HW) -> Union[tuple[Config, Observation], Stuck]:
+def step(config: Config,
+         directive: Directive) -> Union[tuple[Config, Observation], Stuck]:
     kind = type(directive)
     if kind is Fetch:
-        return _fetch(config, mode)
+        return _fetch(config)
     if kind is Retire:
         return _retire(config)
     if kind is Exec:
@@ -329,8 +331,8 @@ def _lowered(head: Command, build) -> Command:
         return node
 
 
-def _fetch(config: Config, mode: str):
-    buffer, stack, mem, rho, next_pred, next_tmp = config
+def _fetch(config: Config):
+    buffer, stack, mem, rho, next_pred = config
     if not stack:
         return Stuck("fetch on an empty command stack")
     head, rest = stack[0], stack[1:]
@@ -345,61 +347,56 @@ def _fetch(config: Config, mode: str):
             instr = LoadI(head.target, rhs.label, rhs.addr)
         elif type(rhs) is ArrayRead:
             return (Config(buffer, (_lowered(head, _checked_read),) + rest,
-                           mem, rho, next_pred, next_tmp), SILENT)
+                           mem, rho, next_pred), SILENT)
         else:
             raise LangError(f"cannot fetch {head!r}")
     elif kind is Seq:
         return (Config(buffer, (head.first, head.second) + rest, mem, rho,
-                       next_pred, next_tmp), SILENT)
+                       next_pred), SILENT)
     elif kind is Fail:
         return (Config(buffer + (FailInstr(next_pred),), rest, mem, rho,
-                       next_pred + 1, next_tmp), SILENT)
+                       next_pred + 1), SILENT)
     elif kind is Protect:
-        return _fetch_protect(config, head, rest, mode)
+        if type(head.rhs) is not Pure:
+            raise LangError(f"protected read not lowered: {head!r}")
+        instr = ProtectI(head.target, head.rhs.expr)
     elif kind is Skip:
         instr = NOP
     elif kind is PtrWrite:
         instr = StoreI(head.label, head.addr, head.value)
     elif kind is ArrayWrite:
         return (Config(buffer, (_lowered(head, _checked_write),) + rest, mem,
-                       rho, next_pred, next_tmp), SILENT)
+                       rho, next_pred), SILENT)
     elif kind is While:
         return (Config(buffer, (_lowered(head, _unrolled),) + rest, mem, rho,
-                       next_pred, next_tmp), SILENT)
+                       next_pred), SILENT)
     elif kind is If:
         return Stuck("branch at stack head requires a fetch with a prediction")
     else:
         raise LangError(f"cannot fetch {head!r}")
-    return (Config(buffer + (instr,), rest, mem, rho, next_pred, next_tmp),
-            SILENT)
+    return Config(buffer + (instr,), rest, mem, rho, next_pred), SILENT
 
 
-def _fetch_protect(config: Config, head: Protect,
-                   rest: tuple[Command, ...], mode: str):
-    buffer, _stack, mem, rho, next_pred, next_tmp = config
-    rhs = head.rhs
-    if type(rhs) is Pure:
-        instr = ProtectI(head.target, rhs.expr)
-        return (Config(buffer + (instr,), rest, mem, rho, next_pred,
-                       next_tmp), SILENT)
-    # The expansion names a fresh temporary, so it is kept per `next_tmp`.
-    expansions = _lowered(head, lambda _head: {})
-    pushed = expansions.get((next_tmp, mode))
-    if pushed is None:
-        pushed = expansions[next_tmp, mode] = _protect_expansion(
-            head, next_tmp, mode)
-    return (Config(buffer, pushed + rest, mem, rho, next_pred, next_tmp + 1),
-            SILENT)
+def lower_protects(c: Command, mode: str) -> Command:
+    """`c` with each protected read replaced by `mode`'s code for it, the
+    k-th in program order naming its temporary `.t<k>` or `.m<k>`; `c`
+    itself if it has none.  Run it once per program before the machine."""
+    count = itertools.count()
+
+    def lower(cmd: Command) -> Command:
+        if type(cmd) is Protect and type(cmd.rhs) is not Pure:
+            return _protect_expansion(cmd, next(count), mode)
+        return cmd
+    return rewrite_statements(c, lower)
 
 
-def _protect_expansion(head: Protect, next_tmp: int,
-                       mode: str) -> tuple[Command, ...]:
+def _protect_expansion(head: Protect, k: int, mode: str) -> Command:
     rhs = head.rhs
     if type(rhs) is ArrayRead and mode == MODE_SLH:
         # Expand to bounds-check code that masks the load address: the load
         # cannot execute before the mask resolves, and a mispredicted
         # out-of-bounds access reads the reserved address 0.
-        mask = f"{_TMP_PREFIX}m{next_tmp}"
+        mask = f"{_TMP_PREFIX}m{k}"
         check = Assign(mask, Pure(_array_bounds_check(rhs.array, rhs.index)))
         widen = Assign(mask, Pure(Ternary(Var(mask), Lit(ALL_ONES),
                                           Lit(ALL_ZEROS))))
@@ -407,15 +404,15 @@ def _protect_expansion(head: Protect, next_tmp: int,
             head.target,
             PtrRead(rhs.array.label,
                     BitAnd(_array_address(rhs.array, rhs.index), Var(mask))))
-        return (Seq(check, If(Var(mask), Seq(widen, masked_load), Fail())),)
+        return Seq(check, If(Var(mask), Seq(widen, masked_load), Fail()))
     # Hardware flavor: read into a fresh intermediate, then protect it.  The
     # intermediate keeps the rewritten program single-assignment.
-    tmp = f"{_TMP_PREFIX}t{next_tmp}"
-    return (Assign(tmp, rhs), Protect(head.target, Pure(Var(tmp))))
+    tmp = f"{_TMP_PREFIX}t{k}"
+    return Seq(Assign(tmp, rhs), Protect(head.target, Pure(Var(tmp))))
 
 
 def _fetch_branch(config: Config, prediction: bool):
-    buffer, stack, mem, rho, next_pred, next_tmp = config
+    buffer, stack, mem, rho, next_pred = config
     if not stack:
         return Stuck("fetch-branch on an empty command stack")
     head, rest = stack[0], stack[1:]
@@ -425,11 +422,11 @@ def _fetch_branch(config: Config, prediction: bool):
     not_taken = head.other if prediction else head.then
     guard = GuardI(head.cond, prediction, (not_taken,) + rest, next_pred)
     return (Config(buffer + (guard,), (taken,) + rest, mem, rho,
-                   next_pred + 1, next_tmp), SILENT)
+                   next_pred + 1), SILENT)
 
 
 def _exec(config: Config, index: int):
-    buffer, stack, mem, rho, next_pred, next_tmp = config
+    buffer, stack, mem, rho, next_pred = config
     if index < 1 or index > len(buffer):
         return Stuck(f"no instruction at buffer position {index}")
     prefix = buffer[:index - 1]
@@ -446,8 +443,7 @@ def _exec(config: Config, index: int):
                 return Stuck("guard condition is not a boolean")
             if v != instr.predicted:
                 return (Config(prefix + (NOP,), instr.rollback, mem, rho,
-                               next_pred, next_tmp),
-                        RollbackObs(instr.pred))
+                               next_pred), RollbackObs(instr.pred))
             new_instr: Instruction = NOP
         elif kind is LoadI:
             if any(type(i) is StoreI for i in prefix):
@@ -495,28 +491,27 @@ def _exec(config: Config, index: int):
     except EvalError as exc:
         return Stuck(f"operands do not evaluate: {exc}")
     return (Config(prefix + (new_instr,) + buffer[index:], stack, mem, rho,
-                   next_pred, next_tmp), obs)
+                   next_pred), obs)
 
 
 def _retire(config: Config):
-    buffer, stack, mem, rho, next_pred, next_tmp = config
+    buffer, stack, mem, rho, next_pred = config
     if not buffer:
         return Stuck("retire on an empty reorder buffer")
     head, rest = buffer[0], buffer[1:]
     kind = type(head)
     if kind is Nop:
-        return Config(rest, stack, mem, rho, next_pred, next_tmp), SILENT
+        return Config(rest, stack, mem, rho, next_pred), SILENT
     if kind is AssignI and type(head.expr) is Lit:
         new_vars = dict(rho)
         new_vars[head.target] = head.expr.value
-        return Config(rest, stack, mem, new_vars, next_pred, next_tmp), SILENT
+        return Config(rest, stack, mem, new_vars, next_pred), SILENT
     if kind is StoreI and head.executed:
         new_mem = dict(mem)
         new_mem[head.addr.value] = head.value.value
-        return Config(rest, stack, new_mem, rho, next_pred, next_tmp), SILENT
+        return Config(rest, stack, new_mem, rho, next_pred), SILENT
     if kind is FailInstr:
-        return (Config((), (), mem, rho, next_pred, next_tmp),
-                FailObs(head.pred))
+        return Config((), (), mem, rho, next_pred), FailObs(head.pred)
     return Stuck("buffer head is not ready to retire")
 
 
@@ -537,13 +532,12 @@ class RunResult:
         return self.stuck_at is None
 
 
-def run_schedule(c: Command, mem, rho, directives,
-                 mode: str = MODE_HW) -> RunResult:
+def run_schedule(c: Command, mem, rho, directives) -> RunResult:
     """Fold `step` over the directives; report the first stuck index."""
     config = initial_config(c, mem, rho)
     trace: list = []
     for k, d in enumerate(directives):
-        result = step(config, d, mode)
+        result = step(config, d)
         if isinstance(result, Stuck):
             return RunResult(config, trace, stuck_at=k,
                              stuck_reason=result.reason)
@@ -552,7 +546,7 @@ def run_schedule(c: Command, mem, rho, directives,
     return RunResult(config, trace)
 
 
-def applicable_directives(config: Config, mode: str = MODE_HW) -> list:
+def applicable_directives(config: Config) -> list:
     """Directives that do not leave the machine stuck, in a fixed
     speculate-first order: fetches (predicting true before false), data
     execs, guard execs, retire.  Deferring guard resolution makes the
@@ -639,7 +633,7 @@ def applicable_directives(config: Config, mode: str = MODE_HW) -> list:
     return out
 
 
-def sequential_schedule(c: Command, mem, rho, mode: str = MODE_HW,
+def sequential_schedule(c: Command, mem, rho,
                         budget: int = DEFAULT_BUDGET) -> list:
     """A schedule that executes and retires every instruction as soon as it
     is fetched, predicting each branch with its actual outcome, so the run
@@ -670,7 +664,7 @@ def sequential_schedule(c: Command, mem, rho, mode: str = MODE_HW,
                 d = FETCH_TRUE if cond else FETCH_FALSE
             else:
                 d = FETCH
-        result = step(config, d, mode)
+        result = step(config, d)
         if isinstance(result, Stuck):
             raise LangError(f"sequential driver stuck: {result.reason}")
         config, _obs = result
@@ -702,7 +696,7 @@ def _config_key(config: Config, ids: tuple, parent: tuple,
     Values are told apart by kind as well as by value: `Lit(True)` and
     `Lit(1)` are unequal, and so are the writes that retire them.
     """
-    buffer, stack, _mem, _rho, next_pred, next_tmp = config
+    buffer, stack, _mem, _rho, next_pred = config
     d, old, old_codes = parent
     if buffer is old:
         made = old_codes
@@ -714,7 +708,7 @@ def _config_key(config: Config, ids: tuple, parent: tuple,
         k = d.index - 1 if type(d) is Exec else len(old)
         made = (old_codes[:k] + (_code(buffer[k], codes),)
                 + old_codes[k + 1:len(buffer)])
-    return made, tuple(map(id, stack)), ids, next_pred, next_tmp
+    return made, tuple(map(id, stack)), ids, next_pred
 
 
 def _code(instr: Instruction, codes: dict) -> int:
@@ -736,7 +730,7 @@ EXHAUSTIVE_MAX_SCHEDULES = 5000
 EXHAUSTIVE_MAX_NODES = 400_000
 
 
-def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
+def enumerate_schedules(c: Command, mem, rho,
                         max_len: int = EXHAUSTIVE_MAX_LEN,
                         max_schedules: int = EXHAUSTIVE_MAX_SCHEDULES,
                         max_nodes: int = EXHAUSTIVE_MAX_NODES
@@ -758,7 +752,7 @@ def enumerate_schedules(c: Command, mem, rho, mode: str = MODE_HW,
     and `while_transient` yield 5000 schedules within about 45 000
     configurations, where the plain search found none in 400 000.
     """
-    graph = StateGraph(c, mem, rho, mode)
+    graph = StateGraph(c, mem, rho)
     for config, path in graph.schedules(max_len, max_schedules, max_nodes):
         yield CompletedRun(*unwind(path), config)
 
@@ -889,8 +883,7 @@ class StateGraph:
     key it never holds.  Returned configurations share the graph's `mem`
     and `vars` dicts: callers must not mutate them."""
 
-    def __init__(self, c: Command, mem, rho, mode: str = MODE_HW):
-        self._mode = mode
+    def __init__(self, c: Command, mem, rho):
         self._writes: dict = {}  # see `_retired_ids`
         self._codes: dict = {}  # see `_code`
         self._nodes: dict = {}  # key -> kept node
@@ -901,7 +894,7 @@ class StateGraph:
 
     def _directives(self, node: _Node) -> list:
         if node.options is None:
-            node.options = applicable_directives(node.config, self._mode)
+            node.options = applicable_directives(node.config)
         return node.options
 
     def _keep(self, node: _Node) -> None:
@@ -913,7 +906,7 @@ class StateGraph:
         the graph keeps `node`: the child is the graph's node of its key,
         or a new node, which joins the graph while it has room."""
         d = node.options[i]
-        config, obs = step(node.config, d, self._mode)
+        config, obs = step(node.config, d)
         ids = node.ids if type(d) is not Retire else _retired_ids(
             node.config, node.ids, self._writes)
         key = _config_key(config, ids, (d, node.config.buffer, node.key[0]),
@@ -934,7 +927,7 @@ class StateGraph:
         try:
             i = self._directives(node).index(d)
         except ValueError:
-            return step(node.config, d, self._mode)
+            return step(node.config, d)
         return node.out and node.out[i] or self._step(node, i)
 
     def _too_long(self, max_len: int) -> bool:
@@ -942,7 +935,7 @@ class StateGraph:
         root = self._root.config
         try:
             sequential_schedule(root.stack[0], root.mem, root.vars,
-                                self._mode, budget=max_len)
+                                budget=max_len)
         except LangError as error:  # any other: no sequential run to bound by
             return isinstance(error, BudgetExceeded)
         return False
@@ -1077,13 +1070,12 @@ class StateGraph:
         return node and node.config, agreed
 
 
-def random_schedule(c: Command, mem, rho, mode: str = MODE_HW, *,
-                    rng: random.Random,
+def random_schedule(c: Command, mem, rho, *, rng: random.Random,
                     max_len: int = WALK_MAX_LEN) -> Optional[CompletedRun]:
     """A uniformly random walk over applicable directives, drawn from
     `rng`; None if no terminal configuration is reached within `max_len`
     steps."""
-    config, path = StateGraph(c, mem, rho, mode).walk(rng, max_len)
+    config, path = StateGraph(c, mem, rho).walk(rng, max_len)
     return CompletedRun(*unwind(path), config) if config.terminal else None
 
 

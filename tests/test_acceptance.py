@@ -36,6 +36,7 @@ from specrepair.machine import (
     ReadObs,
     Stuck,
     initial_config,
+    lower_protects,
     run_schedule,
     step,
 )
@@ -206,18 +207,19 @@ def test_criterion_8_slh_semantics():
         program = load_program("protect_array_slh")
         rho = dict(program.initial_var_map())
         rho["i"] = 9  # out of bounds
-        cfg = initial_config(program.command, program.initial_memory(), rho)
-        for directive in (Fetch(), Fetch(), Fetch(), FetchBranch(True),
-                          Fetch(), Fetch(), Fetch()):
-            cfg, _ = step(cfg, directive, MODE_SLH)
+        cfg = initial_config(lower_protects(program.command, MODE_SLH),
+                             program.initial_memory(), rho)
+        for directive in (Fetch(), Fetch(), FetchBranch(True), Fetch(),
+                          Fetch(), Fetch()):
+            cfg, _ = step(cfg, directive)
         # the protected load stalls while its bounds check is unresolved
-        assert isinstance(step(cfg, Exec(4), MODE_SLH), Stuck)
-        cfg, _ = step(cfg, Exec(1), MODE_SLH)
-        assert isinstance(step(cfg, Exec(4), MODE_SLH), Stuck)
-        cfg, _ = step(cfg, Exec(3), MODE_SLH)
+        assert isinstance(step(cfg, Exec(4)), Stuck)
+        cfg, _ = step(cfg, Exec(1))
+        assert isinstance(step(cfg, Exec(4)), Stuck)
+        cfg, _ = step(cfg, Exec(3))
         # once the mispredicted mask resolves, the speculative read can only
         # touch the reserved address 0
-        _, obs = step(cfg, Exec(4), MODE_SLH)
+        _, obs = step(cfg, Exec(4))
         assert obs == ReadObs(0, (1,))
 
 

@@ -48,6 +48,7 @@ from specrepair.machine import (
     applicable_directives,
     filter_trace,
     initial_config,
+    lower_protects,
     random_schedule,
     run_schedule,
     sequential_schedule,
@@ -236,20 +237,19 @@ def test_random_programs_consistent(command, seed):
     seq = run_sequential(command, INITIAL_MEM, INITIAL_RHO)
     rng = random.Random(seed)
     for mode in (MODE_HW, MODE_SLH):
-        in_order = sequential_schedule(command, INITIAL_MEM, INITIAL_RHO,
-                                       mode=mode)
-        r = run_schedule(command, INITIAL_MEM, INITIAL_RHO, in_order,
-                         mode=mode)
+        lowered = lower_protects(command, mode)
+        in_order = sequential_schedule(lowered, INITIAL_MEM, INITIAL_RHO)
+        r = run_schedule(lowered, INITIAL_MEM, INITIAL_RHO, in_order)
         assert r.ok and r.config.terminal
         assert not any(isinstance(o, RollbackObs) for o in r.trace)
         _assert_matches(seq, r)
         for _ in range(3):
-            run = random_schedule(command, INITIAL_MEM, INITIAL_RHO, mode,
+            run = random_schedule(lowered, INITIAL_MEM, INITIAL_RHO,
                                   rng=rng, max_len=300)
             if run is None:
                 continue
-            replay = run_schedule(command, INITIAL_MEM, INITIAL_RHO,
-                                  run.directives, mode=mode)
+            replay = run_schedule(lowered, INITIAL_MEM, INITIAL_RHO,
+                                  run.directives)
             _assert_matches(seq, replay)
 
 
@@ -263,26 +263,28 @@ def _assert_matches(seq, spec_run):
 
 def _check_agreement_on_walks(command, mem, rho, mode, rng, walks=3,
                               max_len=120) -> int:
-    """Along seeded random walks, every directive shape is listed by
-    `applicable_directives` exactly when `step` accepts it.  Returns the
-    number of (configuration, directive) checks made."""
+    """Along seeded random walks of `command` lowered for `mode`, every
+    directive shape is listed by `applicable_directives` exactly when
+    `step` accepts it.  Returns the number of (configuration, directive)
+    checks made."""
+    command = lower_protects(command, mode)
     checks = 0
     for _ in range(walks):
         cfg = initial_config(command, mem, rho)
         for _ in range(max_len):
-            listed = applicable_directives(cfg, mode)
+            listed = applicable_directives(cfg)
             candidates = [Fetch(), FetchBranch(True), FetchBranch(False),
                           Retire()]
             candidates += [Exec(i) for i in range(1, len(cfg.buffer) + 2)]
             assert len(set(listed)) == len(listed), listed
             assert set(listed) <= set(candidates), listed
             for d in candidates:
-                accepted = not isinstance(step(cfg, d, mode), Stuck)
+                accepted = not isinstance(step(cfg, d), Stuck)
                 assert accepted == (d in listed), (d, accepted, cfg)
                 checks += 1
             if not listed:
                 break
-            cfg, _obs = step(cfg, rng.choice(listed), mode)
+            cfg, _obs = step(cfg, rng.choice(listed))
     return checks
 
 

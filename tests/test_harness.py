@@ -21,6 +21,7 @@ from specrepair.machine import (
     MODE_SLH,
     StateGraph,
     enumerate_schedules,
+    lower_protects,
     random_schedule,
     run_schedule,
 )
@@ -143,10 +144,9 @@ def test_consistency_walks_reuse_the_sweep(corpus, mode, monkeypatch):
     swept = 0
     for name, program in corpus:
         steps.clear()
-        if exhaustive_runs(StateGraph(program.command,
+        if exhaustive_runs(StateGraph(lower_protects(program.command, mode),
                                       program.initial_memory(),
-                                      program.initial_var_map(),
-                                      mode)) is None:
+                                      program.initial_var_map())) is None:
             continue
         swept += 1
         alone, steps[:] = list(steps), []
@@ -172,23 +172,24 @@ def _reference_sct(program, command, mode, schedules, pairs, seed,
                    max_schedules=EXHAUSTIVE_MAX_SCHEDULES):
     """`sct_fuzz` with every schedule replayed afresh from the second
     state; (passed, trials, counterexample fields)."""
+    command = lower_protects(command, mode)
     trials = 0
     for index, pair in enumerate(gen_lequiv_pairs(program, pairs, seed)):
         if schedules == "exhaustive":
-            runs = enumerate_schedules(command, pair.mem1, pair.rho1, mode,
+            runs = enumerate_schedules(command, pair.mem1, pair.rho1,
                                        max_len=min(max_len, 40),
                                        max_schedules=max_schedules)
         else:
             rng = random.Random(f"sct:{seed}:{index}")
-            runs = (random_schedule(command, pair.mem1, pair.rho1, mode,
-                                    rng=rng, max_len=max_len)
+            runs = (random_schedule(command, pair.mem1, pair.rho1, rng=rng,
+                                    max_len=max_len)
                     for _ in range(schedule_count))
         for run1 in runs:
             if run1 is None:
                 continue
             trials += 1
             run2 = run_schedule(command, pair.mem2, pair.rho2,
-                                run1.directives, mode)
+                                run1.directives)
             if not run2.ok:
                 found = ("stuck", f"second run stuck at directive "
                          f"{run2.stuck_at}: {run2.stuck_reason}")
@@ -416,12 +417,12 @@ def test_exhaustive_sct_checks_repaired_loops(name):
     result = sct_fuzz(program, schedules="exhaustive", pairs=1, seed=1)
     assert result.passed and result.trials > 0
     pair = gen_lequiv_pairs(program, 1, 1)[0]
+    command = lower_protects(program.command, MODE_HW)
     seen = set()
-    for run in enumerate_schedules(program.command, pair.mem1, pair.rho1):
+    for run in enumerate_schedules(command, pair.mem1, pair.rho1):
         assert run.directives not in seen
         seen.add(run.directives)
-        replay = run_schedule(program.command, pair.mem1, pair.rho1,
-                              run.directives)
+        replay = run_schedule(command, pair.mem1, pair.rho1, run.directives)
         assert replay.ok and replay.config.terminal
         assert tuple(replay.trace) == run.trace
     assert len(seen) == result.trials

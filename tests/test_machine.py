@@ -7,17 +7,28 @@ from hypothesis import assume, given, settings
 from specrepair import machine
 from specrepair.corpus import load_program, schedule_path
 from specrepair.lang import (
+    ALL_ONES,
+    ALL_ZEROS,
     Add,
     ArrayDecl,
     ArrayRead,
     Assign,
+    Base,
+    BitAnd,
+    Fail,
     If,
     LangError,
+    Length,
     Lit,
+    Lt,
     Protect,
+    PtrRead,
     Pure,
+    Seq,
     Skip,
+    Ternary,
     Var,
+    assignments,
 )
 from specrepair.machine import (
     AssignI,
@@ -49,6 +60,7 @@ from specrepair.machine import (
     filter_trace,
     format_observation,
     initial_config,
+    lower_protects,
     parse_schedule,
     pending_ids,
     random_schedule,
@@ -273,18 +285,17 @@ def _graph_run(graph, directives) -> RunResult:
     return RunResult(node.config, trace)
 
 
-def _reference_walk(program, mode, rng) -> tuple:
+def _reference_walk(command, mem, rho, rng) -> tuple:
     """A random walk the way the graph must draw it: `rng.choice` over
     `applicable_directives`, then `step`."""
-    config = initial_config(program.command, program.initial_memory(),
-                            program.initial_var_map())
+    config = initial_config(command, mem, rho)
     directives: list = []
     while len(directives) < machine.WALK_MAX_LEN:
-        options = applicable_directives(config, mode)
+        options = applicable_directives(config)
         if not options:
             break
         d = rng.choice(options)
-        config, _obs = step(config, d, mode)
+        config, _obs = step(config, d)
         directives.append(d)
     return tuple(directives)
 
@@ -299,29 +310,28 @@ def test_state_graph_matches_fresh_runs(corpus, mode, monkeypatch):
     for cap in (machine.GRAPH_MAX_NODES, 60, 3):
         monkeypatch.setattr(machine, "GRAPH_MAX_NODES", cap)
         for name, program in corpus:
+            command = lower_protects(program.command, mode)
             mem, rho = program.initial_memory(), program.initial_var_map()
-            graph = StateGraph(program.command, mem, rho, mode)
+            graph = StateGraph(command, mem, rho)
             rng, reference = random.Random(name), random.Random(name)
             walks = [CompletedRun(*unwind(path), config) for config, path in (
                 graph.walk(rng, machine.WALK_MAX_LEN) for _ in range(3))]
             for walk in walks:
                 assert walk.directives == _reference_walk(
-                    program, mode, reference), name
-                fresh = run_schedule(program.command, mem, rho,
-                                     walk.directives, mode)
+                    command, mem, rho, reference), name
+                fresh = run_schedule(command, mem, rho, walk.directives)
                 assert (walk.config, list(walk.trace)) == \
                     (fresh.config, fresh.trace), name
             cuts = random.Random(3)
             for run in walks + list(enumerate_schedules(
-                    program.command, mem, rho, mode, max_schedules=10)):
+                    command, mem, rho, max_schedules=10)):
                 cut = run.directives[:cuts.randrange(len(run.directives))]
                 rebuilt = tuple(Retire() if d == Retire() else d
                                 for d in run.directives)
                 for directives in (run.directives, cut, cut + (Exec(30),),
                                    cut + (Retire(),), rebuilt):
                     got = _graph_run(graph, directives)
-                    want = run_schedule(program.command, mem, rho,
-                                        directives, mode)
+                    want = run_schedule(command, mem, rho, directives)
                     assert _same_result(got, want), (name, directives)
                     stuck += not got.ok
             assert len(graph._nodes) <= cap, name
@@ -395,9 +405,10 @@ def test_sequential_schedule_out_of_bounds_read():
 def test_sequential_schedule_soundness(corpus, mode):
     # no rollbacks, and the filtered trace matches the sequential trace
     for name, program in corpus:
+        command = lower_protects(program.command, mode)
         mem, rho = program.initial_memory(), program.initial_var_map()
-        sched = sequential_schedule(program.command, mem, rho, mode=mode)
-        r = run_schedule(program.command, mem, rho, sched, mode=mode)
+        sched = sequential_schedule(command, mem, rho)
+        r = run_schedule(command, mem, rho, sched)
         assert r.ok and r.config.terminal, (name, mode, r.stuck_reason)
         assert not any(isinstance(o, RollbackObs) for o in r.trace), name
         seq = run_sequential(program.command, mem, rho)
@@ -409,7 +420,7 @@ def test_sequential_schedule_soundness(corpus, mode):
 # ---------------------------------------------------------------------------
 
 
-def _reference_schedules(command, mem, rho, mode=MODE_HW, max_len=40):
+def _reference_schedules(command, mem, rho, max_len=40):
     """Brute-force exploration trying every directive shape at every point."""
     complete = set()
 
@@ -423,7 +434,7 @@ def _reference_schedules(command, mem, rho, mode=MODE_HW, max_len=40):
                       Retire()]
         candidates += [Exec(i) for i in range(1, len(config.buffer) + 1)]
         for d in candidates:
-            result = step(config, d, mode)
+            result = step(config, d)
             if not isinstance(result, Stuck):
                 explore(result[0], prefix + (d,))
 
@@ -467,10 +478,11 @@ def test_enumerate_matches_reference(source, mode):
     # exhaustive mode visits exactly the complete valid schedules that the
     # brute-force reference reaches by trying every directive shape
     program = parse_program(source)
+    command = lower_protects(program.command, mode)
     mem, rho = program.initial_memory(), program.initial_var_map()
-    expected = _reference_schedules(program.command, mem, rho, mode=mode)
+    expected = _reference_schedules(command, mem, rho)
     got = [r.directives for r in
-           enumerate_schedules(program.command, mem, rho, mode,
+           enumerate_schedules(command, mem, rho,
                                max_schedules=len(expected) + 10)]
     assert len(got) == len(set(got)), "a schedule was visited twice"
     assert set(got) == expected
@@ -496,8 +508,7 @@ _LEMMA_PROGRAMS = ["assign_chain", "fail", "fail_mid", "if_branch", "lenbase",
                    "ternary_mask"]
 
 
-def _search_lengths(monkeypatch, command, mem, rho, mode, max_len,
-                    max_nodes):
+def _search_lengths(monkeypatch, command, mem, rho, max_len, max_nodes):
     """Lengths of the schedules a full search finds, with the
     sequential-schedule bound on the search turned off."""
     def unbounded(*args, **kwargs):
@@ -506,7 +517,7 @@ def _search_lengths(monkeypatch, command, mem, rho, mode, max_len,
     with monkeypatch.context() as m:
         m.setattr(machine, "sequential_schedule", unbounded)
         return [len(r.directives) for r in
-                enumerate_schedules(command, mem, rho, mode, max_len=max_len,
+                enumerate_schedules(command, mem, rho, max_len=max_len,
                                     max_nodes=max_nodes)]
 
 
@@ -516,16 +527,15 @@ def test_no_schedule_is_shorter_than_the_sequential_one(monkeypatch, mode):
     # over the length cap
     for name in _LEMMA_PROGRAMS:
         program = load_program(name)
+        command = lower_protects(program.command, mode)
         mem, rho = program.initial_memory(), program.initial_var_map()
-        n = len(sequential_schedule(program.command, mem, rho, mode))
-        assert _search_lengths(monkeypatch, program.command, mem, rho, mode,
-                               n - 1, 20_000) == [], name
-        lengths = _search_lengths(monkeypatch, program.command, mem, rho,
-                                  mode, n, 20_000)
+        n = len(sequential_schedule(command, mem, rho))
+        assert _search_lengths(monkeypatch, command, mem, rho, n - 1,
+                               20_000) == [], name
+        lengths = _search_lengths(monkeypatch, command, mem, rho, n, 20_000)
         assert lengths and set(lengths) == {n}, name
         # the bound leaves a search whose cap the sequential schedule fits
-        bounded = enumerate_schedules(program.command, mem, rho, mode,
-                                      max_len=n)
+        bounded = enumerate_schedules(command, mem, rho, max_len=n)
         assert len(next(bounded).directives) == n, name
 
 
@@ -535,30 +545,31 @@ def test_no_schedule_is_shorter_than_the_sequential_one_on_random_programs(
         command):
     with pytest.MonkeyPatch.context() as monkeypatch:
         for mode in (MODE_HW, MODE_SLH):
+            lowered = lower_protects(command, mode)
             try:
-                n = len(sequential_schedule(command, INITIAL_MEM,
-                                            INITIAL_RHO, mode))
+                n = len(sequential_schedule(lowered, INITIAL_MEM,
+                                            INITIAL_RHO))
             except LangError:
                 assume(False)
-            assert _search_lengths(monkeypatch, command, INITIAL_MEM,
-                                   INITIAL_RHO, mode, n - 1, 5_000) == []
-            assert set(_search_lengths(monkeypatch, command, INITIAL_MEM,
-                                       INITIAL_RHO, mode, n, 5_000)) <= {n}
+            assert _search_lengths(monkeypatch, lowered, INITIAL_MEM,
+                                   INITIAL_RHO, n - 1, 5_000) == []
+            assert set(_search_lengths(monkeypatch, lowered, INITIAL_MEM,
+                                       INITIAL_RHO, n, 5_000)) <= {n}
 
 
 @pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
 def test_enumerate_skips_the_search_past_the_length_cap(monkeypatch, mode):
     program = load_program("sha2_update_last")
     report = pipeline(program.command, Mode(), program.variables())
+    command = lower_protects(report.repaired, mode)
     mem, rho = program.initial_memory(), program.initial_var_map()
-    assert len(sequential_schedule(report.repaired, mem, rho, mode)) > 40
+    assert len(sequential_schedule(command, mem, rho)) > 40
 
     def no_search(graph, node):
         raise AssertionError("the explorer searched")
 
     monkeypatch.setattr(StateGraph, "_expand", no_search)
-    assert list(enumerate_schedules(report.repaired, mem, rho, mode,
-                                    max_len=40)) == []
+    assert list(enumerate_schedules(command, mem, rho, max_len=40)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +577,7 @@ def test_enumerate_skips_the_search_past_the_length_cap(monkeypatch, mode):
 # ---------------------------------------------------------------------------
 
 
-def _plain_schedules(command, mem, rho, mode, max_len, max_schedules,
-                     max_nodes):
+def _plain_schedules(command, mem, rho, max_len, max_schedules, max_nodes):
     """The depth-first search `enumerate_schedules` makes, without its memo
     and without the sequential-length shortcut: the complete runs in
     order, and whether the node cap stopped the search."""
@@ -587,31 +597,31 @@ def _plain_schedules(command, mem, rho, mode, max_len, max_schedules,
         if len(directives) >= max_len:
             continue
         children = []
-        for d in applicable_directives(config, mode):
-            nxt, obs = step(config, d, mode)
+        for d in applicable_directives(config):
+            nxt, obs = step(config, d)
             children.append((nxt, directives + (d,), trace + (obs,)))
         stack.extend(reversed(children))
     return runs, False
 
 
-def _assert_memo_keeps_the_stream(command, mem, rho, mode, max_len,
+def _assert_memo_keeps_the_stream(command, mem, rho, max_len,
                                   max_schedules=200, max_nodes=5_000):
     """Directives, traces and final states equal the plain search's, or
     extend them where the node cap stopped the plain search."""
-    want, cut = _plain_schedules(command, mem, rho, mode, max_len,
-                                 max_schedules, max_nodes)
-    got = list(enumerate_schedules(command, mem, rho, mode, max_len=max_len,
+    want, cut = _plain_schedules(command, mem, rho, max_len, max_schedules,
+                                 max_nodes)
+    got = list(enumerate_schedules(command, mem, rho, max_len=max_len,
                                    max_schedules=max_schedules,
                                    max_nodes=max_nodes))
     assert (got[:len(want)] if cut else got) == want
     return len(want), cut
 
 
-def _memo_lengths(command, mem, rho, mode) -> set:
+def _memo_lengths(command, mem, rho) -> set:
     """The length cap `sct_fuzz` uses, and two directives past the
     sequential schedule, where most branches run out of length."""
     try:
-        n = len(sequential_schedule(command, mem, rho, mode))
+        n = len(sequential_schedule(command, mem, rho))
     except LangError:  # no sequential run
         return {40}
     return {40, min(n + 2, 40)}
@@ -623,10 +633,10 @@ def test_memo_keeps_the_stream_on_the_corpus(corpus, mode):
         mem, rho = program.initial_memory(), program.initial_var_map()
         repaired = pipeline(program.command, Mode(),
                             program.variables()).repaired
-        for command in (program.command, repaired):
-            for max_len in _memo_lengths(command, mem, rho, mode):
-                _assert_memo_keeps_the_stream(command, mem, rho, mode,
-                                              max_len)
+        for source in (program.command, repaired):
+            command = lower_protects(source, mode)
+            for max_len in _memo_lengths(command, mem, rho):
+                _assert_memo_keeps_the_stream(command, mem, rho, max_len)
 
 
 @pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
@@ -637,7 +647,8 @@ def test_memo_keeps_the_stream_of_a_loop(mode):
                             "while (c < n) { c := c + 1; }\n")
     mem, rho = program.initial_memory(), program.initial_var_map()
     assert _assert_memo_keeps_the_stream(
-        program.command, mem, rho, mode, 14, max_schedules=10 ** 6,
+        lower_protects(program.command, mode), mem, rho, 14,
+        max_schedules=10 ** 6,
         max_nodes=50_000) == (1675, False)
 
 
@@ -645,9 +656,10 @@ def test_memo_keeps_the_stream_of_a_loop(mode):
 @settings(max_examples=25, deadline=None)
 def test_memo_keeps_the_stream_on_random_programs(command):
     for mode in (MODE_HW, MODE_SLH):
-        for max_len in _memo_lengths(command, INITIAL_MEM, INITIAL_RHO, mode):
-            _assert_memo_keeps_the_stream(command, INITIAL_MEM, INITIAL_RHO,
-                                          mode, max_len)
+        lowered = lower_protects(command, mode)
+        for max_len in _memo_lengths(lowered, INITIAL_MEM, INITIAL_RHO):
+            _assert_memo_keeps_the_stream(lowered, INITIAL_MEM, INITIAL_RHO,
+                                          max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +667,7 @@ def test_memo_keeps_the_stream_on_random_programs(command):
 # ---------------------------------------------------------------------------
 
 
-def _plain_exhaustive_runs(command, mem, rho, mode, max_len=40, limit=5000,
+def _plain_exhaustive_runs(command, mem, rho, max_len=40, limit=5000,
                            max_nodes=400_000):
     """What `exhaustive_runs` returns, found by a depth-first search with no
     memo: the complete runs in order, or None once the search passes
@@ -678,20 +690,19 @@ def _plain_exhaustive_runs(command, mem, rho, mode, max_len=40, limit=5000,
         if len(directives) >= max_len:
             return None, explored
         children = []
-        for d in applicable_directives(config, mode):
-            nxt, obs = step(config, d, mode)
+        for d in applicable_directives(config):
+            nxt, obs = step(config, d)
             children.append((nxt, directives + (d,), trace + (obs,)))
         stack.extend(reversed(children))
     return runs, explored
 
 
-def _assert_exhaustive_runs_match(command, mem, rho, mode, **caps):
-    want, _explored = _plain_exhaustive_runs(command, mem, rho, mode, **caps)
-    assert exhaustive_runs(StateGraph(command, mem, rho, mode),
-                           **caps) == want
+def _assert_exhaustive_runs_match(command, mem, rho, **caps):
+    want, _explored = _plain_exhaustive_runs(command, mem, rho, **caps)
+    assert exhaustive_runs(StateGraph(command, mem, rho), **caps) == want
     # the count decides alone, without the enumeration checked against it
     caps = {"max_len": 40, "limit": 5000, **caps}
-    count, whole = machine._count_space(StateGraph(command, mem, rho, mode),
+    count, whole = machine._count_space(StateGraph(command, mem, rho),
                                         caps["max_len"], caps["limit"] + 1)
     assert whole == (want is not None)
     assert want is None or count == len(want)
@@ -702,8 +713,9 @@ def _assert_exhaustive_runs_match(command, mem, rho, mode, **caps):
 def test_exhaustive_runs_match_the_plain_search_on_the_corpus(corpus, mode):
     swept = [name for name, program in corpus
              if _assert_exhaustive_runs_match(
-                 program.command, program.initial_memory(),
-                 program.initial_var_map(), mode) is not None]
+                 lower_protects(program.command, mode),
+                 program.initial_memory(),
+                 program.initial_var_map()) is not None]
     # the spaces of the other programs pass a cap; the count decides that
     assert len(swept) == 13, swept
 
@@ -715,14 +727,14 @@ def test_walks_reuse_what_the_sweep_stepped(corpus, monkeypatch):
     steps = []
     plain_step = machine.step
 
-    def counted(config, d, mode=MODE_HW):
+    def counted(config, d):
         steps.append(d)
-        return plain_step(config, d, mode)
+        return plain_step(config, d)
 
     swept = 0
     for name, program in corpus:
-        graph = StateGraph(program.command, program.initial_memory(),
-                           program.initial_var_map())
+        graph = StateGraph(lower_protects(program.command, MODE_HW),
+                           program.initial_memory(), program.initial_var_map())
         caps = (machine.EXHAUSTIVE_MAX_LEN,
                 machine.EXHAUSTIVE_MAX_SCHEDULES + 1)
         if not machine._count_space(graph, *caps)[1]:
@@ -780,13 +792,14 @@ def test_count_is_the_number_of_searched_schedules(corpus, mode):
         mem, rho = program.initial_memory(), program.initial_var_map()
         repaired = pipeline(program.command, Mode(),
                             program.variables()).repaired
-        for command in (program.command, repaired):
-            searched = sum(1 for _ in StateGraph(command, mem, rho,
-                                                 mode).schedules())
+        for source in (program.command, repaired):
+            command = lower_protects(source, mode)
+            searched = sum(1 for _ in StateGraph(command, mem,
+                                                 rho).schedules())
             count, _whole = machine._count_space(
-                StateGraph(command, mem, rho, mode),
+                StateGraph(command, mem, rho),
                 machine.EXHAUSTIVE_MAX_LEN, machine.EXHAUSTIVE_MAX_SCHEDULES)
-            assert count == searched, (name, command is repaired)
+            assert count == searched, (name, source is repaired)
 
 
 def test_walk_draws_as_randrange():
@@ -815,7 +828,7 @@ _SQUASHED_WORK = ("array a base=1 len=2 label=L;\n"
                   "t0 := base(c);\nt1 := a[2];\n")
 
 
-def _expansions(monkeypatch, command, mem, rho, mode) -> int:
+def _expansions(monkeypatch, command, mem, rho) -> int:
     """The configurations `_count_space` expands at the production caps."""
     expanded = []
     plain_expand = StateGraph._expand
@@ -826,7 +839,7 @@ def _expansions(monkeypatch, command, mem, rho, mode) -> int:
 
     with monkeypatch.context() as patch:
         patch.setattr(StateGraph, "_expand", counted)
-        machine._count_space(StateGraph(command, mem, rho, mode),
+        machine._count_space(StateGraph(command, mem, rho),
                              machine.EXHAUSTIVE_MAX_LEN,
                              machine.EXHAUSTIVE_MAX_SCHEDULES + 1)
     return len(expanded)
@@ -838,8 +851,8 @@ def test_exhaustive_runs_match_the_plain_search_at_each_cap(corpus, mode,
     # each cap exactly met keeps the space, and one less loses it
     for name, program in [*corpus,
                           ("squashed work", parse_program(_SQUASHED_WORK))]:
-        args = (program.command, program.initial_memory(),
-                program.initial_var_map(), mode)
+        args = (lower_protects(program.command, mode),
+                program.initial_memory(), program.initial_var_map())
         runs, _nodes = _plain_exhaustive_runs(*args)
         if runs is None:
             continue
@@ -863,9 +876,10 @@ def test_exhaustive_runs_match_the_plain_search_at_each_cap(corpus, mode,
 @settings(max_examples=25, deadline=None)
 def test_exhaustive_runs_match_the_plain_search_on_random_programs(command):
     for mode in (MODE_HW, MODE_SLH):
-        for max_len in _memo_lengths(command, INITIAL_MEM, INITIAL_RHO, mode):
-            _assert_exhaustive_runs_match(command, INITIAL_MEM, INITIAL_RHO,
-                                          mode, max_len=max_len, limit=200)
+        lowered = lower_protects(command, mode)
+        for max_len in _memo_lengths(lowered, INITIAL_MEM, INITIAL_RHO):
+            _assert_exhaustive_runs_match(lowered, INITIAL_MEM, INITIAL_RHO,
+                                          max_len=max_len, limit=200)
 
 
 @pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
@@ -874,8 +888,8 @@ def test_exhaustive_runs_on_a_long_length_cap(mode):
     # space does not fit; the count ends on its schedule cap, at the
     # production one and at 10**9, about 150 directives deep
     program = load_program("while_count")
-    args = (program.command, program.initial_memory(),
-            program.initial_var_map(), mode)
+    args = (lower_protects(program.command, mode), program.initial_memory(),
+            program.initial_var_map())
     assert exhaustive_runs(StateGraph(*args), max_len=5000) is None
     assert exhaustive_runs(StateGraph(*args), max_len=5000,
                            limit=10 ** 9) is None
@@ -911,10 +925,11 @@ def test_state_keys_tell_a_bool_from_a_nat():
 def test_random_schedule_completes_and_replays(corpus):
     rng = random.Random(11)
     for name, program in corpus:
+        command = lower_protects(program.command, MODE_HW)
         mem, rho = program.initial_memory(), program.initial_var_map()
-        run = random_schedule(program.command, mem, rho, rng=rng)
+        run = random_schedule(command, mem, rho, rng=rng)
         assert run is not None, name
-        replay = run_schedule(program.command, mem, rho, run.directives)
+        replay = run_schedule(command, mem, rho, run.directives)
         assert replay.config == run.config, name
 
 
@@ -957,15 +972,16 @@ def test_traces_equivalent_up_to_permutation():
 def test_step_structure_and_determinism(corpus, mode):
     rng = random.Random(5)
     for name, program in corpus:
-        cfg = initial_config(program.command, program.initial_memory(),
+        cfg = initial_config(lower_protects(program.command, mode),
+                             program.initial_memory(),
                              program.initial_var_map())
         for _ in range(80):
             if cfg.terminal:
                 break
-            options = applicable_directives(cfg, mode)
+            options = applicable_directives(cfg)
             d = rng.choice(options)
-            first = step(cfg, d, mode)
-            second = step(cfg, d, mode)
+            first = step(cfg, d)
+            second = step(cfg, d)
             assert first == second, (name, d)  # a step is a function
             nxt, _obs = first
             if isinstance(d, Exec):
@@ -988,18 +1004,19 @@ def test_step_never_mutates_its_input(corpus, mode):
     # that wrote them in place would corrupt the configuration it came from
     rng = random.Random(9)
     for name, program in corpus:
+        command = lower_protects(program.command, mode)
         for _ in range(5):
-            cfg = initial_config(program.command, program.initial_memory(),
+            cfg = initial_config(command, program.initial_memory(),
                                  program.initial_var_map())
             for _ in range(200):
-                options = applicable_directives(cfg, mode)
+                options = applicable_directives(cfg)
                 if not options:
                     break
                 before = _snapshot(cfg)
                 for d in options:
-                    step(cfg, d, mode)
+                    step(cfg, d)
                     assert _snapshot(cfg) == before, (name, d)
-                cfg, _obs = step(cfg, rng.choice(options), mode)
+                cfg, _obs = step(cfg, rng.choice(options))
 
 
 def test_exploration_never_mutates_a_configuration(monkeypatch):
@@ -1010,11 +1027,11 @@ def test_exploration_never_mutates_a_configuration(monkeypatch):
     original_step = machine.step
     calls = 0
 
-    def checked_step(cfg, d, mode=MODE_HW):
+    def checked_step(cfg, d):
         nonlocal calls
         calls += 1
         before = _snapshot(cfg)
-        result = original_step(cfg, d, mode)
+        result = original_step(cfg, d)
         assert _snapshot(cfg) == before, d
         return result
 
@@ -1041,51 +1058,91 @@ def _slh_setup(index_value):
     program = load_program("protect_array_slh")
     rho = dict(program.initial_var_map())
     rho["i"] = index_value
-    cfg = initial_config(program.command, program.initial_memory(), rho)
-    cfg, _ = step(cfg, Fetch(), MODE_SLH)   # expand the protected read
-    cfg, _ = step(cfg, Fetch(), MODE_SLH)   # split the sequence
-    cfg, _ = step(cfg, Fetch(), MODE_SLH)   # mask := bounds check
-    cfg, _ = step(cfg, FetchBranch(True), MODE_SLH)
-    cfg, _ = step(cfg, Fetch(), MODE_SLH)   # then-branch sequence
-    cfg, _ = step(cfg, Fetch(), MODE_SLH)   # mask widening
-    cfg, _ = step(cfg, Fetch(), MODE_SLH)   # masked load
+    cfg = initial_config(lower_protects(program.command, MODE_SLH),
+                         program.initial_memory(), rho)
+    cfg, _ = step(cfg, Fetch())   # split the sequence
+    cfg, _ = step(cfg, Fetch())   # mask := bounds check
+    cfg, _ = step(cfg, FetchBranch(True))
+    cfg, _ = step(cfg, Fetch())   # then-branch sequence
+    cfg, _ = step(cfg, Fetch())   # mask widening
+    cfg, _ = step(cfg, Fetch())   # masked load
     assert isinstance(cfg.buffer[3], LoadI)
     return cfg
 
 
 def test_slh_load_stalls_until_check_resolves():
     cfg = _slh_setup(index_value=7)
-    assert isinstance(step(cfg, Exec(4), MODE_SLH), Stuck)
-    cfg, _ = step(cfg, Exec(1), MODE_SLH)   # bounds check resolves to false
-    assert isinstance(step(cfg, Exec(4), MODE_SLH), Stuck)
+    assert isinstance(step(cfg, Exec(4)), Stuck)
+    cfg, _ = step(cfg, Exec(1))   # bounds check resolves to false
+    assert isinstance(step(cfg, Exec(4)), Stuck)
 
 
 def test_slh_mispredicted_oob_reads_address_zero():
     cfg = _slh_setup(index_value=7)   # out of bounds, predicted in bounds
-    cfg, _ = step(cfg, Exec(1), MODE_SLH)
-    cfg, _ = step(cfg, Exec(3), MODE_SLH)   # widen the mask: all zeros
-    _, obs = step(cfg, Exec(4), MODE_SLH)
+    cfg, _ = step(cfg, Exec(1))
+    cfg, _ = step(cfg, Exec(3))   # widen the mask: all zeros
+    _, obs = step(cfg, Exec(4))
     assert obs == ReadObs(0, (1,))
 
 
 def test_slh_in_bounds_reads_the_real_address():
     cfg = _slh_setup(index_value=2)
-    cfg, _ = step(cfg, Exec(1), MODE_SLH)
-    cfg, _ = step(cfg, Exec(3), MODE_SLH)   # widen the mask: all ones
-    _, obs = step(cfg, Exec(4), MODE_SLH)
+    cfg, _ = step(cfg, Exec(1))
+    cfg, _ = step(cfg, Exec(3))   # widen the mask: all ones
+    _, obs = step(cfg, Exec(4))
     assert obs == ReadObs(3, (1,))  # base 1 + index 2
 
 
-def test_hw_protect_of_read_uses_fresh_intermediate(ex1_patched_slh):
+def test_lower_protects_hw_reads_into_a_temporary():
+    c = Protect("x", ArrayRead(A, Var("i")))
+    assert lower_protects(c, MODE_HW) == Seq(
+        Assign(".t0", ArrayRead(A, Var("i"))), Protect("x", Pure(Var(".t0"))))
+
+
+def test_lower_protects_slh_masks_an_array_read():
+    c = Protect("x", ArrayRead(A, Var("i")))
+    mask = Var(".m0")
+    widen = Assign(".m0", Pure(Ternary(mask, Lit(ALL_ONES), Lit(ALL_ZEROS))))
+    load = Assign("x", PtrRead("L", BitAnd(Add(Base(Lit(A)), Var("i")), mask)))
+    assert lower_protects(c, MODE_SLH) == Seq(
+        Assign(".m0", Pure(Lt(Var("i"), Length(Lit(A))))),
+        If(mask, Seq(widen, load), Fail()))
+
+
+def test_lower_protects_slh_keeps_the_hw_form_of_a_pointer_read():
+    c = Protect("x", PtrRead("L", Var("p")))
+    assert lower_protects(c, MODE_SLH) == lower_protects(c, MODE_HW) == Seq(
+        Assign(".t0", PtrRead("L", Var("p"))), Protect("x", Pure(Var(".t0"))))
+
+
+def test_lower_protects_leaves_a_pure_protect():
+    pure = Protect("x", Pure(Var("y")))
+    c = Seq(pure, Protect("z", ArrayRead(A, Lit(0))))
+    for mode in (MODE_HW, MODE_SLH):
+        assert lower_protects(c, mode).first is pure
+
+
+def test_lower_protects_names_a_temporary_per_statement(ex1_patched_slh):
+    for mode, prefix in ((MODE_HW, ".t"), (MODE_SLH, ".m")):
+        lowered = lower_protects(ex1_patched_slh.command, mode)
+        temporaries = dict.fromkeys(target for target, _rhs, _protected
+                                    in assignments(lowered)
+                                    if target.startswith("."))
+        assert list(temporaries) == [prefix + "0", prefix + "1"], mode
+
+
+def test_lower_protects_returns_a_protect_free_program(ex1):
+    for mode in (MODE_HW, MODE_SLH):
+        assert lower_protects(ex1.command, mode) is ex1.command
+
+
+def test_step_rejects_an_unlowered_protected_read(ex1_patched_slh):
     cfg = initial_config(ex1_patched_slh.command,
                          ex1_patched_slh.initial_memory(),
                          ex1_patched_slh.initial_var_map())
-    cfg, _ = step(cfg, Fetch(), MODE_HW)   # sequence
-    cfg, _ = step(cfg, Fetch(), MODE_HW)   # split protect(a[i1])
-    read, protected = cfg.stack[0], cfg.stack[1]
-    assert isinstance(read, Assign) and read.target.startswith(".")
-    assert isinstance(protected, Protect) and protected.target == "x"
-    assert protected.rhs == Pure(Var(read.target))
+    cfg, _ = step(cfg, Fetch())   # sequence
+    with pytest.raises(LangError, match="not lowered"):
+        step(cfg, Fetch())
 
 
 # ---------------------------------------------------------------------------
@@ -1121,14 +1178,15 @@ def test_prediction_ids_unique_within_a_run(corpus):
     rng = random.Random(77)
     for name, program in corpus:
         for mode in (MODE_HW, MODE_SLH):
-            run = random_schedule(program.command, program.initial_memory(),
-                                  program.initial_var_map(), mode, rng=rng)
+            command = lower_protects(program.command, mode)
+            run = random_schedule(command, program.initial_memory(),
+                                  program.initial_var_map(), rng=rng)
             assert run is not None, name
             seen: set[int] = set()
-            cfg = initial_config(program.command, program.initial_memory(),
+            cfg = initial_config(command, program.initial_memory(),
                                  program.initial_var_map())
             for d in run.directives:
-                nxt, _obs = step(cfg, d, mode)
+                nxt, _obs = step(cfg, d)
                 fresh = [i.pred for i in nxt.buffer[len(cfg.buffer):]
                          if isinstance(i, (GuardI, FailInstr))]
                 for p in fresh:

@@ -19,7 +19,7 @@ from specrepair.lang import (
     Var,
 )
 from specrepair.machine import MODE_HW, MODE_SLH, applicable_directives, \
-    initial_config, step
+    initial_config, lower_protects, step
 from specrepair.parser import parse_program
 from specrepair.repair import pipeline
 from specrepair.typesys import (
@@ -320,14 +320,15 @@ def test_transient_typing_preserved_by_steps(corpus, mode_name):
     for name, program in corpus:
         report = pipeline(program.command, Mode(), program.variables())
         gamma = report.gamma
-        cfg = initial_config(report.repaired, program.initial_memory(),
+        cfg = initial_config(lower_protects(report.repaired, mode_name),
+                             program.initial_memory(),
                              program.initial_var_map())
         assert config_well_typed_transient(gamma, set(), cfg), name
         for _ in range(60):
             if cfg.terminal:
                 break
-            d = rng.choice(applicable_directives(cfg, mode_name))
-            cfg, _obs = step(cfg, d, mode_name)
+            d = rng.choice(applicable_directives(cfg))
+            cfg, _obs = step(cfg, d)
             assert config_well_typed_transient(gamma, set(), cfg), (name, d)
 
 
@@ -338,14 +339,15 @@ def test_ct_typing_preserved_by_steps(corpus, mode_name):
         if typecheck_ct(program.policy, program.command, program.arrays,
                         program.variables()):
             continue  # only constant-time programs stay constant-time typed
-        cfg = initial_config(program.command, program.initial_memory(),
+        cfg = initial_config(lower_protects(program.command, mode_name),
+                             program.initial_memory(),
                              program.initial_var_map())
         assert config_well_typed_ct(program.policy, program.variables(),
                                     program.arrays, cfg), name
         for _ in range(60):
             if cfg.terminal:
                 break
-            d = rng.choice(applicable_directives(cfg, mode_name))
-            cfg, _obs = step(cfg, d, mode_name)
+            d = rng.choice(applicable_directives(cfg))
+            cfg, _obs = step(cfg, d)
             assert config_well_typed_ct(program.policy, program.variables(),
                                         program.arrays, cfg), (name, d)
