@@ -5,8 +5,10 @@ case, so that the output of two trees can be compared with `cmp`.
 The matrix:
 - `pipeline` of each corpus program under the four analysis modes, as its
   report (cut, environment, protect and baseline counts, both verdicts,
-  violations, and a SHA-256 of the pretty-printed repaired program) or as
-  the type and message of the error it raises;
+  violations, a SHA-256 of the pretty-printed repaired program, one of the
+  constraint set as text and one of the def-use graph's Graphviz rendering
+  with the cut and the candidate names) or as the type and message of the
+  error it raises;
 - `sct_fuzz` of each corpus program, as written and as repaired under
   `Mode()`, in hw and slh, random and exhaustive, at (seed, pairs) (0, 1),
   (1, 2) and (7, 3);
@@ -37,7 +39,8 @@ from specrepair.machine import (
     format_observation,
     lower_protects,
 )
-from specrepair.parser import pretty_program
+from specrepair.graphcut import build_graph, to_dot
+from specrepair.parser import pretty_header, pretty_program
 from specrepair.repair import pipeline
 from specrepair.typesys import Mode
 
@@ -54,6 +57,22 @@ def schedule(directives) -> str:
     return "/".join(map(format_directive, directives))
 
 
+def sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def constraints_sha256(k) -> str:
+    """Every edge in order, then every record in order."""
+    return sha256([str(e) for e in k.edges]
+                  + [repr((r.rule, pretty_header(r.stmt), str(r.src),
+                           str(r.dst))) for r in k.records])
+
+
+def graph_sha256(k, mode, cut) -> str:
+    g = build_graph(k, mode)
+    return sha256([to_dot(g, cut)] + [a.name for a in g.candidates])
+
+
 def pipeline_record(program, mode) -> dict:
     try:
         report = pipeline(program.command, mode, program.variables())
@@ -67,7 +86,10 @@ def pipeline_record(program, mode) -> dict:
             "original_accepts": report.original_accepts,
             "repaired_accepts": report.repaired_accepts,
             "violations": [str(v) for v in report.violations],
-            "repaired_sha256": hashlib.sha256(repaired.encode()).hexdigest()}
+            "repaired_sha256": hashlib.sha256(repaired.encode()).hexdigest(),
+            "constraints_sha256": constraints_sha256(report.constraints),
+            "graph_sha256": graph_sha256(report.constraints, mode,
+                                         report.cut)}
 
 
 def sct_record(result) -> dict:

@@ -3,6 +3,7 @@ bundled corpus and exits 0."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import runpy
 import sys
@@ -58,6 +59,17 @@ def test_verdict_matrix(monkeypatch, capsys):
                     for slh in (False, True)} | \
         {("ex1", v11, slh): ["x", "y"] if slh else ["z"]
          for v11 in (False, True) for slh in (False, True)}
+    # `skip` has no edge and no record; ex1's graph digest follows its cut
+    # and candidates, which differ under SLH-only cuts
+    digests = {tuple(record["case"][1:]): (
+        record["verdict"]["constraints_sha256"],
+        record["verdict"]["graph_sha256"])
+        for record in records if record["case"][0] == "pipeline"}
+    empty = hashlib.sha256(b"").hexdigest()
+    assert [case for case, (k, _) in digests.items() if k == empty] == \
+        [("skip", v11, slh) for v11 in (False, True) for slh in (False, True)]
+    assert digests[("ex1", False, False)][1] != \
+        digests[("ex1", False, True)][1]
     leaks = {tuple(record["case"][2:6]) for record in records
              if record["case"][0] == "sct"
              and not record["verdict"]["passed"]}
