@@ -14,8 +14,7 @@ import random
 import sys
 
 from . import corpus as corpus_mod
-from .graphcut import Infeasible, build_graph, extract_env, max_flow_min_cut, \
-    to_dot
+from .graphcut import build_graph, extract_env, max_flow_min_cut, to_dot
 from .harness import consistency_suite, sct_fuzz
 from .lang import ArrayDecl, LangError, check_ssa, kind_check
 from .machine import (
@@ -164,13 +163,7 @@ def cmd_infer(args) -> int:
                 slh_only_cuts=args.slh_only)
     k = generate_constraints(program.command, mode)
     g = build_graph(k, mode)
-    try:
-        result = max_flow_min_cut(g)
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        print("hint: rerun without --slh-only to allow any variable",
-              file=sys.stderr)
-        return 1
+    result = max_flow_min_cut(g)
     gamma = extract_env(g, result.cut, program.variables())
     if args.dot:
         print(to_dot(g, result.cut), end="")
@@ -203,13 +196,7 @@ def cmd_graph(args) -> int:
 def cmd_repair(args) -> int:
     program = _load(args.program)
     mode = Mode(spectre_v1_1=args.v11, slh_only_cuts=(args.mode == MODE_SLH))
-    try:
-        report = pipeline(program.command, mode, program.variables())
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        print("hint: rerun with --mode=hw to allow any variable",
-              file=sys.stderr)
-        return 1
+    report = pipeline(program.command, mode, program.variables())
     text = pretty_program(dataclasses.replace(
         program, command=report.repaired, warnings=[]))
     payload = {

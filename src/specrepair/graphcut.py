@@ -11,11 +11,14 @@ residual graph form the cut.  Before the flow, each expression atom with a
 single out-edge is folded into the node that edge enters: most expression
 atoms are such pass-throughs, none of them can be cut, and folding them
 changes neither the flow nor the cut.  The flow is Dinic's algorithm over
-integer node ids (atom `i` is node `i`, a candidate's out-node is `n + i`);
-with unit capacities on every split node it takes O(E * sqrt(V)) time (Even
-and Tarjan, SIAM J. Comput. 1975).  A source-to-sink path with no candidate
-on it shows as a flow above any candidate cut, so infeasibility is read off
-the flow.
+the atom ids of the constraint set's table (`typesys.SOURCE` and `SINK`,
+then variables and expression occurrences): atom `i` is node `i`, and a
+candidate's out-node is `n + i`.  With unit capacities on every split node
+it takes O(E * sqrt(V)) time (Even and Tarjan, SIAM J. Comput. 1975).
+Reachability, cut checks and environment extraction are breadth-first
+searches over the same ids; atom views are built only to name a path or
+render the graph.  A source-to-sink path with no candidate on it shows as a
+flow above any candidate cut, so infeasibility is read off the flow.
 
 Everything here is deterministic.  The nodes the source reaches in the
 residual graph are the same for every maximum flow, so the cut is always the
@@ -25,20 +28,15 @@ program order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .lang import LangError, STABLE, TRANSIENT
 from .typesys import (
     ConstraintSet,
-    Edge,
-    ExprAtom,
     Mode,
-    S_SINK,
-    SSink,
-    T_SOURCE,
-    TSource,
-    VarAtom,
+    SINK,
+    SOURCE,
+    reachable_from_source,
 )
 
 
@@ -51,76 +49,80 @@ class Infeasible(LangError):
         super().__init__(f"uncuttable flow: {shown}")
 
 
-@dataclass
 class DefUseGraph:
-    edges: list[Edge]
-    nodes: list
-    candidates: list[VarAtom]
+    """The graph of the constraint set `k`, with its cut candidates `cands`
+    as atom ids of `k`'s table, in program order.
 
-    def adjacency(self) -> dict:
-        adj: dict = {}
-        for e in self.edges:
-            adj.setdefault(e.src, []).append(e.dst)
-        return adj
+    `build_graph` makes one over a generated set.  `DefUseGraph(edges,
+    nodes, candidates)` interns a hand-built graph of atom views into a
+    table of its own.  `edges`, `nodes` and `candidates` give atom views,
+    built on each call.
+    """
+
+    def __init__(self, edges, nodes, candidates):
+        self.k = k = ConstraintSet()
+        self.node_ids = [k.intern(a) for a in nodes]
+        for src, dst in edges:
+            k.add(src, dst)
+        self.cands = [k.intern(a) for a in candidates]
+
+    @classmethod
+    def over(cls, k: ConstraintSet, node_ids: list[int],
+             cands: list[int]) -> DefUseGraph:
+        g = cls.__new__(cls)
+        g.k, g.node_ids, g.cands = k, node_ids, cands
+        return g
+
+    @property
+    def edges(self) -> list:
+        return self.k.edges
+
+    @property
+    def nodes(self) -> list:
+        return [self.k.atom(i) for i in self.node_ids]
+
+    @property
+    def candidates(self) -> list:
+        return [self.k.atom(i) for i in self.cands]
 
 
 def build_graph(k: ConstraintSet, mode: Mode = Mode()) -> DefUseGraph:
-    nodes = [T_SOURCE, S_SINK]
-    nodes += [a for a in k.atoms() if not isinstance(a, (TSource, SSink))]
-    var_atoms = [a for a in nodes if isinstance(a, VarAtom)]
+    """The graph of `k`.  Its candidates are its variables in order of first
+    appearance over the edges; in SLH-only mode, only those assigned from a
+    memory read."""
+    names, exprs = k.names, k.exprs
+    nodes = [SOURCE, SINK] + [a for a in k.order() if a > SINK]
     if mode.slh_only_cuts:
-        load_assigned = {e.dst.name for e in k
-                         if isinstance(e.dst, VarAtom)
-                         and isinstance(e.src, ExprAtom)
-                         and e.src.kind == "read"}
-        candidates = [a for a in var_atoms if a.name in load_assigned]
+        loaded = bytearray(len(names))
+        for src, dst in k.pairs:
+            if names[dst] is not None and exprs[src] is not None \
+                    and exprs[src][2] == "read":
+                loaded[dst] = 1
+        cands = [a for a in nodes if loaded[a]]
     else:
-        candidates = var_atoms
-    return DefUseGraph(list(k.edges), nodes, candidates)
+        cands = [a for a in nodes if names[a] is not None]
+    return DefUseGraph.over(k, nodes, cands)
 
 
-def _reachable(adj: dict, start, removed: set) -> set:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for nxt in adj.get(node, ()):
-            if nxt in removed or nxt in seen:
-                continue
-            seen.add(nxt)
-            frontier.append(nxt)
-    return seen
+def _var_ids(g: DefUseGraph, names) -> set[int]:
+    ids = g.k.var_ids
+    return {ids[x] for x in names if x in ids}
 
 
-def _find_path(adj: dict, removed: set) -> list | None:
-    """A source-to-sink path avoiding `removed`, or None."""
-    parent: dict = {T_SOURCE: None}
-    queue = deque([T_SOURCE])
-    while queue:
-        node = queue.popleft()
-        if isinstance(node, SSink):
-            path = []
-            while node is not None:
-                path.append(node)
-                node = parent[node]
-            return list(reversed(path))
-        for nxt in adj.get(node, ()):
-            if nxt in removed or nxt in parent:
-                continue
-            parent[nxt] = node
-            queue.append(nxt)
-    return None
-
-
-def _variable_nodes(g: DefUseGraph, names: set) -> set:
-    return {a for a in g.nodes if isinstance(a, VarAtom) and a.name in names}
+def _find_path(g: DefUseGraph, removed: set[int]) -> list[int]:
+    """The breadth-first source-to-sink path of atom ids avoiding
+    `removed`, which must exist."""
+    parent = reachable_from_source(g.k, removed)
+    path = [SINK]
+    while path[-1] != SOURCE:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def is_cut(g: DefUseGraph, names) -> bool:
     """True iff removing the named variable nodes disconnects source from
     sink."""
-    removed = _variable_nodes(g, set(names))
-    return _find_path(g.adjacency(), removed) is None
+    return reachable_from_source(g.k, _var_ids(g, names))[SINK] < 0
 
 
 @dataclass
@@ -137,48 +139,47 @@ def max_flow_min_cut(g: DefUseGraph) -> MinCutResult:
     """Dinic max flow on the node-split graph, and the source-closest
     minimum cut.
 
-    Node `i` is atom `g.nodes[i]`; a candidate's node is its in-node and
-    `n + i` its out-node, joined by a unit arc.  An expression atom that is
-    not a candidate and has exactly one out-edge is folded into the node
-    that edge enters, following chains of such atoms (each resolved once):
-    every path through it continues along that edge and it can never be
-    cut, so the flow and the source-closest cut are those of the unfolded
-    graph.  A cycle of such atoms, and what leads only into one, never
-    reaches the sink and is dropped.  Arcs live in flat lists with each
-    reverse arc at `arc ^ 1`.  Each phase builds BFS levels, then an
-    iterative depth-first search with per-node arc pointers saturates the
-    level graph, so deep graphs never reach the recursion limit.
+    Node `i` is atom id `i` of `g.k`'s table, for all `n` of them; a
+    candidate's node is its in-node and `n + i` its out-node, joined by a
+    unit arc.  An expression atom that is not a candidate and has exactly
+    one out-edge is folded into the node that edge enters, following
+    chains of such atoms (each resolved once): every path through it
+    continues along that edge and it can never be cut, so the flow and the
+    source-closest cut are those of the unfolded graph.  A cycle of such
+    atoms, and what leads only into one, never reaches the sink and is
+    dropped.  Arcs live in flat lists with each reverse arc at `arc ^ 1`.
+    Each phase builds BFS levels, then an iterative depth-first search
+    with per-node arc pointers saturates the level graph, so deep graphs
+    never reach the recursion limit.
 
     Raises Infeasible when some source-to-sink path carries no candidate
     (only possible with a restricted candidate set).  Such a path carries
     `inf`, more than any cut of candidates can, so the flow shows it; only
     then is the path searched for, to name it.
     """
-    inf = len(g.candidates) + 1
-    n = len(g.nodes)
-    index = {a: i for i, a in enumerate(g.nodes)}
+    k = g.k
+    names = k.names
+    inf = len(g.cands) + 1
+    n = len(names)
     out_node = list(range(n))
     to: list[int] = []
     arcs: list[list[int]] = [[] for _ in range(2 * n)]
-    for a in g.candidates:
-        i = index[a]
+    for i in g.cands:
         out_node[i] = n + i
         arcs[i].append(len(to))
         arcs[n + i].append(len(to) + 1)
         to += (n + i, i)
-    cap = [1, 0] * len(g.candidates)
+    cap = [1, 0] * len(g.cands)
 
     # fold: `rep[i]` is the node that stands for atom `i`, or -1 if dropped
-    ends = [(index[e.src], index[e.dst]) for e in g.edges]
     exits = [0] * n
     head = [0] * n
-    for u, v in ends:
+    for u, v in k.pairs:
         exits[u] += 1
         head[u] = v
     rep = list(range(n))
-    folded = [i for i, a in enumerate(g.nodes)
-              if exits[i] == 1 and out_node[i] == i
-              and isinstance(a, ExprAtom)]
+    folded = [i for i in range(SINK + 1, n)
+              if exits[i] == 1 and names[i] is None and out_node[i] == i]
     for i in folded:
         rep[i] = _UNSEEN
     for i in folded:
@@ -192,43 +193,42 @@ def max_flow_min_cut(g: DefUseGraph) -> MinCutResult:
         for j in walk:
             rep[j] = root
 
-    for u, v in ends:
+    for u, v in k.pairs:
         v = rep[v]
         if rep[u] == u and v >= 0:
             u = out_node[u]
             arcs[u].append(len(to))
             arcs[v].append(len(to) + 1)
             to += (v, u)
-    cap += [inf, 0] * (len(to) // 2 - len(g.candidates))
+    cap += [inf, 0] * (len(to) // 2 - len(g.cands))
 
-    source, sink = index[T_SOURCE], index[S_SINK]
     flow = 0
     while True:
         level = [-1] * (2 * n)
-        level[source] = 0
-        queue = [source]
+        level[SOURCE] = 0
+        queue = [SOURCE]
         for u in queue:
             for arc in arcs[u]:
                 v = to[arc]
                 if cap[arc] and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        if level[sink] < 0:
+        if level[SINK] < 0:
             break
         pointer = [0] * (2 * n)
         path: list[int] = []
-        u = source
+        u = SOURCE
         while True:
-            if u == sink:
+            if u == SINK:
                 push = min(cap[arc] for arc in path)
                 for arc in path:
                     cap[arc] -= push
                     cap[arc ^ 1] += push
                 flow += push
                 # resume from the tail of the first arc this saturated
-                k = next(k for k, arc in enumerate(path) if not cap[arc])
-                u = to[path[k] ^ 1]
-                del path[k:]
+                first = next(j for j, arc in enumerate(path) if not cap[arc])
+                u = to[path[first] ^ 1]
+                del path[first:]
                 continue
             out, p, deeper = arcs[u], pointer[u], level[u] + 1
             while p < len(out) and not (cap[out[p]]
@@ -245,10 +245,9 @@ def max_flow_min_cut(g: DefUseGraph) -> MinCutResult:
                 break
 
     if flow >= inf:
-        raise Infeasible(_find_path(g.adjacency(), set(g.candidates)))
+        raise Infeasible([k.atom(i) for i in _find_path(g, set(g.cands))])
     # `level` now marks what the source reaches in the final residual graph.
-    cut = [a.name for a in g.candidates
-           if level[index[a]] >= 0 and level[n + index[a]] < 0]
+    cut = [names[i] for i in g.cands if level[i] >= 0 and level[n + i] < 0]
     return MinCutResult(cut, flow)
 
 
@@ -261,36 +260,35 @@ def extract_env(g: DefUseGraph, cut, variables: list[str]) -> dict[str, str]:
     """Typing environment induced by a cut: a variable is transient when the
     source still reaches its atom after the cut nodes are removed."""
     cut_set = set(cut)
-    reach = _reachable(g.adjacency(), T_SOURCE, _variable_nodes(g, cut_set))
-    if S_SINK in reach:
+    parent = reachable_from_source(g.k, _var_ids(g, cut_set))
+    if parent[SINK] >= 0:
         raise LangError("not a cut; refusing to extract a typing environment")
-    env = {}
-    for x in variables:
-        atom = VarAtom(x)
-        env[x] = TRANSIENT if x not in cut_set and atom in reach else STABLE
-    return env
+    ids = g.k.var_ids
+    return {x: TRANSIENT if x not in cut_set and x in ids
+            and parent[ids[x]] >= 0 else STABLE for x in variables}
 
 
 def to_dot(g: DefUseGraph, cut=()) -> str:
     """Graphviz rendering; cut nodes are drawn doubled and red."""
+    k = g.k
     cut_set = set(cut)
-    ids = {a: f"n{i}" for i, a in enumerate(g.nodes)}
+    ids = {a: f"n{j}" for j, a in enumerate(g.node_ids)}
     lines = ["digraph defuse {", "  rankdir=LR;"]
-    for a in g.nodes:
-        nid = ids[a]
-        label = str(a).replace('"', '\\"')
-        if isinstance(a, TSource):
+    for a in g.node_ids:
+        label = str(k.atom(a)).replace('"', '\\"')
+        name = k.names[a]
+        if a == SOURCE:
             style = 'shape=circle, color=magenta, fontcolor=magenta'
-        elif isinstance(a, SSink):
+        elif a == SINK:
             style = 'shape=circle, color=teal, fontcolor=teal'
-        elif isinstance(a, VarAtom) and a.name in cut_set:
+        elif name is not None and name in cut_set:
             style = 'shape=box, color=red, peripheries=2'
-        elif isinstance(a, VarAtom):
+        elif name is not None:
             style = 'shape=box'
         else:
             style = 'shape=box, style=rounded'
-        lines.append(f'  {nid} [label="{label}", {style}];')
-    for e in g.edges:
-        lines.append(f"  {ids[e.src]} -> {ids[e.dst]};")
+        lines.append(f'  {ids[a]} [label="{label}", {style}];')
+    for src, dst in k.pairs:
+        lines.append(f"  {ids[src]} -> {ids[dst]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

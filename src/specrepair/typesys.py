@@ -18,6 +18,15 @@ path connects the source to the sink; the least solution types an atom
 transient exactly when the source reaches it.  Type checking under an
 environment and a protected set is a query on the same graph.
 
+Atoms are small ints into one table per `ConstraintSet`: 0 is the source
+(`SOURCE`), 1 the sink (`SINK`), then variables and expression occurrences
+in the order generation creates them.  Edges are `(int, int)` pairs and
+records have int ends, so generation, the checks here and `graphcut` index
+lists by id.  An expression atom keeps its path, AST node and kind, and is
+printed only when shown.  `VarAtom`, `ExprAtom`, `Edge` and `Provenance`
+are views, built on demand for messages, rendering and tests; `add`
+interns hand-built views into the same table.
+
 The constant-time system is a separate two-point (public/secret) analysis of
 the same programs: no secret-dependent branches, indices, or addresses, and
 no secret-to-public assignments.  It shares nothing with the transient-flow
@@ -26,7 +35,7 @@ system but the AST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lang import (
@@ -193,6 +202,11 @@ def typecheck_ct(policy: Policy, c: Command, arrays: dict[str, ArrayDecl],
 # ---------------------------------------------------------------------------
 
 
+# Atom ids index one table per constraint set: the source, the sink, then
+# variables and expression occurrences in the order they are created.
+SOURCE, SINK = 0, 1
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class TSource:
     def __str__(self) -> str:
@@ -206,8 +220,8 @@ class SSink:
 
 
 class VarAtom(NamedTuple):
-    """The shared atom of a variable; it doubles as the variable's type
-    variable for environment extraction."""
+    """View of the shared atom of a variable; it doubles as the variable's
+    type variable for environment extraction."""
 
     name: str
 
@@ -216,8 +230,9 @@ class VarAtom(NamedTuple):
 
 
 class ExprAtom(NamedTuple):
-    """One atom per syntactic occurrence.  `key` names it: the statement's
-    index in `commands` order plus the path inside it, e.g. `s4.rhs.idx`."""
+    """View of the atom of one syntactic occurrence.  `key` names it: the
+    statement's index in `commands` order plus the path inside it, e.g.
+    `s4.rhs.idx`."""
 
     key: str
     show: str
@@ -251,40 +266,108 @@ class Provenance(NamedTuple):
     dst: object
 
 
-@dataclass
 class ConstraintSet:
-    """Set of can-flow-to edges, kept in first-emission order, and the
-    provenance of every sink or assignment edge, one record per emission
-    (an edge emitted twice is stored once but recorded twice)."""
+    """Can-flow-to edges between atoms, and the provenance of every sink or
+    assignment edge.
 
-    edges: list[Edge] = field(default_factory=list)
-    records: list[Provenance] = field(default_factory=list)
-    _seen: set[Edge] = field(default_factory=set)
+    Atoms are ids into one table: `SOURCE`, `SINK`, then variables and
+    expression occurrences in creation order.  `names[i]` is atom `i`'s
+    variable name and `exprs[i]` its expression's (path, node, kind); each
+    is None for the other atoms.  `pairs` holds the edges `(src, dst)` in
+    first-emission order, each once, and `rows` one (rule, statement, src,
+    dst) per emission into the sink or a variable, so an edge emitted
+    twice is stored once but recorded twice.  `edges`, `records`,
+    `atoms()` and iteration give atom views, built on each call; `add`
+    builds a set by hand from atom views, interning them into the table.
+    """
+
+    def __init__(self) -> None:
+        self.names: list[str | None] = [None, None]
+        self.exprs: list[tuple | None] = [None, None]
+        self.var_ids: dict[str, int] = {}
+        self.pairs: list[tuple[int, int]] = []
+        self.rows: list[tuple[str, Command, int, int]] = []
+        self._added: set[tuple[int, int]] = set()  # pairs from `add`
+        self._expr_ids: dict[ExprAtom, int] = {}  # views from `intern`
+
+    def var(self, name: str) -> int:
+        i = self.var_ids.get(name)
+        if i is None:
+            i = self.var_ids[name] = len(self.names)
+            self.names.append(name)
+            self.exprs.append(None)
+        return i
+
+    def expr(self, path: str, node, kind: str) -> int:
+        """A new expression atom; `node` is its AST node, or its text."""
+        self.names.append(None)
+        self.exprs.append((path, node, kind))
+        return len(self.names) - 1
+
+    def atom(self, i: int):
+        """The view of atom `i`."""
+        if i == SOURCE:
+            return T_SOURCE
+        if i == SINK:
+            return S_SINK
+        if self.names[i] is not None:
+            return VarAtom(self.names[i])
+        path, node, kind = self.exprs[i]
+        if type(node) is not str:
+            node = pretty_rhs(node) if kind == "read" else pretty_expr(node)
+        return ExprAtom(path, node, kind)
+
+    def intern(self, a) -> int:
+        """The id of the atom view `a`, added to the table if new."""
+        if a is T_SOURCE:
+            return SOURCE
+        if a is S_SINK:
+            return SINK
+        if type(a) is VarAtom:
+            return self.var(a.name)
+        i = self._expr_ids.get(a)
+        if i is None:
+            i = self._expr_ids[a] = self.expr(a.key, a.show, a.kind)
+        return i
 
     def add(self, src, dst) -> None:
-        edge = Edge(src, dst)
-        if edge not in self._seen:
-            self._seen.add(edge)
-            self.edges.append(edge)
+        """Add the edge `src <= dst` between atom views of a hand-built
+        set, unless present."""
+        pair = (self.intern(src), self.intern(dst))
+        if pair not in self._added:
+            self._added.add(pair)
+            self.pairs.append(pair)
 
-    def atoms(self) -> list:
-        out: list = []
-        seen: set = set()
-        for e in self.edges:
-            for a in (e.src, e.dst):
-                if a not in seen:
-                    seen.add(a)
+    def order(self) -> list[int]:
+        """Atom ids in order of first appearance over the edges."""
+        seen = bytearray(len(self.names))
+        out = []
+        for pair in self.pairs:
+            for a in pair:
+                if not seen[a]:
+                    seen[a] = 1
                     out.append(a)
         return out
+
+    @property
+    def edges(self) -> list[Edge]:
+        atom = self.atom
+        return [Edge(atom(s), atom(d)) for s, d in self.pairs]
+
+    @property
+    def records(self) -> list[Provenance]:
+        atom = self.atom
+        return [Provenance(rule, stmt, atom(s), atom(d))
+                for rule, stmt, s, d in self.rows]
+
+    def atoms(self) -> list:
+        return [self.atom(i) for i in self.order()]
 
     def __iter__(self):
         return iter(self.edges)
 
     def __len__(self) -> int:
-        return len(self.edges)
-
-    def __contains__(self, edge) -> bool:
-        return edge in self._seen
+        return len(self.pairs)
 
 
 def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
@@ -296,23 +379,32 @@ def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
     in v1.1 mode, except array reads whose constant index is out of bounds:
     under a mispredicted bounds check those read the next array.  An
     expression atom's incoming edges are all emitted before any edge out of
-    it.
+    it.  Every expression atom is new and has at most one out-edge, so
+    only an edge out of a variable can be emitted twice.
     """
     k = ConstraintSet()
-    add = k.add
-    record = k.records.append
+    names, pairs, record = k.names, k.pairs, k.rows.append
+    var, new = k.var, k.expr
+    repeats: set[tuple[int, int]] = set()  # edges out of variables
 
-    def flow(rule: str, cmd: Command, src, dst) -> None:
+    def add(src: int, dst: int) -> None:
+        if names[src] is not None:
+            if (src, dst) in repeats:
+                return
+            repeats.add((src, dst))
+        pairs.append((src, dst))
+
+    def flow(rule: str, cmd: Command, src, dst: int) -> None:
         if src is not None:
             add(src, dst)
-            record(Provenance(rule, cmd, src, dst))
+            record((rule, cmd, src, dst))
 
     def expr_atom(e: Expr, path: str):
         if isinstance(e, Lit):
             return None
         if isinstance(e, Var):
-            return VarAtom(e.name)
-        me = ExprAtom(path, pretty_expr(e), "expr")
+            return var(e.name)
+        me = new(path, e, "expr")
         if isinstance(e, (Add, Lt, BitAnd)):
             for child, tag in ((e.left, ".l"), (e.right, ".r")):
                 a = expr_atom(child, path + tag)
@@ -336,23 +428,23 @@ def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
         if isinstance(r, Pure):
             return expr_atom(r.expr, path)
         if isinstance(r, ArrayRead):
-            flow("Array-Read", cmd, expr_atom(r.index, path + ".idx"), S_SINK)
-            me = ExprAtom(path, pretty_rhs(r), "read")
+            flow("Array-Read", cmd, expr_atom(r.index, path + ".idx"), SINK)
+            me = new(path, r, "read")
             if mode.spectre_v1_1 or not is_constant_in_bounds(r):
-                add(T_SOURCE, me)
+                pairs.append((SOURCE, me))
             return me
         if isinstance(r, PtrRead):
-            flow("Ptr-Read", cmd, expr_atom(r.addr, path + ".addr"), S_SINK)
-            me = ExprAtom(path, pretty_rhs(r), "read")
+            flow("Ptr-Read", cmd, expr_atom(r.addr, path + ".addr"), SINK)
+            me = new(path, r, "read")
             if mode.spectre_v1_1 or not is_constant_expr(r.addr):
-                add(T_SOURCE, me)
+                pairs.append((SOURCE, me))
             return me
         raise LangError(f"cannot abstract {r!r}")
 
     def store_value(rule: str, cmd: Command, e: Expr, path: str) -> None:
         # stored values are sinks only under the v1.1 rules
         if mode.spectre_v1_1:
-            flow(rule, cmd, expr_atom(e, path), S_SINK)
+            flow(rule, cmd, expr_atom(e, path), SINK)
         else:
             expr_atom(e, path)
 
@@ -360,28 +452,29 @@ def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
         path = f"s{i}"
         if isinstance(cmd, (Skip, Fail)):
             continue
-        if isinstance(cmd, Assign):
-            flow("Asgn", cmd, rhs_atom(cmd.rhs, path + ".rhs", cmd),
-                 VarAtom(cmd.target))
-        elif isinstance(cmd, Protect):
+        if isinstance(cmd, (Assign, Protect)):
             a = rhs_atom(cmd.rhs, path + ".rhs", cmd)
-            if a is not None:
-                record(Provenance("Protect", cmd, a, VarAtom(cmd.target)))
+            if a is None:
+                continue
+            if isinstance(cmd, Protect):
+                record(("Protect", cmd, a, var(cmd.target)))
+            else:
+                flow("Asgn", cmd, a, var(cmd.target))
         elif isinstance(cmd, ArrayWrite):
             flow("Array-Write", cmd, expr_atom(cmd.index, path + ".idx"),
-                 S_SINK)
+                 SINK)
             store_value("Array-Write-Spectre-1.1", cmd, cmd.value,
                         path + ".val")
         elif isinstance(cmd, PtrWrite):
             flow("Ptr-Write", cmd, expr_atom(cmd.addr, path + ".addr"),
-                 S_SINK)
+                 SINK)
             store_value("Ptr-Write-Spectre-1.1", cmd, cmd.value,
                         path + ".val")
         elif isinstance(cmd, If):
             flow("If-Then-Else", cmd, expr_atom(cmd.cond, path + ".c"),
-                 S_SINK)
+                 SINK)
         elif isinstance(cmd, While):
-            flow("While", cmd, expr_atom(cmd.cond, path + ".c"), S_SINK)
+            flow("While", cmd, expr_atom(cmd.cond, path + ".c"), SINK)
         else:
             raise LangError(f"cannot abstract {cmd!r}")
     return k
@@ -414,47 +507,45 @@ def transient_violations(k: ConstraintSet, gamma: dict[str, str],
     """Transient-flow violations, in program order, of the program `k` was
     generated from, under `gamma` and the protected set `prot`.
 
-    One pass over the edges, in emission order, marks the expression atoms
-    that the source or a transient variable reaches; variables keep their
-    `gamma` type.  A second pass reports each recorded edge from a transient
-    atom into the sink or into a stable variable outside `prot`.  A recorded
-    expression that reads a variable missing from `gamma` is an error.
+    Atoms are marked by id: the source and the variables `gamma` types
+    transient are hot, and a variable missing from `gamma` is untyped.  One
+    pass over the edges, in emission order, carries both marks into the
+    expression atoms (the untyped mark wins); variables keep their `gamma`
+    type.  A second pass reports each recorded edge from a hot atom into
+    the sink or into a stable variable outside `prot`.  A recorded edge
+    from an untyped atom is an error.
     """
-    hot = {T_SOURCE}
-    untyped: dict = {}  # expression atom -> a variable it reads, not in gamma
-    for src, dst in k.edges:
-        if type(dst) is not ExprAtom:
+    names = k.names
+    hot = [False] * len(names)
+    hot[SOURCE] = True
+    untyped: list = [None] * len(names)  # a variable it reads, not in gamma
+    for x, i in k.var_ids.items():
+        tau = gamma.get(x)
+        if tau is None:
+            untyped[i] = x
+        else:
+            hot[i] = tau == TRANSIENT
+    for src, dst in k.pairs:
+        if names[dst] is not None or dst == SINK:
             continue
-        if type(src) is VarAtom:
-            tau = gamma.get(src.name)
-            if tau is None:
-                untyped[dst] = src.name
-            elif tau == TRANSIENT:
-                hot.add(dst)
-        elif src in untyped:
+        if untyped[src] is not None:
             untyped[dst] = untyped[src]
-        elif src in hot:
-            hot.add(dst)
+        elif hot[src]:
+            hot[dst] = True
 
     out: list[Violation] = []
-    for rule, stmt, src, dst in k.records:
-        if type(src) is VarAtom:
-            tau = gamma.get(src.name)
-            if tau is None:
-                raise _untyped(src.name)
-            if tau != TRANSIENT:
-                continue
-        elif src in untyped:
+    for rule, stmt, src, dst in k.rows:
+        if untyped[src] is not None:
             raise _untyped(untyped[src])
-        elif src not in hot:
+        if not hot[src]:
             continue
         # a protect, a target in the protected set, or a transient target
         # discharges an assignment edge
-        if dst is not S_SINK and (rule == "Protect" or dst.name in prot
-                                  or gamma.get(dst.name) == TRANSIENT):
+        if dst != SINK and (rule == "Protect" or names[dst] in prot
+                            or hot[dst]):
             continue
-        out.append(Violation(rule, pretty_header(stmt),
-                             _MESSAGES[rule].format(src=src, dst=dst)))
+        message = _MESSAGES[rule].format(src=k.atom(src), dst=k.atom(dst))
+        out.append(Violation(rule, pretty_header(stmt), message))
     return out
 
 
@@ -469,26 +560,29 @@ def typecheck_transient(gamma: dict[str, str], prot: set[str], c: Command,
 # ---------------------------------------------------------------------------
 
 
-def reachable_from_source(k: ConstraintSet) -> set:
-    adj: dict = {}
-    for e in k:
-        adj.setdefault(e.src, []).append(e.dst)
-    seen: set = set()
-    frontier = [T_SOURCE]
-    while frontier:
-        node = frontier.pop()
-        for nxt in adj.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+def reachable_from_source(k: ConstraintSet, removed=frozenset()) -> list[int]:
+    """Breadth-first search from the source over the edges of `k`, never
+    entering an atom id in `removed`: for each atom id, the id it was first
+    reached from (the source's own for the source), or -1 if unreached."""
+    adj: list[list[int]] = [[] for _ in k.names]
+    for src, dst in k.pairs:
+        adj[src].append(dst)
+    parent = [-1] * len(adj)
+    parent[SOURCE] = SOURCE
+    queue = [SOURCE]
+    for u in queue:
+        for v in adj[u]:
+            if parent[v] < 0 and v not in removed:
+                parent[v] = u
+                queue.append(v)
+    return parent
 
 
 def least_type_env(k: ConstraintSet, variables: list[str]) -> dict[str, str]:
     """Per-variable view of source reachability, defined even when the
     constraints are unsatisfiable.  This is the environment a diagnostic
     check runs under when no protected set is given."""
-    reach = reachable_from_source(k)
-    return {x: TRANSIENT if VarAtom(x) in reach else STABLE
+    parent = reachable_from_source(k)
+    ids = k.var_ids
+    return {x: TRANSIENT if x in ids and parent[ids[x]] >= 0 else STABLE
             for x in variables}
-

@@ -3,12 +3,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from specrepair.graphcut import (
     DefUseGraph,
     Infeasible,
     MinCutResult,
-    _find_path,
     build_graph,
     extract_env,
     is_cut,
@@ -27,7 +27,9 @@ from specrepair.typesys import (
     VarAtom,
     generate_constraints,
 )
+from tests import constraint_reference as reference
 from tests.cut_oracle import brute_force_min_cut
+from tests.test_differential import programs
 
 
 def _graph(ex1, mode=Mode()):
@@ -132,6 +134,83 @@ def random_graph(rng: random.Random) -> DefUseGraph:
         else:
             k.add(rng.choice(atoms), rng.choice(atoms))
     return DefUseGraph(list(k.edges), [T_SOURCE, S_SINK] + atoms, variables)
+
+
+def test_infeasible_path_is_the_breadth_first_path():
+    rng = random.Random(77)
+    infeasible = 0
+    for _ in range(300):
+        g = random_graph(rng)
+        try:
+            max_flow_min_cut(g)
+        except Infeasible as exc:
+            assert exc.path == reference.bfs_path(g.edges, set(g.candidates))
+            infeasible += 1
+    assert infeasible > 20
+
+
+MODES = (Mode(), Mode(spectre_v1_1=True), Mode(slh_only_cuts=True),
+         Mode(spectre_v1_1=True, slh_only_cuts=True))
+
+
+def _assert_reference_orders(c, mode) -> None:
+    """Edges, records, nodes and candidates equal the object-level
+    reference's, in order."""
+    edges, records = reference.constraints(c, mode)
+    k = generate_constraints(c, mode)
+    assert k.edges == list(k) == edges
+    assert len(k) == len(edges)
+    assert k.records == records
+    assert k.atoms() == reference.first_appearance(edges)
+    g = build_graph(k, mode)
+    assert g.edges == edges
+    assert g.nodes == [T_SOURCE, S_SINK] + [
+        a for a in reference.first_appearance(edges)
+        if a is not T_SOURCE and a is not S_SINK]
+    assert g.candidates == reference.candidates(edges, mode)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=str)
+def test_orders_match_the_reference_on_corpus(corpus, mode):
+    for name, program in corpus:
+        _assert_reference_orders(program.command, mode)
+
+
+@given(programs())
+@settings(max_examples=60, deadline=None)
+def test_orders_match_the_reference_on_random_programs(command):
+    for mode in MODES:
+        _assert_reference_orders(command, mode)
+
+
+def _assert_source_edges_feed_candidates(c, mode) -> None:
+    """Every source edge enters a read atom whose only out-edge, if any,
+    enters a candidate (a protected read has none), so every source-to-sink
+    path of a generated graph carries a candidate and no generated graph is
+    infeasible."""
+    g = build_graph(generate_constraints(c, mode), mode)
+    out: dict = {}
+    for e in g.edges:
+        out.setdefault(e.src, []).append(e.dst)
+    candidates = set(g.candidates)
+    for read in out.get(T_SOURCE, []):
+        assert isinstance(read, ExprAtom) and read.kind == "read"
+        assert len(out.get(read, [])) <= 1
+        assert set(out.get(read, [])) <= candidates
+    max_flow_min_cut(g)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=str)
+def test_source_edges_feed_candidates_on_corpus(corpus, mode):
+    for name, program in corpus:
+        _assert_source_edges_feed_candidates(program.command, mode)
+
+
+@given(programs())
+@settings(max_examples=60, deadline=None)
+def test_source_edges_feed_candidates_on_random_programs(command):
+    for mode in MODES:
+        _assert_source_edges_feed_candidates(command, mode)
 
 
 def test_min_cut_matches_brute_force_oracle():
@@ -245,7 +324,7 @@ def test_infeasible_path_through_folded_atoms():
     assert g.candidates == [x]  # y is assigned no memory read
     with pytest.raises(Infeasible) as excinfo:
         max_flow_min_cut(g)
-    path = _find_path(g.adjacency(), set(g.candidates))
+    path = reference.bfs_path(g.edges, set(g.candidates))
     assert excinfo.value.path == path == [T_SOURCE, e2, y, e3, e4, S_SINK]
     assert str(excinfo.value) == \
         "uncuttable flow: T -> e2 -> y -> e3 -> e4 -> S"

@@ -15,7 +15,8 @@ mask-hardened-load rule of `_transient_rhs`.
 `induced_solution` and `solution_satisfies` read a constraint set as a
 system of inequalities over a substitution, independently of graph
 reachability; `satisfiable` and `solve` answer by reachability from the
-transient source, as the library's `least_type_env` does.
+transient source over atom views, as the library's `least_type_env` does
+over atom ids.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from specrepair.typesys import (
     VarAtom,
     Violation,
     policy_label_maps,
-    reachable_from_source,
     typecheck_ct,
 )
 
@@ -216,6 +216,21 @@ def typecheck_transient(gamma: dict[str, str], prot: set[str], c: Command,
 
 class Unsatisfiable(LangError):
     pass
+
+
+def reachable_from_source(k: ConstraintSet) -> set:
+    """The atoms a path from the source reaches."""
+    adj: dict = {}
+    for e in k:
+        adj.setdefault(e.src, []).append(e.dst)
+    seen: set = set()
+    frontier = [T_SOURCE]
+    while frontier:
+        for nxt in adj.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 def satisfiable(k: ConstraintSet) -> bool:
