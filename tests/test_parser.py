@@ -36,6 +36,7 @@ from specrepair.parser import (
     SemanticError,
     parse_program,
     pretty_command,
+    pretty_expr,
     pretty_header,
     pretty_program,
 )
@@ -170,6 +171,24 @@ ERROR_POSITIONS = [
      MAX_NESTING + 3, 8),
     ("sum too long", long_sum(MAX_NESTING + 1), TOO_DEEP,
      2, 4 * MAX_NESTING + 8),
+    ("and too long", "x := 1" + " & 1" * (MAX_NESTING + 1) + ";\n",
+     TOO_DEEP, 1, 4 * MAX_NESTING + 8),
+    # each `+` is one level and each `&` after it one more
+    ("sum of ands too long", "x := 1" + " + 1 & 1" * MAX_NESTING + ";\n",
+     TOO_DEEP, 1, 8 * MAX_NESTING + 4),
+    ("select too deep",
+     "x := " + "true ? " * (MAX_NESTING + 1) + "1"
+     + " : 2" * (MAX_NESTING + 1) + ";\n",
+     TOO_DEEP, 1, 7 * MAX_NESTING + 11),
+    ("length too deep",
+     "x := " + "length(" * (MAX_NESTING + 1) + "x"
+     + ")" * (MAX_NESTING + 1) + ";\n",
+     TOO_DEEP, 1, 7 * MAX_NESTING + 12),
+    # `<` does not associate: a second one ends the expression
+    ("chained comparison", "x := a < b < c;\n", "expected ';', found '<'",
+     1, 12),
+    ("chained comparison in parentheses", "x := (a + 1 < b < c);\n",
+     "expected ')', found '<'", 1, 17),
 ]
 
 
@@ -311,6 +330,33 @@ def test_roundtrip_corpus(corpus):
         assert back.arrays == program.arrays, name
         assert back.policy == program.policy, name
         assert back.initial_memory() == program.initial_memory(), name
+
+
+# Every ordered pair of binary operators, nested left and nested right,
+# printed with the parentheses precedence and associativity need.
+OPERATORS = {"<": Lt, "+": Add, "&": BitAnd}
+NESTED_PAIRS = {
+    ("<", "<"): ("(a < b) < c", "a < (b < c)"),
+    ("<", "+"): ("a + b < c", "a < b + c"),
+    ("<", "&"): ("a & b < c", "a < b & c"),
+    ("+", "<"): ("(a < b) + c", "a + (b < c)"),
+    ("+", "+"): ("a + b + c", "a + (b + c)"),
+    ("+", "&"): ("a & b + c", "a + b & c"),
+    ("&", "<"): ("(a < b) & c", "a & (b < c)"),
+    ("&", "+"): ("(a + b) & c", "a & (b + c)"),
+    ("&", "&"): ("a & b & c", "a & (b & c)"),
+}
+
+
+@pytest.mark.parametrize("outer, inner", sorted(NESTED_PAIRS))
+def test_operator_pairs_print_and_parse_back(outer, inner):
+    a, b, c = Var("a"), Var("b"), Var("c")
+    make, nested = OPERATORS[outer], OPERATORS[inner]
+    trees = (make(nested(a, b), c), make(a, nested(b, c)))
+    for tree, text in zip(trees, NESTED_PAIRS[(outer, inner)]):
+        assert pretty_expr(tree) == text
+        back = parse_program(f"x := {text};\n").command
+        assert back == Assign("x", Pure(tree))
 
 
 def test_header_is_the_first_printed_line(corpus):
