@@ -3,6 +3,8 @@
 case, so that the output of two trees can be compared with `cmp`.
 
 The matrix:
+- the parse of each corpus program, as a SHA-256 of the command's `repr`
+  and its arrays, initial values, policy and warnings;
 - `pipeline` of each corpus program under the four analysis modes, as its
   report (cut, environment, protect and baseline counts, both verdicts,
   violations, a SHA-256 of the pretty-printed repaired program, one of the
@@ -73,6 +75,17 @@ def graph_sha256(k, mode, cut) -> str:
     return sha256([to_dot(g, cut)] + [a.name for a in g.candidates])
 
 
+def parse_record(program) -> dict:
+    return {"command_sha256": sha256([repr(program.command)]),
+            "arrays": [[a.name, a.base, a.length, a.label]
+                       for a in program.arrays.values()],
+            "init_vars": list(program.init_vars.items()),
+            "init_cells": sorted(program.init_cells.items()),
+            "policy": [sorted(program.policy.public_vars),
+                       sorted(program.policy.public_arrays)],
+            "warnings": program.warnings}
+
+
 def pipeline_record(program, mode) -> dict:
     try:
         report = pipeline(program.command, mode, program.variables())
@@ -125,6 +138,7 @@ def cases(names):
     programs = []
     for name in names:
         program = load_program(name)
+        yield ["parse", name], parse_record(program)
         for mode in ANALYSES:
             yield (["pipeline", name, mode.spectre_v1_1, mode.slh_only_cuts],
                    pipeline_record(program, mode))

@@ -46,12 +46,12 @@ def test_verdict_matrix(monkeypatch, capsys):
     lines = run_script(monkeypatch, capsys, "verdict_matrix.py", "skip",
                        "ex1")
     records = [json.loads(line) for line in lines]
-    # the pipeline of 2 programs in 4 analysis modes; at each of the 2
-    # graph caps, for 2 programs, as written and repaired, in 2 modes: SCT
-    # random and exhaustive at 3 seeds, and the schedule space; and 4
-    # consistency reports over both programs
+    # the parse of 2 programs and their pipeline in 4 analysis modes; at
+    # each of the 2 graph caps, for 2 programs, as written and repaired, in
+    # 2 modes: SCT random and exhaustive at 3 seeds, and the schedule
+    # space; and 4 consistency reports over both programs
     assert Counter(record["case"][0] for record in records) == \
-        {"pipeline": 2 * 4, "sct": 2 * 2 * 2 * 2 * 2 * 3,
+        {"parse": 2, "pipeline": 2 * 4, "sct": 2 * 2 * 2 * 2 * 2 * 3,
          "exhaustive_runs": 2 * 2 * 2 * 2, "consistency": 2 * 4}
     cuts = {tuple(record["case"][1:]): record["verdict"]["cut"]
             for record in records if record["case"][0] == "pipeline"}
