@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,9 +27,15 @@ from specrepair.lang import (
     Var,
     While,
     WORD_MASK,
+    Command,
+    Expr,
+    Rhs,
     check_ssa,
+    command_vars,
     commands,
     eval_expr,
+    expr_vars,
+    is_constant_expr,
     rewrite_statements,
     seq_all,
 )
@@ -290,3 +298,43 @@ def test_command_equality_hash_and_repr_on_long_programs(nesting):
     assert repr(first) == (
         "While(cond=Lt(left=Var(name='i'), right=Lit(value=1)), "
         f"body=If(cond=Var(name='b'), then={body}, other=Skip()))")
+
+
+def recursive_vars(node) -> set[str]:
+    """The variables a node mentions, by recursion over its fields."""
+    if isinstance(node, Var):
+        return {node.name}
+    out = {node.target} if isinstance(node, (Assign, Protect)) else set()
+    for f in dataclasses.fields(node):
+        child = getattr(node, f.name)
+        if isinstance(child, (Expr, Rhs, Command)):
+            out |= recursive_vars(child)
+    return out
+
+
+def subexpressions(node):
+    """Every expression node under `node`, itself included."""
+    if isinstance(node, Expr):
+        yield node
+    for f in dataclasses.fields(node):
+        child = getattr(node, f.name)
+        if isinstance(child, (Expr, Rhs, Command)):
+            yield from subexpressions(child)
+
+
+def check_variable_scans(command) -> None:
+    assert command_vars(command) == recursive_vars(command)
+    for e in subexpressions(command):
+        assert expr_vars(e) == recursive_vars(e)
+        assert is_constant_expr(e) == (not recursive_vars(e))
+
+
+def test_variable_scans_match_recursion_on_corpus(corpus):
+    for name, program in corpus:
+        check_variable_scans(program.command)
+
+
+@given(programs())
+@settings(max_examples=60, deadline=None)
+def test_variable_scans_match_recursion_on_random_programs(command):
+    check_variable_scans(command)
