@@ -12,9 +12,11 @@ single out-edge is folded into the node that edge enters: most expression
 atoms are such pass-throughs, none of them can be cut, and folding them
 changes neither the flow nor the cut.  The flow is Dinic's algorithm over
 the atom ids of the constraint set's table (`typesys.SOURCE` and `SINK`,
-then variables and expression occurrences): atom `i` is node `i`, and a
-candidate's out-node is `n + i`.  With unit capacities on every split node
-it takes O(E * sqrt(V)) time (Even and Tarjan, SIAM J. Comput. 1975).
+then variables and expression occurrences): atom `i` is node `i`, and the
+out-nodes of the candidates are numbered densely after the `n` atoms, so
+the network has `n + len(candidates)` nodes.  With unit capacities on
+every split node it takes O(E * sqrt(V)) time (Even and Tarjan, SIAM J.
+Comput. 1975).
 Reachability, cut checks and environment extraction are breadth-first
 searches over the same ids; atom views are built only to name a path or
 render the graph.  A source-to-sink path with no candidate on it shows as a
@@ -140,17 +142,19 @@ def max_flow_min_cut(g: DefUseGraph) -> MinCutResult:
     minimum cut.
 
     Node `i` is atom id `i` of `g.k`'s table, for all `n` of them; a
-    candidate's node is its in-node and `n + i` its out-node, joined by a
-    unit arc.  An expression atom that is not a candidate and has exactly
-    one out-edge is folded into the node that edge enters, following
-    chains of such atoms (each resolved once): every path through it
-    continues along that edge and it can never be cut, so the flow and the
-    source-closest cut are those of the unfolded graph.  A cycle of such
-    atoms, and what leads only into one, never reaches the sink and is
-    dropped.  Arcs live in flat lists with each reverse arc at `arc ^ 1`.
-    Each phase builds BFS levels, then an iterative depth-first search
-    with per-node arc pointers saturates the level graph, so deep graphs
-    never reach the recursion limit.
+    candidate's node is its in-node and `n + j` its out-node, `j` its
+    index in `g.cands`, joined by a unit arc.  An expression atom that is
+    not a candidate and has exactly one out-edge is folded into the node
+    that edge enters, following chains of such atoms (each resolved
+    once): every path through it continues along that edge and it can
+    never be cut, so the flow and the source-closest cut are those of the
+    unfolded graph.  A cycle of such atoms, and what leads only into one,
+    never reaches the sink and is dropped.  Arcs live in flat lists with
+    each reverse arc at `arc ^ 1`.  Each phase builds BFS levels up to the
+    sink's, then an iterative depth-first search with per-node arc
+    pointers saturates the level graph, so deep graphs never reach the
+    recursion limit.  One scan of an augmenting path finds its bottleneck
+    and the first arc that pushing it saturates, where the search resumes.
 
     Raises Infeasible when some source-to-sink path carries no candidate
     (only possible with a restricted candidate set).  Such a path carries
@@ -161,14 +165,15 @@ def max_flow_min_cut(g: DefUseGraph) -> MinCutResult:
     names = k.names
     inf = len(g.cands) + 1
     n = len(names)
+    size = n + len(g.cands)
     out_node = list(range(n))
     to: list[int] = []
-    arcs: list[list[int]] = [[] for _ in range(2 * n)]
-    for i in g.cands:
-        out_node[i] = n + i
+    arcs: list[list[int]] = [[] for _ in range(size)]
+    for o, i in enumerate(g.cands, n):
+        out_node[i] = o
         arcs[i].append(len(to))
-        arcs[n + i].append(len(to) + 1)
-        to += (n + i, i)
+        arcs[o].append(len(to) + 1)
+        to += (o, i)
     cap = [1, 0] * len(g.cands)
 
     # fold: `rep[i]` is the node that stands for atom `i`, or -1 if dropped
@@ -204,29 +209,35 @@ def max_flow_min_cut(g: DefUseGraph) -> MinCutResult:
 
     flow = 0
     while True:
-        level = [-1] * (2 * n)
+        level = [-1] * size
         level[SOURCE] = 0
         queue = [SOURCE]
         for u in queue:
+            deeper = level[u] + 1
             for arc in arcs[u]:
                 v = to[arc]
                 if cap[arc] and level[v] < 0:
-                    level[v] = level[u] + 1
+                    level[v] = deeper
                     queue.append(v)
+            if level[SINK] >= 0:  # nothing deeper is on a shortest path
+                break
         if level[SINK] < 0:
             break
-        pointer = [0] * (2 * n)
+        pointer = [0] * size
         path: list[int] = []
         u = SOURCE
         while True:
             if u == SINK:
-                push = min(cap[arc] for arc in path)
+                # the bottleneck, and the first arc pushing it saturates
+                push, first = inf + 1, 0
+                for j, arc in enumerate(path):
+                    if cap[arc] < push:
+                        push, first = cap[arc], j
                 for arc in path:
                     cap[arc] -= push
                     cap[arc ^ 1] += push
                 flow += push
-                # resume from the tail of the first arc this saturated
-                first = next(j for j, arc in enumerate(path) if not cap[arc])
+                # resume from the tail of that arc
                 u = to[path[first] ^ 1]
                 del path[first:]
                 continue
@@ -247,7 +258,8 @@ def max_flow_min_cut(g: DefUseGraph) -> MinCutResult:
     if flow >= inf:
         raise Infeasible([k.atom(i) for i in _find_path(g, set(g.cands))])
     # `level` now marks what the source reaches in the final residual graph.
-    cut = [names[i] for i in g.cands if level[i] >= 0 and level[n + i] < 0]
+    cut = [names[i] for o, i in enumerate(g.cands, n)
+           if level[i] >= 0 and level[o] < 0]
     return MinCutResult(cut, flow)
 
 

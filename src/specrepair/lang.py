@@ -127,6 +127,12 @@ class Base(Expr):
     arg: Expr
 
 
+# The operand fields of each compound expression, in source order.
+OPERANDS = {Add: ("left", "right"), Lt: ("left", "right"),
+            BitAnd: ("left", "right"), Ternary: ("cond", "then", "other"),
+            Length: ("arg",), Base: ("arg",)}
+
+
 # ---------------------------------------------------------------------------
 # Right-hand sides and commands
 # ---------------------------------------------------------------------------
@@ -478,8 +484,17 @@ def check_ssa(c: Command) -> list[str]:
 
 
 def is_constant_expr(e: Expr) -> bool:
-    """True when the expression mentions no variables (a constant address)."""
-    return not expr_vars(e)
+    """True when the expression mentions no variables (a constant address).
+    The scan stops at the first variable."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        kind = type(e)
+        if kind is Var:
+            return False
+        if kind is not Lit:
+            todo += [getattr(e, f) for f in OPERANDS.get(kind, ())]
+    return True
 
 
 def is_constant_in_bounds(r: ArrayRead) -> bool:
@@ -584,37 +599,38 @@ def kind_check(c: Command, init_vars: dict[str, Value]) -> list[str]:
     return problems
 
 
+def _add_vars(out: set[str], todo: list[Expr]) -> set[str]:
+    """`out` with every variable of the expressions in `todo` added;
+    `todo` is emptied."""
+    while todo:
+        e = todo.pop()
+        kind = type(e)
+        if kind is Var:
+            out.add(e.name)
+        elif kind is not Lit:
+            todo += [getattr(e, f) for f in OPERANDS.get(kind, ())]
+    return out
+
+
 def expr_vars(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, (Add, Lt, BitAnd)):
-        return expr_vars(e.left) | expr_vars(e.right)
-    if isinstance(e, Ternary):
-        return expr_vars(e.cond) | expr_vars(e.then) | expr_vars(e.other)
-    if isinstance(e, (Length, Base)):
-        return expr_vars(e.arg)
-    return set()
-
-
-def rhs_vars(r: Rhs) -> set[str]:
-    if isinstance(r, Pure):
-        return expr_vars(r.expr)
-    if isinstance(r, PtrRead):
-        return expr_vars(r.addr)
-    return expr_vars(r.index)
+    return _add_vars(set(), [e])
 
 
 def command_vars(c: Command) -> set[str]:
     """Every variable read or assigned anywhere in the command."""
     out: set[str] = set()
+    todo: list[Expr] = []
     for cmd in commands(c):
-        if isinstance(cmd, (Assign, Protect)):
+        kind = type(cmd)
+        if kind is Assign or kind is Protect:
             out.add(cmd.target)
-            out.update(rhs_vars(cmd.rhs))
-        elif isinstance(cmd, PtrWrite):
-            out.update(expr_vars(cmd.addr) | expr_vars(cmd.value))
-        elif isinstance(cmd, ArrayWrite):
-            out.update(expr_vars(cmd.index) | expr_vars(cmd.value))
-        elif isinstance(cmd, (If, While)):
-            out.update(expr_vars(cmd.cond))
-    return out
+            r = cmd.rhs
+            todo.append(r.expr if type(r) is Pure else
+                        r.addr if type(r) is PtrRead else r.index)
+        elif kind is PtrWrite:
+            todo += (cmd.addr, cmd.value)
+        elif kind is ArrayWrite:
+            todo += (cmd.index, cmd.value)
+        elif kind is If or kind is While:
+            todo.append(cmd.cond)
+    return _add_vars(out, todo)

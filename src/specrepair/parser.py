@@ -16,9 +16,10 @@ A program file is line-oriented: array and variable declarations first, then
     fail;
 
 Expression grammar, loosest to tightest binding: `e ? e : e` (right
-associative), `e < e` (non-associative), `e + e`, `e & e`.  `length(a)` and
-`base(a)` project array metadata.  Array names used inside expressions denote
-the array handle itself.
+associative), `e < e` (non-associative), `e + e`, `e & e`; the binary
+operators' precedence lives in one table, `BINARY`.  `length(a)` and
+`base(a)` project array metadata.  Array names used inside expressions
+denote the array handle itself.
 
 Lexical rules: a name is a `str.isalpha` character or `_`, then any
 `str.isalnum` characters or `_`; keywords are names.  The reserved words
@@ -134,12 +135,23 @@ class Program:
 RESERVED_WORDS = ("true", "false")
 
 # The deepest nesting a program may have.  Each `if`/`while` block, each
-# parenthesised or `length`/`base` argument, each `?:` and each further
-# `+` or `&` of a chain is one level, counted together, so the AST is at
-# most about twice as deep.  The parser and the expression walkers
-# recurse a few frames per level; this keeps them all well inside
-# Python's default recursion limit of 1000.
+# parenthesised or `length`/`base` argument, each `?:` and each `+` or `&`
+# of a chain is one level, counted together, so the AST is at most about
+# twice as deep.  The parser recurses at most four frames per level (a
+# parenthesised operand is `parse_atom`, `parse_nested_expr`, `parse_expr`
+# and `parse_binary`; a chain is one loop) and the expression walkers one
+# or two per AST node, so this keeps them all well inside Python's default
+# recursion limit of 1000.
 MAX_NESTING = 64
+
+# Binary operators, one row each: token -> (level, node class, chains).
+# Levels bind tighter as they grow; the `?:` select is `_SELECT`, looser
+# than all of them.  An operator that chains associates to the left, and
+# each one of a chain is one nesting level.  One that does not, `<`, ends
+# its operand at a second one of its level, so `a < b < c` is an error at
+# the second `<`.  The parser and the printer read precedence from here.
+BINARY = {"<": (1, Lt, False), "+": (2, Add, True), "&": (3, BitAnd, True)}
+_SELECT = 0
 
 
 # Whitespace and comments match no group, so `findall` gives each as "";
@@ -206,7 +218,8 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    """Recursive descent, one method per grammar rule.  Lookahead compares
+    """Recursive descent: `_STATEMENTS` picks a statement's rule from its
+    first token, and binary operators climb `BINARY`.  Lookahead compares
     token text alone: no two kinds of token share a spelling."""
 
     def __init__(self, text: str):
@@ -214,6 +227,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0  # nesting levels open at `pos`
+        self.leaves: dict[str, Expr] = {}  # see `parse_atom`
         self.arrays: dict[str, ArrayDecl] = {}
         self.init_vars: dict[str, Value] = {}
         self.init_cells: dict[int, Value] = {}
@@ -386,33 +400,35 @@ class _Parser:
     # -- statements ---------------------------------------------------------
 
     def parse_stmt(self) -> Command:
+        """The statement at the current token, by the rule `_STATEMENTS`
+        gives its first token; an assignment when it names none."""
+        return self._STATEMENTS.get(self.tokens[self.pos],
+                                    _Parser.parse_assign)(self)
+
+    def parse_skip_or_fail(self) -> Command:
+        node = Skip() if self.tokens[self.next()] == "skip" else Fail()
+        self.expect(";")
+        return node
+
+    def parse_assign(self) -> Command:
         k = self.pos
         text = self.tokens[k]
-        if text == "skip":
-            self.next()
-            self.expect(";")
-            return Skip()
-        if text == "fail":
-            self.next()
-            self.expect(";")
-            return Fail()
-        if text == "if":
-            return self.parse_if()
-        if text == "while":
-            return self.parse_while()
-        if text == "*":
-            return self.parse_ptr_write()
-        if _kind(text) == "name":
-            if text in RESERVED_WORDS:
-                raise self.error(f"reserved word {text!r} used as a name")
-            self.next()
-            if self.at("["):
-                return self.parse_array_write(k)
-            self.expect(":=")
-            rhs, protected = self.parse_rhs()
-            self.expect(";")
-            return Protect(text, rhs) if protected else Assign(text, rhs)
-        raise self.error("expected a statement")
+        if _kind(text) != "name":
+            raise self.error("expected a statement")
+        if text in RESERVED_WORDS:
+            raise self.error(f"reserved word {text!r} used as a name")
+        self.pos = k + 1
+        if self.tokens[k + 1] == "[":
+            return self.parse_array_write(k)
+        k = self.expect(":=") + 1
+        protected = self.tokens[k] == "protect" and self.tokens[k + 1] == "("
+        if protected:
+            self.pos = k + 2
+        rhs = self.parse_rhs()
+        if protected:
+            self.expect(")")
+        self.expect(";")
+        return Protect(text, rhs) if protected else Assign(text, rhs)
 
     def parse_if(self) -> Command:
         self.expect("if")
@@ -478,16 +494,9 @@ class _Parser:
 
     # -- right-hand sides ---------------------------------------------------
 
-    def parse_rhs(self):
-        if self.at("protect") and self.peek(1) == "(":
-            self.pos += 2
-            inner = self.parse_plain_rhs()
-            self.expect(")")
-            return (inner, True)
-        return (self.parse_plain_rhs(), False)
-
-    def parse_plain_rhs(self) -> Rhs:
-        text = self.peek()
+    def parse_rhs(self) -> Rhs:
+        k = self.pos
+        text = self.tokens[k]
         if text == "*":
             self.next()
             label = self.parse_opt_ptr_label()
@@ -498,8 +507,8 @@ class _Parser:
                 self.warnings.append(
                     f"pointer read at literal address {addr.value!r}")
             return PtrRead(label, addr)
-        if text in self.arrays and self.peek(1) == "[":
-            self.pos += 2
+        if text in self.arrays and self.tokens[k + 1] == "[":
+            self.pos = k + 2
             index = self.parse_expr()
             self.expect("]")
             return ArrayRead(self.arrays[text], index)
@@ -508,8 +517,8 @@ class _Parser:
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        cond = self.parse_cmp()
-        if self.at("?"):
+        cond = self.parse_binary(_SELECT + 1)
+        if self.tokens[self.pos] == "?":
             k = self.next()
             then = self.parse_nested_expr(k)
             self.expect(":")
@@ -524,55 +533,66 @@ class _Parser:
         self.depth = outer
         return e
 
-    def parse_cmp(self) -> Expr:
-        left = self.parse_add()
-        if self.at("<"):
-            self.next()
-            right = self.parse_add()
-            return Lt(left, right)
-        return left
-
-    def parse_add(self) -> Expr:
+    def parse_binary(self, floor: int) -> Expr:
+        """An operand with the `BINARY` operators of level `floor` or
+        tighter, by precedence climbing: each right operand takes the
+        tighter levels, so the levels this loop meets never grow.  A looser
+        operator starts a new chain at the depth the operand started at."""
+        tokens = self.tokens
         outer = self.depth
-        e = self.parse_band()
-        while self.at("+"):
-            self.nest(self.next())
-            e = Add(e, self.parse_band())
-        self.depth = outer
-        return e
-
-    def parse_band(self) -> Expr:
-        outer = self.depth
-        e = self.parse_atom()
-        while self.at("&"):
-            self.nest(self.next())
-            e = BitAnd(e, self.parse_atom())
+        e = self.leaves.get(tokens[self.pos])
+        if e is None:
+            e = self.parse_atom()
+        else:
+            self.pos += 1
+        last = 0
+        while True:
+            row = BINARY.get(tokens[self.pos])
+            if row is None:
+                break
+            level, node, chains = row
+            if level < floor or level == last and not chains:
+                break
+            if level != last:
+                self.depth = outer
+                last = level
+            k = self.next()
+            if chains:
+                self.nest(k)
+            e = node(e, self.parse_binary(level + 1))
         self.depth = outer
         return e
 
     def parse_atom(self) -> Expr:
-        text = self.peek()
-        kind = _kind(text)
-        if kind == "nat":
-            return Lit(self.parse_nat_token())
-        if text == "(":
-            e = self.parse_nested_expr(self.next())
-            self.expect(")")
-            return e
-        if kind == "name":
-            self.next()
-            if text == "true":
-                return Lit(True)
-            if text == "false":
-                return Lit(False)
-            if text in ("length", "base") and self.at("("):
+        """The atom at the current token.  Its literal or variable, made
+        once per spelling, goes into `leaves` for every later one."""
+        text = self.tokens[self.pos]
+        first = text[:1]
+        if "0" <= first <= "9":
+            leaf = Lit(self.parse_nat_token())
+        elif first.isalpha() or first == "_":
+            self.pos += 1
+            if text in ("length", "base"):
+                if not self.at("("):
+                    return Var(text)
                 arg = self.parse_nested_expr(self.next())
                 self.expect(")")
                 return Length(arg) if text == "length" else Base(arg)
-            if text in self.arrays:
-                return Lit(self.arrays[text])
-            return Var(text)
-        raise self.error("expected an expression")
+            leaf = (Lit(text == "true") if text in RESERVED_WORDS else
+                    Lit(self.arrays[text]) if text in self.arrays else
+                    Var(text))
+        elif text == "(":
+            e = self.parse_nested_expr(self.next())
+            self.expect(")")
+            return e
+        else:
+            raise self.error("expected an expression")
+        self.leaves[text] = leaf
+        return leaf
+
+    # The rule of each statement that a keyword or `*` starts.
+    _STATEMENTS = {"skip": parse_skip_or_fail, "fail": parse_skip_or_fail,
+                   "if": parse_if, "while": parse_while, "*": parse_ptr_write}
 
 
 def parse_program(text: str) -> Program:
@@ -583,11 +603,15 @@ def parse_program(text: str) -> Program:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-# Precedence levels, loosest binding first.
-_TERN, _CMP, _ADD, _BAND, _ATOM = range(5)
+# `BINARY` by node class: node class -> (token, level, chains).
+_PRINTED = {node: (token, level, chains)
+            for token, (level, node, chains) in BINARY.items()}
 
 
-def pretty_expr(e: Expr, ctx: int = _TERN) -> str:
+def pretty_expr(e: Expr, ctx: int = _SELECT) -> str:
+    """`e` as text, in parentheses when it binds looser than level `ctx`."""
+    if isinstance(e, Var):
+        return e.name
     if isinstance(e, Lit):
         v = e.value
         if isinstance(v, bool):
@@ -595,21 +619,16 @@ def pretty_expr(e: Expr, ctx: int = _TERN) -> str:
         if isinstance(v, ArrayDecl):
             return v.name
         return str(v)
-    if isinstance(e, Var):
-        return e.name
+    row = _PRINTED.get(type(e))
+    if row is not None:
+        token, level, chains = row
+        text = (f"{pretty_expr(e.left, level if chains else level + 1)}"
+                f" {token} {pretty_expr(e.right, level + 1)}")
+        return f"({text})" if ctx > level else text
     if isinstance(e, Ternary):
-        text = (f"{pretty_expr(e.cond, _CMP)} ? {pretty_expr(e.then, _TERN)}"
-                f" : {pretty_expr(e.other, _TERN)}")
-        return f"({text})" if ctx > _TERN else text
-    if isinstance(e, Lt):
-        text = f"{pretty_expr(e.left, _ADD)} < {pretty_expr(e.right, _ADD)}"
-        return f"({text})" if ctx > _CMP else text
-    if isinstance(e, Add):
-        text = f"{pretty_expr(e.left, _ADD)} + {pretty_expr(e.right, _BAND)}"
-        return f"({text})" if ctx > _ADD else text
-    if isinstance(e, BitAnd):
-        text = f"{pretty_expr(e.left, _BAND)} & {pretty_expr(e.right, _ATOM)}"
-        return f"({text})" if ctx > _BAND else text
+        text = (f"{pretty_expr(e.cond, _SELECT + 1)} ? {pretty_expr(e.then)}"
+                f" : {pretty_expr(e.other)}")
+        return f"({text})" if ctx > _SELECT else text
     if isinstance(e, Length):
         return f"length({pretty_expr(e.arg)})"
     if isinstance(e, Base):

@@ -56,6 +56,7 @@ from .lang import (
     Length,
     Lit,
     Lt,
+    OPERANDS,
     Policy,
     Protect,
     PtrRead,
@@ -370,6 +371,13 @@ class ConstraintSet:
         return len(self.pairs)
 
 
+# `lang.OPERANDS`, each field with the tag it adds to its atom's path.
+_TAGS = {"left": ".l", "right": ".r", "cond": ".c", "then": ".t",
+         "other": ".e", "arg": ".a"}
+_OPERANDS = {kind: tuple((f, _TAGS[f]) for f in fields)
+             for kind, fields in OPERANDS.items()}
+
+
 def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
     """Emit the def-use constraints of `c`, with the provenance of each sink
     and assignment edge.
@@ -384,7 +392,8 @@ def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
     """
     k = ConstraintSet()
     names, pairs, record = k.names, k.pairs, k.rows.append
-    var, new = k.var, k.expr
+    var, var_ids, new = k.var, k.var_ids, k.expr
+    v1_1 = mode.spectre_v1_1
     repeats: set[tuple[int, int]] = set()  # edges out of variables
 
     def add(src: int, dst: int) -> None:
@@ -399,83 +408,75 @@ def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
             add(src, dst)
             record((rule, cmd, src, dst))
 
-    def expr_atom(e: Expr, path: str):
-        if isinstance(e, Lit):
+    def operand(e: Expr, path: str, tag: str):
+        """The atom of `e` at `path + tag`: its variable's, None for a
+        literal, else a new expression atom after the edges into it."""
+        kind = type(e)
+        if kind is Var:  # no variable has id 0
+            return var_ids.get(e.name) or var(e.name)
+        if kind is Lit:
             return None
-        if isinstance(e, Var):
-            return var(e.name)
-        me = new(path, e, "expr")
-        if isinstance(e, (Add, Lt, BitAnd)):
-            for child, tag in ((e.left, ".l"), (e.right, ".r")):
-                a = expr_atom(child, path + tag)
-                if a is not None:
-                    add(a, me)
-        elif isinstance(e, Ternary):
-            for child, tag in ((e.cond, ".c"), (e.then, ".t"),
-                               (e.other, ".e")):
-                a = expr_atom(child, path + tag)
-                if a is not None:
-                    add(a, me)
-        elif isinstance(e, (Length, Base)):
-            a = expr_atom(e.arg, path + ".a")
-            if a is not None:
-                add(a, me)
-        else:
+        fields = _OPERANDS.get(kind)
+        if fields is None:
             raise LangError(f"cannot abstract {e!r}")
+        path += tag
+        me = new(path, e, "expr")
+        for field, tag in fields:
+            child = getattr(e, field)
+            kind = type(child)
+            if kind is Var:
+                add(var_ids.get(child.name) or var(child.name), me)
+            elif kind is not Lit:
+                pairs.append((operand(child, path, tag), me))
         return me
 
     def rhs_atom(r: Rhs, path: str, cmd: Command):
-        if isinstance(r, Pure):
-            return expr_atom(r.expr, path)
-        if isinstance(r, ArrayRead):
-            flow("Array-Read", cmd, expr_atom(r.index, path + ".idx"), SINK)
-            me = new(path, r, "read")
-            if mode.spectre_v1_1 or not is_constant_in_bounds(r):
-                pairs.append((SOURCE, me))
-            return me
-        if isinstance(r, PtrRead):
-            flow("Ptr-Read", cmd, expr_atom(r.addr, path + ".addr"), SINK)
-            me = new(path, r, "read")
-            if mode.spectre_v1_1 or not is_constant_expr(r.addr):
-                pairs.append((SOURCE, me))
-            return me
-        raise LangError(f"cannot abstract {r!r}")
+        kind = type(r)
+        if kind is Pure:
+            return operand(r.expr, path, ".rhs")
+        if kind is ArrayRead:
+            flow("Array-Read", cmd, operand(r.index, path, ".rhs.idx"), SINK)
+            source = v1_1 or not is_constant_in_bounds(r)
+        elif kind is PtrRead:
+            flow("Ptr-Read", cmd, operand(r.addr, path, ".rhs.addr"), SINK)
+            source = v1_1 or not is_constant_expr(r.addr)
+        else:
+            raise LangError(f"cannot abstract {r!r}")
+        me = new(path + ".rhs", r, "read")
+        if source:
+            pairs.append((SOURCE, me))
+        return me
 
     def store_value(rule: str, cmd: Command, e: Expr, path: str) -> None:
         # stored values are sinks only under the v1.1 rules
-        if mode.spectre_v1_1:
-            flow(rule, cmd, expr_atom(e, path), SINK)
+        if v1_1:
+            flow(rule, cmd, operand(e, path, ".val"), SINK)
         else:
-            expr_atom(e, path)
+            operand(e, path, ".val")
 
     for i, cmd in enumerate(commands(c)):
-        path = f"s{i}"
-        if isinstance(cmd, (Skip, Fail)):
-            continue
-        if isinstance(cmd, (Assign, Protect)):
-            a = rhs_atom(cmd.rhs, path + ".rhs", cmd)
+        kind = type(cmd)
+        if kind is Assign or kind is Protect:
+            a = rhs_atom(cmd.rhs, f"s{i}", cmd)
             if a is None:
                 continue
-            if isinstance(cmd, Protect):
+            if kind is Protect:
                 record(("Protect", cmd, a, var(cmd.target)))
             else:
                 flow("Asgn", cmd, a, var(cmd.target))
-        elif isinstance(cmd, ArrayWrite):
-            flow("Array-Write", cmd, expr_atom(cmd.index, path + ".idx"),
-                 SINK)
-            store_value("Array-Write-Spectre-1.1", cmd, cmd.value,
-                        path + ".val")
-        elif isinstance(cmd, PtrWrite):
-            flow("Ptr-Write", cmd, expr_atom(cmd.addr, path + ".addr"),
-                 SINK)
-            store_value("Ptr-Write-Spectre-1.1", cmd, cmd.value,
-                        path + ".val")
-        elif isinstance(cmd, If):
-            flow("If-Then-Else", cmd, expr_atom(cmd.cond, path + ".c"),
-                 SINK)
-        elif isinstance(cmd, While):
-            flow("While", cmd, expr_atom(cmd.cond, path + ".c"), SINK)
-        else:
+        elif kind is ArrayWrite:
+            path = f"s{i}"
+            flow("Array-Write", cmd, operand(cmd.index, path, ".idx"), SINK)
+            store_value("Array-Write-Spectre-1.1", cmd, cmd.value, path)
+        elif kind is PtrWrite:
+            path = f"s{i}"
+            flow("Ptr-Write", cmd, operand(cmd.addr, path, ".addr"), SINK)
+            store_value("Ptr-Write-Spectre-1.1", cmd, cmd.value, path)
+        elif kind is If:
+            flow("If-Then-Else", cmd, operand(cmd.cond, f"s{i}", ".c"), SINK)
+        elif kind is While:
+            flow("While", cmd, operand(cmd.cond, f"s{i}", ".c"), SINK)
+        elif kind is not Skip and kind is not Fail:
             raise LangError(f"cannot abstract {cmd!r}")
     return k
 
