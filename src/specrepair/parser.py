@@ -565,7 +565,8 @@ class _Parser:
 
     def parse_atom(self) -> Expr:
         """The atom at the current token.  Its literal or variable, made
-        once per spelling, goes into `leaves` for every later one."""
+        once per spelling, goes into `leaves` for every later one:
+        expression nodes are immutable, so occurrences may share one."""
         text = self.tokens[self.pos]
         first = text[:1]
         if "0" <= first <= "9":

@@ -421,13 +421,13 @@ def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
             raise LangError(f"cannot abstract {e!r}")
         path += tag
         me = new(path, e, "expr")
-        for field, tag in fields:
+        for field, sub in fields:
             child = getattr(e, field)
             kind = type(child)
             if kind is Var:
                 add(var_ids.get(child.name) or var(child.name), me)
             elif kind is not Lit:
-                pairs.append((operand(child, path, tag), me))
+                pairs.append((operand(child, path, sub), me))
         return me
 
     def rhs_atom(r: Rhs, path: str, cmd: Command):

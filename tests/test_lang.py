@@ -13,7 +13,9 @@ from specrepair.lang import (
     Assign,
     BitAnd,
     Base,
+    Command,
     EvalError,
+    Expr,
     Fail,
     If,
     Length,
@@ -21,15 +23,13 @@ from specrepair.lang import (
     Lt,
     Protect,
     Pure,
+    Rhs,
     Seq,
     Skip,
     Ternary,
     Var,
     While,
     WORD_MASK,
-    Command,
-    Expr,
-    Rhs,
     check_ssa,
     command_vars,
     commands,
