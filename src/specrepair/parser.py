@@ -137,10 +137,11 @@ RESERVED_WORDS = ("true", "false")
 # The deepest nesting a program may have.  Each `if`/`while` block, each
 # parenthesised or `length`/`base` argument, each `?:` and each `+` or `&`
 # of a chain is one level, counted together, so the AST is at most about
-# twice as deep.  The parser recurses at most four frames per level (a
-# parenthesised operand is `parse_atom`, `parse_nested_expr`, `parse_expr`
-# and `parse_binary`; a chain is one loop) and the expression walkers one
-# or two per AST node, so this keeps them all well inside Python's default
+# twice as deep.  The parser recurses at most five frames per level: in
+# `a < (a < (...))`, where `<` opens no level, each one is `parse_expr`,
+# `parse_binary` of the whole and of `<`'s right operand, `parse_atom` and
+# `parse_nested_expr`.  The expression walkers recurse one or two frames
+# per AST node, so this keeps them all well inside Python's default
 # recursion limit of 1000.
 MAX_NESTING = 64
 
@@ -227,7 +228,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0  # nesting levels open at `pos`
-        self.leaves: dict[str, Expr] = {}  # see `parse_atom`
         self.arrays: dict[str, ArrayDecl] = {}
         self.init_vars: dict[str, Value] = {}
         self.init_cells: dict[int, Value] = {}
@@ -540,11 +540,7 @@ class _Parser:
         operator starts a new chain at the depth the operand started at."""
         tokens = self.tokens
         outer = self.depth
-        e = self.leaves.get(tokens[self.pos])
-        if e is None:
-            e = self.parse_atom()
-        else:
-            self.pos += 1
+        e = self.parse_atom()
         last = 0
         while True:
             row = BINARY.get(tokens[self.pos])
@@ -564,32 +560,26 @@ class _Parser:
         return e
 
     def parse_atom(self) -> Expr:
-        """The atom at the current token.  Its literal or variable, made
-        once per spelling, goes into `leaves` for every later one:
-        expression nodes are immutable, so occurrences may share one."""
         text = self.tokens[self.pos]
         first = text[:1]
         if "0" <= first <= "9":
-            leaf = Lit(self.parse_nat_token())
-        elif first.isalpha() or first == "_":
+            return Lit(self.parse_nat_token())
+        if first.isalpha() or first == "_":
             self.pos += 1
-            if text in ("length", "base"):
-                if not self.at("("):
-                    return Var(text)
+            if text in ("length", "base") and self.at("("):
                 arg = self.parse_nested_expr(self.next())
                 self.expect(")")
                 return Length(arg) if text == "length" else Base(arg)
-            leaf = (Lit(text == "true") if text in RESERVED_WORDS else
-                    Lit(self.arrays[text]) if text in self.arrays else
-                    Var(text))
-        elif text == "(":
+            if text in RESERVED_WORDS:
+                return Lit(text == "true")
+            if text in self.arrays:
+                return Lit(self.arrays[text])
+            return Var(text)
+        if text == "(":
             e = self.parse_nested_expr(self.next())
             self.expect(")")
             return e
-        else:
-            raise self.error("expected an expression")
-        self.leaves[text] = leaf
-        return leaf
+        raise self.error("expected an expression")
 
     # The rule of each statement that a keyword or `*` starts.
     _STATEMENTS = {"skip": parse_skip_or_fail, "fail": parse_skip_or_fail,

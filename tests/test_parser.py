@@ -359,6 +359,23 @@ def test_operator_pairs_print_and_parse_back(outer, inner):
         assert back == Assign("x", Pure(tree))
 
 
+@pytest.mark.parametrize("name, node", [("length", Length), ("base", Base)])
+def test_array_named_like_a_builtin(name, node):
+    """`length` and `base` call the builtin only before `(`; bare, they
+    name a declared array, or else a variable."""
+    decl = ArrayDecl(name, 1, 4, "L")
+    text = (f"array {name} base=1 len=4 label=L;\n"
+            f"x := {name} + 1;\ny := {name}({name}) < {name};\n")
+    program = parse_program(text)
+    arr = Lit(decl)
+    assert program.command == Seq(
+        Assign("x", Pure(Add(arr, Lit(1)))),
+        Assign("y", Pure(Lt(node(arr), arr))))
+    assert parse_program(pretty_program(program)).command == program.command
+    bare = parse_program(f"x := {name} & {name}({name});\n").command
+    assert bare == Assign("x", Pure(BitAnd(Var(name), node(Var(name)))))
+
+
 def test_header_is_the_first_printed_line(corpus):
     # the checkers name a statement by its header alone
     seen = set()
