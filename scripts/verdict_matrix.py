@@ -3,8 +3,9 @@
 case, so that the output of two trees can be compared with `cmp`.
 
 The matrix:
-- the parse of each corpus program, as a SHA-256 of the command's `repr`
-  and its arrays, initial values, policy and warnings;
+- the parse of each corpus program, as a SHA-256 of the command's `repr`,
+  one of the pretty-printed program, which names no node class, and its
+  arrays, initial values, policy and warnings;
 - `pipeline` of each corpus program under the four analysis modes, as its
   report (cut, environment, protect and baseline counts, both verdicts,
   violations, a SHA-256 of the pretty-printed repaired program, one of the
@@ -77,6 +78,7 @@ def graph_sha256(k, mode, cut) -> str:
 
 def parse_record(program) -> dict:
     return {"command_sha256": sha256([repr(program.command)]),
+            "printed_sha256": sha256([pretty_program(program)]),
             "arrays": [[a.name, a.base, a.length, a.label]
                        for a in program.arrays.values()],
             "init_vars": list(program.init_vars.items()),

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from specrepair import machine
-from specrepair.corpus import corpus_names
+from specrepair.corpus import corpus_names, load_program
+from specrepair.parser import pretty_program
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -53,6 +54,12 @@ def test_verdict_matrix(monkeypatch, capsys):
     assert Counter(record["case"][0] for record in records) == \
         {"parse": 2, "pipeline": 2 * 4, "sct": 2 * 2 * 2 * 2 * 2 * 3,
          "exhaustive_runs": 2 * 2 * 2 * 2, "consistency": 2 * 4}
+    # the printed parse names no node class, so it is the digest of the
+    # program's text as `pretty_program` prints it
+    assert {record["case"][1]: record["verdict"]["printed_sha256"]
+            for record in records if record["case"][0] == "parse"} == {
+        name: hashlib.sha256(pretty_program(load_program(name)).encode())
+        .hexdigest() for name in ("skip", "ex1")}
     cuts = {tuple(record["case"][1:]): record["verdict"]["cut"]
             for record in records if record["case"][0] == "pipeline"}
     assert cuts == {("skip", v11, slh): [] for v11 in (False, True)
