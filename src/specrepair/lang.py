@@ -2,9 +2,12 @@
 
 Values are 64-bit unsigned naturals, booleans, or array handles.  Arithmetic
 wraps at the word width, so the all-ones bitmask is an exact unit for `&` and
-the all-zeros mask an exact zero.  The bottom marker (represented as None)
-never appears in source-level states; it only arises in the transient variable
-maps of the speculative machine.
+the all-zeros mask an exact zero.  All binary operators share one node,
+`BinOp`, which holds the operator's token; each operator is one row of
+`BINOPS` and one line of `eval_expr`.  `length(a)` and `base(a)` share one
+node, `ArrayField`.  The bottom marker (represented as None) never appears
+in source-level states; it only arises in the transient variable maps of the
+speculative machine.
 """
 
 from __future__ import annotations
@@ -90,22 +93,25 @@ class Var(Expr):
     name: str
 
 
+# Value kinds, for the static front-end check.
+KIND_NAT = "nat"
+KIND_BOOL = "bool"
+KIND_ARRAY = "array"
+
+
 @dataclass(frozen=True, slots=True)
-class Add(Expr):
+class BinOp(Expr):
+    """`left op right`, where `op` is the operator's source token.  Every
+    operator takes two naturals; `BINOPS` gives the kind of its result and
+    `eval_expr` its value."""
+
+    op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
-class Lt(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class BitAnd(Expr):
-    left: Expr
-    right: Expr
+# The binary operators, each with the kind of its result.
+BINOPS = {"+": KIND_NAT, "&": KIND_NAT, "<": KIND_BOOL}
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,19 +124,19 @@ class Ternary(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Length(Expr):
+class ArrayField(Expr):
+    """`field(arg)`: the `ArrayDecl` attribute `field`, one of
+    `ARRAY_FIELDS`, of the array `arg`."""
+
+    field: str
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
-class Base(Expr):
-    arg: Expr
-
+ARRAY_FIELDS = ("length", "base")
 
 # The operand fields of each compound expression, in source order.
-OPERANDS = {Add: ("left", "right"), Lt: ("left", "right"),
-            BitAnd: ("left", "right"), Ternary: ("cond", "then", "other"),
-            Length: ("arg",), Base: ("arg",)}
+OPERANDS = {BinOp: ("left", "right"), Ternary: ("cond", "then", "other"),
+            ArrayField: ("arg",)}
 
 
 # ---------------------------------------------------------------------------
@@ -359,45 +365,35 @@ def eval_expr(e: Expr, rho: dict) -> Optional[Value]:
             return rho[e.name]
         except KeyError:
             raise EvalError(f"unbound variable {e.name}") from None
-    if kind is Add:
+    if kind is BinOp:
         a = eval_expr(e.left, rho)
         if a is None:
             return None
         b = eval_expr(e.right, rho)
         if b is None:
             return None
-        return (_as_nat(a, "+") + _as_nat(b, "+")) & WORD_MASK
-    if kind is Lt:
-        a = eval_expr(e.left, rho)
-        if a is None:
-            return None
-        b = eval_expr(e.right, rho)
-        if b is None:
-            return None
-        return _as_nat(a, "<") < _as_nat(b, "<")
-    if kind is Length:
+        op = e.op
+        a, b = _as_nat(a, op), _as_nat(b, op)
+        if op == "+":
+            return (a + b) & WORD_MASK
+        if op == "&":
+            return a & b
+        if op == "<":
+            return a < b
+    elif kind is ArrayField:
         a = eval_expr(e.arg, rho)
         if a is None:
             return None
-        return _as_array(a, "length").length
-    if kind is Base:
-        a = eval_expr(e.arg, rho)
-        if a is None:
-            return None
-        return _as_array(a, "base").base
-    if kind is BitAnd:
-        a = eval_expr(e.left, rho)
-        if a is None:
-            return None
-        b = eval_expr(e.right, rho)
-        if b is None:
-            return None
-        return _as_nat(a, "&") & _as_nat(b, "&")
-    if kind is Ternary:
+        if e.field == "length":
+            return _as_array(a, "length").length
+        if e.field == "base":
+            return _as_array(a, "base").base
+    elif kind is Ternary:
         c = eval_expr(e.cond, rho)
         if c is None:
             return None
         return eval_expr(e.then if _as_bool(c, "?:") else e.other, rho)
+    # an operator or array field that the language lacks ends here too
     raise EvalError(f"unknown expression {e!r}")
 
 
@@ -510,22 +506,17 @@ def is_constant_in_bounds(r: ArrayRead) -> bool:
     return is_nat(index) and 0 <= index < r.array.length
 
 
-# Value kinds for the static front-end check.
-KIND_NAT = "nat"
-KIND_BOOL = "bool"
-KIND_ARRAY = "array"
-
-
 def kind_check(c: Command, init_vars: dict[str, Value]) -> list[str]:
     """Best-effort static value-kind check; returns problem descriptions.
 
     Variable kinds come from their declared initial values; assigned-only
     variables are naturals (their default initial value is 0).  Memory cells
     hold naturals, so loads produce naturals and stored values must be
-    naturals.  Arithmetic and comparison work on naturals only, the select
-    condition and branch conditions must be booleans.  Programs built
-    directly as syntax trees may bypass this check; the evaluator still
-    rejects mismatches dynamically.
+    naturals.  Every binary operator takes naturals and gives the kind
+    `BINOPS` names for it; the select condition and branch conditions must
+    be booleans.  Programs built directly as syntax trees may bypass this
+    check, so the evaluator is the backstop: it rejects a mismatched kind,
+    an unknown operator or an unknown array field when it meets one.
     """
     problems: list[str] = []
     kinds: dict[str, str] = {}
@@ -543,12 +534,11 @@ def kind_check(c: Command, init_vars: dict[str, Value]) -> list[str]:
             return KIND_NAT
         if isinstance(e, Var):
             return kinds.get(e.name, KIND_NAT)
-        if isinstance(e, (Add, BitAnd, Lt)):
-            op = {"Add": "+", "BitAnd": "&", "Lt": "<"}[type(e).__name__]
+        if isinstance(e, BinOp) and e.op in BINOPS:
             for side in (e.left, e.right):
                 if expr_kind(side) != KIND_NAT:
-                    problems.append(f"operand of {op} is not a natural")
-            return KIND_BOOL if isinstance(e, Lt) else KIND_NAT
+                    problems.append(f"operand of {e.op} is not a natural")
+            return BINOPS[e.op]
         if isinstance(e, Ternary):
             if expr_kind(e.cond) != KIND_BOOL:
                 problems.append("select condition is not a boolean")
@@ -556,7 +546,7 @@ def kind_check(c: Command, init_vars: dict[str, Value]) -> list[str]:
             if k1 != k2:
                 problems.append("select branches have different kinds")
             return k1
-        if isinstance(e, (Length, Base)):
+        if isinstance(e, ArrayField):
             if expr_kind(e.arg) != KIND_ARRAY:
                 problems.append("length/base argument is not an array")
             return KIND_NAT

@@ -36,21 +36,18 @@ from typing import Iterator, NamedTuple, Optional, Union
 from .lang import (
     ALL_ONES,
     ALL_ZEROS,
-    Add,
+    ArrayField,
     ArrayRead,
     ArrayWrite,
     Assign,
-    Base,
-    BitAnd,
+    BinOp,
     Command,
     EvalError,
     Expr,
     Fail,
     If,
     LangError,
-    Length,
     Lit,
-    Lt,
     Protect,
     PtrRead,
     PtrWrite,
@@ -292,11 +289,11 @@ def step(config: Config,
 
 
 def _array_bounds_check(array, index: Expr) -> Expr:
-    return Lt(index, Length(Lit(array)))
+    return BinOp("<", index, ArrayField("length", Lit(array)))
 
 
 def _array_address(array, index: Expr) -> Expr:
-    return Add(Base(Lit(array)), index)
+    return BinOp("+", ArrayField("base", Lit(array)), index)
 
 
 def _checked_read(head: Assign) -> Command:
@@ -403,7 +400,8 @@ def _protect_expansion(head: Protect, k: int, mode: str) -> Command:
         masked_load = Assign(
             head.target,
             PtrRead(rhs.array.label,
-                    BitAnd(_array_address(rhs.array, rhs.index), Var(mask))))
+                    BinOp("&", _array_address(rhs.array, rhs.index),
+                          Var(mask))))
         return Seq(check, If(Var(mask), Seq(widen, masked_load), Fail()))
     # Hardware flavor: read into a fresh intermediate, then protect it.  The
     # intermediate keeps the rewritten program single-assignment.

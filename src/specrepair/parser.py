@@ -16,10 +16,11 @@ A program file is line-oriented: array and variable declarations first, then
     fail;
 
 Expression grammar, loosest to tightest binding: `e ? e : e` (right
-associative), `e < e` (non-associative), `e + e`, `e & e`; the binary
-operators' precedence lives in one table, `BINARY`.  `length(a)` and
-`base(a)` project array metadata.  Array names used inside expressions
-denote the array handle itself.
+associative), `e < e` (non-associative), `e + e`, `e & e`.  Each binary
+operator is one row of `BINARY`, its level and whether it chains, and
+parses to a `BinOp` that holds its token.  `length(a)` and `base(a)`
+project array metadata.  Array names used inside expressions denote the
+array handle itself.
 
 Lexical rules: a name is a `str.isalpha` character or `_`, then any
 `str.isalnum` characters or `_`; keywords are names.  The reserved words
@@ -45,13 +46,13 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .lang import (
-    Add,
+    ARRAY_FIELDS,
     ArrayDecl,
+    ArrayField,
     ArrayRead,
     ArrayWrite,
     Assign,
-    Base,
-    BitAnd,
+    BinOp,
     Command,
     Expr,
     Fail,
@@ -59,9 +60,7 @@ from .lang import (
     LABEL_PUBLIC,
     LABEL_SECRET,
     LangError,
-    Length,
     Lit,
-    Lt,
     Policy,
     Protect,
     PtrRead,
@@ -145,13 +144,14 @@ RESERVED_WORDS = ("true", "false")
 # recursion limit of 1000.
 MAX_NESTING = 64
 
-# Binary operators, one row each: token -> (level, node class, chains).
-# Levels bind tighter as they grow; the `?:` select is `_SELECT`, looser
+# Binary operators, one row each: token -> (level, chains).  `lang.BINOPS`
+# gives each one's meaning; this gives its syntax.  Levels bind tighter as
+# they grow; the `?:` select is `_SELECT`, looser
 # than all of them.  An operator that chains associates to the left, and
 # each one of a chain is one nesting level.  One that does not, `<`, ends
 # its operand at a second one of its level, so `a < b < c` is an error at
 # the second `<`.  The parser and the printer read precedence from here.
-BINARY = {"<": (1, Lt, False), "+": (2, Add, True), "&": (3, BitAnd, True)}
+BINARY = {"<": (1, False), "+": (2, True), "&": (3, True)}
 _SELECT = 0
 
 
@@ -543,10 +543,11 @@ class _Parser:
         e = self.parse_atom()
         last = 0
         while True:
-            row = BINARY.get(tokens[self.pos])
+            op = tokens[self.pos]
+            row = BINARY.get(op)
             if row is None:
                 break
-            level, node, chains = row
+            level, chains = row
             if level < floor or level == last and not chains:
                 break
             if level != last:
@@ -555,7 +556,7 @@ class _Parser:
             k = self.next()
             if chains:
                 self.nest(k)
-            e = node(e, self.parse_binary(level + 1))
+            e = BinOp(op, e, self.parse_binary(level + 1))
         self.depth = outer
         return e
 
@@ -566,10 +567,10 @@ class _Parser:
             return Lit(self.parse_nat_token())
         if first.isalpha() or first == "_":
             self.pos += 1
-            if text in ("length", "base") and self.at("("):
+            if text in ARRAY_FIELDS and self.at("("):
                 arg = self.parse_nested_expr(self.next())
                 self.expect(")")
-                return Length(arg) if text == "length" else Base(arg)
+                return ArrayField(text, arg)
             if text in RESERVED_WORDS:
                 return Lit(text == "true")
             if text in self.arrays:
@@ -594,11 +595,6 @@ def parse_program(text: str) -> Program:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-# `BINARY` by node class: node class -> (token, level, chains).
-_PRINTED = {node: (token, level, chains)
-            for token, (level, node, chains) in BINARY.items()}
-
-
 def pretty_expr(e: Expr, ctx: int = _SELECT) -> str:
     """`e` as text, in parentheses when it binds looser than level `ctx`."""
     if isinstance(e, Var):
@@ -610,20 +606,17 @@ def pretty_expr(e: Expr, ctx: int = _SELECT) -> str:
         if isinstance(v, ArrayDecl):
             return v.name
         return str(v)
-    row = _PRINTED.get(type(e))
-    if row is not None:
-        token, level, chains = row
+    if isinstance(e, BinOp) and e.op in BINARY:
+        level, chains = BINARY[e.op]
         text = (f"{pretty_expr(e.left, level if chains else level + 1)}"
-                f" {token} {pretty_expr(e.right, level + 1)}")
+                f" {e.op} {pretty_expr(e.right, level + 1)}")
         return f"({text})" if ctx > level else text
     if isinstance(e, Ternary):
         text = (f"{pretty_expr(e.cond, _SELECT + 1)} ? {pretty_expr(e.then)}"
                 f" : {pretty_expr(e.other)}")
         return f"({text})" if ctx > _SELECT else text
-    if isinstance(e, Length):
-        return f"length({pretty_expr(e.arg)})"
-    if isinstance(e, Base):
-        return f"base({pretty_expr(e.arg)})"
+    if isinstance(e, ArrayField) and e.field in ARRAY_FIELDS:
+        return f"{e.field}({pretty_expr(e.arg)})"
     raise LangError(f"cannot print {e!r}")
 
 

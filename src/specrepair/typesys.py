@@ -39,13 +39,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lang import (
-    Add,
     ArrayDecl,
+    ArrayField,
     ArrayRead,
     ArrayWrite,
     Assign,
-    Base,
-    BitAnd,
+    BinOp,
     Command,
     Expr,
     Fail,
@@ -53,9 +52,7 @@ from .lang import (
     LABEL_PUBLIC,
     LABEL_SECRET,
     LangError,
-    Length,
     Lit,
-    Lt,
     OPERANDS,
     Policy,
     Protect,
@@ -131,14 +128,14 @@ def typecheck_ct(policy: Policy, c: Command, arrays: dict[str, ArrayDecl],
             return LABEL_PUBLIC
         if isinstance(e, Var):
             return gv.get(e.name, LABEL_SECRET)
-        if isinstance(e, (Add, Lt, BitAnd)):
+        if isinstance(e, BinOp):
             return label_join(etype(e.left, where), etype(e.right, where))
         if isinstance(e, Ternary):
             if etype(e.cond, where) == LABEL_SECRET:
                 out.append(Violation("Select", where,
                                      "select condition may be secret"))
             return label_join(etype(e.then, where), etype(e.other, where))
-        if isinstance(e, (Length, Base)):
+        if isinstance(e, ArrayField):
             etype(e.arg, where)
             return LABEL_PUBLIC  # array geometry is public
         raise LangError(f"cannot type {e!r}")

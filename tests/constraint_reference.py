@@ -13,19 +13,16 @@ from __future__ import annotations
 from collections import deque
 
 from specrepair.lang import (
-    Add,
+    ArrayField,
     ArrayRead,
     ArrayWrite,
     Assign,
-    Base,
-    BitAnd,
+    BinOp,
     Command,
     Fail,
     If,
     LangError,
-    Length,
     Lit,
-    Lt,
     Protect,
     PtrRead,
     PtrWrite,
@@ -73,11 +70,11 @@ def constraints(c: Command,
         if isinstance(e, Var):
             return VarAtom(e.name)
         me = ExprAtom(path, pretty_expr(e), "expr")
-        if isinstance(e, (Add, Lt, BitAnd)):
+        if isinstance(e, BinOp):
             children = ((e.left, ".l"), (e.right, ".r"))
         elif isinstance(e, Ternary):
             children = ((e.cond, ".c"), (e.then, ".t"), (e.other, ".e"))
-        elif isinstance(e, (Length, Base)):
+        elif isinstance(e, ArrayField):
             children = ((e.arg, ".a"),)
         else:
             raise LangError(f"cannot abstract {e!r}")

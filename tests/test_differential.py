@@ -12,18 +12,19 @@ from hypothesis import given, settings, strategies as st
 from specrepair import machine
 from specrepair.harness import sct_fuzz
 from specrepair.lang import (
-    Add,
+    ARRAY_FIELDS,
+    BINOPS,
+    KIND_BOOL,
+    KIND_NAT,
     ArrayDecl,
+    ArrayField,
     ArrayRead,
     ArrayWrite,
     Assign,
-    Base,
-    BitAnd,
+    BinOp,
     Fail,
     If,
-    Length,
     Lit,
-    Lt,
     Protect,
     PtrRead,
     Policy,
@@ -68,21 +69,25 @@ INITIAL_RHO = {"i0": 0, "i1": 1, "i2": 5, "b0": True,
                **{t: 0 for t in TARGETS}}
 INITIAL_MEM = {0: 0, 1: 3, 2: 0, 4: 7, 5: 1, 6: 2}
 
+# The binary operators that give naturals and those that give booleans.
+NAT_OPS = sorted(op for op, kind in BINOPS.items() if kind == KIND_NAT)
+BOOL_OPS = sorted(op for op, kind in BINOPS.items() if kind == KIND_BOOL)
+
 
 def nat_exprs(depth: int, arrays=(A, C)):
     leaf = st.one_of(
         st.integers(min_value=0, max_value=8).map(Lit),
         st.sampled_from(NAT_VARS + TARGETS).map(Var),
-        st.sampled_from(arrays).map(lambda a: Length(Lit(a))),
-        st.sampled_from(arrays).map(lambda a: Base(Lit(a))),
+        st.tuples(st.sampled_from(ARRAY_FIELDS), st.sampled_from(arrays)).map(
+            lambda t: ArrayField(t[0], Lit(t[1]))),
     )
     if depth <= 0:
         return leaf
     sub = nat_exprs(depth - 1, arrays)
     return st.one_of(
         leaf,
-        st.tuples(sub, sub).map(lambda t: Add(*t)),
-        st.tuples(sub, sub).map(lambda t: BitAnd(*t)),
+        st.tuples(st.sampled_from(NAT_OPS), sub, sub).map(
+            lambda t: BinOp(*t)),
         st.tuples(bool_exprs(depth - 1, arrays), sub, sub).map(
             lambda t: Ternary(*t)),
     )
@@ -93,7 +98,8 @@ def bool_exprs(depth: int, arrays=(A, C)):
     if depth <= 0:
         return leaf
     sub = nat_exprs(depth - 1, arrays)
-    return st.one_of(leaf, st.tuples(sub, sub).map(lambda t: Lt(*t)))
+    return st.one_of(leaf, st.tuples(st.sampled_from(BOOL_OPS), sub, sub).map(
+        lambda t: BinOp(*t)))
 
 
 def rhss():
@@ -189,11 +195,13 @@ def leaky_programs(draw):
 
     def side(low: int, high: int) -> Seq:
         offset = Lit(draw(st.integers(min_value=low, max_value=high)))
-        return Seq(Assign(x, PtrRead("L", Add(Base(Lit(A)), offset))),
-                   Assign(y, PtrRead("L", Add(Var(x), Lit(7)))))
+        address = BinOp("+", ArrayField("base", Lit(A)), offset)
+        return Seq(Assign(x, PtrRead("L", address)),
+                   Assign(y, PtrRead("L", BinOp("+", Var(x), Lit(7)))))
 
     v = draw(st.sampled_from(NAT_VARS + TARGETS[:-2]))
-    check = Lt(BitAnd(Var(v), Lit(1)), Length(Lit(A)))
+    check = BinOp("<", BinOp("&", Var(v), Lit(1)),
+                  ArrayField("length", Lit(A)))
     planted = If(check, Skip(), If(draw(bool_exprs(1, (A,))),
                                    side(0, A.length - 1),
                                    side(A.length, A.length + S.length - 1)))

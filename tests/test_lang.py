@@ -7,20 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from specrepair.lang import (
     ALL_ONES,
-    Add,
+    BINOPS,
+    KIND_BOOL,
+    KIND_NAT,
     ArrayDecl,
+    ArrayField,
     ArrayRead,
     Assign,
-    BitAnd,
-    Base,
+    BinOp,
     Command,
     EvalError,
     Expr,
     Fail,
     If,
-    Length,
+    LangError,
     Lit,
-    Lt,
     Protect,
     Pure,
     Rhs,
@@ -39,6 +40,7 @@ from specrepair.lang import (
     rewrite_statements,
     seq_all,
 )
+from specrepair.parser import pretty_expr
 from specrepair.repair import count_protects, repair
 
 from tests.test_differential import programs
@@ -49,26 +51,27 @@ nats = st.integers(min_value=0, max_value=WORD_MASK)
 
 
 def test_eval_constant_fold():
-    assert eval_expr(Add(Lit(1), Lit(2)), {}) == 3
+    assert eval_expr(BinOp("+", Lit(1), Lit(2)), {}) == 3
 
 
 def test_eval_bottom_propagates():
     assert eval_expr(Var("x"), {"x": None}) is None
-    assert eval_expr(Add(Var("x"), Lit(1)), {"x": None}) is None
+    assert eval_expr(BinOp("+", Var("x"), Lit(1)), {"x": None}) is None
 
 
 def test_eval_base_plus_index():
     # resolving a load address: base(a) + i1 with i1 = 1 and a at base 1
-    assert eval_expr(Add(Base(Lit(A)), Var("i1")), {"i1": 1}) == 2
+    address = BinOp("+", ArrayField("base", Lit(A)), Var("i1"))
+    assert eval_expr(address, {"i1": 1}) == 2
 
 
 def test_eval_bitand_zero_mask():
-    assert eval_expr(BitAnd(Lit(6), Lit(0)), {}) == 0
+    assert eval_expr(BinOp("&", Lit(6), Lit(0)), {}) == 0
 
 
 def test_eval_projections():
-    assert eval_expr(Length(Lit(A)), {}) == 2
-    assert eval_expr(Base(Lit(A)), {}) == 1
+    assert eval_expr(ArrayField("length", Lit(A)), {}) == 2
+    assert eval_expr(ArrayField("base", Lit(A)), {}) == 1
 
 
 def test_eval_ternary_selects_lazily():
@@ -79,35 +82,54 @@ def test_eval_ternary_selects_lazily():
 
 def test_eval_type_errors():
     with pytest.raises(EvalError):
-        eval_expr(Add(Lit(True), Lit(1)), {})
+        eval_expr(BinOp("+", Lit(True), Lit(1)), {})
     with pytest.raises(EvalError):
-        eval_expr(Lt(Lit(True), Lit(False)), {})
+        eval_expr(BinOp("<", Lit(True), Lit(False)), {})
     with pytest.raises(EvalError):
-        eval_expr(Length(Lit(3)), {})
+        eval_expr(ArrayField("length", Lit(3)), {})
     with pytest.raises(EvalError):
         eval_expr(Var("nope"), {})
 
 
+@pytest.mark.parametrize("op", sorted(BINOPS))
+def test_each_operator_gives_its_result_kind(op):
+    value = eval_expr(BinOp(op, Lit(6), Lit(3)), {})
+    assert (KIND_BOOL if type(value) is bool else KIND_NAT) == BINOPS[op]
+
+
+@pytest.mark.parametrize("e", [
+    BinOp("^", Lit(6), Lit(3)), ArrayField("size", Lit(A)),
+    ArrayField("name", Lit(A))])
+def test_unknown_operator_or_field_has_no_value_and_no_text(e):
+    # a hand-built tree may name what the language lacks; nothing computes
+    # or prints a value for it, although `name` is an `ArrayDecl` attribute
+    with pytest.raises(EvalError):
+        eval_expr(e, {})
+    with pytest.raises(LangError):
+        pretty_expr(e)
+
+
 @given(nats)
 def test_bitand_all_ones_is_unit(n):
-    assert eval_expr(BitAnd(Lit(n), Lit(ALL_ONES)), {}) == n
-    assert eval_expr(BitAnd(Lit(ALL_ONES), Lit(n)), {}) == n
+    assert eval_expr(BinOp("&", Lit(n), Lit(ALL_ONES)), {}) == n
+    assert eval_expr(BinOp("&", Lit(ALL_ONES), Lit(n)), {}) == n
 
 
 @given(nats)
 def test_bitand_all_zeros_absorbs(n):
-    assert eval_expr(BitAnd(Lit(n), Lit(0)), {}) == 0
-    assert eval_expr(BitAnd(Lit(0), Lit(n)), {}) == 0
+    assert eval_expr(BinOp("&", Lit(n), Lit(0)), {}) == 0
+    assert eval_expr(BinOp("&", Lit(0), Lit(n)), {}) == 0
 
 
 @given(nats, nats)
 def test_add_wraps_at_word_width(a, b):
-    assert eval_expr(Add(Lit(a), Lit(b)), {}) == (a + b) & WORD_MASK
+    assert eval_expr(BinOp("+", Lit(a), Lit(b)), {}) == (a + b) & WORD_MASK
 
 
 @given(nats, nats, st.booleans())
 def test_eval_total_when_vars_defined(a, b, c):
-    e = Ternary(Var("c"), Add(Var("a"), Var("b")), BitAnd(Var("a"), Var("b")))
+    e = Ternary(Var("c"), BinOp("+", Var("a"), Var("b")),
+                BinOp("&", Var("a"), Var("b")))
     rho = {"a": a, "b": b, "c": c}
     assert eval_expr(e, rho) is not None
     assert eval_expr(e, rho) == eval_expr(e, rho)
@@ -129,7 +151,8 @@ def test_check_ssa_counts_protect_nodes():
 
 def test_check_ssa_loop_body_counts_once():
     # one syntactic assignment inside a loop is fine
-    c = While(Lt(Var("i"), Lit(3)), Assign("x", ArrayRead(A, Var("i"))))
+    c = While(BinOp("<", Var("i"), Lit(3)),
+              Assign("x", ArrayRead(A, Var("i"))))
     assert check_ssa(c) == []
 
 
@@ -190,8 +213,8 @@ def left_nested(prefix: str):
                Assign(z, Pure(Var(y))))
 
 
-NESTED = If(Lt(Var("i"), Lit(2)),
-            While(Lt(Var("i"), Lit(1)), left_nested("a")),
+NESTED = If(BinOp("<", Var("i"), Lit(2)),
+            While(BinOp("<", Var("i"), Lit(1)), left_nested("a")),
             left_nested("b"))
 
 
@@ -260,7 +283,8 @@ def test_command_equality_is_structural():
     assert NESTED == If(NESTED.cond, NESTED.then, left_nested("b"))
     assert hash(NESTED) == hash(If(NESTED.cond, NESTED.then,
                                    left_nested("b")))
-    assert NESTED != If(Lt(Var("i"), Lit(3)), NESTED.then, NESTED.other)
+    assert NESTED != If(BinOp("<", Var("i"), Lit(3)), NESTED.then,
+                        NESTED.other)
     assert NESTED != If(NESTED.cond, NESTED.other, NESTED.then)
     # the same leaves nested the other way are another program
     a, b, c = (Assign(x, Pure(Lit(0))) for x in "abc")
@@ -283,8 +307,9 @@ def test_command_equality_hash_and_repr_on_long_programs(nesting):
             chain = leaves[0]
             for leaf in leaves[1:]:
                 chain = Seq(chain, leaf)
-        return While(Lt(Var("i"), Lit(1)), If(Var("b"), chain, Skip())), \
-            leaves
+        loop = While(BinOp("<", Var("i"), Lit(1)),
+                     If(Var("b"), chain, Skip()))
+        return loop, leaves
 
     first, leaves = program(Skip())
     second, _ = program(Skip())
@@ -296,7 +321,7 @@ def test_command_equality_hash_and_repr_on_long_programs(nesting):
             "Seq(first=" * (len(leaves) - 1) + repr(leaves[0])
             + "".join(f", second={leaf!r})" for leaf in leaves[1:]))
     assert repr(first) == (
-        "While(cond=Lt(left=Var(name='i'), right=Lit(value=1)), "
+        "While(cond=BinOp(op='<', left=Var(name='i'), right=Lit(value=1)), "
         f"body=If(cond=Var(name='b'), then={body}, other=Skip()))")
 
 

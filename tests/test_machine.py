@@ -9,18 +9,15 @@ from specrepair.corpus import load_program, schedule_path
 from specrepair.lang import (
     ALL_ONES,
     ALL_ZEROS,
-    Add,
     ArrayDecl,
+    ArrayField,
     ArrayRead,
     Assign,
-    Base,
-    BitAnd,
+    BinOp,
     Fail,
     If,
     LangError,
-    Length,
     Lit,
-    Lt,
     Protect,
     PtrRead,
     Pure,
@@ -210,7 +207,7 @@ def test_load_blocked_by_pending_store():
 
 def test_protect_two_stage_and_guard_blocking():
     c = Assign("x", Pure(Lit(0)))
-    program = If(Var("b"), Protect("y", Pure(Add(Var("x"), Lit(1)))), c)
+    program = If(Var("b"), Protect("y", Pure(BinOp("+", Var("x"), Lit(1)))), c)
     cfg = initial_config(program, {0: 0}, {"b": True, "x": 4, "y": 0})
     cfg, _ = step(cfg, FetchBranch(True))
     cfg, _ = step(cfg, Fetch())
@@ -379,7 +376,7 @@ def test_sequential_schedule_skip():
 
 
 def test_sequential_schedule_assignment():
-    c = Assign("x", Pure(Add(Var("y"), Lit(1))))
+    c = Assign("x", Pure(BinOp("+", Var("y"), Lit(1))))
     assert sequential_schedule(c, {0: 0}, {"x": 0, "y": 2}) == \
         [Fetch(), Exec(1), Retire()]
     # a literal assignment is fetched already resolved; nothing to execute
@@ -1103,9 +1100,11 @@ def test_lower_protects_slh_masks_an_array_read():
     c = Protect("x", ArrayRead(A, Var("i")))
     mask = Var(".m0")
     widen = Assign(".m0", Pure(Ternary(mask, Lit(ALL_ONES), Lit(ALL_ZEROS))))
-    load = Assign("x", PtrRead("L", BitAnd(Add(Base(Lit(A)), Var("i")), mask)))
+    address = BinOp("+", ArrayField("base", Lit(A)), Var("i"))
+    load = Assign("x", PtrRead("L", BinOp("&", address, mask)))
+    check = BinOp("<", Var("i"), ArrayField("length", Lit(A)))
     assert lower_protects(c, MODE_SLH) == Seq(
-        Assign(".m0", Pure(Lt(Var("i"), Length(Lit(A))))),
+        Assign(".m0", Pure(check)),
         If(mask, Seq(widen, load), Fail()))
 
 

@@ -1,22 +1,23 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from specrepair import lang
 from specrepair.lang import (
-    Add,
+    ARRAY_FIELDS,
+    BINOPS,
     ArrayDecl,
+    ArrayField,
     ArrayRead,
     ArrayWrite,
     Assign,
-    Base,
-    BitAnd,
+    BinOp,
     Fail,
     If,
-    Length,
     Lit,
-    Lt,
     Policy,
     Protect,
     PtrRead,
@@ -30,6 +31,7 @@ from specrepair.lang import (
     seq_all,
 )
 from specrepair.parser import (
+    BINARY,
     MAX_NESTING,
     ParseError,
     Program,
@@ -261,12 +263,11 @@ def exprs(depth: int):
     sub = exprs(depth - 1)
     return st.one_of(
         leaf,
-        st.tuples(sub, sub).map(lambda t: Add(*t)),
-        st.tuples(sub, sub).map(lambda t: Lt(*t)),
-        st.tuples(sub, sub).map(lambda t: BitAnd(*t)),
+        st.tuples(st.sampled_from(sorted(BINARY)), sub, sub).map(
+            lambda t: BinOp(*t)),
         st.tuples(sub, sub, sub).map(lambda t: Ternary(*t)),
-        sub.map(Length),
-        sub.map(Base),
+        st.tuples(st.sampled_from(ARRAY_FIELDS), sub).map(
+            lambda t: ArrayField(*t)),
     )
 
 
@@ -334,7 +335,6 @@ def test_roundtrip_corpus(corpus):
 
 # Every ordered pair of binary operators, nested left and nested right,
 # printed with the parentheses precedence and associativity need.
-OPERATORS = {"<": Lt, "+": Add, "&": BitAnd}
 NESTED_PAIRS = {
     ("<", "<"): ("(a < b) < c", "a < (b < c)"),
     ("<", "+"): ("a + b < c", "a < b + c"),
@@ -348,19 +348,26 @@ NESTED_PAIRS = {
 }
 
 
+def test_operator_tables_agree():
+    # the parser's rows and the language's meanings name the same
+    # operators, and every ordered pair of them has its printing pinned
+    assert BINARY.keys() == BINOPS.keys()
+    assert NESTED_PAIRS.keys() == set(itertools.product(BINARY, repeat=2))
+
+
 @pytest.mark.parametrize("outer, inner", sorted(NESTED_PAIRS))
 def test_operator_pairs_print_and_parse_back(outer, inner):
     a, b, c = Var("a"), Var("b"), Var("c")
-    make, nested = OPERATORS[outer], OPERATORS[inner]
-    trees = (make(nested(a, b), c), make(a, nested(b, c)))
+    trees = (BinOp(outer, BinOp(inner, a, b), c),
+             BinOp(outer, a, BinOp(inner, b, c)))
     for tree, text in zip(trees, NESTED_PAIRS[(outer, inner)]):
         assert pretty_expr(tree) == text
         back = parse_program(f"x := {text};\n").command
         assert back == Assign("x", Pure(tree))
 
 
-@pytest.mark.parametrize("name, node", [("length", Length), ("base", Base)])
-def test_array_named_like_a_builtin(name, node):
+@pytest.mark.parametrize("name", ARRAY_FIELDS)
+def test_array_named_like_a_builtin(name):
     """`length` and `base` call the builtin only before `(`; bare, they
     name a declared array, or else a variable."""
     decl = ArrayDecl(name, 1, 4, "L")
@@ -369,11 +376,12 @@ def test_array_named_like_a_builtin(name, node):
     program = parse_program(text)
     arr = Lit(decl)
     assert program.command == Seq(
-        Assign("x", Pure(Add(arr, Lit(1)))),
-        Assign("y", Pure(Lt(node(arr), arr))))
+        Assign("x", Pure(BinOp("+", arr, Lit(1)))),
+        Assign("y", Pure(BinOp("<", ArrayField(name, arr), arr))))
     assert parse_program(pretty_program(program)).command == program.command
     bare = parse_program(f"x := {name} & {name}({name});\n").command
-    assert bare == Assign("x", Pure(BitAnd(Var(name), node(Var(name)))))
+    assert bare == Assign(
+        "x", Pure(BinOp("&", Var(name), ArrayField(name, Var(name)))))
 
 
 def test_header_is_the_first_printed_line(corpus):

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from specrepair import machine as m
 from specrepair.lang import (
-    Add,
     ArrayDecl,
+    ArrayField,
     ArrayRead,
     ArrayWrite,
     Assign,
-    Base,
-    BitAnd,
+    BinOp,
     Command,
     Expr,
     Fail,
@@ -37,9 +36,7 @@ from specrepair.lang import (
     LABEL_PUBLIC,
     LABEL_SECRET,
     LangError,
-    Length,
     Lit,
-    Lt,
     Policy,
     Protect,
     PtrRead,
@@ -99,7 +96,7 @@ def transient_expr_type(e: Expr, gamma: dict[str, str]) -> str:
         if e.name not in gamma:
             raise LangError(f"no flow type for variable {e.name!r}")
         return gamma[e.name]
-    if isinstance(e, (Add, Lt, BitAnd)):
+    if isinstance(e, BinOp):
         return flow_join(transient_expr_type(e.left, gamma),
                          transient_expr_type(e.right, gamma))
     if isinstance(e, Ternary):
@@ -109,7 +106,7 @@ def transient_expr_type(e: Expr, gamma: dict[str, str]) -> str:
             transient_expr_type(e.cond, gamma),
             flow_join(transient_expr_type(e.then, gamma),
                       transient_expr_type(e.other, gamma)))
-    if isinstance(e, (Length, Base)):
+    if isinstance(e, ArrayField):
         return transient_expr_type(e.arg, gamma)
     raise LangError(f"cannot type {e!r}")
 
@@ -158,7 +155,8 @@ def _transient_rhs(r: Rhs, gamma, mode: Mode, where,
 
 
 def _is_mask_hardened(addr: Expr) -> bool:
-    return (isinstance(addr, BitAnd) and isinstance(addr.right, Var)
+    return (isinstance(addr, BinOp) and addr.op == "&"
+            and isinstance(addr.right, Var)
             and m.is_reserved_name(addr.right.name))
 
 
@@ -490,7 +488,7 @@ def _ct_expr_label(e: Expr, gv: dict[str, str]) -> str:
         return LABEL_PUBLIC
     if isinstance(e, Var):
         return gv.get(e.name, LABEL_SECRET)
-    if isinstance(e, (Add, Lt, BitAnd)):
+    if isinstance(e, BinOp):
         return label_join(_ct_expr_label(e.left, gv),
                           _ct_expr_label(e.right, gv))
     if isinstance(e, Ternary):
@@ -498,7 +496,7 @@ def _ct_expr_label(e: Expr, gv: dict[str, str]) -> str:
             _ct_expr_label(e.cond, gv),
             label_join(_ct_expr_label(e.then, gv),
                        _ct_expr_label(e.other, gv)))
-    if isinstance(e, (Length, Base)):
+    if isinstance(e, ArrayField):
         return LABEL_PUBLIC
     raise LangError(f"cannot label {e!r}")
 
