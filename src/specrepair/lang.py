@@ -474,8 +474,9 @@ def check_ssa(c: Command) -> list[str]:
     unique syntactic node, so that is the granularity that matters.
     """
     counts: dict[str, int] = {}
-    for target, _rhs, _prot in assignments(c):
-        counts[target] = counts.get(target, 0) + 1
+    for cmd in commands(c):
+        if type(cmd) is Assign or type(cmd) is Protect:
+            counts[cmd.target] = counts.get(cmd.target, 0) + 1
     return [x for x, n in counts.items() if n > 1]
 
 
