@@ -146,11 +146,11 @@ MAX_NESTING = 64
 
 # Binary operators, one row each: token -> (level, chains).  `lang.BINOPS`
 # gives each one's meaning; this gives its syntax.  Levels bind tighter as
-# they grow; the `?:` select is `_SELECT`, looser
-# than all of them.  An operator that chains associates to the left, and
-# each one of a chain is one nesting level.  One that does not, `<`, ends
-# its operand at a second one of its level, so `a < b < c` is an error at
-# the second `<`.  The parser and the printer read precedence from here.
+# they grow; the `?:` select is `_SELECT`, looser than all of them.  An
+# operator that chains associates to the left, and each one of a chain is
+# one nesting level.  One that does not, `<`, ends its operand at a second
+# one of its level, so `a < b < c` is an error at the second `<`.  The
+# parser and the printer read precedence from here.
 BINARY = {"<": (1, False), "+": (2, True), "&": (3, True)}
 _SELECT = 0
 
@@ -594,6 +594,7 @@ def parse_program(text: str) -> Program:
 # ---------------------------------------------------------------------------
 # Pretty printer
 # ---------------------------------------------------------------------------
+
 
 def pretty_expr(e: Expr, ctx: int = _SELECT) -> str:
     """`e` as text, in parentheses when it binds looser than level `ctx`."""
