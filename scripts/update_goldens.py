@@ -35,6 +35,8 @@ GOLDEN_COMMANDS = {
     "fuzz_sct_exhaustive": ["fuzz-sct", "--schedules", "exhaustive",
                             "--pairs", "2", "--seed", "7", "--json"],
     "graph": ["graph", "--json"],
+    "consistency": ["consistency", "--schedules", "30", "--seed", "3",
+                    "--json"],
 }
 
 
