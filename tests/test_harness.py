@@ -27,6 +27,7 @@ from specrepair.machine import (
 )
 from specrepair.parser import parse_program
 from specrepair.repair import pipeline
+from specrepair.seq import SeqRead
 from specrepair.typesys import Mode
 
 
@@ -154,6 +155,52 @@ def test_consistency_walks_reuse_the_sweep(corpus, mode, monkeypatch):
         assert report.ok and report.schedules > 30, name
         assert steps == alone, (name, len(steps), len(alone))
     assert swept == 13
+
+
+def _faulty_sequential(fault):
+    """`harness.run_sequential` with its result made to differ from every
+    speculative run: one memory cell changed, or one read added."""
+    plain = harness.run_sequential
+
+    def faulty(*args, **kwargs):
+        result = plain(*args, **kwargs)
+        if fault == "memory":
+            return dataclasses.replace(
+                result, mem={**result.mem, 0: result.mem.get(0, 0) + 1})
+        return dataclasses.replace(result, trace=[*result.trace, SeqRead(1)])
+    return faulty
+
+
+@pytest.mark.parametrize("name", ["if_branch", "ex1"])
+@pytest.mark.parametrize("fault, detail", [
+    ("memory", "final state differs from the sequential run"),
+    ("read", "filtered trace is not a permutation of the sequential trace"),
+])
+def test_consistency_reports_every_inconsistent_run(name, fault, detail,
+                                                    monkeypatch):
+    # `if_branch` is swept and walked, `ex1` only walked; against a wrong
+    # sequential run every schedule fails, each with its own directives
+    program = load_program(name)
+    monkeypatch.setattr(harness, "run_sequential", _faulty_sequential(fault))
+    seed, walks = 2, 10
+    report = consistency_suite([(name, program)], walks, seed=seed)
+    command = lower_protects(program.command, MODE_HW)
+    mem, rho = program.initial_memory(), program.initial_var_map()
+    swept = exhaustive_runs(StateGraph(command, mem, rho)) or []
+    assert bool(swept) == (name == "if_branch")
+    rng = random.Random(f"consistency:{seed}:{name}")
+    walked = [run for run in (random_schedule(command, mem, rho, rng=rng)
+                              for _ in range(4 * walks)) if run][:walks]
+    assert len(walked) == walks
+    assert report.checked == 1
+    assert report.schedules == len(report.failures) == len(swept) + walks
+    assert [f.directives for f in report.failures] == \
+        [run.directives for run in swept + walked]
+    assert {(f.program, f.seed, f.detail) for f in report.failures} == \
+        {(name, seed, detail)}
+    for failure in report.failures:
+        replay = run_schedule(command, mem, rho, failure.directives)
+        assert replay.ok and replay.config.terminal
 
 
 def test_divergent_stuckness_is_a_violation():
