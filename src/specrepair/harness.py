@@ -8,25 +8,24 @@ reported counterexample replays exactly.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional
 
 from .lang import Policy, Value
 from .machine import (
-    CompletedRun,
     EXHAUSTIVE_MAX_LEN,
     EXHAUSTIVE_MAX_SCHEDULES,
     MODE_HW,
+    RESERVED_PREFIX,
     WALK_MAX_LEN,
     StateGraph,
     _count_space,
     exhaustive_runs,
-    filter_trace,
     format_directive,
-    is_reserved_name,
     lower_protects,
+    observation_counts,
+    path_observations,
     unwind,
 )
 from .parser import Program
@@ -238,25 +237,19 @@ class ConsistencyReport:
 
 
 def _source_vars(rho: dict[str, Value]) -> dict[str, Value]:
-    return {x: v for x, v in rho.items() if not is_reserved_name(x)}
+    return {x: v for x, v in rho.items() if not x.startswith(RESERVED_PREFIX)}
 
 
-def check_consistency_run(name: str, run: CompletedRun, seq_side: tuple,
-                          seed: int, report: ConsistencyReport) -> None:
-    """Check one speculative run against `seq_side`: the sequential run's
-    memory, its `_source_vars` and the `Counter` of its filtered trace."""
-    report.schedules += 1
-    seq_mem, seq_vars, seq_counts = seq_side
-    if run.config.mem != seq_mem \
-            or _source_vars(run.config.vars) != seq_vars:
-        report.failures.append(ConsistencyFailure(
-            name, run.directives, seed,
-            "final state differs from the sequential run"))
-        return
-    if Counter(filter_trace(run.trace)) != seq_counts:
-        report.failures.append(ConsistencyFailure(
-            name, run.directives, seed,
-            "filtered trace is not a permutation of the sequential trace"))
+def _inconsistency(config, observations, expected: tuple) -> Optional[str]:
+    """Why a complete run, ending in `config` with `observations` in any
+    order, disagrees with `expected`, the sequential run's memory, source
+    variables and `observation_counts`; None if it agrees."""
+    mem, source_vars, counts = expected
+    if config.mem != mem or _source_vars(config.vars) != source_vars:
+        return "final state differs from the sequential run"
+    if observation_counts(observations) != counts:
+        return "filtered trace is not a permutation of the sequential trace"
+    return None
 
 
 def consistency_suite(programs: list[tuple[str, Program]],
@@ -272,23 +265,39 @@ def consistency_suite(programs: list[tuple[str, Program]],
     (`exhaustive_runs`, which counts the space before it enumerates any
     schedule, so a space that does not fit costs only the count).  Then it
     is sampled by random walks of at most `machine.WALK_MAX_LEN` directives
-    on the graph that the count stepped."""
+    on the graph that the count stepped; where the sequential schedule is
+    longer than that, no walk can complete and none is made.
+
+    A run is checked on its terminal configuration and on
+    `machine.observation_counts` of its observations, taken from a walk's
+    path links as they come, against the same count of the sequential
+    trace, made once per program.  A failure's directives are unwound
+    from its path only when it is reported."""
     report = ConsistencyReport()
     for name, program in programs:
-        seq_result = run_sequential(program.command, program.initial_memory(),
-                                    program.initial_var_map(), budget=budget)
-        seq_side = (seq_result.mem, _source_vars(seq_result.vars),
-                    Counter(filter_trace(seq_result.trace)))
+        mem, rho = program.initial_memory(), program.initial_var_map()
+        seq_result = run_sequential(program.command, mem, rho, budget=budget)
+        expected = (seq_result.mem, _source_vars(seq_result.vars),
+                    observation_counts(seq_result.trace))
         report.checked += 1
-        graph = StateGraph(lower_protects(program.command, mode),
-                           program.initial_memory(), program.initial_var_map())
+        graph = StateGraph(lower_protects(program.command, mode), mem, rho)
         for run in exhaustive_runs(graph) or ():
-            check_consistency_run(name, run, seq_side, seed, report)
+            report.schedules += 1
+            detail = _inconsistency(run.config, run.trace, expected)
+            if detail:
+                report.failures.append(ConsistencyFailure(
+                    name, run.directives, seed, detail))
+        if graph._too_long(WALK_MAX_LEN):
+            continue
         rng = random.Random(f"consistency:{seed}:{name}")
         walks = (graph.walk(rng, WALK_MAX_LEN)
                  for _ in range(4 * per_program_schedules))
-        complete = (CompletedRun(*unwind(path), config)
-                    for config, path in walks if config.terminal)
-        for run in islice(complete, per_program_schedules):
-            check_consistency_run(name, run, seq_side, seed, report)
+        complete = ((config, path) for config, path in walks
+                    if config.terminal)
+        for config, path in islice(complete, per_program_schedules):
+            report.schedules += 1
+            detail = _inconsistency(config, path_observations(path), expected)
+            if detail:
+                report.failures.append(ConsistencyFailure(
+                    name, unwind(path)[0], seed, detail))
     return report

@@ -67,11 +67,11 @@ MODE_HW = "hw"
 MODE_SLH = "slh"
 
 # Machine-generated temporaries use names no source program can contain.
-_TMP_PREFIX = "."
+RESERVED_PREFIX = "."
 
 
 def is_reserved_name(name: str) -> bool:
-    return name.startswith(_TMP_PREFIX)
+    return name.startswith(RESERVED_PREFIX)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +393,7 @@ def _protect_expansion(head: Protect, k: int, mode: str) -> Command:
         # Expand to bounds-check code that masks the load address: the load
         # cannot execute before the mask resolves, and a mispredicted
         # out-of-bounds access reads the reserved address 0.
-        mask = f"{_TMP_PREFIX}m{k}"
+        mask = f"{RESERVED_PREFIX}m{k}"
         check = Assign(mask, Pure(_array_bounds_check(rhs.array, rhs.index)))
         widen = Assign(mask, Pure(Ternary(Var(mask), Lit(ALL_ONES),
                                           Lit(ALL_ZEROS))))
@@ -405,7 +405,7 @@ def _protect_expansion(head: Protect, k: int, mode: str) -> Command:
         return Seq(check, If(Var(mask), Seq(widen, masked_load), Fail()))
     # Hardware flavor: read into a fresh intermediate, then protect it.  The
     # intermediate keeps the rewritten program single-assignment.
-    tmp = f"{_TMP_PREFIX}t{k}"
+    tmp = f"{RESERVED_PREFIX}t{k}"
     return Seq(Assign(tmp, rhs), Protect(head.target, Pure(Var(tmp))))
 
 
@@ -765,6 +765,17 @@ def unwind(path) -> tuple[tuple, tuple]:
     return tuple(reversed(directives)), tuple(reversed(trace))
 
 
+def path_observations(path) -> list:
+    """The observations along a `StateGraph` path but its silent steps,
+    last first."""
+    observations = []
+    while path is not None:
+        path, _d, obs = path
+        if obs is not SILENT:
+            observations.append(obs)
+    return observations
+
+
 def _retired_ids(config: Config, ids: tuple, writes: dict) -> tuple:
     """The (memory, variables) ids of `config` after it retires its head.
 
@@ -885,6 +896,8 @@ class StateGraph:
         self._writes: dict = {}  # see `_retired_ids`
         self._codes: dict = {}  # see `_code`
         self._nodes: dict = {}  # key -> kept node
+        # (sequential schedule's length, True), or (a lower bound, False)
+        self._sequential_length = 0, False
         config = initial_config(c, mem, rho)
         self._root = _Node(config, (0, 0), _config_key(
             config, (0, 0), _NO_PARENT, self._codes))
@@ -929,14 +942,21 @@ class StateGraph:
         return node.out and node.out[i] or self._step(node, i)
 
     def _too_long(self, max_len: int) -> bool:
-        """Whether no schedule fits `max_len`: the sequential one does not."""
-        root = self._root.config
-        try:
-            sequential_schedule(root.stack[0], root.mem, root.vars,
-                                budget=max_len)
-        except LangError as error:  # any other: no sequential run to bound by
-            return isinstance(error, BudgetExceeded)
-        return False
+        """Whether no schedule fits `max_len`: the sequential one does not.
+        The sequential schedule is run once, and again only to count past
+        a bound it has already exceeded."""
+        length, exact = self._sequential_length
+        if not exact and length <= max_len:
+            root = self._root.config
+            try:
+                self._sequential_length = len(sequential_schedule(
+                    root.stack[0], root.mem, root.vars, budget=max_len)), True
+            except BudgetExceeded:
+                self._sequential_length = max_len + 1, False
+            except LangError:  # no sequential run to bound by
+                self._sequential_length = 0, True
+            length = self._sequential_length[0]
+        return length > max_len
 
     def walk(self, rng: random.Random, max_len: int) -> tuple:
         """(configuration, path, as `schedules` gives it) of a random walk
@@ -1082,30 +1102,66 @@ def random_schedule(c: Command, mem, rho, *, rng: random.Random,
 # ---------------------------------------------------------------------------
 
 
+def _surviving(observations) -> list:
+    """The observations that filtering keeps, as they are and in their
+    order: all but silent steps, rollbacks, and the reads and writes
+    pending on a prediction that a rollback or a fail squashes.  The
+    squashed predictions are taken from all of `observations`, so a read
+    is dropped wherever in them its rollback stands."""
+    squashed: set[int] = set()
+    kept: list = []
+    for o in observations:
+        kind = type(o)
+        if kind is Silent:
+            continue
+        if kind is RollbackObs or kind is FailObs:
+            squashed.add(o.pred)
+            if kind is RollbackObs:
+                continue
+        kept.append(o)
+    if squashed:
+        kept = [o for o in kept if type(o) is not ReadObs
+                and type(o) is not WriteObs or squashed.isdisjoint(o.pending)]
+    return kept
+
+
 def filter_trace(trace) -> list:
     """Project a speculative trace onto its architectural content: rollbacks
     vanish, reads and writes pending on a rolled-back or failed prediction
     vanish, fail identifiers are erased, and silent steps are dropped.
     Already-filtered (sequential) observations pass through unchanged."""
-    squashed: set[int] = set()
-    for o in trace:
-        if isinstance(o, (RollbackObs, FailObs)):
-            squashed.add(o.pred)
     out: list = []
-    for o in trace:
-        if isinstance(o, Silent) or isinstance(o, RollbackObs):
-            continue
-        if isinstance(o, FailObs):
-            out.append(SeqFail())
-        elif isinstance(o, ReadObs):
-            if not squashed.intersection(o.pending):
-                out.append(SeqRead(o.addr))
-        elif isinstance(o, WriteObs):
-            if not squashed.intersection(o.pending):
-                out.append(SeqWrite(o.addr))
-        else:
-            out.append(o)
+    for o in _surviving(trace):
+        kind = type(o)
+        if kind is ReadObs:
+            o = SeqRead(o.addr)
+        elif kind is WriteObs:
+            o = SeqWrite(o.addr)
+        elif kind is FailObs:
+            o = SeqFail()
+        out.append(o)
     return out
+
+
+# The kind of each read and write `observation_counts` counts, speculative
+# or sequential; a fail counts under the one key `FAIL_KEY`.
+_COUNTED_KINDS = {ReadObs: "read", SeqRead: "read", WriteObs: "write",
+                  SeqWrite: "write"}
+FAIL_KEY = ("fail", None)
+
+
+def observation_counts(observations) -> dict:
+    """The filtered trace of `observations`, given in any order, as a
+    multiset: how often each (`"read"` or `"write"`, address) survives
+    filtering, and each fail, under `FAIL_KEY`.  Two traces count equal
+    exactly when their filtered traces are permutations of each other."""
+    counts: dict = {}
+    for o in _surviving(observations):
+        kind = type(o)
+        key = FAIL_KEY if kind is FailObs or kind is SeqFail \
+            else (_COUNTED_KINDS[kind], o.addr)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def traces_equivalent(t1, t2) -> bool:

@@ -142,6 +142,16 @@ def test_consistency_walks_reuse_the_sweep(corpus, mode, monkeypatch):
         return plain_step(config, d, *rest)
 
     monkeypatch.setattr(machine, "step", counted)
+    # and the graph runs its sequential schedule once, for the count, the
+    # search and the walks
+    sequential = []
+    plain_sequential = machine.sequential_schedule
+
+    def counted_sequential(*args, **kwargs):
+        sequential.append(args)
+        return plain_sequential(*args, **kwargs)
+
+    monkeypatch.setattr(machine, "sequential_schedule", counted_sequential)
     swept = 0
     for name, program in corpus:
         steps.clear()
@@ -150,10 +160,11 @@ def test_consistency_walks_reuse_the_sweep(corpus, mode, monkeypatch):
                                       program.initial_var_map())) is None:
             continue
         swept += 1
-        alone, steps[:] = list(steps), []
+        alone, steps[:], sequential[:] = list(steps), [], []
         report = consistency_suite([(name, program)], 30, seed=0, mode=mode)
         assert report.ok and report.schedules > 30, name
         assert steps == alone, (name, len(steps), len(alone))
+        assert len(sequential) == 1, name
     assert swept == 13
 
 

@@ -13,8 +13,9 @@ import json
 import pytest
 
 from specrepair.cli import main
-from specrepair.harness import sct_fuzz
+from specrepair.harness import ConsistencyReport, consistency_suite, sct_fuzz
 from specrepair.lang import check_ssa, kind_check
+from specrepair.machine import WALK_MAX_LEN, StateGraph
 from specrepair.parser import ParseError, parse_program, pretty_program
 from specrepair.repair import pipeline
 from specrepair.typesys import Mode, typecheck_ct
@@ -85,6 +86,29 @@ def test_exhaustive_sct_of_a_long_untaken_branch():
                             "} else {\n  skip;\n}\n")
     result = sct_fuzz(program, schedules="exhaustive", pairs=1, seed=1)
     assert (result.passed, result.trials) == (True, 75)
+
+
+def test_consistency_makes_no_walk_that_cannot_complete(monkeypatch):
+    # no complete schedule is shorter than the sequential one, which here is
+    # longer than a walk: the suite walks nowhere, and reports what its
+    # walks would have given
+    program = parse_program(long_program_text())
+    walks = []
+    plain_walk, plain_too_long = StateGraph.walk, StateGraph._too_long
+
+    def counted(self, *args):
+        walks.append(args)
+        return plain_walk(self, *args)
+    monkeypatch.setattr(StateGraph, "walk", counted)
+    report = consistency_suite([("long", program)], 3, seed=1)
+    assert walks == []
+    assert report == ConsistencyReport(checked=1, schedules=0)
+
+    monkeypatch.setattr(StateGraph, "_too_long", lambda self, max_len:
+                        max_len != WALK_MAX_LEN and plain_too_long(self,
+                                                                   max_len))
+    assert consistency_suite([("long", program)], 3, seed=1) == report
+    assert len(walks) == 4 * 3
 
 
 @pytest.mark.parametrize("bad", [0, 9_999], ids=["first", "last"])

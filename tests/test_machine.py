@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from specrepair import machine
-from specrepair.corpus import load_program, schedule_path
+from specrepair.corpus import corpus_names, load_program, schedule_path
 from specrepair.lang import (
     ALL_ONES,
     ALL_ZEROS,
@@ -31,6 +32,7 @@ from specrepair.machine import (
     AssignI,
     CompletedRun,
     Config,
+    FAIL_KEY,
     Exec,
     FailInstr,
     FailObs,
@@ -58,7 +60,9 @@ from specrepair.machine import (
     format_observation,
     initial_config,
     lower_protects,
+    observation_counts,
     parse_schedule,
+    path_observations,
     pending_ids,
     random_schedule,
     run_schedule,
@@ -951,6 +955,58 @@ def test_filter_erases_fail_ids():
 def test_filter_fail_taints_pending_reads():
     trace = [ReadObs(2, (4,)), FailObs(4)]
     assert filter_trace(trace) == [SeqFail()]
+
+
+def _keyed(filtered) -> Counter:
+    """A filtered trace as the multiset `observation_counts` makes of it."""
+    return Counter(FAIL_KEY if type(o) is SeqFail else
+                   ("read" if type(o) is SeqRead else "write", o.addr)
+                   for o in filtered)
+
+
+# Traces where a rollback or a fail squashes reads and writes, and what
+# filtering keeps of each.
+SQUASHING_TRACES = [
+    ([RollbackObs(1), WriteObs(5, (1,))], []),
+    ([WriteObs(5, (1,)), SILENT, RollbackObs(1)], []),
+    ([WriteObs(3, (4,)), ReadObs(2, ()), FailObs(4)],
+     [SeqRead(2), SeqFail()]),
+    ([ReadObs(2, (1, 2)), WriteObs(3, (1,)), WriteObs(6, (2,)),
+      RollbackObs(2), WriteObs(3, (1,)), ReadObs(2, ())],
+     [SeqWrite(3), SeqWrite(3), SeqRead(2)]),
+    ([WriteObs(1, (3,)), RollbackObs(3), WriteObs(1, (5,)), FailObs(5)],
+     [SeqFail()]),
+    ([SeqRead(4), SeqWrite(4), SeqFail()], [SeqRead(4), SeqWrite(4), SeqFail()]),
+]
+
+
+@pytest.mark.parametrize("trace, filtered", SQUASHING_TRACES)
+def test_count_and_filter_drop_squashed_reads_and_writes(trace, filtered):
+    assert filter_trace(trace) == filtered
+    assert observation_counts(trace) == _keyed(filtered)
+    assert observation_counts(reversed(trace)) == _keyed(filtered)
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_count_agrees_with_filter_on_the_corpus(mode):
+    # every schedule of each corpus sweep, and walks given as path links
+    swept = 0
+    rng = random.Random(3)
+    for name in corpus_names():
+        program = load_program(name)
+        graph = StateGraph(lower_protects(program.command, mode),
+                           program.initial_memory(),
+                           program.initial_var_map())
+        for run in exhaustive_runs(graph) or ():
+            swept += 1
+            assert observation_counts(run.trace) == \
+                _keyed(filter_trace(run.trace)), (name, run.directives)
+        for _ in range(20):
+            _config, path = graph.walk(rng, 400)
+            trace = unwind(path)[1]
+            assert observation_counts(path_observations(path)) == \
+                _keyed(filter_trace(trace)), name
+    assert swept > 700
 
 
 def test_traces_equivalent_up_to_permutation():
