@@ -104,9 +104,9 @@ def test_consistency_makes_no_walk_that_cannot_complete(monkeypatch):
     assert walks == []
     assert report == ConsistencyReport(checked=1, schedules=0)
 
-    monkeypatch.setattr(StateGraph, "_too_long", lambda self, max_len:
-                        max_len != WALK_MAX_LEN and plain_too_long(self,
-                                                                   max_len))
+    def walk_guard_off(self, max_len):
+        return max_len != WALK_MAX_LEN and plain_too_long(self, max_len)
+    monkeypatch.setattr(StateGraph, "_too_long", walk_guard_off)
     assert consistency_suite([("long", program)], 3, seed=1) == report
     assert len(walks) == 4 * 3
 
