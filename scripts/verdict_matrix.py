@@ -19,7 +19,7 @@ The matrix:
   slh, as its run count and a SHA-256 of its runs, or null;
 - `consistency_suite` over the corpus as written, 30 walks per program, at
   seeds 0 and 3, in hw and slh;
-each with `machine.GRAPH_MAX_NODES` at 500 and at 3.
+each with `machine.GRAPH_MAX_NODES` at 500, at 1000 and at 3.
 
 Usage: python scripts/verdict_matrix.py [program ...]
 The named corpus programs, or all of them, make up the matrix.
@@ -51,7 +51,7 @@ ANALYSES = tuple(Mode(spectre_v1_1=v11, slh_only_cuts=slh)
                  for v11 in (False, True) for slh in (False, True))
 MODES = (MODE_HW, MODE_SLH)
 SEED_PAIRS = ((0, 1), (1, 2), (7, 3))
-GRAPH_CAPS = (500, 3)
+GRAPH_CAPS = (500, 1000, 3)
 CONSISTENCY_WALKS = 30
 CONSISTENCY_SEEDS = (0, 3)
 

@@ -48,12 +48,12 @@ def test_verdict_matrix(monkeypatch, capsys):
                        "ex1")
     records = [json.loads(line) for line in lines]
     # the parse of 2 programs and their pipeline in 4 analysis modes; at
-    # each of the 2 graph caps, for 2 programs, as written and repaired, in
+    # each of the 3 graph caps, for 2 programs, as written and repaired, in
     # 2 modes: SCT random and exhaustive at 3 seeds, and the schedule
     # space; and 4 consistency reports over both programs
     assert Counter(record["case"][0] for record in records) == \
-        {"parse": 2, "pipeline": 2 * 4, "sct": 2 * 2 * 2 * 2 * 2 * 3,
-         "exhaustive_runs": 2 * 2 * 2 * 2, "consistency": 2 * 4}
+        {"parse": 2, "pipeline": 2 * 4, "sct": 3 * 2 * 2 * 2 * 2 * 3,
+         "exhaustive_runs": 3 * 2 * 2 * 2, "consistency": 3 * 4}
     # the printed parse names no node class, so it is the digest of the
     # program's text as `pretty_program` prints it
     assert {record["case"][1]: record["verdict"]["printed_sha256"]
