@@ -923,6 +923,74 @@ def test_state_keys_tell_a_bool_from_a_nat():
     assert len(ids) == 4
 
 
+def _typed(values: dict) -> dict:
+    """`values` with each value paired with its type, so that `True` and
+    `1` compare unequal."""
+    return {name: (type(v), v) for name, v in values.items()}
+
+
+def _same_configuration(a: Config, b: Config) -> bool:
+    """Equal buffers, compared by value, the identical stack entries, equal
+    maps and the same next prediction id."""
+    return (a.buffer == b.buffer and len(a.stack) == len(b.stack)
+            and all(x is y for x, y in zip(a.stack, b.stack))
+            and _typed(a.mem) == _typed(b.mem)
+            and _typed(a.vars) == _typed(b.vars)
+            and a.next_pred == b.next_pred)
+
+
+def _assert_keys_name_configurations(command, mem, rho) -> int:
+    """Step `command`'s graph by walks, the count and the search at the
+    production graph cap and at 3, and check that two configurations of
+    one graph with equal keys are the same configuration.  The number of
+    configurations stepped."""
+    plain_step = StateGraph._step
+    seen: dict = {}  # (graph, key) -> the first configuration of that key
+    stepped = 0
+
+    def recorded(graph, node, i):
+        nonlocal stepped
+        edge = plain_step(graph, node, i)
+        child = edge[0]
+        first = seen.setdefault((graph, child.key), child.config)
+        assert first is child.config or \
+            _same_configuration(first, child.config), (first, child.config)
+        stepped += 1
+        return edge
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(StateGraph, "_step", recorded)
+        for cap in (machine.GRAPH_MAX_NODES, 3):
+            monkeypatch.setattr(machine, "GRAPH_MAX_NODES", cap)
+            graph = StateGraph(command, mem, rho)
+            rng = random.Random(cap)
+            for _ in range(20):
+                graph.walk(rng, machine.WALK_MAX_LEN)
+            exhaustive_runs(graph)
+            for _ in zip(range(1000), graph.schedules()):
+                pass
+    return stepped
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_equal_keys_mean_equal_configurations(corpus, mode):
+    # a key stands for its configuration in every memo and in the graph,
+    # so two configurations that share one must not differ in anything a
+    # later step can see
+    stepped = sum(_assert_keys_name_configurations(
+        lower_protects(program.command, mode), program.initial_memory(),
+        program.initial_var_map()) for _name, program in corpus)
+    assert stepped > 100_000
+
+
+@given(programs())
+@settings(max_examples=25, deadline=None)
+def test_equal_keys_mean_equal_configurations_on_random_programs(command):
+    for mode in (MODE_HW, MODE_SLH):
+        _assert_keys_name_configurations(lower_protects(command, mode),
+                                         INITIAL_MEM, INITIAL_RHO)
+
+
 def test_random_schedule_completes_and_replays(corpus):
     rng = random.Random(11)
     for name, program in corpus:
