@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
@@ -109,6 +110,16 @@ def test_transient_map_ignores_other_instructions():
     prefix = (Nop(), StoreI("L", Lit(1), Lit(2)), FailInstr(1),
               GuardI(Lit(True), True, (), 2))
     assert transient_map({"x": 1}, prefix) == {"x": 1}
+
+
+def test_transient_map_never_writes_its_argument():
+    # it may return `rho` itself where the prefix binds nothing
+    rho = {"x": 1}
+    for prefix in [(), (Nop(), FailInstr(1)), (AssignI("x", Lit(5)),),
+                   (AssignI("x", Var("y")),), (LoadI("x", "L", Lit(2)),),
+                   (ProtectI("x", Lit(7)),)]:
+        transient_map(rho, prefix)
+        assert rho == {"x": 1}, prefix
 
 
 def test_pending_ids_orders_guards_and_fails():
@@ -1116,13 +1127,23 @@ def test_step_structure_and_determinism(corpus, mode):
 
 
 def _snapshot(cfg):
-    return cfg.buffer, cfg.stack, dict(cfg.mem), dict(cfg.vars)
+    return cfg.buffer, cfg.stack, _typed(cfg.mem), _typed(cfg.vars)
+
+
+def _read_only_transient_maps(monkeypatch) -> None:
+    """Make `transient_map` hand `_exec` a map it cannot write: for a
+    prefix that binds nothing it may be the configuration's own `vars`."""
+    plain_map = machine.transient_map
+    monkeypatch.setattr(machine, "transient_map", lambda rho, prefix:
+                        MappingProxyType(plain_map(rho, prefix)))
 
 
 @pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
-def test_step_never_mutates_its_input(corpus, mode):
+def test_step_never_mutates_its_input(corpus, mode, monkeypatch):
     # successors share the mem/vars dicts of their predecessor, so a step
-    # that wrote them in place would corrupt the configuration it came from
+    # that wrote them in place would corrupt the configuration it came
+    # from; nor may listing the applicable directives write them
+    _read_only_transient_maps(monkeypatch)
     rng = random.Random(9)
     for name, program in corpus:
         command = lower_protects(program.command, mode)
@@ -1130,10 +1151,11 @@ def test_step_never_mutates_its_input(corpus, mode):
             cfg = initial_config(command, program.initial_memory(),
                                  program.initial_var_map())
             for _ in range(200):
+                before = _snapshot(cfg)
                 options = applicable_directives(cfg)
+                assert _snapshot(cfg) == before, name
                 if not options:
                     break
-                before = _snapshot(cfg)
                 for d in options:
                     step(cfg, d)
                     assert _snapshot(cfg) == before, (name, d)
@@ -1144,9 +1166,11 @@ def test_exploration_never_mutates_a_configuration(monkeypatch):
     # the depth-first explorer steps every sibling from one shared parent;
     # past a graph of 3 nodes it steps each configuration on every visit
     monkeypatch.setattr(machine, "GRAPH_MAX_NODES", 3)
+    _read_only_transient_maps(monkeypatch)
     program = load_program("guard_chain")
     original_step = machine.step
-    calls = 0
+    original_directives = machine.applicable_directives
+    calls = listed = 0
 
     def checked_step(cfg, d):
         nonlocal calls
@@ -1156,11 +1180,20 @@ def test_exploration_never_mutates_a_configuration(monkeypatch):
         assert _snapshot(cfg) == before, d
         return result
 
+    def checked_directives(cfg):
+        nonlocal listed
+        listed += 1
+        before = _snapshot(cfg)
+        result = original_directives(cfg)
+        assert _snapshot(cfg) == before, result
+        return result
+
     monkeypatch.setattr(machine, "step", checked_step)
+    monkeypatch.setattr(machine, "applicable_directives", checked_directives)
     runs = list(enumerate_schedules(program.command,
                                     program.initial_memory(),
                                     program.initial_var_map()))
-    assert runs and calls > len(runs)
+    assert runs and calls > len(runs) and listed > len(runs)
 
 
 def test_terminal_definition():
