@@ -218,10 +218,12 @@ class Config(NamedTuple):
     a pure function of (configuration, directive) and replays are exact.
 
     A named tuple rather than a frozen dataclass, because every step builds
-    one and a tuple is several times cheaper to construct; each rule builds
-    its successor positionally.  Successors share the `mem` and `vars` dicts
-    of their predecessor: only `_retire` writes them, one entry on a fresh
-    copy, so a step never mutates its input and the siblings of a
+    one and a tuple is several times cheaper to construct.  The step rules
+    build their successor with `_config`, which is `tuple.__new__`, from
+    the five fields in order, bypassing the named tuple's Python-level
+    `__new__` and its default.  Successors share the `mem` and `vars`
+    dicts of their predecessor: only `_retire` writes them, one entry on a
+    fresh copy, so a step never mutates its input and the siblings of a
     depth-first exploration stay independent (`_retired_ids` relies on
     this to name map contents).
     """
@@ -235,6 +237,11 @@ class Config(NamedTuple):
     @property
     def terminal(self) -> bool:
         return not self.buffer and not self.stack
+
+
+# `_config(Config, (buffer, stack, mem, vars, next_pred))`, the successor a
+# step rule builds; see `Config`.
+_config = tuple.__new__
 
 
 def initial_config(c: Command, mem: dict[int, Value],
@@ -316,16 +323,43 @@ def _unrolled(head: While) -> Command:
     return If(head.cond, Seq(head.body, head), Skip())
 
 
-def _lowered(head: Command, build) -> Command:
-    """`build(head)`, built on the first fetch of `head` and kept on it, so
-    every run of a program pushes the same node objects and a stack is
-    identified by the identities of its entries."""
+def _fetched(head: Command) -> Union[Instruction, Command]:
+    """What a fetch makes of `head`: the instruction it appends to the
+    buffer or, for an array access or a loop, the command that takes its
+    place on the stack.  Built on the first fetch of `head` and kept on it,
+    so every run of a program pushes the same node objects and fetches the
+    same instruction objects: a stack is identified by the identities of
+    its entries, and an instruction not yet executed by its own (`_code`).
+    """
     try:
         return head._fetched
     except AttributeError:
-        node = build(head)
-        object.__setattr__(head, "_fetched", node)
-        return node
+        pass
+    kind = type(head)
+    if kind is Assign:
+        rhs = head.rhs
+        if type(rhs) is Pure:
+            made = AssignI(head.target, rhs.expr)
+        elif type(rhs) is PtrRead:
+            made = LoadI(head.target, rhs.label, rhs.addr)
+        elif type(rhs) is ArrayRead:
+            made = _checked_read(head)
+        else:
+            raise LangError(f"cannot fetch {head!r}")
+    elif kind is Protect:
+        if type(head.rhs) is not Pure:
+            raise LangError(f"protected read not lowered: {head!r}")
+        made = ProtectI(head.target, head.rhs.expr)
+    elif kind is PtrWrite:
+        made = StoreI(head.label, head.addr, head.value)
+    elif kind is ArrayWrite:
+        made = _checked_write(head)
+    elif kind is While:
+        made = _unrolled(head)
+    else:
+        raise LangError(f"cannot fetch {head!r}")
+    object.__setattr__(head, "_fetched", made)
+    return made
 
 
 def _fetch(config: Config):
@@ -336,42 +370,23 @@ def _fetch(config: Config):
     kind = type(head)
     # A rule either rewrites the head on the stack and returns, or sets
     # `instr`, which moves to the end of the buffer.
-    if kind is Assign:
-        rhs = head.rhs
-        if type(rhs) is Pure:
-            instr = AssignI(head.target, rhs.expr)
-        elif type(rhs) is PtrRead:
-            instr = LoadI(head.target, rhs.label, rhs.addr)
-        elif type(rhs) is ArrayRead:
-            return (Config(buffer, (_lowered(head, _checked_read),) + rest,
-                           mem, rho, next_pred), SILENT)
-        else:
-            raise LangError(f"cannot fetch {head!r}")
-    elif kind is Seq:
-        return (Config(buffer, (head.first, head.second) + rest, mem, rho,
-                       next_pred), SILENT)
-    elif kind is Fail:
-        return (Config(buffer + (FailInstr(next_pred),), rest, mem, rho,
-                       next_pred + 1), SILENT)
-    elif kind is Protect:
-        if type(head.rhs) is not Pure:
-            raise LangError(f"protected read not lowered: {head!r}")
-        instr = ProtectI(head.target, head.rhs.expr)
-    elif kind is Skip:
+    if kind is Seq:
+        return (_config(Config, (buffer, (head.first, head.second) + rest,
+                                 mem, rho, next_pred)), SILENT)
+    if kind is Skip:
         instr = NOP
-    elif kind is PtrWrite:
-        instr = StoreI(head.label, head.addr, head.value)
-    elif kind is ArrayWrite:
-        return (Config(buffer, (_lowered(head, _checked_write),) + rest, mem,
-                       rho, next_pred), SILENT)
-    elif kind is While:
-        return (Config(buffer, (_lowered(head, _unrolled),) + rest, mem, rho,
-                       next_pred), SILENT)
+    elif kind is Fail:
+        return (_config(Config, (buffer + (FailInstr(next_pred),), rest, mem,
+                                 rho, next_pred + 1)), SILENT)
     elif kind is If:
         return Stuck("branch at stack head requires a fetch with a prediction")
     else:
-        raise LangError(f"cannot fetch {head!r}")
-    return Config(buffer + (instr,), rest, mem, rho, next_pred), SILENT
+        instr = _fetched(head)
+        if isinstance(instr, Command):
+            return (_config(Config, (buffer, (instr,) + rest, mem, rho,
+                                     next_pred)), SILENT)
+    return _config(Config, (buffer + (instr,), rest, mem, rho,
+                            next_pred)), SILENT
 
 
 def lower_protects(c: Command, mode: str) -> Command:
@@ -419,8 +434,8 @@ def _fetch_branch(config: Config, prediction: bool):
     taken = head.then if prediction else head.other
     not_taken = head.other if prediction else head.then
     guard = GuardI(head.cond, prediction, (not_taken,) + rest, next_pred)
-    return (Config(buffer + (guard,), (taken,) + rest, mem, rho,
-                   next_pred + 1), SILENT)
+    return (_config(Config, (buffer + (guard,), (taken,) + rest, mem, rho,
+                             next_pred + 1)), SILENT)
 
 
 def _exec(config: Config, index: int):
@@ -440,8 +455,9 @@ def _exec(config: Config, index: int):
             if type(v) is not bool:
                 return Stuck("guard condition is not a boolean")
             if v != instr.predicted:
-                return (Config(prefix + (NOP,), instr.rollback, mem, rho,
-                               next_pred), RollbackObs(instr.pred))
+                return (_config(Config, (prefix + (NOP,), instr.rollback,
+                                         mem, rho, next_pred)),
+                        RollbackObs(instr.pred))
             new_instr: Instruction = NOP
         elif kind is LoadI:
             if any(type(i) is StoreI for i in prefix):
@@ -488,8 +504,8 @@ def _exec(config: Config, index: int):
             return Stuck("instruction is not executable")
     except EvalError as exc:
         return Stuck(f"operands do not evaluate: {exc}")
-    return (Config(prefix + (new_instr,) + buffer[index:], stack, mem, rho,
-                   next_pred), obs)
+    return (_config(Config, (prefix + (new_instr,) + buffer[index:], stack,
+                             mem, rho, next_pred)), obs)
 
 
 def _retire(config: Config):
@@ -499,17 +515,20 @@ def _retire(config: Config):
     head, rest = buffer[0], buffer[1:]
     kind = type(head)
     if kind is Nop:
-        return Config(rest, stack, mem, rho, next_pred), SILENT
+        return _config(Config, (rest, stack, mem, rho, next_pred)), SILENT
     if kind is AssignI and type(head.expr) is Lit:
         new_vars = dict(rho)
         new_vars[head.target] = head.expr.value
-        return Config(rest, stack, mem, new_vars, next_pred), SILENT
+        return _config(Config, (rest, stack, mem, new_vars,
+                                next_pred)), SILENT
     if kind is StoreI and head.executed:
         new_mem = dict(mem)
         new_mem[head.addr.value] = head.value.value
-        return Config(rest, stack, new_mem, rho, next_pred), SILENT
+        return _config(Config, (rest, stack, new_mem, rho,
+                                next_pred)), SILENT
     if kind is FailInstr:
-        return Config((), (), mem, rho, next_pred), FailObs(head.pred)
+        return _config(Config, ((), (), mem, rho, next_pred)), \
+            FailObs(head.pred)
     return Stuck("buffer head is not ready to retire")
 
 
@@ -679,10 +698,12 @@ class CompletedRun:
 
 def _config_key(config: Config, ids: tuple, parent: tuple,
                 codes: dict) -> tuple:
-    """A hashable stand-in for `config`, equal for equal configurations.
+    """A hashable stand-in for `config`, equal for equal configurations:
+    (the buffer's instruction codes, the ids of the stack entries, the
+    (memory, variables) ids, the next prediction id).
 
     Stack and rollback entries, and guard conditions, enter by identity:
-    every node a run pushes is a node of the program or one `_lowered`
+    every node a run pushes is a node of the program or one `_fetched`
     kept on it.  Structurally equal nodes built apart then compare unequal,
     which costs a memo hit, never a wrong one.  Memory and variables enter
     as the ids `_retired_ids` gives their contents.  Each instruction
@@ -691,8 +712,6 @@ def _config_key(config: Config, ids: tuple, parent: tuple,
     `_NO_PARENT`.  A step changes the buffer in one place (fetch appends,
     `exec i` rewrites position i and a rollback also drops what follows
     it, retire drops the head), so only the instruction it made is coded.
-    Values are told apart by kind as well as by value: `Lit(True)` and
-    `Lit(1)` are unequal, and so are the writes that retire them.
     """
     buffer, stack, _mem, _rho, next_pred = config
     d, old, old_codes = parent
@@ -710,12 +729,40 @@ def _config_key(config: Config, ids: tuple, parent: tuple,
 
 
 def _code(instr: Instruction, codes: dict) -> int:
-    """The small int `codes` gives the content of `instr` in one search;
-    a guard's content takes its condition and rollback stack by identity."""
-    if type(instr) is GuardI:
-        instr = (id(instr.cond), instr.predicted,
-                 tuple(map(id, instr.rollback)), instr.pred)
-    return codes.setdefault(instr, len(codes))
+    """The small int `codes` gives `instr` in one search, hashing no
+    expression tree.
+
+    An instruction that no exec has rewritten (an assignment or protect of
+    an expression that is not a literal, a load, a store not executed) is
+    the very object `_fetched` keeps on its program node, so it is coded by
+    identity, under its `id`; `codes` keeps it alive beside its code, so the
+    id is never reused within the search.  A resolved assignment or
+    protect is coded by kind, target and value, an executed store by
+    label, address and value, each value with its type, so that `Lit(True)`
+    and `Lit(1)` are told apart, as are the writes that retire them.  A
+    guard takes its condition and rollback stack by identity, with its
+    prediction and id; a fail takes its id, and a nop its kind.
+    """
+    kind = type(instr)
+    content = None  # coded by identity
+    if kind is AssignI or kind is ProtectI:
+        e = instr.expr
+        if type(e) is Lit:
+            content = kind, instr.target, type(e.value), e.value
+    elif kind is StoreI:
+        if instr.executed:
+            v = instr.value.value
+            content = kind, instr.label, instr.addr.value, type(v), v
+    elif kind is GuardI:
+        content = (id(instr.cond), instr.predicted,
+                   tuple(map(id, instr.rollback)), instr.pred)
+    elif kind is FailInstr:
+        content = kind, instr.pred
+    elif kind is Nop:
+        content = kind
+    if content is None:
+        return codes.setdefault(id(instr), (len(codes), instr))[0]
+    return codes.setdefault(content, len(codes))
 
 
 _NO_PARENT = (None, (), ())
@@ -863,10 +910,13 @@ def exhaustive_runs(graph: StateGraph, max_len: int = EXHAUSTIVE_MAX_LEN,
 # `consistency_suite` and `fuzz-sct --budget`.
 WALK_MAX_LEN = 400
 
-# Nodes one `StateGraph` keeps.  On sct-random (seed 1, shared 2-vCPU
-# machine) 100, 250, 500 and 1000 gave 20 200, 21 800, 23 800 and 23 200
-# trials/s; peak RSS was 24.4 MB at 500 and 29.1 MB uncapped.
-GRAPH_MAX_NODES = 500
+# Nodes one `StateGraph` keeps.  With `perfbench/run.py --seconds 6` at
+# seed 5 on a shared 2-vCPU machine (medians of 3 runs), 500, 1000 and
+# 2000 gave 295.5, 300.3 and 302.1 sct-exhaustive verdicts/s and 47 400,
+# 49 000 and 48 600 sct-random trials/s, at a peak RSS of 24.5, 24.7 and
+# 25.3 MB.  Uncapped, the 100 consistency walks of `sha2_update_last`
+# keep 2 029 nodes.
+GRAPH_MAX_NODES = 1000
 
 
 class _Node:

@@ -22,6 +22,7 @@ from specrepair.lang import (
     Lit,
     Protect,
     PtrRead,
+    PtrWrite,
     Pure,
     Seq,
     Skip,
@@ -148,6 +149,24 @@ def test_fetch_on_branch_head_is_stuck():
 def test_fetch_branch_on_non_branch_is_stuck():
     cfg = initial_config(Skip(), {0: 0}, {})
     assert isinstance(step(cfg, FetchBranch(True)), Stuck)
+
+
+def test_fetch_builds_each_instruction_once():
+    # two runs of one program, from different states, fetch the very same
+    # instruction objects, which `_code` names by identity
+    command = Seq(Assign("x", Pure(BinOp("+", Var("y"), Lit(1)))),
+                  Seq(Assign("z", PtrRead("L", Var("y"))),
+                      Seq(Protect("w", Pure(Var("x"))),
+                          PtrWrite("L", Var("y"), Var("x")))))
+    fetched = []
+    for y in (1, 2):
+        cfg = initial_config(command, {}, {"x": 0, "y": y, "z": 0, "w": 0})
+        while cfg.stack:
+            cfg, _obs = step(cfg, Fetch())
+        fetched.append(cfg.buffer)
+    first, second = fetched
+    assert [type(i) for i in first] == [AssignI, LoadI, ProtectI, StoreI]
+    assert all(a is b for a, b in zip(first, second))
 
 
 def test_fetch_branch_records_rollback_stack():
