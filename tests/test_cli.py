@@ -56,6 +56,16 @@ def test_run_spec_reports_stuck(tmp_path, capsys):
     sched.write_text("exec 1\n")
     code, _, err = run_cli(capsys, "run-spec", "--schedule", str(sched), EX1)
     assert code == 1 and "stuck at directive 0" in err
+    # a load behind a pending store, with the whole line pinned
+    program = tmp_path / "store_load.bl"
+    program.write_text("var p = 3;\nvar q = 3;\npublic p, q, x;\n"
+                       "*(p) := 1;\nx := *(q);\n")
+    sched.write_text("fetch\nfetch\nfetch\nexec 2\n")
+    code, out, err = run_cli(capsys, "run-spec", "--schedule", str(sched),
+                             str(program))
+    assert code == 1 and out == ".\n.\n.\n"
+    assert err == ("stuck at directive 3 (exec 2): "
+                   "load blocked by an earlier pending store\n")
 
 
 def test_check_rejects_ex1(capsys):

@@ -256,6 +256,85 @@ def test_protect_two_stage_and_guard_blocking():
     assert obs == SILENT and cfg.buffer[0] == AssignI("y", Lit(5))
 
 
+_NOP = Nop()
+_GUARD = GuardI(Lit(True), True, (), 1)
+_STORE = StoreI("L", Lit(1), Lit(2))
+_EXECUTED = StoreI("L", Lit(1), Lit(2), executed=True)
+_PENDING_LOAD = LoadI("p", "L", Lit(1))  # binds p to bottom
+
+
+# (buffer, stack, directive, the exact reason `step` is stuck with); the
+# variable map binds only `x` and `y`, to 1
+STUCK_CASES = [
+    ((), (), Exec(1), "no instruction at buffer position 1"),
+    ((_NOP,), (), Exec(0), "no instruction at buffer position 0"),
+    ((_NOP,), (), Exec(2), "no instruction at buffer position 2"),
+    ((_PENDING_LOAD, GuardI(Var("p"), True, (), 1)), (), Exec(2),
+     "guard condition is still undefined"),
+    ((GuardI(Lit(3), True, (), 1),), (), Exec(1),
+     "guard condition is not a boolean"),
+    ((_STORE, LoadI("z", "L", Lit(1))), (), Exec(2),
+     "load blocked by an earlier pending store"),
+    ((_EXECUTED, LoadI("z", "L", Lit(1))), (), Exec(2),
+     "load blocked by an earlier pending store"),
+    # the store is checked before the address is evaluated
+    ((_STORE, LoadI("z", "L", Var("q"))), (), Exec(2),
+     "load blocked by an earlier pending store"),
+    ((_PENDING_LOAD, LoadI("z", "L", Var("p"))), (), Exec(2),
+     "load address is still undefined"),
+    ((LoadI("z", "L", Lit(True)),), (), Exec(1),
+     "load address is not a natural"),
+    ((AssignI("z", Lit(1)),), (), Exec(1), "assignment already resolved"),
+    ((AssignI("z", Var("y")), AssignI("w", Var("z"))), (), Exec(2),
+     "assignment operand is still undefined"),
+    # a resolved protect still binds bottom
+    ((ProtectI("z", Lit(7)), AssignI("w", Var("z"))), (), Exec(2),
+     "assignment operand is still undefined"),
+    ((_PENDING_LOAD, ProtectI("z", Var("p"))), (), Exec(2),
+     "protected operand is still undefined"),
+    ((_GUARD, ProtectI("z", Lit(7))), (), Exec(2),
+     "protected value waits for earlier speculation"),
+    ((FailInstr(1), ProtectI("z", Lit(7))), (), Exec(2),
+     "protected value waits for earlier speculation"),
+    ((_EXECUTED,), (), Exec(1), "store already executed"),
+    ((_PENDING_LOAD, StoreI("L", Var("p"), Var("q"))), (), Exec(2),
+     "store address is still undefined"),
+    ((StoreI("L", Lit(False), Var("q")),), (), Exec(1),
+     "store address is not a natural"),
+    ((_PENDING_LOAD, StoreI("L", Lit(1), Var("p"))), (), Exec(2),
+     "stored value is still undefined"),
+    ((_NOP,), (), Exec(1), "instruction is not executable"),
+    ((FailInstr(1),), (), Exec(1), "instruction is not executable"),
+    ((AssignI("z", Var("q")),), (), Exec(1),
+     "operands do not evaluate: unbound variable q"),
+    ((GuardI(BinOp("<", Lit(True), Lit(1)), True, (), 1),), (), Exec(1),
+     "operands do not evaluate: < expects a natural, got True"),
+    ((StoreI("L", Var("x"), Var("q")),), (), Exec(1),
+     "operands do not evaluate: unbound variable q"),
+    ((), (), Retire(), "retire on an empty reorder buffer"),
+    ((AssignI("z", Var("y")),), (), Retire(),
+     "buffer head is not ready to retire"),
+    ((ProtectI("z", Lit(7)),), (), Retire(),
+     "buffer head is not ready to retire"),
+    ((_STORE,), (), Retire(), "buffer head is not ready to retire"),
+    ((_PENDING_LOAD,), (), Retire(), "buffer head is not ready to retire"),
+    ((_GUARD,), (), Retire(), "buffer head is not ready to retire"),
+    ((), (), Fetch(), "fetch on an empty command stack"),
+    ((), (If(Lit(True), Skip(), Skip()),), Fetch(),
+     "branch at stack head requires a fetch with a prediction"),
+    ((), (), FetchBranch(True), "fetch-branch on an empty command stack"),
+    ((), (Skip(),), FetchBranch(False),
+     "fetch-branch requires a branch at the stack head"),
+]
+
+
+@pytest.mark.parametrize("buffer, stack, d, reason", STUCK_CASES)
+def test_stuck_reasons(buffer, stack, d, reason):
+    cfg = Config(buffer, stack, {}, {"x": 1, "y": 1})
+    assert step(cfg, d) == Stuck(reason)
+    assert d not in applicable_directives(cfg)
+
+
 def test_retire_fail_halts_everything():
     program = parse_program("public x;\nfail;\nx := 1;\n")
     cfg = initial_config(program.command, program.initial_memory(),
