@@ -12,6 +12,10 @@ The matrix:
   constraint set as text and one of the def-use graph's Graphviz rendering
   with the cut and the candidate names) or as the type and message of the
   error it raises;
+- the stuck reasons of each corpus program as written, in hw and slh: along
+  10 walks seeded 0 over `applicable_directives`, the reason `step` gives
+  for each `exec i` the listing leaves out, i up to one past the buffer,
+  as counts by reason and a SHA-256 of them in walk order;
 - `sct_fuzz` of each corpus program, as written and as repaired under
   `Mode()`, in hw and slh, random and exhaustive, at (seed, pairs) (0, 1),
   (1, 2) and (7, 3);
@@ -19,7 +23,7 @@ The matrix:
   slh, as its run count and a SHA-256 of its runs, or null;
 - `consistency_suite` over the corpus as written, 30 walks per program, at
   seeds 0 and 3, in hw and slh;
-each with `machine.GRAPH_MAX_NODES` at 500, at 1000 and at 3.
+the last three each with `machine.GRAPH_MAX_NODES` at 500, at 1000 and at 3.
 
 Usage: python scripts/verdict_matrix.py [program ...]
 The named corpus programs, or all of them, make up the matrix.
@@ -28,7 +32,9 @@ The named corpus programs, or all of them, make up the matrix.
 import dataclasses
 import hashlib
 import json
+import random
 import sys
+from collections import Counter
 
 from specrepair import machine
 from specrepair.corpus import corpus_names, load_program
@@ -37,10 +43,14 @@ from specrepair.harness import consistency_suite, exhaustive_runs, sct_fuzz
 from specrepair.machine import (
     MODE_HW,
     MODE_SLH,
+    Exec,
     StateGraph,
+    applicable_directives,
     format_directive,
     format_observation,
+    initial_config,
     lower_protects,
+    step,
 )
 from specrepair.graphcut import build_graph, to_dot
 from specrepair.parser import pretty_header, pretty_program
@@ -54,6 +64,8 @@ SEED_PAIRS = ((0, 1), (1, 2), (7, 3))
 GRAPH_CAPS = (500, 1000, 3)
 CONSISTENCY_WALKS = 30
 CONSISTENCY_SEEDS = (0, 3)
+STUCK_WALKS = 10
+STUCK_WALK_LEN = 200
 
 
 def schedule(directives) -> str:
@@ -135,6 +147,26 @@ def consistency_record(report) -> dict:
                          for f in report.failures]}
 
 
+def stuck_record(program, mode) -> dict:
+    rng = random.Random(0)
+    command = lower_protects(program.command, mode)
+    lines = []
+    for walk in range(STUCK_WALKS):
+        config = initial_config(command, program.initial_memory(),
+                                program.initial_var_map())
+        for k in range(STUCK_WALK_LEN):
+            options = applicable_directives(config)
+            for i in range(1, len(config.buffer) + 2):
+                if Exec(i) not in options:
+                    lines.append(f"{walk} {k} exec {i}: "
+                                 f"{step(config, Exec(i)).reason}")
+            if not options:
+                break
+            config, _obs = step(config, rng.choice(options))
+    reasons = Counter(line.split(": ", 1)[1] for line in lines)
+    return {"reasons": sorted(reasons.items()), "sha256": sha256(lines)}
+
+
 def cases(names):
     """(case, verdict) for every case of the matrix over `names`."""
     programs = []
@@ -146,6 +178,8 @@ def cases(names):
                    pipeline_record(program, mode))
         repaired = pipeline(program.command, Mode(),
                             program.variables()).repaired
+        for mode in MODES:
+            yield ["stuck", name, mode], stuck_record(program, mode)
         programs.append((name, "raw", program))
         programs.append((name, "repaired",
                          dataclasses.replace(program, command=repaired)))

@@ -47,13 +47,21 @@ def test_verdict_matrix(monkeypatch, capsys):
     lines = run_script(monkeypatch, capsys, "verdict_matrix.py", "skip",
                        "ex1")
     records = [json.loads(line) for line in lines]
-    # the parse of 2 programs and their pipeline in 4 analysis modes; at
-    # each of the 3 graph caps, for 2 programs, as written and repaired, in
-    # 2 modes: SCT random and exhaustive at 3 seeds, and the schedule
-    # space; and 4 consistency reports over both programs
+    # the parse of 2 programs, their pipeline in 4 analysis modes and their
+    # stuck reasons in 2 modes; at each of the 3 graph caps, for 2
+    # programs, as written and repaired, in 2 modes: SCT random and
+    # exhaustive at 3 seeds, and the schedule space; and 4 consistency
+    # reports over both programs
     assert Counter(record["case"][0] for record in records) == \
-        {"parse": 2, "pipeline": 2 * 4, "sct": 3 * 2 * 2 * 2 * 2 * 3,
-         "exhaustive_runs": 3 * 2 * 2 * 2, "consistency": 3 * 4}
+        {"parse": 2, "pipeline": 2 * 4, "stuck": 2 * 2,
+         "sct": 3 * 2 * 2 * 2 * 2 * 3, "exhaustive_runs": 3 * 2 * 2 * 2,
+         "consistency": 3 * 4}
+    # every walk of a program with a buffer meets exec past its end
+    reasons = {tuple(record["case"][1:]): dict(record["verdict"]["reasons"])
+               for record in records if record["case"][0] == "stuck"}
+    assert all(reasons[name, mode]["no instruction at buffer position 2"]
+               for name in ("skip", "ex1") for mode in ("hw", "slh"))
+    assert reasons["ex1", "hw"]["guard condition is still undefined"]
     # the printed parse names no node class, so it is the digest of the
     # program's text as `pretty_program` prints it
     assert {record["case"][1]: record["verdict"]["printed_sha256"]
