@@ -21,7 +21,6 @@ from .machine import (
     sequential_schedule,
     step,
     traces_equivalent,
-    transient_map,
 )
 from .typesys import (
     Mode,
@@ -38,7 +37,7 @@ __all__ = [
     "Program", "parse_program", "pretty_program", "run_sequential",
     "MODE_HW", "MODE_SLH", "enumerate_schedules", "filter_trace",
     "lower_protects", "random_schedule", "run_schedule",
-    "sequential_schedule", "step", "traces_equivalent", "transient_map",
+    "sequential_schedule", "step", "traces_equivalent",
     "Mode", "generate_constraints", "typecheck_ct", "typecheck_transient",
     "build_graph", "extract_env", "is_cut", "min_cut", "baseline_repair",
     "pipeline", "repair", "consistency_suite", "gen_lequiv_pairs",

@@ -6,7 +6,11 @@ rewrites it on the stack (sequencing, bounds-check expansion, loop unrolling)
 or appends an instruction to the buffer; `fetch b` predicts a branch and
 records a guard carrying the rollback stack; `exec n` resolves the n-th
 buffered instruction out of order against the transient variable map of its
-prefix; `retire` commits the buffer head to the architectural state.
+prefix; `retire` commits the buffer head to the architectural state.  Each
+side condition is written once: `exec_operands`, one pass over the buffer,
+says for every position what `exec` resolves it with or why it is stuck, and
+`_retires` whether the head can retire; `step` and the listing of applicable
+directives both ask them.
 
 Each step yields an observation: memory reads and writes carry the absolute
 address plus the identifiers of the guard/fail instructions still pending in
@@ -250,24 +254,95 @@ def initial_config(c: Command, mem: dict[int, Value],
 
 
 # ---------------------------------------------------------------------------
-# Transient variable map
+# Side conditions of exec and retire
 # ---------------------------------------------------------------------------
 
 
-def transient_map(rho: dict[str, Value],
-                  prefix: tuple[Instruction, ...]) -> dict:
-    """Variable map as seen past `prefix`: resolved assignments are bound,
-    pending assignments and loads are bottom, and protected values stay
-    bottom even once resolved so they are never forwarded early."""
-    out = dict(rho)
-    for instr in prefix:
+def exec_operands(buffer: tuple[Instruction, ...], rho) -> list:
+    """For each instruction of `buffer`, in order, the operands `exec`
+    resolves it with, or, as a `str`, the reason `exec` is stuck on it (no
+    operand is a string).  A guard gets its condition's value, a load its
+    address, an assignment or protect its operand's value, a store its
+    (address, value).
+
+    One left-to-right pass evaluates each operand under the transient
+    variable map of the instructions before it, `rho` updated by each in
+    turn: a resolved assignment binds its value; a pending assignment, a
+    load and a protect, even a resolved one, bind bottom, so a protected
+    value is never forwarded early.  `rho` itself is not written.
+    """
+    trho = dict(rho)
+    out: list = []
+    append = out.append
+    stored = pending = False  # a store, a guard or fail seen so far
+    for instr in buffer:
         kind = type(instr)
-        if kind is AssignI:
-            e = instr.expr
-            out[instr.target] = e.value if type(e) is Lit else None
-        elif kind is LoadI or kind is ProtectI:
-            out[instr.target] = None
+        try:
+            if kind is AssignI:
+                e = instr.expr
+                if type(e) is Lit:
+                    append("assignment already resolved")
+                    trho[instr.target] = e.value
+                    continue
+                v = eval_expr(e, trho)
+                r = "assignment operand is still undefined" if v is None \
+                    else v
+            elif kind is GuardI:
+                pending = True
+                v = eval_expr(instr.cond, trho)
+                r = v if type(v) is bool \
+                    else "guard condition is still undefined" if v is None \
+                    else "guard condition is not a boolean"
+            elif kind is LoadI:
+                if stored:
+                    r = "load blocked by an earlier pending store"
+                else:
+                    r = eval_expr(instr.addr, trho)
+                    if type(r) is not int:
+                        r = "load address is still undefined" if r is None \
+                            else "load address is not a natural"
+            elif kind is ProtectI:
+                e = instr.expr
+                if type(e) is Lit:
+                    r = "protected value waits for earlier speculation" \
+                        if pending else e.value
+                else:
+                    v = eval_expr(e, trho)
+                    r = "protected operand is still undefined" if v is None \
+                        else v
+            elif kind is StoreI:
+                stored = True
+                if instr.executed:
+                    r = "store already executed"
+                else:
+                    addr = eval_expr(instr.addr, trho)
+                    if addr is None:
+                        r = "store address is still undefined"
+                    elif type(addr) is not int:
+                        r = "store address is not a natural"
+                    else:
+                        v = eval_expr(instr.value, trho)
+                        r = "stored value is still undefined" if v is None \
+                            else (addr, v)
+            else:
+                if kind is FailInstr:
+                    pending = True
+                append("instruction is not executable")
+                continue
+        except EvalError as exc:
+            r = f"operands do not evaluate: {exc}"
+        append(r)
+        if kind is not GuardI and kind is not StoreI:
+            trho[instr.target] = None
     return out
+
+
+def _retires(head: Instruction) -> bool:
+    """Whether `retire` applies with `head` at the front of the buffer."""
+    kind = type(head)
+    return kind is Nop or kind is FailInstr \
+        or kind is AssignI and type(head.expr) is Lit \
+        or kind is StoreI and head.executed
 
 
 def pending_ids(prefix: tuple[Instruction, ...]) -> tuple[int, ...]:
@@ -289,7 +364,11 @@ def step(config: Config,
     if kind is Retire:
         return _retire(config)
     if kind is Exec:
-        return _exec(config, directive.index)
+        index = directive.index
+        if index < 1 or index > len(config.buffer):
+            return Stuck(f"no instruction at buffer position {index}")
+        r = exec_operands(config.buffer[:index], config.vars)[-1]
+        return Stuck(r) if type(r) is str else _exec(config, index, r)
     if kind is FetchBranch:
         return _fetch_branch(config, directive.prediction)
     raise LangError(f"unknown directive {directive!r}")
@@ -438,72 +517,35 @@ def _fetch_branch(config: Config, prediction: bool):
                              next_pred + 1)), SILENT)
 
 
-def _exec(config: Config, index: int):
+def _exec(config: Config, index: int, operands):
+    """`exec index` on `config`, which `exec_operands` finds ready with
+    `operands`: the rollback of a mispredicted guard, or the resolved
+    instruction in place with the read or write it observes."""
     buffer, stack, mem, rho, next_pred = config
-    if index < 1 or index > len(buffer):
-        return Stuck(f"no instruction at buffer position {index}")
     prefix = buffer[:index - 1]
     instr = buffer[index - 1]
-    trho = transient_map(rho, prefix) if prefix else rho
     kind = type(instr)
     obs = SILENT
-    try:
-        if kind is GuardI:
-            v = eval_expr(instr.cond, trho)
-            if v is None:
-                return Stuck("guard condition is still undefined")
-            if type(v) is not bool:
-                return Stuck("guard condition is not a boolean")
-            if v != instr.predicted:
-                return (_config(Config, (prefix + (NOP,), instr.rollback,
-                                         mem, rho, next_pred)),
-                        RollbackObs(instr.pred))
-            new_instr: Instruction = NOP
-        elif kind is LoadI:
-            if any(type(i) is StoreI for i in prefix):
-                return Stuck("load blocked by an earlier pending store")
-            addr = eval_expr(instr.addr, trho)
-            if addr is None:
-                return Stuck("load address is still undefined")
-            if type(addr) is not int:
-                return Stuck("load address is not a natural")
-            obs = ReadObs(addr, pending_ids(prefix))
-            new_instr = AssignI(instr.target, Lit(mem.get(addr, 0)))
-        elif kind is AssignI:
-            if type(instr.expr) is Lit:
-                return Stuck("assignment already resolved")
-            v = eval_expr(instr.expr, trho)
-            if v is None:
-                return Stuck("assignment operand is still undefined")
-            new_instr = AssignI(instr.target, Lit(v))
-        elif kind is ProtectI:
-            if type(instr.expr) is not Lit:
-                v = eval_expr(instr.expr, trho)
-                if v is None:
-                    return Stuck("protected operand is still undefined")
-                new_instr = ProtectI(instr.target, Lit(v))
-            elif pending_ids(prefix):
-                return Stuck("protected value waits for earlier speculation")
-            else:
-                new_instr = AssignI(instr.target, instr.expr)
-        elif kind is StoreI:
-            if instr.executed:
-                return Stuck("store already executed")
-            addr = eval_expr(instr.addr, trho)
-            if addr is None:
-                return Stuck("store address is still undefined")
-            if type(addr) is not int:
-                return Stuck("store address is not a natural")
-            value = eval_expr(instr.value, trho)
-            if value is None:
-                return Stuck("stored value is still undefined")
-            obs = WriteObs(addr, pending_ids(prefix))
-            new_instr = StoreI(instr.label, Lit(addr), Lit(value),
-                               executed=True)
+    if kind is GuardI:
+        if operands != instr.predicted:
+            return (_config(Config, (prefix + (NOP,), instr.rollback, mem,
+                                     rho, next_pred)),
+                    RollbackObs(instr.pred))
+        new_instr: Instruction = NOP
+    elif kind is LoadI:
+        obs = ReadObs(operands, pending_ids(prefix))
+        new_instr = AssignI(instr.target, Lit(mem.get(operands, 0)))
+    elif kind is AssignI:
+        new_instr = AssignI(instr.target, Lit(operands))
+    elif kind is ProtectI:
+        if type(instr.expr) is Lit:  # released
+            new_instr = AssignI(instr.target, instr.expr)
         else:
-            return Stuck("instruction is not executable")
-    except EvalError as exc:
-        return Stuck(f"operands do not evaluate: {exc}")
+            new_instr = ProtectI(instr.target, Lit(operands))
+    else:
+        addr, value = operands
+        obs = WriteObs(addr, pending_ids(prefix))
+        new_instr = StoreI(instr.label, Lit(addr), Lit(value), executed=True)
     return (_config(Config, (prefix + (new_instr,) + buffer[index:], stack,
                              mem, rho, next_pred)), obs)
 
@@ -513,23 +555,19 @@ def _retire(config: Config):
     if not buffer:
         return Stuck("retire on an empty reorder buffer")
     head, rest = buffer[0], buffer[1:]
+    if not _retires(head):
+        return Stuck("buffer head is not ready to retire")
     kind = type(head)
-    if kind is Nop:
-        return _config(Config, (rest, stack, mem, rho, next_pred)), SILENT
-    if kind is AssignI and type(head.expr) is Lit:
-        new_vars = dict(rho)
-        new_vars[head.target] = head.expr.value
-        return _config(Config, (rest, stack, mem, new_vars,
-                                next_pred)), SILENT
-    if kind is StoreI and head.executed:
-        new_mem = dict(mem)
-        new_mem[head.addr.value] = head.value.value
-        return _config(Config, (rest, stack, new_mem, rho,
-                                next_pred)), SILENT
-    if kind is FailInstr:
+    if kind is AssignI:
+        rho = dict(rho)
+        rho[head.target] = head.expr.value
+    elif kind is StoreI:
+        mem = dict(mem)
+        mem[head.addr.value] = head.value.value
+    elif kind is FailInstr:
         return _config(Config, ((), (), mem, rho, next_pred)), \
             FailObs(head.pred)
-    return Stuck("buffer head is not ready to retire")
+    return _config(Config, (rest, stack, mem, rho, next_pred)), SILENT
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +608,20 @@ def applicable_directives(config: Config) -> list:
     depth-first exploration of `enumerate_schedules` reach the most
     speculative interleavings early.
 
-    This recomputes the side conditions of the step rules incrementally (one
-    left-to-right pass over the buffer) instead of attempting each step, so
-    random walks stay cheap.  An operand is evaluated inside one `try` per
-    instruction, and one that raises `EvalError` counts as undefined; an
-    address must be of type `int`, since values are only `int`, `bool` or
-    `ArrayDecl`.  The test `test_applicable_directives_agree_with_step`
-    checks along seeded walks that a directive is listed exactly when
-    `step` does not leave the machine stuck on it.
+    `exec i` is listed where `exec_operands` of the buffer finds position
+    i ready, and `step` takes the same pass over the buffer up to i;
+    `retire` is listed where `_retires`, the predicate `_retire` checks,
+    accepts the head.  No step is attempted, so random walks stay cheap.
+    The test `test_applicable_directives_agree_with_step` checks along
+    seeded walks that a directive is listed exactly when `step` does not
+    leave the machine stuck on it.
     """
+    return _listing(config)[0]
+
+
+def _listing(config: Config) -> tuple:
+    """`applicable_directives` of `config`, with `exec_operands` of its
+    buffer, or None for an empty buffer."""
     out: list[Directive] = []
     if config.stack:
         if type(config.stack[0]) is If:
@@ -588,66 +631,21 @@ def applicable_directives(config: Config) -> list:
             out.append(FETCH)
     buffer = config.buffer
     if not buffer:
-        return out
-    trho = dict(config.vars)
-    seen_store = False
-    data_execs: list[Directive] = []
-    guard_execs: list[Directive] = []
-    for idx, instr in enumerate(buffer, start=1):
-        kind = type(instr)
-        if kind is AssignI:
-            e = instr.expr
-            if type(e) is Lit:
-                trho[instr.target] = e.value
-                continue
-            try:
-                if eval_expr(e, trho) is not None:
-                    data_execs.append(_exec_directive(idx))
-            except EvalError:
-                pass
-            trho[instr.target] = None
-        elif kind is GuardI:
-            try:
-                if type(eval_expr(instr.cond, trho)) is bool:
-                    guard_execs.append(_exec_directive(idx))
-            except EvalError:
-                pass
-        elif kind is LoadI:
-            if not seen_store:
-                try:
-                    if type(eval_expr(instr.addr, trho)) is int:
-                        data_execs.append(_exec_directive(idx))
-                except EvalError:
-                    pass
-            trho[instr.target] = None
-        elif kind is ProtectI:
-            if type(instr.expr) is not Lit:
-                try:
-                    if eval_expr(instr.expr, trho) is not None:
-                        data_execs.append(_exec_directive(idx))
-                except EvalError:
-                    pass
-            elif not pending_ids(buffer[:idx - 1]):
-                data_execs.append(_exec_directive(idx))
-            trho[instr.target] = None
-        elif kind is StoreI:
-            if not instr.executed:
-                try:
-                    if type(eval_expr(instr.addr, trho)) is int \
-                            and eval_expr(instr.value, trho) is not None:
-                        data_execs.append(_exec_directive(idx))
-                except EvalError:
-                    pass
-            seen_store = True
-    out.extend(data_execs)
-    out.extend(guard_execs)
-    head = buffer[0]
-    kind = type(head)
-    if kind is Nop or kind is FailInstr \
-            or kind is AssignI and type(head.expr) is Lit \
-            or kind is StoreI and head.executed:
+        return out, None
+    operands = exec_operands(buffer, config.vars)
+    guard_execs = []
+    index = 0
+    for r in operands:
+        index += 1
+        if type(r) is not str:
+            if type(buffer[index - 1]) is GuardI:
+                guard_execs.append(_exec_directive(index))
+            else:
+                out.append(_exec_directive(index))
+    out += guard_execs
+    if _retires(buffer[0]):
         out.append(RETIRE)
-    return out
+    return out, operands
 
 
 def sequential_schedule(c: Command, mem, rho,
@@ -664,14 +662,8 @@ def sequential_schedule(c: Command, mem, rho,
             raise BudgetExceeded(
                 f"sequential schedule budget of {budget} exhausted")
         if config.buffer:
-            head = config.buffer[0]
-            if isinstance(head, (Nop, FailInstr)):
-                d: Directive = RETIRE
-            elif type(head) is AssignI and type(head.expr) is Lit \
-                    or type(head) is StoreI and head.executed:
-                d = RETIRE
-            else:
-                d = _EXECS[1]
+            d: Directive = RETIRE if _retires(config.buffer[0]) \
+                else _EXECS[1]
         else:
             head = config.stack[0]
             if isinstance(head, If):
@@ -921,15 +913,15 @@ GRAPH_MAX_NODES = 1000
 
 class _Node:
     """A `StateGraph` configuration with its `_retired_ids` ids and its
-    `_config_key`, its applicable directives once asked for, and, if the
-    graph keeps it, `out`: for each of those directives, (child,
-    observation) once stepped, else None."""
+    `_config_key`, its applicable directives and `exec_operands` of its
+    buffer once asked for, and, if the graph keeps it, `out`: for each of
+    those directives, (child, observation) once stepped, else None."""
 
-    __slots__ = ("config", "ids", "key", "options", "out")
+    __slots__ = ("config", "ids", "key", "options", "operands", "out")
 
     def __init__(self, config: Config, ids, key) -> None:
         self.config, self.ids, self.key = config, ids, key
-        self.options = self.out = None
+        self.options = self.operands = self.out = None
 
 
 class StateGraph:
@@ -955,7 +947,7 @@ class StateGraph:
 
     def _directives(self, node: _Node) -> list:
         if node.options is None:
-            node.options = applicable_directives(node.config)
+            node.options, node.operands = _listing(node.config)
         return node.options
 
     def _keep(self, node: _Node) -> None:
@@ -965,9 +957,14 @@ class StateGraph:
     def _step(self, node: _Node, i: int) -> tuple:
         """(child, observation) for option `i` of `node`, kept in `out` if
         the graph keeps `node`: the child is the graph's node of its key,
-        or a new node, which joins the graph while it has room."""
+        or a new node, which joins the graph while it has room.  An exec
+        resolves with the operands the listing found."""
         d = node.options[i]
-        config, obs = step(node.config, d)
+        if type(d) is Exec:
+            config, obs = _exec(node.config, d.index,
+                                node.operands[d.index - 1])
+        else:
+            config, obs = step(node.config, d)
         ids = node.ids if type(d) is not Retire else _retired_ids(
             node.config, node.ids, self._writes)
         key = _config_key(config, ids, (d, node.config.buffer, node.key[0]),

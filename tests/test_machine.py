@@ -57,6 +57,7 @@ from specrepair.machine import (
     WriteObs,
     applicable_directives,
     enumerate_schedules,
+    exec_operands,
     exhaustive_runs,
     filter_trace,
     format_observation,
@@ -71,7 +72,6 @@ from specrepair.machine import (
     sequential_schedule,
     step,
     traces_equivalent,
-    transient_map,
     unwind,
 )
 from specrepair.parser import parse_program
@@ -88,39 +88,33 @@ A = ArrayDecl("a", 1, 2, "L")
 # ---------------------------------------------------------------------------
 
 
-def test_transient_map_empty_prefix():
-    rho = {"x": 1}
-    assert transient_map(rho, ()) == rho
-
-
-def test_transient_map_resolved_assignment():
-    assert transient_map({"x": 1}, (AssignI("x", Lit(5)),)) == {"x": 5}
-
-
-def test_transient_map_unresolved_binds_bottom():
-    assert transient_map({"x": 1}, (AssignI("x", Var("y")),)) == {"x": None}
-    assert transient_map({"x": 1}, (LoadI("x", "L", Lit(2)),)) == {"x": None}
-
-
-def test_transient_map_protect_never_forwards():
+# (instructions before an assignment that reads x, the value of x it sees,
+# None for bottom), where only x is bound, to 1
+TRANSIENT_CASES = [
+    ((), 1),
+    ((AssignI("x", Lit(5)),), 5),
+    # y is unbound: an operand that does not evaluate still binds bottom
+    ((AssignI("x", Var("y")),), None),
+    ((LoadI("x", "L", Lit(2)),), None),
     # even a resolved protected value stays unavailable
-    assert transient_map({"x": 1}, (ProtectI("x", Lit(7)),)) == {"x": None}
+    ((ProtectI("x", Lit(7)),), None),
+    ((Nop(), StoreI("L", Lit(1), Lit(2)), FailInstr(1),
+      GuardI(Lit(True), True, (), 2)), 1),
+    ((Nop(), FailInstr(1)), 1),
+]
 
 
-def test_transient_map_ignores_other_instructions():
-    prefix = (Nop(), StoreI("L", Lit(1), Lit(2)), FailInstr(1),
-              GuardI(Lit(True), True, (), 2))
-    assert transient_map({"x": 1}, prefix) == {"x": 1}
-
-
-def test_transient_map_never_writes_its_argument():
-    # it may return `rho` itself where the prefix binds nothing
-    rho = {"x": 1}
-    for prefix in [(), (Nop(), FailInstr(1)), (AssignI("x", Lit(5)),),
-                   (AssignI("x", Var("y")),), (LoadI("x", "L", Lit(2)),),
-                   (ProtectI("x", Lit(7)),)]:
-        transient_map(rho, prefix)
-        assert rho == {"x": 1}, prefix
+@pytest.mark.parametrize("prefix, seen", TRANSIENT_CASES)
+def test_exec_operands_read_the_transient_map(prefix, seen):
+    # a map the pass cannot write
+    rho = MappingProxyType({"x": 1})
+    operands = exec_operands(prefix + (AssignI("z", Var("x")),), rho)
+    assert len(operands) == len(prefix) + 1
+    assert operands[-1] == (
+        "assignment operand is still undefined" if seen is None else seen)
+    # each position is given as `step` gives it from the prefix up to it
+    assert [exec_operands(prefix[:i + 1], rho)[-1]
+            for i in range(len(prefix))] == operands[:-1]
 
 
 def test_pending_ids_orders_guards_and_fails():
@@ -1228,12 +1222,12 @@ def _snapshot(cfg):
     return cfg.buffer, cfg.stack, _typed(cfg.mem), _typed(cfg.vars)
 
 
-def _read_only_transient_maps(monkeypatch) -> None:
-    """Make `transient_map` hand `_exec` a map it cannot write: for a
-    prefix that binds nothing it may be the configuration's own `vars`."""
-    plain_map = machine.transient_map
-    monkeypatch.setattr(machine, "transient_map", lambda rho, prefix:
-                        MappingProxyType(plain_map(rho, prefix)))
+def _read_only_vars(monkeypatch) -> None:
+    """Hand `exec_operands` the configuration's `vars` as a map it cannot
+    write."""
+    plain = machine.exec_operands
+    monkeypatch.setattr(machine, "exec_operands", lambda buffer, rho:
+                        plain(buffer, MappingProxyType(rho)))
 
 
 @pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
@@ -1241,7 +1235,7 @@ def test_step_never_mutates_its_input(corpus, mode, monkeypatch):
     # successors share the mem/vars dicts of their predecessor, so a step
     # that wrote them in place would corrupt the configuration it came
     # from; nor may listing the applicable directives write them
-    _read_only_transient_maps(monkeypatch)
+    _read_only_vars(monkeypatch)
     rng = random.Random(9)
     for name, program in corpus:
         command = lower_protects(program.command, mode)
@@ -1264,34 +1258,30 @@ def test_exploration_never_mutates_a_configuration(monkeypatch):
     # the depth-first explorer steps every sibling from one shared parent;
     # past a graph of 3 nodes it steps each configuration on every visit
     monkeypatch.setattr(machine, "GRAPH_MAX_NODES", 3)
-    _read_only_transient_maps(monkeypatch)
+    _read_only_vars(monkeypatch)
     program = load_program("guard_chain")
-    original_step = machine.step
-    original_directives = machine.applicable_directives
-    calls = listed = 0
+    # what the graph calls: the listing, `step`, and `_exec` with the
+    # operands the listing found
+    calls = Counter()
 
-    def checked_step(cfg, d):
-        nonlocal calls
-        calls += 1
-        before = _snapshot(cfg)
-        result = original_step(cfg, d)
-        assert _snapshot(cfg) == before, d
-        return result
+    def checked(name):
+        original = getattr(machine, name)
 
-    def checked_directives(cfg):
-        nonlocal listed
-        listed += 1
-        before = _snapshot(cfg)
-        result = original_directives(cfg)
-        assert _snapshot(cfg) == before, result
-        return result
+        def call(cfg, *args):
+            calls[name] += 1
+            before = _snapshot(cfg)
+            result = original(cfg, *args)
+            assert _snapshot(cfg) == before, (name, args)
+            return result
+        monkeypatch.setattr(machine, name, call)
 
-    monkeypatch.setattr(machine, "step", checked_step)
-    monkeypatch.setattr(machine, "applicable_directives", checked_directives)
+    for name in ("_listing", "step", "_exec"):
+        checked(name)
     runs = list(enumerate_schedules(program.command,
                                     program.initial_memory(),
                                     program.initial_var_map()))
-    assert runs and calls > len(runs) and listed > len(runs)
+    assert runs and calls["_listing"] > len(runs) \
+        and calls["step"] > len(runs) and calls["_exec"]
 
 
 def test_terminal_definition():
