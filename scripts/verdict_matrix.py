@@ -51,6 +51,7 @@ from specrepair.machine import (
     initial_config,
     lower_protects,
     step,
+    unwind,
 )
 from specrepair.graphcut import build_graph, to_dot
 from specrepair.parser import pretty_header, pretty_program
@@ -132,12 +133,13 @@ def runs_record(runs) -> dict:
     if runs is None:
         return None
     digest = hashlib.sha256()
-    for run in runs:
+    for config, path in runs:
+        directives, trace = unwind(path)
         digest.update(repr((
-            schedule(run.directives),
-            [format_observation(o) for o in run.trace],
-            sorted(run.config.mem.items()),
-            sorted(run.config.vars.items()))).encode())
+            schedule(directives),
+            [format_observation(o) for o in trace],
+            sorted(config.mem.items()),
+            sorted(config.vars.items()))).encode())
     return {"runs": len(runs), "sha256": digest.hexdigest()}
 
 

@@ -13,14 +13,13 @@ from .seq import run_sequential
 from .machine import (
     MODE_HW,
     MODE_SLH,
-    enumerate_schedules,
+    StateGraph,
     filter_trace,
     lower_protects,
-    random_schedule,
     run_schedule,
     sequential_schedule,
     step,
-    traces_equivalent,
+    unwind,
 )
 from .typesys import (
     Mode,
@@ -35,9 +34,8 @@ from .harness import consistency_suite, gen_lequiv_pairs, sct_fuzz
 __all__ = [
     "ALL_ONES", "ArrayDecl", "Policy", "check_ssa", "eval_expr",
     "Program", "parse_program", "pretty_program", "run_sequential",
-    "MODE_HW", "MODE_SLH", "enumerate_schedules", "filter_trace",
-    "lower_protects", "random_schedule", "run_schedule",
-    "sequential_schedule", "step", "traces_equivalent",
+    "MODE_HW", "MODE_SLH", "StateGraph", "filter_trace", "lower_protects",
+    "run_schedule", "sequential_schedule", "step", "unwind",
     "Mode", "generate_constraints", "typecheck_ct", "typecheck_transient",
     "build_graph", "extract_env", "is_cut", "min_cut", "baseline_repair",
     "pipeline", "repair", "consistency_suite", "gen_lequiv_pairs",

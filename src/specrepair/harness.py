@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Optional
 
 from .lang import Policy, Value
@@ -268,11 +268,12 @@ def consistency_suite(programs: list[tuple[str, Program]],
     on the graph that the count stepped; where the sequential schedule is
     longer than that, no walk can complete and none is made.
 
-    A run is checked on its terminal configuration and on
-    `machine.observation_counts` of its observations, taken from a walk's
-    path links as they come, against the same count of the sequential
-    trace, made once per program.  A failure's directives are unwound
-    from its path only when it is reported."""
+    A swept or walked run is a (terminal configuration, path) pair, checked
+    on the configuration and on `machine.observation_counts` of its
+    observations, taken from the path's links as they come, against the
+    same count of the sequential trace, made once per program.  A
+    failure's directives are unwound from its path only when it is
+    reported."""
     report = ConsistencyReport()
     for name, program in programs:
         mem, rho = program.initial_memory(), program.initial_var_map()
@@ -281,20 +282,15 @@ def consistency_suite(programs: list[tuple[str, Program]],
                     observation_counts(seq_result.trace))
         report.checked += 1
         graph = StateGraph(lower_protects(program.command, mode), mem, rho)
-        for run in exhaustive_runs(graph) or ():
-            report.schedules += 1
-            detail = _inconsistency(run.config, run.trace, expected)
-            if detail:
-                report.failures.append(ConsistencyFailure(
-                    name, run.directives, seed, detail))
-        if graph._too_long(WALK_MAX_LEN):
-            continue
-        rng = random.Random(f"consistency:{seed}:{name}")
-        walks = (graph.walk(rng, WALK_MAX_LEN)
-                 for _ in range(4 * per_program_schedules))
-        complete = ((config, path) for config, path in walks
-                    if config.terminal)
-        for config, path in islice(complete, per_program_schedules):
+        swept = exhaustive_runs(graph) or ()
+        complete = ()
+        if not graph._too_long(WALK_MAX_LEN):
+            rng = random.Random(f"consistency:{seed}:{name}")
+            walks = (graph.walk(rng, WALK_MAX_LEN)
+                     for _ in range(4 * per_program_schedules))
+            complete = islice(((config, path) for config, path in walks
+                               if config.terminal), per_program_schedules)
+        for config, path in chain(swept, complete):
             report.schedules += 1
             detail = _inconsistency(config, path_observations(path), expected)
             if detail:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -605,7 +604,7 @@ def applicable_directives(config: Config) -> list:
     """Directives that do not leave the machine stuck, in a fixed
     speculate-first order: fetches (predicting true before false), data
     execs, guard execs, retire.  Deferring guard resolution makes the
-    depth-first exploration of `enumerate_schedules` reach the most
+    depth-first search of `StateGraph.schedules` reach the most
     speculative interleavings early.
 
     `exec i` is listed where `exec_operands` of the buffer finds position
@@ -679,13 +678,6 @@ def sequential_schedule(c: Command, mem, rho,
         config, _obs = result
         schedule.append(d)
     return schedule
-
-
-@dataclass
-class CompletedRun:
-    directives: tuple
-    trace: tuple
-    config: Config
 
 
 def _config_key(config: Config, ids: tuple, parent: tuple,
@@ -765,33 +757,6 @@ _NO_PARENT = (None, (), ())
 EXHAUSTIVE_MAX_LEN = 40
 EXHAUSTIVE_MAX_SCHEDULES = 5000
 EXHAUSTIVE_MAX_NODES = 400_000
-
-
-def enumerate_schedules(c: Command, mem, rho,
-                        max_len: int = EXHAUSTIVE_MAX_LEN,
-                        max_schedules: int = EXHAUSTIVE_MAX_SCHEDULES,
-                        max_nodes: int = EXHAUSTIVE_MAX_NODES
-                        ) -> Iterator[CompletedRun]:
-    """Depth-first stream of complete schedules reaching a terminal
-    configuration within `max_len` directives, searched on a `StateGraph`
-    (`StateGraph.schedules`).  Stuck or over-length branches are silently
-    abandoned; at most `max_schedules` runs are yielded and at most
-    `max_nodes` configurations explored.  No complete schedule is shorter
-    than `sequential_schedule`; when that one exceeds `max_len` no search is
-    made, so `loop_protect` and `sha2_update_last` pass SCT with 0 trials,
-    which is not evidence (ROADMAP item 2).
-
-    The search remembers each configuration whose subtree yielded no
-    complete schedule, with the directives it had left, and does not enter
-    it again with as many or fewer (state-space caching, as in Holzmann's
-    "Tracing Protocols", 1985).  The stream is that of the plain search;
-    the memo only makes `max_nodes` reach further.  Repaired `while_count`
-    and `while_transient` yield 5000 schedules within about 45 000
-    configurations, where the plain search found none in 400 000.
-    """
-    graph = StateGraph(c, mem, rho)
-    for config, path in graph.schedules(max_len, max_schedules, max_nodes):
-        yield CompletedRun(*unwind(path), config)
 
 
 def unwind(path) -> tuple[tuple, tuple]:
@@ -879,27 +844,27 @@ def _count_space(graph: StateGraph, max_len: int,
     return schedules, finished
 
 
-def exhaustive_runs(graph: StateGraph, max_len: int = EXHAUSTIVE_MAX_LEN,
-                    limit: int = EXHAUSTIVE_MAX_SCHEDULES) -> Optional[list]:
-    """The complete schedule space of `graph` within `max_len`
-    directives, in the order of `enumerate_schedules`, or None when
-    `_count_space` finds that it does not fit: more than `limit`
-    schedules, more than `EXHAUSTIVE_MAX_NODES` configurations expanded,
-    or a branch unfinished at `max_len` directives.  A space that does not
+def exhaustive_runs(graph: StateGraph) -> Optional[list]:
+    """(terminal configuration, path) for each complete schedule of `graph`
+    within `EXHAUSTIVE_MAX_LEN` directives, in the order of
+    `StateGraph.schedules`, or None when `_count_space` finds that the
+    space does not fit: more than `EXHAUSTIVE_MAX_SCHEDULES` schedules,
+    more than `EXHAUSTIVE_MAX_NODES` configurations expanded, or a branch
+    unfinished at `EXHAUSTIVE_MAX_LEN` directives.  A space that does not
     fit is never enumerated; one that fits is enumerated on the graph the
     count stepped, and is still None unless it has as many schedules as
     counted.
     """
-    count, whole = _count_space(graph, max_len, limit + 1)
+    max_len, limit = EXHAUSTIVE_MAX_LEN, EXHAUSTIVE_MAX_SCHEDULES + 1
+    count, whole = _count_space(graph, max_len, limit)
     if not whole:
         return None
-    runs = [CompletedRun(*unwind(path), config)
-            for config, path in graph.schedules(max_len, limit + 1)]
+    runs = list(graph.schedules(max_len, limit))
     return runs if len(runs) == count else None
 
 
-# Directives in one random walk: `random_schedule`, `sct_fuzz`,
-# `consistency_suite` and `fuzz-sct --budget`.
+# Directives in one random walk: `sct_fuzz`, `consistency_suite` and
+# `fuzz-sct --budget`.
 WALK_MAX_LEN = 400
 
 # Nodes one `StateGraph` keeps.  With `perfbench/run.py --seconds 6` at
@@ -1034,13 +999,27 @@ class StateGraph:
 
     def schedules(self, max_len: int = EXHAUSTIVE_MAX_LEN,
                   max_schedules: int = EXHAUSTIVE_MAX_SCHEDULES,
-                  max_nodes: int = EXHAUSTIVE_MAX_NODES,
                   second: Optional[StateGraph] = None) -> Iterator:
-        """The search of `enumerate_schedules`: (terminal configuration,
-        path) for each complete schedule, a path being a chain of (parent
-        path, directive, observation) links for `unwind`.  A configuration
-        the graph keeps is stepped once, and any other afresh on each visit
-        (`_expand`).
+        """Depth-first search for complete schedules: (terminal
+        configuration, path) for each schedule reaching a terminal
+        configuration within `max_len` directives, a path being a chain of
+        (parent path, directive, observation) links for `unwind`.  Stuck or
+        over-length branches are abandoned; at most `max_schedules` are
+        yielded and at most `EXHAUSTIVE_MAX_NODES` configurations visited.
+        No complete schedule is shorter than `sequential_schedule`; when that
+        one exceeds `max_len` no search is made, so `loop_protect` and
+        `sha2_update_last` pass SCT with 0 trials, which is not evidence
+        (ROADMAP item 2).  A configuration the graph keeps is stepped once,
+        and any other afresh on each visit (`_expand`).
+
+        The search remembers each configuration whose subtree yielded no
+        complete schedule, with the directives it had left, and does not
+        enter it again with as many or fewer (state-space caching, as in
+        Holzmann's "Tracing Protocols", 1985).  The stream is that of the
+        plain search; the memo only makes the node cap reach further.
+        Repaired `while_count` and `while_transient` yield 5000 schedules
+        within about 45 000 configurations, where the plain search found
+        none in 400 000.
 
         With a `second` graph, of another initial state, it steps that
         graph along each link it enters (`_edge`) and yields (configuration,
@@ -1050,7 +1029,7 @@ class StateGraph:
         the same `second` key, it comes back as its schedule count, capped
         at the schedules left, an int.  What lies below depends only on the
         two configurations, so verdicts and counts are the plain search's;
-        only `max_nodes` reaches further."""
+        only the node cap reaches further."""
         if self._too_long(max_len):
             return
         produced = explored = 0
@@ -1072,7 +1051,7 @@ class StateGraph:
                 continue
             node, path, depth, node2, agreed = entry
             explored += 1
-            if explored > max_nodes:
+            if explored > EXHAUSTIVE_MAX_NODES:
                 return
             config = node.config
             terminal = not config.buffer and not config.stack
@@ -1133,15 +1112,6 @@ class StateGraph:
         for k, (d, obs) in enumerate(zip(*unwind(path))):
             node, agreed = self._along(node, agreed, k, d, obs)
         return node and node.config, agreed
-
-
-def random_schedule(c: Command, mem, rho, *, rng: random.Random,
-                    max_len: int = WALK_MAX_LEN) -> Optional[CompletedRun]:
-    """A uniformly random walk over applicable directives, drawn from
-    `rng`; None if no terminal configuration is reached within `max_len`
-    steps."""
-    config, path = StateGraph(c, mem, rho).walk(rng, max_len)
-    return CompletedRun(*unwind(path), config) if config.terminal else None
 
 
 # ---------------------------------------------------------------------------
@@ -1209,11 +1179,6 @@ def observation_counts(observations) -> dict:
             else (_COUNTED_KINDS[kind], o.addr)
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def traces_equivalent(t1, t2) -> bool:
-    """Multiset equality of filtered, identifier-erased observations."""
-    return Counter(filter_trace(t1)) == Counter(filter_trace(t2))
 
 
 # ---------------------------------------------------------------------------
