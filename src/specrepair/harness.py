@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Optional
 
+from . import machine
 from .lang import Policy, Value
 from .machine import (
-    EXHAUSTIVE_MAX_LEN,
-    EXHAUSTIVE_MAX_SCHEDULES,
     MODE_HW,
     RESERVED_PREFIX,
     WALK_MAX_LEN,
@@ -182,7 +181,7 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
     """
     command = lower_protects(program.command, mode)
     exhaustive = schedules == "exhaustive"
-    length = min(max_len, EXHAUSTIVE_MAX_LEN)
+    length = min(max_len, machine.EXHAUSTIVE_MAX_LEN)
     trials = distinct = 0
     for pair_index, pair in enumerate(gen_lequiv_pairs(program, pairs, seed)):
         graph1 = StateGraph(command, pair.mem1, pair.rho1)
@@ -190,9 +189,10 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
         # a walk cut off at `max_len` is not a trial
         walks = (graph1.walk(rng, max_len) for _ in range(schedule_count))
         if _kinds(pair.mem1, pair.rho1) == _kinds(pair.mem2, pair.rho2):
-            trials += _count_space(
-                graph1, length, EXHAUSTIVE_MAX_SCHEDULES)[0] if exhaustive \
-                else sum(config.terminal for config, _path in walks)
+            trials += (_count_space(graph1, length,
+                                    machine.EXHAUSTIVE_MAX_SCHEDULES)[0]
+                       if exhaustive else
+                       sum(config.terminal for config, _path in walks))
             continue
         distinct += 1
         graph2 = StateGraph(command, pair.mem2, pair.rho2)

@@ -8,11 +8,21 @@ the all-zeros mask an exact zero.  All binary operators share one node,
 node, `ArrayField`.  The bottom marker (represented as None) never appears
 in source-level states; it only arises in the transient variable maps of the
 speculative machine.
+
+Every node class of the package (the AST here; the instructions,
+directives and observations of `machine`; the observations of `seq`; the
+typing records of `typesys`) is declared with `node`: a frozen slotted
+dataclass whose constructor stores each field through its slot.  Frozen,
+because `machine` shares nodes between runs and keys its caches by them,
+and keeps each command's fetched form in the one settable slot,
+`Command._fetched`.  Slot stores, because a parse and a repair build tens
+of thousands of nodes, and the generated frozen constructor pays an
+`object.__setattr__` call per field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Iterator, Optional, Union
 
 WORD_BITS = 64
@@ -37,7 +47,52 @@ def label_join(l1: str, l2: str) -> str:
     return LABEL_SECRET if LABEL_SECRET in (l1, l2) else LABEL_PUBLIC
 
 
-@dataclass(frozen=True, slots=True)
+def node(cls=None, /, *, eq: bool = True, repr: bool = True):
+    """Declare `cls` a frozen slotted dataclass whose `__init__` stores each
+    field through its slot: `@node`, or `@node(eq=False)` and
+    `@node(eq=False, repr=False)` for a class that keeps its own methods.
+
+    The generated `__init__` of a frozen dataclass assigns each field with
+    `object.__setattr__`, to get past the `__setattr__` that freezes it.
+    This one calls the `__set__` of each field's slot descriptor instead,
+    which builds a node in about two thirds of the time.  Its parameters,
+    their order, defaults and annotations are those of the generated one,
+    and every other method is the dataclass's.  A field must be a plain
+    positional one, with at most a plain default, and the class may have
+    no `__post_init__`.
+    """
+
+    def build(cls):
+        cls = dataclass(frozen=True, slots=True, eq=eq, repr=repr)(cls)
+        generated = cls.__init__
+        code = generated.__code__
+        names = [f.name for f in fields(cls)]
+        # a default factory, an init-only, keyword-only or non-init field,
+        # or a post-init hook needs the generated constructor
+        if (hasattr(cls, "__post_init__")
+                or list(code.co_varnames[1:code.co_argcount]) != names
+                or any(f.default_factory is not MISSING for f in fields(cls))):
+            raise TypeError(f"{cls.__qualname__}: a node takes each field "
+                            "as a plain positional parameter")
+        setters = ", ".join(f"_set_{name}" for name in names)
+        body = "".join(f"  _set_{name}(self, {name})\n"
+                       for name in names) or "  pass\n"
+        namespace: dict = {}
+        exec(f"def __create_fn__({setters}):\n"
+             f" def __init__(self, {', '.join(names)}):\n{body}"
+             " return __init__\n", generated.__globals__, namespace)
+        init = namespace["__create_fn__"](
+            *(cls.__dict__[name].__set__ for name in names))
+        init.__qualname__ = generated.__qualname__
+        init.__defaults__ = generated.__defaults__
+        init.__annotations__ = generated.__annotations__
+        cls.__init__ = init
+        return cls
+
+    return build if cls is None else build(cls)
+
+
+@node
 class ArrayDecl:
     """A named array occupying memory cells [base, base + length)."""
 
@@ -73,7 +128,7 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@node(eq=False)
 class Lit(Expr):
     """A literal value.  Literals are equal when their values are equal and
     of the same kind, so `Lit(True) != Lit(1)` although `True == 1`."""
@@ -88,7 +143,7 @@ class Lit(Expr):
         return hash(self.value)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Var(Expr):
     name: str
 
@@ -99,7 +154,7 @@ KIND_BOOL = "bool"
 KIND_ARRAY = "array"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class BinOp(Expr):
     """`left op right`, where `op` is the operator's source token.  Every
     operator takes two naturals; `BINOPS` gives the kind of its result and
@@ -114,7 +169,7 @@ class BinOp(Expr):
 BINOPS = {"+": KIND_NAT, "&": KIND_NAT, "<": KIND_BOOL}
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Ternary(Expr):
     """Non-speculative conditional select; the machine never predicts it."""
 
@@ -123,7 +178,7 @@ class Ternary(Expr):
     other: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ArrayField(Expr):
     """`field(arg)`: the `ArrayDecl` attribute `field`, one of
     `ARRAY_FIELDS`, of the array `arg`."""
@@ -148,12 +203,12 @@ class Rhs:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Pure(Rhs):
     expr: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class PtrRead(Rhs):
     """Raw memory read `*L(e)`; the label decorates the pointed-to data."""
 
@@ -161,7 +216,7 @@ class PtrRead(Rhs):
     addr: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ArrayRead(Rhs):
     """Bounds-checked read `a[e]`; the array operand is a static constant."""
 
@@ -252,23 +307,23 @@ def _preorder(c: Command) -> Iterator[Command]:
             todo.append(cmd.body)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Skip(Command):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Fail(Command):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Assign(Command):
     target: str
     rhs: Rhs
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Protect(Command):
     """Like Assign, but the value is withheld until it is stable."""
 
@@ -276,40 +331,40 @@ class Protect(Command):
     rhs: Rhs
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class PtrWrite(Command):
     label: str
     addr: Expr
     value: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ArrayWrite(Command):
     array: ArrayDecl
     index: Expr
     value: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@node(eq=False, repr=False)
 class If(_Compound):
     cond: Expr
     then: Command
     other: Command
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@node(eq=False, repr=False)
 class While(_Compound):
     cond: Expr
     body: Command
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@node(eq=False, repr=False)
 class Seq(_Compound):
     first: Command
     second: Command
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Policy:
     """Names of attacker-observable (public) variables and arrays."""
 

@@ -62,6 +62,7 @@ from .lang import (
     Var,
     While,
     eval_expr,
+    node,
     rewrite_statements,
 )
 from .seq import DEFAULT_BUDGET, BudgetExceeded, SeqFail, SeqRead, SeqWrite
@@ -82,17 +83,17 @@ def is_reserved_name(name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Nop:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FailInstr:
     pred: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class AssignI:
     """An assignment; resolved once `expr` is a `Lit`."""
 
@@ -100,14 +101,14 @@ class AssignI:
     expr: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class LoadI:
     target: str
     label: str
     addr: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class StoreI:
     """A pending store.  Unlike assignments, a store with literal operands
     still needs its execute step: that step is what emits the write
@@ -119,7 +120,7 @@ class StoreI:
     executed: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ProtectI:
     """A protect; resolved once `expr` is a `Lit`, released to an
     assignment once no guard or fail precedes it."""
@@ -128,7 +129,7 @@ class ProtectI:
     expr: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class GuardI:
     cond: Expr
     predicted: bool
@@ -139,22 +140,22 @@ class GuardI:
 Instruction = Union[Nop, FailInstr, AssignI, LoadI, StoreI, ProtectI, GuardI]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Fetch:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FetchBranch:
     prediction: bool
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Exec:
     index: int  # 1-based position in the reorder buffer
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Retire:
     pass
 
@@ -162,29 +163,29 @@ class Retire:
 Directive = Union[Fetch, FetchBranch, Exec, Retire]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Silent:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ReadObs:
     addr: int
     pending: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class WriteObs:
     addr: int
     pending: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FailObs:
     pred: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class RollbackObs:
     pred: int
 
@@ -194,7 +195,7 @@ Observation = Union[Silent, ReadObs, WriteObs, FailObs, RollbackObs]
 SILENT = Silent()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Stuck:
     reason: str
 
@@ -997,8 +998,8 @@ class StateGraph:
             node = child
         return node.config, path
 
-    def schedules(self, max_len: int = EXHAUSTIVE_MAX_LEN,
-                  max_schedules: int = EXHAUSTIVE_MAX_SCHEDULES,
+    def schedules(self, max_len: Optional[int] = None,
+                  max_schedules: Optional[int] = None,
                   second: Optional[StateGraph] = None) -> Iterator:
         """Depth-first search for complete schedules: (terminal
         configuration, path) for each schedule reaching a terminal
@@ -1006,6 +1007,8 @@ class StateGraph:
         (parent path, directive, observation) links for `unwind`.  Stuck or
         over-length branches are abandoned; at most `max_schedules` are
         yielded and at most `EXHAUSTIVE_MAX_NODES` configurations visited.
+        The two caps default to `EXHAUSTIVE_MAX_LEN` and
+        `EXHAUSTIVE_MAX_SCHEDULES` as they are when the search starts.
         No complete schedule is shorter than `sequential_schedule`; when that
         one exceeds `max_len` no search is made, so `loop_protect` and
         `sha2_update_last` pass SCT with 0 trials, which is not evidence
@@ -1030,6 +1033,10 @@ class StateGraph:
         at the schedules left, an int.  What lies below depends only on the
         two configurations, so verdicts and counts are the plain search's;
         only the node cap reaches further."""
+        if max_len is None:
+            max_len = EXHAUSTIVE_MAX_LEN
+        if max_schedules is None:
+            max_schedules = EXHAUSTIVE_MAX_SCHEDULES
         if self._too_long(max_len):
             return
         produced = explored = 0

@@ -30,6 +30,7 @@ from .lang import (
     While,
     eval_expr,
     is_nat,
+    node,
 )
 
 
@@ -37,17 +38,17 @@ class BudgetExceeded(LangError):
     """The run did not finish within the configured number of rule steps."""
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class SeqRead:
     addr: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class SeqWrite:
     addr: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class SeqFail:
     pass
 

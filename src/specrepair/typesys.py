@@ -35,7 +35,6 @@ system but the AST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lang import (
@@ -71,11 +70,12 @@ from .lang import (
     is_constant_in_bounds,
     label_flows_to,
     label_join,
+    node,
 )
 from .parser import pretty_expr, pretty_header, pretty_rhs
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Mode:
     """Analysis flags: v1.1 store/source rules, SLH-restricted cut sets."""
 
@@ -83,7 +83,7 @@ class Mode:
     slh_only_cuts: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Violation:
     rule: str
     where: str
@@ -205,13 +205,13 @@ def typecheck_ct(policy: Policy, c: Command, arrays: dict[str, ArrayDecl],
 SOURCE, SINK = 0, 1
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@node(eq=False)
 class TSource:
     def __str__(self) -> str:
         return "T"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@node(eq=False)
 class SSink:
     def __str__(self) -> str:
         return "S"

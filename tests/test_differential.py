@@ -4,7 +4,6 @@ randomly generated programs, not just the bundled corpus."""
 from __future__ import annotations
 
 import random
-from functools import partialmethod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,7 +215,8 @@ def leaky_programs(draw):
 def test_sct_fuzz_matches_fresh_replays_on_leaky_programs(program, seed):
     # lockstep walks and the lockstep search, with its count memo's
     # second-side check, against every schedule replayed from scratch;
-    # `count` caps the search's schedules or sets the walks per pair
+    # `count` caps the search's and the equal-pair count's schedules
+    # (`machine.EXHAUSTIVE_MAX_SCHEDULES`) or sets the walks per pair
     for mode in (MODE_HW, MODE_SLH):
         for schedules, count in (("exhaustive", 200), ("random", 20)):
             want = _reference_sct(program, program.command, mode, schedules,
@@ -225,8 +225,7 @@ def test_sct_fuzz_matches_fresh_replays_on_leaky_programs(program, seed):
             for cap in (machine.GRAPH_MAX_NODES, 3):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(machine, "GRAPH_MAX_NODES", cap)
-                    patch.setattr(StateGraph, "schedules", partialmethod(
-                        StateGraph.schedules, max_schedules=count))
+                    patch.setattr(machine, "EXHAUSTIVE_MAX_SCHEDULES", count)
                     result = sct_fuzz(program, mode=mode,
                                       schedules=schedules,
                                       schedule_count=count, pairs=2,

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from functools import partialmethod
 
 import pytest
 
@@ -349,7 +348,8 @@ def test_sct_fuzz_matches_fresh_replays(cases, mode, monkeypatch):
     # give the verdict of replaying every schedule from scratch, with the
     # graphs at their cap and cut down to 3 nodes (past which every step
     # is keyed but not kept); `count` caps the search's and the
-    # equal-pair count's schedules or sets the walks
+    # equal-pair count's schedules (`machine.EXHAUSTIVE_MAX_SCHEDULES`,
+    # read when `sct_fuzz` is called) or sets the walks
     results = []
     for program, schedules, pairs, seed, count in cases():
         want = _reference_sct(program, program.command, mode, schedules,
@@ -358,12 +358,7 @@ def test_sct_fuzz_matches_fresh_replays(cases, mode, monkeypatch):
         for cap in (machine.GRAPH_MAX_NODES, 3):
             with monkeypatch.context() as patch:
                 patch.setattr(machine, "GRAPH_MAX_NODES", cap)
-                patch.setattr(StateGraph, "schedules", partialmethod(
-                    StateGraph.schedules, max_schedules=count))
-                patch.setattr(harness, "_count_space",
-                              lambda graph, max_len, limit, count=count:
-                              machine._count_space(graph, max_len,
-                                                   min(limit, count)))
+                patch.setattr(machine, "EXHAUSTIVE_MAX_SCHEDULES", count)
                 result = sct_fuzz(program, mode=mode, schedules=schedules,
                                   schedule_count=count, pairs=pairs,
                                   seed=seed)
