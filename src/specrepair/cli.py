@@ -16,7 +16,7 @@ import sys
 from . import corpus as corpus_mod
 from .graphcut import build_graph, extract_env, max_flow_min_cut, to_dot
 from .harness import consistency_suite, sct_fuzz
-from .lang import ArrayDecl, LangError, check_ssa, kind_check
+from .lang import LangError, check_ssa, kind_check
 from .machine import (
     EXHAUSTIVE_MAX_LEN,
     MODE_HW,
@@ -31,7 +31,7 @@ from .machine import (
     sequential_schedule,
     unwind,
 )
-from .parser import Program, parse_program, pretty_program
+from .parser import Program, parse_program, pretty_program, pretty_value
 from .repair import pipeline
 from .seq import DEFAULT_BUDGET, format_seq_observation, run_sequential
 from .typesys import Mode, generate_constraints, least_type_env, \
@@ -45,14 +45,6 @@ def _load(path: str) -> Program:
     if problems:
         raise LangError(f"{path}: " + "; ".join(sorted(set(problems))))
     return program
-
-
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, ArrayDecl):
-        return v.name
-    return str(v)
 
 
 def _emit_json(payload) -> None:
@@ -81,8 +73,8 @@ def cmd_run_seq(args) -> int:
     if args.json:
         _emit_json({
             "trace": [format_seq_observation(o) for o in result.trace],
-            "vars": {x: _format_value(result.vars[x]) for x in public_vars},
-            "cells": {f"{n}[{i}]": _format_value(v)
+            "vars": {x: pretty_value(result.vars[x]) for x in public_vars},
+            "cells": {f"{n}[{i}]": pretty_value(v)
                       for n, i, v in public_cells},
             "failed": result.failed,
         })
@@ -90,9 +82,9 @@ def cmd_run_seq(args) -> int:
     for o in result.trace:
         print(format_seq_observation(o))
     for x in public_vars:
-        print(f"{x} = {_format_value(result.vars[x])}")
+        print(f"{x} = {pretty_value(result.vars[x])}")
     for name, i, v in public_cells:
-        print(f"{name}[{i}] = {_format_value(v)}")
+        print(f"{name}[{i}] = {pretty_value(v)}")
     return 0
 
 

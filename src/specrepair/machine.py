@@ -1028,11 +1028,13 @@ class StateGraph:
         graph along each link it enters (`_edge`) and yields (configuration,
         path, *`second.follow(path)`).  The caller stops at a
         counterexample, so a subtree left with a schedule in it has passed.
-        Entered again with as many directives left, on an agreeing path at
-        the same `second` key, it comes back as its schedule count, capped
-        at the schedules left, an int.  What lies below depends only on the
-        two configurations, so verdicts and counts are the plain search's;
-        only the node cap reaches further."""
+        Entered again with as many directives left, on an agreeing path, it
+        comes back as its schedule count, capped at the schedules left, an
+        int.  Agreeing paths that reach one configuration reach one on
+        `second` too (`tests/test_harness.py::_split_second_keys` checks it
+        on the corpus), and what lies below depends only on the two
+        configurations, so verdicts and counts are the plain search's; only
+        the node cap reaches further."""
         if max_len is None:
             max_len = EXHAUSTIVE_MAX_LEN
         if max_schedules is None:
@@ -1041,20 +1043,20 @@ class StateGraph:
             return
         produced = explored = 0
         memo: dict = {}  # key -> directives left where its subtree was dead
-        passed: dict = {}  # (key, left, second's key) -> schedules
+        passed: dict = {}  # (key, left) -> schedules, with a `second`
         # Entries are (node, path, its length, `second`'s node and
         # agreement at the path's parent) to visit, or, once every child of
         # a node has been visited, (None, its key, directives it had left,
-        # schedules before, `second`'s key there).
+        # schedules before).
         stack: list = [(self._root, None, 0, second and second._root, True)]
         while stack:
             entry = stack.pop()
             if entry[0] is None:
-                _, key, left, before, key2 = entry
+                _, key, left, before = entry
                 if produced == before:
                     memo[key] = left
-                elif key2 is not None:
-                    passed[key, left, key2] = produced - before
+                elif second is not None:
+                    passed[key, left] = produced - before
                 continue
             node, path, depth, node2, agreed = entry
             explored += 1
@@ -1078,7 +1080,7 @@ class StateGraph:
                     return
                 continue
             count = agreed is True and node2 is not None \
-                and passed.get((key, left, node2.key))
+                and passed.get((key, left))
             if count:
                 count = min(count, max_schedules - produced)
                 yield count
@@ -1086,7 +1088,7 @@ class StateGraph:
                 if produced >= max_schedules:
                     return
                 continue
-            stack.append((None, key, left, produced, node2 and node2.key))
+            stack.append((None, key, left, produced))
             stack.extend(reversed([
                 (child, (path, d, obs), depth + 1, node2, agreed)
                 for d, (child, obs) in zip(self._directives(node),
@@ -1207,16 +1209,19 @@ def format_observation(o) -> str:
     raise LangError(f"cannot format {o!r}")
 
 
+# The text of each directive but `exec N`, read both ways.
+_DIRECTIVE_TEXTS = {FETCH: "fetch", FETCH_TRUE: "fetch true",
+                    FETCH_FALSE: "fetch false", RETIRE: "retire"}
+_TEXT_DIRECTIVES = {text: d for d, text in _DIRECTIVE_TEXTS.items()}
+
+
 def format_directive(d) -> str:
-    if isinstance(d, Fetch):
-        return "fetch"
-    if isinstance(d, FetchBranch):
-        return f"fetch {'true' if d.prediction else 'false'}"
-    if isinstance(d, Exec):
+    if type(d) is Exec:
         return f"exec {d.index}"
-    if isinstance(d, Retire):
-        return "retire"
-    raise LangError(f"cannot format {d!r}")
+    try:
+        return _DIRECTIVE_TEXTS[d]
+    except (KeyError, TypeError):  # not a directive, or not hashable
+        raise LangError(f"cannot format {d!r}") from None
 
 
 def parse_schedule(text: str) -> list:
@@ -1224,20 +1229,14 @@ def parse_schedule(text: str) -> list:
     `exec N`, `retire`.  Blank lines and `#` comments are skipped."""
     directives: list[Directive] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts == ["fetch"]:
-            directives.append(FETCH)
-        elif parts == ["fetch", "true"]:
-            directives.append(FETCH_TRUE)
-        elif parts == ["fetch", "false"]:
-            directives.append(FETCH_FALSE)
-        elif len(parts) == 2 and parts[0] == "exec" and parts[1].isdigit():
-            directives.append(_exec_directive(int(parts[1])))
-        elif parts == ["retire"]:
-            directives.append(RETIRE)
-        else:
+        d = _TEXT_DIRECTIVES.get(" ".join(parts))
+        if d is None and len(parts) == 2 and parts[0] == "exec" \
+                and parts[1].isdecimal():
+            d = _exec_directive(int(parts[1]))
+        if d is None:
             raise LangError(f"schedule line {lineno}: cannot parse {raw!r}")
+        directives.append(d)
     return directives

@@ -460,24 +460,27 @@ class _Parser:
         return seq_all(commands)
 
     def parse_ptr_write(self) -> Command:
-        self.expect("*")
-        label = self.parse_opt_ptr_label()
-        self.expect("(")
-        addr = self.parse_expr()
-        self.expect(")")
+        label, addr = self.parse_pointer("write")
         self.expect(":=")
         value = self.parse_expr()
         self.expect(";")
-        if isinstance(addr, Lit):
-            self.warnings.append(
-                f"pointer write at literal address {addr.value!r}")
         return PtrWrite(label, addr, value)
 
-    def parse_opt_ptr_label(self) -> str:
+    def parse_pointer(self, access: str) -> tuple[str, Expr]:
+        """The label and address of `*label(addr)`, the label public when
+        left out; a literal address is warned of as a pointer `access`."""
+        self.expect("*")
+        label = LABEL_PUBLIC
         if self.peek() in (LABEL_PUBLIC, LABEL_SECRET) and \
                 self.peek(1) == "(":
-            return self.tokens[self.next()]
-        return LABEL_PUBLIC
+            label = self.tokens[self.next()]
+        self.expect("(")
+        addr = self.parse_expr()
+        self.expect(")")
+        if isinstance(addr, Lit):
+            self.warnings.append(
+                f"pointer {access} at literal address {addr.value!r}")
+        return label, addr
 
     def parse_array_write(self, k: int) -> Command:
         """The write to the array named by token `k`."""
@@ -498,15 +501,7 @@ class _Parser:
         k = self.pos
         text = self.tokens[k]
         if text == "*":
-            self.next()
-            label = self.parse_opt_ptr_label()
-            self.expect("(")
-            addr = self.parse_expr()
-            self.expect(")")
-            if isinstance(addr, Lit):
-                self.warnings.append(
-                    f"pointer read at literal address {addr.value!r}")
-            return PtrRead(label, addr)
+            return PtrRead(*self.parse_pointer("read"))
         if text in self.arrays and self.tokens[k + 1] == "[":
             self.pos = k + 2
             index = self.parse_expr()
@@ -596,17 +591,21 @@ def parse_program(text: str) -> Program:
 # ---------------------------------------------------------------------------
 
 
+def pretty_value(v: Value) -> str:
+    """A value's text: `true`/`false`, an array's name, or a natural."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, ArrayDecl):
+        return v.name
+    return str(v)
+
+
 def pretty_expr(e: Expr, ctx: int = _SELECT) -> str:
     """`e` as text, in parentheses when it binds looser than level `ctx`."""
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Lit):
-        v = e.value
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, ArrayDecl):
-            return v.name
-        return str(v)
+        return pretty_value(e.value)
     if isinstance(e, BinOp) and e.op in BINARY:
         level, chains = BINARY[e.op]
         text = (f"{pretty_expr(e.left, level if chains else level + 1)}"
@@ -695,11 +694,7 @@ def pretty_program(program: Program) -> str:
             decl += f" init=[{init}]"
         lines.append(decl + ";")
     for name, value in program.init_vars.items():
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        else:
-            text = str(value)
-        lines.append(f"var {name} = {text};")
+        lines.append(f"var {name} = {pretty_value(value)};")
     public = [x for x in program.init_vars if x in program.policy.public_vars]
     public += sorted(program.policy.public_vars - set(public))
     public += [a for a in program.arrays if a in program.policy.public_arrays]

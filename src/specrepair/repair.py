@@ -2,9 +2,8 @@
 
 The inference pipeline strings everything together: generate constraints,
 find a minimum cut over the allowed candidates, rewrite the program, and
-re-check the result.  Baseline repairs (protect every read, or every read
-but those at a constant, in-bounds address) exist only for protect-count
-comparisons.
+re-check the result.  Baseline repairs (protect the assignment of every
+transient source) exist only for protect-count comparisons.
 """
 
 from __future__ import annotations
@@ -12,21 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lang import (
-    ArrayRead,
     Assign,
     Command,
     LangError,
-    is_constant_expr,
-    is_constant_in_bounds,
     Protect,
-    PtrRead,
     check_ssa,
     commands,
     rewrite_statements,
 )
 from .graphcut import build_graph, extract_env, min_cut
 from .typesys import ConstraintSet, Mode, generate_constraints, \
-    transient_violations
+    transient_source, transient_violations
 
 
 class RepairError(LangError):
@@ -62,28 +57,11 @@ def count_protects(c: Command) -> int:
     return sum(type(cmd) is Protect for cmd in commands(c))
 
 
-def _baseline_protects(rhs, mode: Mode) -> bool:
-    """Whether `baseline_repair` protects an assignment of `rhs`."""
-    if isinstance(rhs, ArrayRead):
-        return mode.spectre_v1_1 or not is_constant_in_bounds(rhs)
-    if isinstance(rhs, PtrRead):
-        return mode.spectre_v1_1 or not is_constant_expr(rhs.addr)
-    return False
-
-
 def baseline_repair(c: Command, mode: Mode = Mode()) -> Command:
-    """Protect every read (v1.1), or in v1 every read but those at a
-    constant address, within bounds for an array read.  Deliberately
-    blunt; used as the comparison point for counts."""
-    if check_ssa(c):
-        raise RepairError("program is not single-assignment")
-
-    def protect(cmd: Command) -> Command:
-        if isinstance(cmd, Assign) and _baseline_protects(cmd.rhs, mode):
-            return Protect(cmd.target, cmd.rhs)
-        return cmd
-
-    return rewrite_statements(c, protect)
+    """Protect every assignment of a read that `transient_source` picks.
+    Deliberately blunt; used as the comparison point for counts."""
+    return repair(c, [cmd.target for cmd in commands(c) if type(cmd) is Assign
+                      and transient_source(cmd.rhs, mode)])
 
 
 @dataclass
@@ -122,7 +100,7 @@ def pipeline(c: Command, mode: Mode,
     for cmd in commands(c):
         if type(cmd) is Assign:
             protect_count += cmd.target in cut_set
-            baseline_count += _baseline_protects(cmd.rhs, mode)
+            baseline_count += transient_source(cmd.rhs, mode)
     return PipelineReport(
         repaired=repaired,
         cut=cut,

@@ -9,14 +9,16 @@ additionally treats stored values as sinks, and treats constant-address reads
 as transient sources (plain v1 mode exempts them, array reads only when the
 constant index is in bounds).
 
-These rules are written once, in `generate_constraints`: it emits
-can-flow-to edges between atoms (a shared atom per variable, one atom per
-expression occurrence, plus the transient source and the stable sink) and
-records the rule and statement behind each edge into the sink or into an
-assigned variable.  A constraint set is satisfiable exactly when no directed
-path connects the source to the sink; the least solution types an atom
-transient exactly when the source reaches it.  Type checking under an
-environment and a protected set is a query on the same graph.
+These rules are written once: which reads are sources in
+`transient_source`, which the baseline repair reads too, and the rest in
+`generate_constraints`.  It emits can-flow-to edges between atoms (a shared
+atom per variable, one atom per expression occurrence, plus the transient
+source and the stable sink) and records the rule and statement behind each
+edge into the sink or into an assigned variable.  A constraint set is
+satisfiable exactly when no directed path connects the source to the sink;
+the least solution types an atom transient exactly when the source reaches
+it.  Type checking under an environment and a protected set is a query on
+the same graph.
 
 Atoms are small ints into one table per `ConstraintSet`: 0 is the source
 (`SOURCE`), 1 the sink (`SINK`), then variables and expression occurrences
@@ -375,17 +377,29 @@ _OPERANDS = {kind: tuple((f, _TAGS[f]) for f in fields)
              for kind, fields in OPERANDS.items()}
 
 
+def transient_source(r: Rhs, mode: Mode) -> bool:
+    """Whether the right-hand side `r` is a transient source: in v1.1 every
+    read; in v1 every read but one at a constant address, which for an
+    array read must also be in bounds (under a mispredicted bounds check a
+    constant index past the end reads the cells after the array)."""
+    kind = type(r)
+    if kind is ArrayRead:
+        return mode.spectre_v1_1 or not is_constant_in_bounds(r)
+    if kind is PtrRead:
+        return mode.spectre_v1_1 or not is_constant_expr(r.addr)
+    return False
+
+
 def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
     """Emit the def-use constraints of `c`, with the provenance of each sink
     and assignment edge.
 
     Protected assignments contribute no edge into their target, which is how
-    a protect cuts the flow.  Reads at a constant address are sources only
-    in v1.1 mode, except array reads whose constant index is out of bounds:
-    under a mispredicted bounds check those read the next array.  An
-    expression atom's incoming edges are all emitted before any edge out of
-    it.  Every expression atom is new and has at most one out-edge, so
-    only an edge out of a variable can be emitted twice.
+    a protect cuts the flow.  The source flows into each read that
+    `transient_source` picks.  An expression atom's incoming edges are all
+    emitted before any edge out of it.  Every expression atom is new and
+    has at most one out-edge, so only an edge out of a variable can be
+    emitted twice.
     """
     k = ConstraintSet()
     names, pairs, record = k.names, k.pairs, k.rows.append
@@ -433,14 +447,12 @@ def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
             return operand(r.expr, path, ".rhs")
         if kind is ArrayRead:
             flow("Array-Read", cmd, operand(r.index, path, ".rhs.idx"), SINK)
-            source = v1_1 or not is_constant_in_bounds(r)
         elif kind is PtrRead:
             flow("Ptr-Read", cmd, operand(r.addr, path, ".rhs.addr"), SINK)
-            source = v1_1 or not is_constant_expr(r.addr)
         else:
             raise LangError(f"cannot abstract {r!r}")
         me = new(path + ".rhs", r, "read")
-        if source:
+        if transient_source(r, mode):
             pairs.append((SOURCE, me))
         return me
 

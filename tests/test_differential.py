@@ -57,7 +57,7 @@ from specrepair.machine import (
 )
 from specrepair.parser import Program
 from specrepair.seq import run_sequential
-from test_harness import _reference_sct
+from test_harness import _reference_sct, _split_second_keys
 
 A = ArrayDecl("a", 1, 2, "L")
 C = ArrayDecl("c", 4, 3, "H")
@@ -236,6 +236,16 @@ def test_sct_fuzz_matches_fresh_replays_on_leaky_programs(program, seed):
                 assert got == want, (mode, schedules, cap)
                 assert result.distinct_pairs == (ce.pair_index + 1 if ce
                                                  else 2)
+
+
+@given(leaky_programs(), st.integers(min_value=0, max_value=2 ** 16))
+@settings(max_examples=30, deadline=None)
+def test_agreeing_paths_reach_one_second_key_on_leaky_programs(program,
+                                                               seed):
+    # the planted gadget rolls back twice into one first-side
+    # configuration, along a public read and then a secret one
+    for mode in (MODE_HW, MODE_SLH):
+        assert _split_second_keys(program, mode, 2, seed) == [], mode
 
 
 @given(programs(), st.integers(min_value=0, max_value=2 ** 32))

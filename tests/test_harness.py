@@ -429,6 +429,56 @@ def test_count_memo_needs_the_second_side(cap, monkeypatch):
         (False, 22, (0, ce.directives, ce.kind, ce.detail))
 
 
+# Configurations `_split_second_keys` expands per pair at most.
+SPLIT_MAX_NODES = 5_000
+
+
+def _split_second_keys(program, mode, pairs, seed) -> list:
+    """First-side keys that agreeing paths reach with two second-side keys,
+    for every pair whose states exhaustive `sct_fuzz` searches.  The paths
+    are taken depth-first in the search's order, within
+    `machine.EXHAUSTIVE_MAX_LEN` directives, each key expanded again only
+    with more directives left, until `SPLIT_MAX_NODES` expansions.
+    `StateGraph.schedules` counts a passed subtree again on the first
+    side's key alone, which is sound only while this is empty."""
+    command = lower_protects(program.command, mode)
+    split = []
+    for pair in gen_lequiv_pairs(program, pairs, seed):
+        if harness._kinds(pair.mem1, pair.rho1) == \
+                harness._kinds(pair.mem2, pair.rho2):
+            continue
+        graph1 = StateGraph(command, pair.mem1, pair.rho1)
+        graph2 = StateGraph(command, pair.mem2, pair.rho2)
+        if graph1._too_long(machine.EXHAUSTIVE_MAX_LEN):
+            continue
+        seconds: dict = {}  # first-side key -> second-side key
+        most: dict = {}  # first-side key -> most directives left expanded
+        stack = [(graph1._root, graph2._root, machine.EXHAUSTIVE_MAX_LEN)]
+        budget = SPLIT_MAX_NODES
+        while stack and budget:
+            node, node2, left = stack.pop()
+            if seconds.setdefault(node.key, node2.key) != node2.key:
+                split.append(node.key)
+            elif left and most.get(node.key, -1) < left:
+                most[node.key], budget = left, budget - 1
+                children = []
+                for d, (child, obs) in zip(graph1._directives(node),
+                                           graph1._expand(node)):
+                    child2, agreed = graph2._along(node2, True, 0, d, obs)
+                    if agreed is True:
+                        children.append((child, child2, left - 1))
+                stack += reversed(children)
+    return split
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+@pytest.mark.parametrize("repair", [False, True], ids=["written", "repaired"])
+def test_agreeing_paths_reach_one_second_key(mode, repair):
+    for name in corpus_names():
+        program = _repaired(name) if repair else load_program(name)
+        assert _split_second_keys(program, mode, 2, 1) == [], name
+
+
 def _exhaustive_calls(name, monkeypatch) -> tuple:
     """Exhaustive `sct_fuzz` of repaired `name` (pairs 1, seed 1), and the
     expansions, second-side edge lookups, `follow` and `_difference` calls

@@ -58,6 +58,7 @@ from specrepair.machine import (
     exec_operands,
     exhaustive_runs,
     filter_trace,
+    format_directive,
     format_observation,
     initial_config,
     lower_protects,
@@ -1443,6 +1444,23 @@ def test_parse_schedule_roundtrip():
     text = "fetch\nfetch true\nfetch false\nexec 3\nretire\n# note\n\n"
     assert parse_schedule(text) == [Fetch(), FetchBranch(True),
                                     FetchBranch(False), Exec(3), Retire()]
+    # past the shared `Exec`s, with blank lines, comments and extra spaces
+    text = "\n  exec 33  \n# exec 1\nexec   1000 # far\n   \n fetch  true\n"
+    assert parse_schedule(text) == [Exec(33), Exec(1000), FetchBranch(True)]
+    every = [Fetch(), FetchBranch(True), FetchBranch(False), Exec(1),
+             Exec(1000), Retire()]
+    lines = [format_directive(d) for d in every]
+    assert lines == ["fetch", "fetch true", "fetch false", "exec 1",
+                     "exec 1000", "retire"]
+    assert parse_schedule("\n".join(lines)) == every
+    # a superscript two is a Unicode digit that `int` does not read
+    for line in ("exec x", "fetch maybe", "exec \u00b2"):
+        with pytest.raises(LangError) as error:
+            parse_schedule(f"fetch\n{line}\n")
+        assert str(error.value) == f"schedule line 2: cannot parse {line!r}"
+    for value in (SILENT, "fetch", None, [Fetch()]):
+        with pytest.raises(LangError, match="cannot format"):
+            format_directive(value)
 
 
 def test_fetch_branch_on_loop_head_is_stuck():

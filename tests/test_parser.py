@@ -218,8 +218,16 @@ def test_nesting_levels_close():
 
 
 def test_literal_pointer_address_warns():
-    program = parse_program("public x;\nx := *L(5);\n")
-    assert program.warnings
+    for label in ("", "L", "H"):
+        program = parse_program(f"public x;\nx := *{label}(5);\n"
+                                f"*{label}(5) := 1;\n*{label}(x) := 2;\n")
+        assert program.warnings == ["pointer read at literal address 5",
+                                    "pointer write at literal address 5"]
+        label = label or "L"
+        assert program.command == seq_all([
+            Assign("x", PtrRead(label, Lit(5))),
+            PtrWrite(label, Lit(5), Lit(1)),
+            PtrWrite(label, Var("x"), Lit(2))])
 
 
 def test_oob_literal_rejected():

@@ -13,6 +13,7 @@ from specrepair.lang import (
     Seq,
     TRANSIENT,
     command_vars,
+    commands,
 )
 from specrepair.parser import parse_program, pretty_command
 from specrepair.repair import (
@@ -23,7 +24,13 @@ from specrepair.repair import (
     repair,
 )
 from specrepair.seq import SeqFail, run_sequential
-from specrepair.typesys import Mode, generate_constraints, least_type_env
+from specrepair.typesys import (
+    SOURCE,
+    Mode,
+    generate_constraints,
+    least_type_env,
+    transient_source,
+)
 from tests.test_differential import programs
 
 ANALYSES = [Mode(spectre_v1_1=v11, slh_only_cuts=slh)
@@ -77,6 +84,40 @@ def test_baseline_constant_reads():
     assert count_protects(baseline_repair(program.command, Mode())) == 0
     assert count_protects(baseline_repair(
         program.command, Mode(spectre_v1_1=True))) == 1
+
+
+# Each right-hand side, and whether it is a transient source in v1 and in
+# v1.1; `a` has two cells.
+SOURCE_CASES = [
+    ("a[1]", False, True),  # constant index in bounds
+    ("a[2]", True, True),  # constant index past the end
+    ("a[i]", True, True),
+    ("*L(3)", False, True),
+    ("*L(i)", True, True),
+    ("i + 1", False, False),
+]
+
+
+@pytest.mark.parametrize("rhs, v1, v11", SOURCE_CASES,
+                         ids=[case[0] for case in SOURCE_CASES])
+def test_one_source_rule(rhs, v1, v11):
+    # the rule, the generator's edge from the source and the baseline's
+    # protect agree on a one-statement program
+    program = parse_program(
+        f"array a base=1 len=2 label=L;\nvar i = 0;\nx := {rhs};\n")
+    (stmt,) = commands(program.command)
+    for mode, source in ((Mode(), v1), (Mode(spectre_v1_1=True), v11)):
+        assert transient_source(stmt.rhs, mode) is source
+        k = generate_constraints(program.command, mode)
+        assert any(src == SOURCE for src, _dst in k.pairs) is source
+        assert count_protects(baseline_repair(program.command, mode)) == \
+            source
+
+
+def test_baseline_requires_single_assignment():
+    c = Seq(Assign("x", Pure(Lit(1))), Assign("x", Pure(Lit(2))))
+    with pytest.raises(RepairError, match=r"single-assignment: \['x'\]"):
+        baseline_repair(c)
 
 
 def _assert_counts_match_the_rewrites(c, mode, variables) -> None:
