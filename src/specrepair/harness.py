@@ -13,7 +13,7 @@ from itertools import chain, islice
 from typing import Optional
 
 from . import machine
-from .lang import Policy, Value
+from .lang import Policy, Value, collector_paused
 from .machine import (
     MODE_HW,
     RESERVED_PREFIX,
@@ -156,6 +156,7 @@ def _kinds(mem, rho) -> tuple:
     return tuple({k: (type(v), v) for k, v in m.items()} for m in (mem, rho))
 
 
+@collector_paused
 def sct_fuzz(program: Program, mode: str = MODE_HW,
              schedules: str = "random", schedule_count: int = 100,
              pairs: int = 10, seed: int = 0,
@@ -252,6 +253,7 @@ def _inconsistency(config, observations, expected: tuple) -> Optional[str]:
     return None
 
 
+@collector_paused
 def consistency_suite(programs: list[tuple[str, Program]],
                       per_program_schedules: int = 100, seed: int = 0,
                       mode: str = MODE_HW,

@@ -22,6 +22,8 @@ of thousands of nodes, and the generated frozen constructor pays an
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Iterator, Optional, Union
 
@@ -90,6 +92,30 @@ def node(cls=None, /, *, eq: bool = True, repr: bool = True):
         return cls
 
     return build if cls is None else build(cls)
+
+
+def collector_paused(fn):
+    """Run `fn` with Python's cyclic garbage collector turned off, and turn
+    it back on afterwards only if it was on.
+
+    A whole-program call builds tens of thousands of nodes and tuples, each
+    allocation counting towards the next collection, and those collections
+    find nothing to free: the calls this wraps leave no reference cycle
+    but the bounded one a fetched loop keeps (`machine._fetched`).  The
+    collector is process-wide, so another thread sees it off meanwhile.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 @node

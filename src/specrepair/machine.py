@@ -409,6 +409,10 @@ def _fetched(head: Command) -> Union[Instruction, Command]:
     so every run of a program pushes the same node objects and fetches the
     same instruction objects: a stack is identified by the identities of
     its entries, and an instruction not yet executed by its own (`_code`).
+    A loop's unrolling `If(cond, Seq(body, loop), Skip())` refers back to
+    the loop.  That is the one reference cycle the machine makes, one per
+    fetched loop however many runs fetch it, and it becomes garbage with
+    the program, such as a loop `lower_protects` rebuilt for one call.
     """
     try:
         return head._fetched

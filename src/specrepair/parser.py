@@ -74,6 +74,7 @@ from .lang import (
     Var,
     While,
     WORD_MASK,
+    collector_paused,
     command_vars,
     seq_all,
 )
@@ -582,6 +583,7 @@ class _Parser:
                    "if": parse_if, "while": parse_while, "*": parse_ptr_write}
 
 
+@collector_paused
 def parse_program(text: str) -> Program:
     return _Parser(text).parse_program()
 

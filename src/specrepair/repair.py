@@ -16,6 +16,7 @@ from .lang import (
     LangError,
     Protect,
     check_ssa,
+    collector_paused,
     commands,
     rewrite_statements,
 )
@@ -77,6 +78,7 @@ class PipelineReport:
     violations: list = field(default_factory=list)
 
 
+@collector_paused
 def pipeline(c: Command, mode: Mode,
              variables: list[str]) -> PipelineReport:
     """Infer a minimum cut, repair, and re-check.

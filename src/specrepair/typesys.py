@@ -487,6 +487,9 @@ def generate_constraints(c: Command, mode: Mode = Mode()) -> ConstraintSet:
             flow("While", cmd, operand(cmd.cond, f"s{i}", ".c"), SINK)
         elif kind is not Skip and kind is not Fail:
             raise LangError(f"cannot abstract {cmd!r}")
+    # `operand` calls itself through its closure cell, a cycle that would
+    # keep `k` and every node its rows hold until a cyclic collection
+    del operand
     return k
 
 
