@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the byte-exact golden CLI outputs for the bundled corpus.
+"""Regenerate the byte-exact golden CLI outputs for the bundled corpus, and
+the lines `scripts/verdict_matrix.py` prints for `VERDICT_MATRIX_PROGRAMS`.
 
 Run after any intentional output change, then review the diff:
 
@@ -9,10 +10,13 @@ Run after any intentional output change, then review the diff:
 
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import specrepair
 from specrepair.cli import main
 from specrepair.corpus import corpus_names, corpus_path
 
@@ -40,6 +44,26 @@ GOLDEN_COMMANDS = {
 }
 
 
+# The corpus programs whose verdict-matrix lines are pinned, and where.
+# tests/test_goldens.py compares a fresh run with the file.
+VERDICT_MATRIX_PROGRAMS = ["ex1", "loop_protect"]
+GOLDENS = Path(__file__).resolve().parent.parent / "tests" / "goldens"
+VERDICT_MATRIX_GOLDEN = GOLDENS / "verdict_matrix.jsonl"
+
+
+def verdict_matrix_output() -> str:
+    """What `scripts/verdict_matrix.py` prints for `VERDICT_MATRIX_PROGRAMS`,
+    run in a fresh interpreter, since it sets `machine.GRAPH_MAX_NODES`."""
+    src = str(Path(specrepair.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    return subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("verdict_matrix.py")),
+         *VERDICT_MATRIX_PROGRAMS],
+        env=env, check=True, capture_output=True, text=True).stdout
+
+
 def capture(argv) -> dict:
     buffer = io.StringIO()
     with redirect_stdout(buffer):
@@ -53,11 +77,13 @@ def main_script() -> int:
         path = str(corpus_path(name))
         goldens[name] = {key: capture(argv + [path])
                          for key, argv in GOLDEN_COMMANDS.items()}
-    out = Path(__file__).resolve().parent.parent / "tests" / "goldens" / \
-        "cli_outputs.json"
+    out = GOLDENS / "cli_outputs.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(goldens, sort_keys=True, indent=1) + "\n")
     print(f"wrote {out} ({len(goldens)} programs)")
+    VERDICT_MATRIX_GOLDEN.write_text(verdict_matrix_output())
+    print(f"wrote {VERDICT_MATRIX_GOLDEN} "
+          f"({' '.join(VERDICT_MATRIX_PROGRAMS)})")
     return 0
 
 

@@ -151,8 +151,8 @@ def cmd_check(args) -> int:
 
 def cmd_infer(args) -> int:
     program = _load(args.program)
-    mode = Mode(spectre_v1_1=(args.mode == "v1.1"),
-                slh_only_cuts=args.slh_only)
+    mode = dataclasses.replace(_analysis_mode(args.mode),
+                               slh_only_cuts=args.slh_only)
     k = generate_constraints(program.command, mode)
     g = build_graph(k, mode)
     result = max_flow_min_cut(g)

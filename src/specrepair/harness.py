@@ -16,12 +16,12 @@ from . import machine
 from .lang import Policy, Value, collector_paused
 from .machine import (
     MODE_HW,
-    RESERVED_PREFIX,
     WALK_MAX_LEN,
     StateGraph,
     _count_space,
     exhaustive_runs,
     format_directive,
+    is_reserved_name,
     lower_protects,
     observation_counts,
     path_observations,
@@ -190,9 +190,7 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
         # a walk cut off at `max_len` is not a trial
         walks = (graph1.walk(rng, max_len) for _ in range(schedule_count))
         if _kinds(pair.mem1, pair.rho1) == _kinds(pair.mem2, pair.rho2):
-            trials += (_count_space(graph1, length,
-                                    machine.EXHAUSTIVE_MAX_SCHEDULES)[0]
-                       if exhaustive else
+            trials += (_count_space(graph1, length)[0] if exhaustive else
                        sum(config.terminal for config, _path in walks))
             continue
         distinct += 1
@@ -238,7 +236,7 @@ class ConsistencyReport:
 
 
 def _source_vars(rho: dict[str, Value]) -> dict[str, Value]:
-    return {x: v for x, v in rho.items() if not x.startswith(RESERVED_PREFIX)}
+    return {x: v for x, v in rho.items() if not is_reserved_name(x)}
 
 
 def _inconsistency(config, observations, expected: tuple) -> Optional[str]:

@@ -272,32 +272,23 @@ class _Compound(Command):
         todo = [(self, other)]
         while todo:
             a, b = todo.pop()
-            if a is b:
-                continue
-            kind = type(a)
-            if kind is not type(b):
-                return False
-            if kind is Seq:
-                todo += ((a.second, b.second), (a.first, b.first))
-            elif kind is If:
-                if a.cond != b.cond:
+            if a is not b:
+                shape_a, children_a = _shape(a)
+                shape_b, children_b = _shape(b)
+                if shape_a != shape_b:
                     return False
-                todo += ((a.other, b.other), (a.then, b.then))
-            elif kind is While:
-                if a.cond != b.cond:
-                    return False
-                todo.append((a.body, b.body))
-            elif a != b:
-                return False
+                todo += zip(children_a, children_b)
         return True
 
     def __hash__(self):
-        # The pre-order sequence determines the tree: each kind has a fixed
-        # number of children.
-        return hash(tuple(
-            Seq if type(n) is Seq else
-            (type(n), n.cond) if type(n) is If or type(n) is While else n
-            for n in _preorder(self)))
+        # The pre-order sequence of shapes determines the tree: each kind
+        # has a fixed number of children.
+        shapes, todo = [], [self]
+        while todo:
+            shape, children = _shape(todo.pop())
+            shapes.append(shape)
+            todo += children
+        return hash(tuple(shapes))
 
     def __repr__(self):
         out: list[str] = []
@@ -318,19 +309,18 @@ class _Compound(Command):
         return "".join(out)
 
 
-def _preorder(c: Command) -> Iterator[Command]:
-    """Every node of `c`, Seq included, parents before their children."""
-    todo = [c]
-    while todo:
-        cmd = todo.pop()
-        yield cmd
-        kind = type(cmd)
-        if kind is Seq:
-            todo += (cmd.second, cmd.first)
-        elif kind is If:
-            todo += (cmd.other, cmd.then)
-        elif kind is While:
-            todo.append(cmd.body)
+def _shape(c: Command) -> tuple:
+    """(what equality compares at `c` itself, its child commands, last
+    first): `Seq` for a `Seq`, (kind, condition) for an `If` or a `While`,
+    and any other command itself, which has no children."""
+    kind = type(c)
+    if kind is Seq:
+        return Seq, (c.second, c.first)
+    if kind is If:
+        return (If, c.cond), (c.other, c.then)
+    if kind is While:
+        return (While, c.cond), (c.body,)
+    return c, ()
 
 
 @node

@@ -262,8 +262,10 @@ def exec_operands(buffer: tuple[Instruction, ...], rho) -> list:
     """For each instruction of `buffer`, in order, the operands `exec`
     resolves it with, or, as a `str`, the reason `exec` is stuck on it (no
     operand is a string).  A guard gets its condition's value, a load its
-    address, an assignment or protect its operand's value, a store its
-    (address, value).
+    (address, pending ids), an assignment or protect its operand's value,
+    a store its (address, value, pending ids), where the pending ids are
+    those of the guards and fails before it, in buffer order, which its
+    read or write observation carries.
 
     One left-to-right pass evaluates each operand under the transient
     variable map of the instructions before it, `rho` updated by each in
@@ -274,7 +276,8 @@ def exec_operands(buffer: tuple[Instruction, ...], rho) -> list:
     trho = dict(rho)
     out: list = []
     append = out.append
-    stored = pending = False  # a store, a guard or fail seen so far
+    stored = False  # a store seen so far
+    pending: tuple = ()  # ids of the guards and fails seen so far
     for instr in buffer:
         kind = type(instr)
         try:
@@ -288,7 +291,7 @@ def exec_operands(buffer: tuple[Instruction, ...], rho) -> list:
                 r = "assignment operand is still undefined" if v is None \
                     else v
             elif kind is GuardI:
-                pending = True
+                pending += (instr.pred,)
                 v = eval_expr(instr.cond, trho)
                 r = v if type(v) is bool \
                     else "guard condition is still undefined" if v is None \
@@ -298,9 +301,9 @@ def exec_operands(buffer: tuple[Instruction, ...], rho) -> list:
                     r = "load blocked by an earlier pending store"
                 else:
                     r = eval_expr(instr.addr, trho)
-                    if type(r) is not int:
-                        r = "load address is still undefined" if r is None \
-                            else "load address is not a natural"
+                    r = (r, pending) if type(r) is int \
+                        else "load address is still undefined" if r is None \
+                        else "load address is not a natural"
             elif kind is ProtectI:
                 e = instr.expr
                 if type(e) is Lit:
@@ -323,10 +326,10 @@ def exec_operands(buffer: tuple[Instruction, ...], rho) -> list:
                     else:
                         v = eval_expr(instr.value, trho)
                         r = "stored value is still undefined" if v is None \
-                            else (addr, v)
+                            else (addr, v, pending)
             else:
                 if kind is FailInstr:
-                    pending = True
+                    pending += (instr.pred,)
                 append("instruction is not executable")
                 continue
         except EvalError as exc:
@@ -343,12 +346,6 @@ def _retires(head: Instruction) -> bool:
     return kind is Nop or kind is FailInstr \
         or kind is AssignI and type(head.expr) is Lit \
         or kind is StoreI and head.executed
-
-
-def pending_ids(prefix: tuple[Instruction, ...]) -> tuple[int, ...]:
-    """Identifiers of guard and fail instructions in buffer order."""
-    return tuple(i.pred for i in prefix
-                 if type(i) is GuardI or type(i) is FailInstr)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +534,9 @@ def _exec(config: Config, index: int, operands):
                     RollbackObs(instr.pred))
         new_instr: Instruction = NOP
     elif kind is LoadI:
-        obs = ReadObs(operands, pending_ids(prefix))
-        new_instr = AssignI(instr.target, Lit(mem.get(operands, 0)))
+        addr, pending = operands
+        obs = ReadObs(addr, pending)
+        new_instr = AssignI(instr.target, Lit(mem.get(addr, 0)))
     elif kind is AssignI:
         new_instr = AssignI(instr.target, Lit(operands))
     elif kind is ProtectI:
@@ -547,8 +545,8 @@ def _exec(config: Config, index: int, operands):
         else:
             new_instr = ProtectI(instr.target, Lit(operands))
     else:
-        addr, value = operands
-        obs = WriteObs(addr, pending_ids(prefix))
+        addr, value, pending = operands
+        obs = WriteObs(addr, pending)
         new_instr = StoreI(instr.label, Lit(addr), Lit(value), executed=True)
     return (_config(Config, (prefix + (new_instr,) + buffer[index:], stack,
                              mem, rho, next_pred)), obs)
@@ -804,18 +802,19 @@ def _retired_ids(config: Config, ids: tuple, writes: dict) -> tuple:
     return mem_id, vars_id
 
 
-def _count_space(graph: StateGraph, max_len: int,
-                 cap: int) -> tuple[int, bool]:
+def _count_space(graph: StateGraph, max_len: int) -> tuple[int, bool]:
     """The number of complete schedules on `graph` within `max_len`
-    directives, counted up to `cap`, and whether it is the whole space:
-    every branch finished, fewer than `cap` schedules, and at most
-    `EXHAUSTIVE_MAX_NODES` configurations expanded.  It is the number
-    `StateGraph.schedules` yields where neither meets its node cap, and
-    none when the sequential schedule does not fit.  Each (configuration,
-    directives left) is expanded once; its subtree's count comes from a
-    memo the next time."""
+    directives, capped at `EXHAUSTIVE_MAX_SCHEDULES`, and whether it is the
+    whole space: every branch finished, at most that many schedules, and
+    at most `EXHAUSTIVE_MAX_NODES` configurations expanded.  It is the
+    number `StateGraph.schedules` yields where neither meets its node cap,
+    and none when the sequential schedule does not fit.  Each
+    (configuration, directives left) is expanded once; its subtree's count
+    comes from a memo the next time.  The count goes one past the cap, so
+    a space of exactly the cap's size is whole."""
     if graph._too_long(max_len):
         return 0, False
+    cap = EXHAUSTIVE_MAX_SCHEDULES
     memo: dict = {}  # (configuration key, left) -> schedules
     schedules = expanded = 0
     finished = True
@@ -844,7 +843,7 @@ def _count_space(graph: StateGraph, max_len: int,
             stack.append((None, at, schedules))
             stack.extend((child, left - 1)
                          for child, _obs in graph._expand(node))
-        if schedules >= cap:
+        if schedules > cap:
             return cap, False
     return schedules, finished
 
@@ -860,11 +859,10 @@ def exhaustive_runs(graph: StateGraph) -> Optional[list]:
     count stepped, and is still None unless it has as many schedules as
     counted.
     """
-    max_len, limit = EXHAUSTIVE_MAX_LEN, EXHAUSTIVE_MAX_SCHEDULES + 1
-    count, whole = _count_space(graph, max_len, limit)
+    count, whole = _count_space(graph, EXHAUSTIVE_MAX_LEN)
     if not whole:
         return None
-    runs = list(graph.schedules(max_len, limit))
+    runs = list(graph.schedules())
     return runs if len(runs) == count else None
 
 

@@ -701,7 +701,6 @@ def test_equal_states_step_once(name, cap, monkeypatch):
     for pair in gen_lequiv_pairs(program, 2, 1):
         machine._count_space(StateGraph(program.command, pair.mem1,
                                         pair.rho1),
-                             machine.EXHAUSTIVE_MAX_LEN,
-                             EXHAUSTIVE_MAX_SCHEDULES)
+                             machine.EXHAUSTIVE_MAX_LEN)
     assert counting == steps
     assert steps and not lookups

@@ -65,7 +65,6 @@ from specrepair.machine import (
     observation_counts,
     parse_schedule,
     path_observations,
-    pending_ids,
     run_schedule,
     sequential_schedule,
     step,
@@ -115,9 +114,11 @@ def test_exec_operands_read_the_transient_map(prefix, seen):
 
 
 def test_pending_ids_orders_guards_and_fails():
+    # a load's operand carries the ids of the guards and fails before it
     prefix = (GuardI(Lit(True), True, (), 1), Nop(), FailInstr(2),
               AssignI("x", Lit(0)), GuardI(Lit(True), True, (), 3))
-    assert pending_ids(prefix) == (1, 2, 3)
+    operands = exec_operands(prefix + (LoadI("z", "L", Lit(4)),), {})
+    assert operands[-1][:2] == (4, (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -825,9 +826,10 @@ def _assert_exhaustive_runs_match(command, mem, rho, max_len=40,
         caps.setattr(machine, "EXHAUSTIVE_MAX_SCHEDULES", limit)
         assert _unwound(exhaustive_runs(StateGraph(command, mem, rho))) \
             == want
-    # the count decides alone, without the enumeration checked against it
-    count, whole = machine._count_space(StateGraph(command, mem, rho),
-                                        max_len, limit + 1)
+        # the count decides alone, without the enumeration checked against
+        # it
+        count, whole = machine._count_space(StateGraph(command, mem, rho),
+                                            max_len)
     assert whole == (want is not None)
     assert want is None or count == len(want)
     return want
@@ -859,12 +861,9 @@ def test_walks_reuse_what_the_sweep_stepped(corpus, monkeypatch):
     for name, program in corpus:
         graph = StateGraph(lower_protects(program.command, MODE_HW),
                            program.initial_memory(), program.initial_var_map())
-        caps = (machine.EXHAUSTIVE_MAX_LEN,
-                machine.EXHAUSTIVE_MAX_SCHEDULES + 1)
-        if not machine._count_space(graph, *caps)[1]:
+        if exhaustive_runs(graph) is None:
             continue
         swept += 1
-        list(graph.schedules(*caps))
         monkeypatch.setattr(machine, "step", counted)
         rng = random.Random(name)
         for _ in range(100):
@@ -898,8 +897,7 @@ def test_a_stepped_node_is_the_graphs_node_of_its_key(name, cap,
     for _ in range(30):
         graph.walk(rng, machine.WALK_MAX_LEN)
     assert sum(1 for _ in graph.schedules(40, 300)) > 0
-    machine._count_space(graph, machine.EXHAUSTIVE_MAX_LEN,
-                         machine.EXHAUSTIVE_MAX_SCHEDULES)
+    machine._count_space(graph, machine.EXHAUSTIVE_MAX_LEN)
     for _ in range(30):
         graph.walk(rng, machine.WALK_MAX_LEN)
     bad = [node for node in stepped if node.key is None
@@ -921,8 +919,7 @@ def test_count_is_the_number_of_searched_schedules(corpus, mode):
             searched = sum(1 for _ in StateGraph(command, mem,
                                                  rho).schedules())
             count, _whole = machine._count_space(
-                StateGraph(command, mem, rho),
-                machine.EXHAUSTIVE_MAX_LEN, machine.EXHAUSTIVE_MAX_SCHEDULES)
+                StateGraph(command, mem, rho), machine.EXHAUSTIVE_MAX_LEN)
             assert count == searched, (name, source is repaired)
 
 
@@ -964,13 +961,13 @@ def _expansions(monkeypatch, command, mem, rho) -> tuple[int, int]:
         children.append(len(edges))
         return edges
 
-    caps = machine.EXHAUSTIVE_MAX_LEN, machine.EXHAUSTIVE_MAX_SCHEDULES + 1
     with monkeypatch.context() as patch:
         patch.setattr(StateGraph, "_expand", counted)
-        machine._count_space(StateGraph(command, mem, rho), *caps)
+        machine._count_space(StateGraph(command, mem, rho),
+                             machine.EXHAUSTIVE_MAX_LEN)
         expanded = len(children)
         children.clear()
-        list(StateGraph(command, mem, rho).schedules(*caps))
+        list(StateGraph(command, mem, rho).schedules())
     return expanded, 1 + sum(children)
 
 
@@ -1001,9 +998,8 @@ def test_exhaustive_runs_match_the_plain_search_at_each_cap(corpus, mode,
             with monkeypatch.context() as patch:
                 patch.setattr(machine, "EXHAUSTIVE_MAX_NODES", nodes)
                 assert machine._count_space(
-                    StateGraph(*args), machine.EXHAUSTIVE_MAX_LEN,
-                    machine.EXHAUSTIVE_MAX_SCHEDULES + 1)[1] == whole, \
-                    (name, nodes)
+                    StateGraph(*args), machine.EXHAUSTIVE_MAX_LEN)[1] \
+                    == whole, (name, nodes)
         for nodes, want in ((visited, runs), (expanded - 1, None)):
             with monkeypatch.context() as patch:
                 patch.setattr(machine, "EXHAUSTIVE_MAX_NODES", nodes)
