@@ -18,6 +18,13 @@ front of them, mispredictions yield `rollback(p)`, and retired failures yield
 `fail(p)`.  A directive that no rule matches leaves the machine *stuck*;
 stuck is an ordinary result, not an error.
 
+The machine models Spectre v1, a mispredicted branch, and v1.1, a
+speculative store whose value a later load reads: a load executes once
+every store before it has executed, and takes the value of the youngest
+one to its address before that store retires, as Pitchfork's store buffer
+forwards (Cauligi et al., PLDI 2020).  It does not model v4, a load that
+bypasses an older store: no load passes a store that has not executed.
+
 The machine runs one form of `protect`: a protect of a pure expression,
 held in the buffer as an instruction that resolves like an assignment but
 releases its value only once no guard or fail precedes it.  A protected
@@ -262,10 +269,13 @@ def exec_operands(buffer: tuple[Instruction, ...], rho) -> list:
     """For each instruction of `buffer`, in order, the operands `exec`
     resolves it with, or, as a `str`, the reason `exec` is stuck on it (no
     operand is a string).  A guard gets its condition's value, a load its
-    (address, pending ids), an assignment or protect its operand's value,
-    a store its (address, value, pending ids), where the pending ids are
-    those of the guards and fails before it, in buffer order, which its
-    read or write observation carries.
+    (address, pending ids, forwarded value or None), an assignment or
+    protect its operand's value, a store its (address, value, pending
+    ids).  The pending ids are those of the guards and fails before the
+    instruction, in buffer order, which its read or write observation
+    carries.  A load waits while a store before it has not executed; past
+    executed stores, it takes the value of the youngest one to its
+    address, or None, for memory's.
 
     One left-to-right pass evaluates each operand under the transient
     variable map of the instructions before it, `rho` updated by each in
@@ -276,8 +286,9 @@ def exec_operands(buffer: tuple[Instruction, ...], rho) -> list:
     trho = dict(rho)
     out: list = []
     append = out.append
-    stored = False  # a store seen so far
+    stored = False  # a store not executed seen so far
     pending: tuple = ()  # ids of the guards and fails seen so far
+    forwarded = None  # address -> value of the executed stores seen so far
     for instr in buffer:
         kind = type(instr)
         try:
@@ -301,7 +312,8 @@ def exec_operands(buffer: tuple[Instruction, ...], rho) -> list:
                     r = "load blocked by an earlier pending store"
                 else:
                     r = eval_expr(instr.addr, trho)
-                    r = (r, pending) if type(r) is int \
+                    r = (r, pending, forwarded and forwarded.get(r)) \
+                        if type(r) is int \
                         else "load address is still undefined" if r is None \
                         else "load address is not a natural"
             elif kind is ProtectI:
@@ -314,10 +326,13 @@ def exec_operands(buffer: tuple[Instruction, ...], rho) -> list:
                     r = "protected operand is still undefined" if v is None \
                         else v
             elif kind is StoreI:
-                stored = True
                 if instr.executed:
                     r = "store already executed"
+                    if forwarded is None:
+                        forwarded = {}
+                    forwarded[instr.addr.value] = instr.value.value
                 else:
+                    stored = True
                     addr = eval_expr(instr.addr, trho)
                     if addr is None:
                         r = "store address is still undefined"
@@ -534,9 +549,10 @@ def _exec(config: Config, index: int, operands):
                     RollbackObs(instr.pred))
         new_instr: Instruction = NOP
     elif kind is LoadI:
-        addr, pending = operands
+        addr, pending, value = operands
         obs = ReadObs(addr, pending)
-        new_instr = AssignI(instr.target, Lit(mem.get(addr, 0)))
+        new_instr = AssignI(instr.target, Lit(
+            mem.get(addr, 0) if value is None else value))
     elif kind is AssignI:
         new_instr = AssignI(instr.target, Lit(operands))
     elif kind is ProtectI:

@@ -223,12 +223,30 @@ def test_load_blocked_by_pending_store():
         cfg, _ = step(cfg, Fetch())
     result = step(cfg, Exec(2))
     assert isinstance(result, Stuck) and "store" in result.reason
-    # resolving the store does not unblock the load; it must retire first
+    # once the store has executed, the load takes its value before it
+    # retires: memory still holds 0 at address 3
     cfg, _ = step(cfg, Exec(1))
-    assert isinstance(step(cfg, Exec(2)), Stuck)
-    cfg, _ = step(cfg, Retire())
-    _, obs = step(cfg, Exec(1))
+    assert cfg.mem.get(3, 0) == 0
+    nxt, obs = step(cfg, Exec(2))
     assert obs == ReadObs(3, ())
+    assert nxt.buffer[1] == AssignI("x", Lit(1))
+
+
+def test_load_forwards_from_the_youngest_executed_store():
+    # two executed stores to 3, one to 4: a load of 3 takes the younger
+    # value, a load of 6 reads memory, and each carries the guard before it
+    buffer = (StoreI("L", Lit(3), Lit(1), executed=True),
+              GuardI(Lit(True), True, (), 1),
+              StoreI("L", Lit(3), Lit(2), executed=True),
+              StoreI("L", Lit(4), Lit(5), executed=True),
+              LoadI("x", "L", Lit(3)), LoadI("y", "L", Lit(6)))
+    cfg = Config(buffer, (), {3: 9, 6: 7}, {})
+    assert exec_operands(buffer, cfg.vars)[4:] == \
+        [(3, (1,), 2), (6, (1,), None)]
+    nxt, obs = step(cfg, Exec(5))
+    assert obs == ReadObs(3, (1,)) and nxt.buffer[4] == AssignI("x", Lit(2))
+    nxt, obs = step(cfg, Exec(6))
+    assert obs == ReadObs(6, (1,)) and nxt.buffer[5] == AssignI("y", Lit(7))
 
 
 def test_protect_two_stage_and_guard_blocking():
@@ -267,7 +285,8 @@ STUCK_CASES = [
      "guard condition is not a boolean"),
     ((_STORE, LoadI("z", "L", Lit(1))), (), Exec(2),
      "load blocked by an earlier pending store"),
-    ((_EXECUTED, LoadI("z", "L", Lit(1))), (), Exec(2),
+    # an executed store forwards its value, but one not executed blocks
+    ((_EXECUTED, _STORE, LoadI("z", "L", Lit(1))), (), Exec(3),
      "load blocked by an earlier pending store"),
     # the store is checked before the address is evaluated
     ((_STORE, LoadI("z", "L", Var("q"))), (), Exec(2),
