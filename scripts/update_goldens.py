@@ -10,13 +10,11 @@ Run after any intentional output change, then review the diff:
 
 import io
 import json
-import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-import specrepair
 from specrepair.cli import main
 from specrepair.corpus import corpus_names, corpus_path
 
@@ -54,14 +52,10 @@ VERDICT_MATRIX_GOLDEN = GOLDENS / "verdict_matrix.jsonl"
 def verdict_matrix_output() -> str:
     """What `scripts/verdict_matrix.py` prints for `VERDICT_MATRIX_PROGRAMS`,
     run in a fresh interpreter, since it sets `machine.GRAPH_MAX_NODES`."""
-    src = str(Path(specrepair.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
     return subprocess.run(
         [sys.executable, str(Path(__file__).with_name("verdict_matrix.py")),
          *VERDICT_MATRIX_PROGRAMS],
-        env=env, check=True, capture_output=True, text=True).stdout
+        check=True, capture_output=True, text=True).stdout
 
 
 def capture(argv) -> dict:

@@ -21,9 +21,10 @@ stuck is an ordinary result, not an error.
 The machine models Spectre v1, a mispredicted branch, and v1.1, a
 speculative store whose value a later load reads: a load executes once
 every store before it has executed, and takes the value of the youngest
-one to its address before that store retires, as Pitchfork's store buffer
-forwards (Cauligi et al., PLDI 2020).  It does not model v4, a load that
-bypasses an older store: no load passes a store that has not executed.
+of them that wrote its address, if any, before that store retires, as
+Pitchfork's store buffer forwards (Cauligi et al., PLDI 2020).  It does
+not model v4, a load that bypasses an older store: no load passes a store
+that has not executed.
 
 The machine runs one form of `protect`: a protect of a pure expression,
 held in the buffer as an instruction that resolves like an assignment but
