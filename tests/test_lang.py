@@ -182,6 +182,48 @@ def test_kind_check_flags_bool_into_nat_variable():
     assert any("assigned" in p for p in problems)
 
 
+_ARRAY = "array a base=1 len=2 label=L;\nvar b = true;\n"
+
+
+@pytest.mark.parametrize("source, want", [
+    pytest.param("var b = true;\npublic x;\nx := (b < true) ? 1 : 0;\n",
+                 ["operand of < is not a natural"] * 2, id="operand"),
+    pytest.param("public x;\nx := 1 ? 2 : 3;\n",
+                 ["select condition is not a boolean"], id="select-cond"),
+    pytest.param("var b = true;\npublic x;\nx := b ? 1 : false;\n",
+                 ["select branches have different kinds"],
+                 id="select-branches"),
+    pytest.param("var n = 0;\npublic x;\nx := length(n);\n",
+                 ["length/base argument is not an array"], id="length"),
+    pytest.param("var b = true;\nx := *L(b);\n",
+                 ["pointer address is not a nat"], id="ptr-read-address"),
+    pytest.param("var b = true;\n*L(b) := 0;\n",
+                 ["pointer address is not a nat"], id="ptr-write-address"),
+    pytest.param("var b = true;\n*L(0) := b;\n",
+                 ["stored value is not a nat"], id="ptr-write-value"),
+    pytest.param(_ARRAY + "x := a[b];\n", ["array index is not a nat"],
+                 id="array-read-index"),
+    pytest.param(_ARRAY + "a[b] := 0;\n", ["array index is not a nat"],
+                 id="array-write-index"),
+    pytest.param(_ARRAY + "a[0] := b;\n", ["stored value is not a nat"],
+                 id="array-write-value"),
+    pytest.param("if (1) { skip; } else { skip; }\n",
+                 ["branch condition is not a bool"], id="if"),
+    pytest.param("while (1) { skip; }\n", ["loop condition is not a bool"],
+                 id="while"),
+    pytest.param("public x;\nx := true;\n",
+                 ["x holds a nat but is assigned a bool"], id="assign-bool"),
+    pytest.param("var b = true;\nb := 1;\n",
+                 ["b holds a bool but is assigned a nat"], id="assign-nat"),
+])
+def test_kind_check_problems(source, want):
+    from specrepair.lang import kind_check
+    from specrepair.parser import parse_program
+
+    program = parse_program(source)
+    assert kind_check(program.command, program.init_vars) == want
+
+
 def preorder(c):
     """Recursive reference for `commands`: non-Seq nodes, an If or While
     before its branches or body."""

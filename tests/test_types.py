@@ -162,6 +162,105 @@ def test_array_label_policy_mismatch():
     assert any(v.rule == "Array" for v in violations)
 
 
+# Every (rule, message) the constant-time checker reports, each from a
+# program that breaks only that rule, then statements that break several,
+# whose violations come in the order their operands are typed.
+_ARRAY_L = "array a base=1 len=2 label=L;\n"
+_ARRAY_H = "array a base=1 len=2 label=H;\n"
+
+
+@pytest.mark.parametrize("source, want", [
+    pytest.param(
+        "array a base=1 len=1 label=L;\nvar i = 0;\npublic i;\nx := a[i];\n",
+        [("Array", "x := a[i];", "array a declared L but policy says H")],
+        id="Array"),
+    pytest.param(
+        "var s = true;\npublic x;\nx := s ? 1 : 2;\n",
+        [("Select", "x := s ? 1 : 2;", "select condition may be secret")],
+        id="Select"),
+    pytest.param(
+        _ARRAY_L + "var s = 0;\npublic a, x;\nx := a[s];\n",
+        [("Array-Read", "x := a[s];", "array index may be secret")],
+        id="Array-Read"),
+    pytest.param(
+        "var s = 1;\npublic x;\nx := *L(s);\n",
+        [("Ptr-Read", "x := *L(s);", "pointer address may be secret")],
+        id="Ptr-Read"),
+    pytest.param(
+        "var s = 0;\npublic x;\nx := s;\n",
+        [("Asgn", "x := s;", "secret value assigned to public x")],
+        id="Asgn"),
+    pytest.param(
+        "var s = 0;\npublic x;\nx := protect(s);\n",
+        [("Protect", "x := protect(s);",
+          "secret value assigned to public x")],
+        id="Protect"),
+    pytest.param(
+        _ARRAY_L + "var s = 0;\npublic a;\na[s] := 0;\n",
+        [("Array-Write", "a[s] := 0;", "store index may be secret")],
+        id="Array-Write-index"),
+    pytest.param(
+        _ARRAY_L + "var s = 0;\nvar i = 0;\npublic a, i;\na[i] := s;\n",
+        [("Array-Write", "a[i] := s;", "secret value stored to public array")],
+        id="Array-Write-value"),
+    pytest.param(
+        "var s = 0;\n*L(s) := 0;\n",
+        [("Ptr-Write", "*L(s) := 0;", "store address may be secret")],
+        id="Ptr-Write-address"),
+    pytest.param(
+        "var s = 0;\nvar p = 1;\npublic p;\n*L(p) := s;\n",
+        [("Ptr-Write", "*L(p) := s;",
+          "secret value stored through public pointer")],
+        id="Ptr-Write-value"),
+    pytest.param(
+        "var s = 0;\nif (s < 1) { skip; } else { skip; }\n",
+        [("If", "if (s < 1) {", "branch condition may be secret")],
+        id="If"),
+    pytest.param(
+        "var s = 0;\nwhile (s < 1) { s := s + 1; }\n",
+        [("While", "while (s < 1) {", "loop condition may be secret")],
+        id="While"),
+    pytest.param(
+        "array p base=1 len=2 label=L;\nvar sb = true;\nvar s = 0;\n"
+        "var i = 0;\npublic p, i, x;\nx := p[sb ? s : i];\n",
+        [("Select", "x := p[sb ? s : i];", "select condition may be secret"),
+         ("Array-Read", "x := p[sb ? s : i];", "array index may be secret")],
+        id="Select-then-Array-Read"),
+    pytest.param(
+        _ARRAY_H + "var s = 0;\npublic a, x;\nx := protect(a[s]);\n",
+        [("Array-Read", "x := protect(a[s]);", "array index may be secret"),
+         ("Array", "x := protect(a[s]);",
+          "array a declared H but policy says L"),
+         ("Protect", "x := protect(a[s]);",
+          "secret value assigned to public x")],
+        id="Array-Read-then-Array-then-Protect"),
+    pytest.param(
+        _ARRAY_H + "var s = 0;\npublic a;\na[s] := s;\n",
+        [("Array", "a[s] := s;", "array a declared H but policy says L"),
+         ("Array-Write", "a[s] := s;", "store index may be secret")],
+        id="Array-then-Array-Write"),
+    pytest.param(
+        "var s = 0;\n*L(s) := s;\n",
+        [("Ptr-Write", "*L(s) := s;", "store address may be secret"),
+         ("Ptr-Write", "*L(s) := s;",
+          "secret value stored through public pointer")],
+        id="Ptr-Write-address-then-value"),
+    pytest.param(
+        _ARRAY_H + "var sb = true;\npublic x, a;\n"
+        "x := sb ? length(a) : 0;\n",
+        [("Select", "x := sb ? length(a) : 0;",
+          "select condition may be secret"),
+         ("Array", "x := sb ? length(a) : 0;",
+          "array a declared H but policy says L")],
+        id="Select-then-Array-in-length"),
+])
+def test_ct_violations(source, want):
+    program = parse_program(source)
+    violations = typecheck_ct(program.policy, program.command, program.arrays,
+                              program.variables())
+    assert [(v.rule, v.where, v.message) for v in violations] == want
+
+
 # ---------------------------------------------------------------------------
 # Constraint generation
 # ---------------------------------------------------------------------------
