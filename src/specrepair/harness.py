@@ -58,6 +58,14 @@ def l_equivalent(policy: Policy, program: Program,
     return True
 
 
+def _draw(rng: random.Random, declared: Value, bound: int) -> Value:
+    """A value of `declared`'s kind: a fair boolean, or a natural below
+    `bound`."""
+    if isinstance(declared, bool):
+        return rng.random() < 0.5
+    return rng.randrange(0, bound)
+
+
 def gen_lequiv_pairs(program: Program, count: int,
                      seed: int) -> list[StatePair]:
     """Seeded pairs of policy-equivalent states.
@@ -84,19 +92,11 @@ def gen_lequiv_pairs(program: Program, count: int,
         rho1, rho2 = dict(base_rho), dict(base_rho)
         for x, declared in base_rho.items():
             if x in policy.public_vars:
-                if index == 0:
-                    value = declared
-                elif isinstance(declared, bool):
-                    value = rng.random() < 0.5
-                else:
-                    value = rng.randrange(0, 2 * extent)
-                rho1[x] = rho2[x] = value
+                rho1[x] = rho2[x] = declared if index == 0 \
+                    else _draw(rng, declared, 2 * extent)
             else:
                 for rho in (rho1, rho2):
-                    if isinstance(declared, bool):
-                        rho[x] = rng.random() < 0.5
-                    else:
-                        rho[x] = rng.randrange(0, SECRET_SCALAR_MAX)
+                    rho[x] = _draw(rng, declared, SECRET_SCALAR_MAX)
         for a in program.arrays.values():
             public = a.name in policy.public_arrays
             for addr in range(a.base, a.base + a.length):

@@ -1018,16 +1018,16 @@ class StateGraph:
         return node.config, path
 
     def schedules(self, max_len: Optional[int] = None,
-                  max_schedules: Optional[int] = None,
                   second: Optional[StateGraph] = None) -> Iterator:
         """Depth-first search for complete schedules: (terminal
         configuration, path) for each schedule reaching a terminal
         configuration within `max_len` directives, a path being a chain of
         (parent path, directive, observation) links for `unwind`.  Stuck or
-        over-length branches are abandoned; at most `max_schedules` are
-        yielded and at most `EXHAUSTIVE_MAX_NODES` configurations visited.
-        The two caps default to `EXHAUSTIVE_MAX_LEN` and
-        `EXHAUSTIVE_MAX_SCHEDULES` as they are when the search starts.
+        over-length branches are abandoned; at most
+        `EXHAUSTIVE_MAX_SCHEDULES` are yielded and at most
+        `EXHAUSTIVE_MAX_NODES` configurations visited, both read when the
+        search starts, and `max_len` defaults to `EXHAUSTIVE_MAX_LEN`.  A
+        caller that wants fewer schedules takes a prefix of the stream.
         No complete schedule is shorter than `sequential_schedule`; when that
         one exceeds `max_len` no search is made, so `loop_protect` and
         `sha2_update_last` pass SCT with 0 trials, which is not evidence
@@ -1056,8 +1056,7 @@ class StateGraph:
         the node cap reaches further."""
         if max_len is None:
             max_len = EXHAUSTIVE_MAX_LEN
-        if max_schedules is None:
-            max_schedules = EXHAUSTIVE_MAX_SCHEDULES
+        cap = EXHAUSTIVE_MAX_SCHEDULES
         if self._too_long(max_len):
             return
         produced = explored = 0
@@ -1095,16 +1094,16 @@ class StateGraph:
                 yield (config, path) if second is None \
                     else (config, path, node2 and node2.config, agreed)
                 produced += 1
-                if produced >= max_schedules:
+                if produced >= cap:
                     return
                 continue
             count = agreed is True and node2 is not None \
                 and passed.get((key, left))
             if count:
-                count = min(count, max_schedules - produced)
+                count = min(count, cap - produced)
                 yield count
                 produced += count
-                if produced >= max_schedules:
+                if produced >= cap:
                     return
                 continue
             stack.append((None, key, left, produced))

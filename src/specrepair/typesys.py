@@ -112,9 +112,20 @@ def policy_label_maps(policy: Policy,
 
 def typecheck_ct(policy: Policy, c: Command, arrays: dict[str, ArrayDecl],
                  variables: list[str]) -> list[Violation]:
-    """Constant-time violations of `c` under `policy`; empty means accept."""
+    """Constant-time violations of `c` under `policy`; empty means accept.
+
+    Two rules report them: `flow`, that a label may flow to another, and
+    `public`, that an expression is public, which every sink checks."""
     gv, ga = policy_label_maps(policy, variables, arrays)
     out: list[Violation] = []
+
+    def flow(label: str, to: str, where: str, rule: str,
+             message: str) -> None:
+        if not label_flows_to(label, to):
+            out.append(Violation(rule, where, message))
+
+    def public(e: Expr, where: str, rule: str, message: str) -> None:
+        flow(etype(e, where), LABEL_PUBLIC, where, rule, message)
 
     def etype(e: Expr, where: str) -> str:
         if isinstance(e, Lit):
@@ -133,9 +144,7 @@ def typecheck_ct(policy: Policy, c: Command, arrays: dict[str, ArrayDecl],
         if isinstance(e, BinOp):
             return label_join(etype(e.left, where), etype(e.right, where))
         if isinstance(e, Ternary):
-            if etype(e.cond, where) == LABEL_SECRET:
-                out.append(Violation("Select", where,
-                                     "select condition may be secret"))
+            public(e.cond, where, "Select", "select condition may be secret")
             return label_join(etype(e.then, where), etype(e.other, where))
         if isinstance(e, ArrayField):
             etype(e.arg, where)
@@ -146,14 +155,10 @@ def typecheck_ct(policy: Policy, c: Command, arrays: dict[str, ArrayDecl],
         if isinstance(r, Pure):
             return etype(r.expr, where)
         if isinstance(r, ArrayRead):
-            if etype(r.index, where) == LABEL_SECRET:
-                out.append(Violation("Array-Read", where,
-                                     "array index may be secret"))
+            public(r.index, where, "Array-Read", "array index may be secret")
             return etype(Lit(r.array), where)
         if isinstance(r, PtrRead):
-            if etype(r.addr, where) == LABEL_SECRET:
-                out.append(Violation("Ptr-Read", where,
-                                     "pointer address may be secret"))
+            public(r.addr, where, "Ptr-Read", "pointer address may be secret")
             return r.label
         raise LangError(f"cannot type {r!r}")
 
@@ -163,35 +168,22 @@ def typecheck_ct(policy: Policy, c: Command, arrays: dict[str, ArrayDecl],
         where = pretty_header(cmd)
         if isinstance(cmd, (Assign, Protect)):
             rule = "Protect" if isinstance(cmd, Protect) else "Asgn"
-            lab = rtype(cmd.rhs, where)
-            if not label_flows_to(lab, gv.get(cmd.target, LABEL_SECRET)):
-                out.append(Violation(rule, where,
-                                     f"secret value assigned to public "
-                                     f"{cmd.target}"))
+            flow(rtype(cmd.rhs, where), gv.get(cmd.target, LABEL_SECRET),
+                 where, rule, f"secret value assigned to public {cmd.target}")
         elif isinstance(cmd, ArrayWrite):
             array_label = etype(Lit(cmd.array), where)
-            if etype(cmd.index, where) == LABEL_SECRET:
-                out.append(Violation("Array-Write", where,
-                                     "store index may be secret"))
-            if not label_flows_to(etype(cmd.value, where), array_label):
-                out.append(Violation("Array-Write", where,
-                                     "secret value stored to public array"))
+            public(cmd.index, where, "Array-Write",
+                   "store index may be secret")
+            flow(etype(cmd.value, where), array_label, where, "Array-Write",
+                 "secret value stored to public array")
         elif isinstance(cmd, PtrWrite):
-            if etype(cmd.addr, where) == LABEL_SECRET:
-                out.append(Violation("Ptr-Write", where,
-                                     "store address may be secret"))
-            if not label_flows_to(etype(cmd.value, where), cmd.label):
-                out.append(Violation("Ptr-Write", where,
-                                     "secret value stored through public "
-                                     "pointer"))
+            public(cmd.addr, where, "Ptr-Write", "store address may be secret")
+            flow(etype(cmd.value, where), cmd.label, where, "Ptr-Write",
+                 "secret value stored through public pointer")
         elif isinstance(cmd, If):
-            if etype(cmd.cond, where) == LABEL_SECRET:
-                out.append(Violation("If", where,
-                                     "branch condition may be secret"))
+            public(cmd.cond, where, "If", "branch condition may be secret")
         elif isinstance(cmd, While):
-            if etype(cmd.cond, where) == LABEL_SECRET:
-                out.append(Violation("While", where,
-                                     "loop condition may be secret"))
+            public(cmd.cond, where, "While", "loop condition may be secret")
         else:
             raise LangError(f"cannot type {cmd!r}")
     return out

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import islice
 
 import pytest
 
@@ -256,8 +257,8 @@ def _reference_sct(program, command, mode, schedules, pairs, seed,
     trials = 0
     for index, pair in enumerate(gen_lequiv_pairs(program, pairs, seed)):
         if schedules == "exhaustive":
-            runs = StateGraph(command, pair.mem1, pair.rho1).schedules(
-                min(max_len, 40), max_schedules)
+            runs = islice(StateGraph(command, pair.mem1, pair.rho1)
+                          .schedules(min(max_len, 40)), max_schedules)
         else:
             rng = random.Random(f"sct:{seed}:{index}")
             runs = (StateGraph(command, pair.mem1, pair.rho1).walk(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import islice
 from types import MappingProxyType
 
 import pytest
@@ -444,8 +445,7 @@ def test_state_graph_matches_fresh_runs(corpus, mode, monkeypatch):
                 assert (config, list(trace)) == \
                     (fresh.config, fresh.trace), name
             cuts = random.Random(3)
-            searched = StateGraph(command, mem, rho).schedules(
-                max_schedules=10)
+            searched = islice(StateGraph(command, mem, rho).schedules(), 10)
             for _config, path in walks + list(searched):
                 whole = unwind(path)[0]
                 cut = whole[:cuts.randrange(len(whole))]
@@ -565,11 +565,12 @@ def _reference_schedules(command, mem, rho, max_len=40):
     return complete
 
 
-def _searched(command, mem, rho, *args) -> list:
-    """(directives, trace, terminal configuration) of each schedule
-    `StateGraph.schedules(*args)` yields from a fresh graph."""
+def _searched(command, mem, rho, max_len=None, count=None) -> list:
+    """(directives, trace, terminal configuration) of each of the first
+    `count` schedules, or of every one, that `StateGraph.schedules(max_len)`
+    yields from a fresh graph."""
     return [(*unwind(path), config) for config, path in
-            StateGraph(command, mem, rho).schedules(*args)]
+            islice(StateGraph(command, mem, rho).schedules(max_len), count)]
 
 
 def test_enumerate_skip_is_singleton():
@@ -743,7 +744,9 @@ def _assert_memo_keeps_the_stream(command, mem, rho, max_len,
                                  max_nodes)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(machine, "EXHAUSTIVE_MAX_NODES", max_nodes)
-        got = _searched(command, mem, rho, max_len, max_schedules)
+        monkeypatch.setattr(machine, "EXHAUSTIVE_MAX_SCHEDULES",
+                            max_schedules)
+        got = _searched(command, mem, rho, max_len)
     assert (got[:len(want)] if cut else got) == want
     return len(want), cut
 
@@ -915,7 +918,7 @@ def test_a_stepped_node_is_the_graphs_node_of_its_key(name, cap,
     rng = random.Random(name)
     for _ in range(30):
         graph.walk(rng, machine.WALK_MAX_LEN)
-    assert sum(1 for _ in graph.schedules(40, 300)) > 0
+    assert sum(1 for _ in islice(graph.schedules(40), 300)) > 0
     machine._count_space(graph, machine.EXHAUSTIVE_MAX_LEN)
     for _ in range(30):
         graph.walk(rng, machine.WALK_MAX_LEN)
