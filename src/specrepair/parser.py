@@ -115,7 +115,7 @@ class Program:
         return rho
 
     def initial_memory(self) -> dict[int, Value]:
-        """All declared array cells (initialized or zero); cell 0 is reserved."""
+        """All declared array cells (initialized or zero), and cell 0 at 0."""
         mem: dict[int, Value] = {0: 0}
         for a in self.arrays.values():
             for i in range(a.length):
@@ -339,6 +339,10 @@ class _Parser:
         if len(init) > length:
             raise SemanticError(f"array {name!r}: {len(init)} initializers for "
                                 f"{length} cells")
+        # SLH sends a mispredicted read to cell 0, so it holds no secret
+        if base == 0 and (length and label == LABEL_SECRET or any(init[:1])):
+            raise SemanticError(f"array {name!r}: cell 0 is reserved; it "
+                                f"holds 0 and no secret")
         decl = ArrayDecl(name, base, length, label)
         for other in self.arrays.values():
             if base < other.base + other.length and other.base < base + length:

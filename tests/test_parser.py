@@ -43,6 +43,7 @@ from specrepair.parser import (
     pretty_program,
 )
 from specrepair.repair import pipeline
+from specrepair.seq import run_sequential
 from specrepair.typesys import Mode
 
 
@@ -65,6 +66,33 @@ def test_overlapping_arrays_rejected():
     text = "array a base=1 len=4 label=L;\narray b base=3 len=2 label=L;\nskip;\n"
     with pytest.raises(SemanticError):
         parse_program(text)
+
+
+# A secret in cell 0 reaches a mispredicted SLH read, which the mask sends
+# there; an initializer of cell 0 was dropped by `initial_memory`.
+_CELL_0_SECRET = (
+    "array s base=0 len=1 label=H;\narray a base=1 len=2 label=L;\n"
+    "array c base=3 len=64 label=L;\nvar i = 2;\nvar h = 5;\n"
+    "public i, a, c, x, y;\n"
+    "s[0] := h;\nx := protect(a[i]);\ny := c[x];\n")
+_CELL_0_INIT = "array b base=0 len=2 label=L init=[7,8];\npublic x, b;\n" \
+    "x := b[0];\n"
+
+
+@pytest.mark.parametrize("text", [_CELL_0_SECRET, _CELL_0_INIT])
+def test_cell_0_holds_no_secret_and_no_initializer(text):
+    with pytest.raises(SemanticError, match="cell 0 is reserved"):
+        parse_program(text)
+
+
+def test_public_array_may_occupy_and_write_cell_0():
+    program = parse_program("array b base=0 len=2 label=L init=[0,8];\n"
+                            "array s base=2 len=1 label=H;\npublic x, b;\n"
+                            "b[0] := 3;\nx := b[0];\n")
+    assert program.initial_memory() == {0: 0, 1: 8, 2: 0}
+    result = run_sequential(program.command, program.initial_memory(),
+                            program.initial_var_map())
+    assert (result.mem[0], result.vars["x"]) == (3, 3)
 
 
 def test_unknown_policy_name_rejected():
