@@ -1,11 +1,13 @@
 """Smoke tests of the experiment scripts: each runs in-process on the
-bundled corpus and exits 0."""
+bundled corpus and exits 0, except `coverage.py`, which runs pytest itself
+and so runs in a subprocess on one test file."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import runpy
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -125,3 +127,34 @@ def test_count_lines(monkeypatch, capsys, tmp_path):
     assert all(int(n) >= 0 for line in lines[1:] for n in line.split()[1:])
     assert sum(map(int, lines[-1].split()[1:])) == sum(
         len(path.read_text().splitlines()) for path in src.glob("*.py"))
+
+
+def test_coverage_on_one_test_file():
+    # the whole suite takes minutes under tracing, so one small file
+    # checks the report's shape: each unexecuted statement as
+    # `path:line: text`, then a row per module and their total
+    root = SCRIPTS.parent
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "coverage.py"), "-q",
+         "-p", "no:cacheprovider", str(root / "tests" / "test_readme.py")],
+        cwd=root, capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    header = next(i for i, line in enumerate(lines)
+                  if line.split() == ["module", "statements", "unexecuted"])
+    src = root / "src" / "specrepair"
+    rows = {line.split()[0]: tuple(map(int, line.split()[1:]))
+            for line in lines[header + 1:]}
+    modules = sorted(path.name for path in src.glob("*.py"))
+    assert list(rows) == [*modules, "total"]
+    assert rows["total"] == tuple(map(sum, zip(*[rows[m] for m in modules])))
+    missed = Counter()
+    for line in lines[:header]:
+        if not line.startswith("src/"):
+            continue  # pytest's own report
+        path, number, text = line.split(":", 2)
+        assert (root / path).read_text().splitlines()[int(number) - 1] \
+            .strip() == text.strip()
+        missed[Path(path).name] += 1
+    assert all(missed[m] == rows[m][1] <= rows[m][0] for m in modules)
+    # the example imports the package and runs no command of the CLI
+    assert rows["__init__.py"][1] == 0 < rows["cli.py"][1] == rows["cli.py"][0]
