@@ -176,8 +176,9 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
     (`StateGraph.schedules`, capped by the `machine.EXHAUSTIVE_*` caps and
     `max_len`) run on the first side's graph, and each complete schedule
     is followed on the second's; a subtree the search has passed, entered
-    again with the same pair of configurations, comes back as a count of
-    trials.  A pass says no more than that no counterexample was found
+    again at the same first-side configuration with the same directives
+    left along a schedule whose observations agreed, comes back as a count
+    of trials.  A pass says no more than that no counterexample was found
     within the caps.
     """
     command = lower_protects(program.command, mode)

@@ -340,7 +340,8 @@ class _Parser:
             raise SemanticError(f"array {name!r}: {len(init)} initializers for "
                                 f"{length} cells")
         # SLH sends a mispredicted read to cell 0, so it holds no secret
-        if base == 0 and (length and label == LABEL_SECRET or any(init[:1])):
+        if base == 0 and (length and label == LABEL_SECRET
+                          or init and init[0]):
             raise SemanticError(f"array {name!r}: cell 0 is reserved; it "
                                 f"holds 0 and no secret")
         decl = ArrayDecl(name, base, length, label)
