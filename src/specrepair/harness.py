@@ -174,12 +174,15 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
     schedule space (`machine._count_space`).  Other pairs count in
     `distinct_pairs` and get a `StateGraph` each.  Walks and the search
     (`StateGraph.schedules`, capped by the `machine.EXHAUSTIVE_*` caps and
-    `max_len`) run on the first side's graph, and each complete schedule
-    is followed on the second's; a subtree the search has passed, entered
-    again at the same first-side configuration with the same directives
-    left along a schedule whose observations agreed, comes back as a count
-    of trials.  A pass says no more than that no counterexample was found
-    within the caps.
+    `max_len`) run on the first side's graph and step the second's in
+    lockstep, link by link, so a complete schedule arrives with the second
+    side's configuration and whether its observations agreed; a walk
+    draws only on the first side, so its directives are those of a walk
+    alone.  A subtree the search has passed, entered again at the same
+    first-side configuration with the same directives left along a
+    schedule whose observations agreed, comes back as a count of trials.
+    A pass says no more than that no counterexample was found within the
+    caps.
     """
     command = lower_protects(program.command, mode)
     exhaustive = schedules == "exhaustive"
@@ -189,16 +192,17 @@ def sct_fuzz(program: Program, mode: str = MODE_HW,
         graph1 = StateGraph(command, pair.mem1, pair.rho1)
         rng = random.Random(f"sct:{seed}:{pair_index}")
         # a walk cut off at `max_len` is not a trial
-        walks = (graph1.walk(rng, max_len) for _ in range(schedule_count))
         if _kinds(pair.mem1, pair.rho1) == _kinds(pair.mem2, pair.rho2):
             trials += (_count_space(graph1, length)[0] if exhaustive else
-                       sum(config.terminal for config, _path in walks))
+                       sum(graph1.walk(rng, max_len)[0].terminal
+                           for _ in range(schedule_count)))
             continue
         distinct += 1
         graph2 = StateGraph(command, pair.mem2, pair.rho2)
         runs = graph1.schedules(length, second=graph2) if exhaustive \
-            else ((config, path, *graph2.follow(path))
-                  for config, path in walks if config.terminal)
+            else (run for run in (graph1.walk(rng, max_len, graph2)
+                                  for _ in range(schedule_count))
+                  if run[0].terminal)
         for run in runs:
             if type(run) is int:  # schedules of subtrees that passed
                 trials += run

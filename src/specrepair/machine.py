@@ -278,18 +278,30 @@ def exec_operands(buffer: tuple[Instruction, ...], rho) -> list:
     executed stores, it takes the value of the youngest one to its
     address, or None, for memory's.
 
-    One left-to-right pass evaluates each operand under the transient
-    variable map of the instructions before it, `rho` updated by each in
-    turn: a resolved assignment binds its value; a pending assignment, a
-    load and a protect, even a resolved one, bind bottom, so a protected
-    value is never forwarded early.  `rho` itself is not written.
+    One left-to-right pass (`_pass`) evaluates each operand under the
+    transient variable map of the instructions before it, `rho` updated by
+    each in turn: a resolved assignment binds its value; a pending
+    assignment, a load and a protect, even a resolved one, bind bottom, so
+    a protected value is never forwarded early.  `rho` itself is not
+    written.  The pass can be resumed from the state it had after a prefix
+    of the buffer, which is how `StateGraph` extends a parent's operands
+    by the instruction a fetch appends.
     """
-    trho = dict(rho)
-    out: list = []
+    return _pass(buffer, (rho, (), False, None))[0]
+
+
+def _pass(buffer: tuple[Instruction, ...], state: tuple,
+          before: list = ()) -> tuple:
+    """(`before` followed by the operands of `buffer`, the pass state after
+    `buffer`): `exec_operands`' pass resumed from `state`, the pass state
+    after the instructions whose operands are `before`.  A pass state is
+    (the transient map, the ids of the guards and fails seen, whether a
+    store not executed was seen, the address -> value map of the executed
+    stores seen or None); `state` and `before` are not written."""
+    trho, pending, stored, forwarded = state
+    trho = dict(trho)
+    out = list(before)
     append = out.append
-    stored = False  # a store not executed seen so far
-    pending: tuple = ()  # ids of the guards and fails seen so far
-    forwarded = None  # address -> value of the executed stores seen so far
     for instr in buffer:
         kind = type(instr)
         try:
@@ -329,8 +341,7 @@ def exec_operands(buffer: tuple[Instruction, ...], rho) -> list:
             elif kind is StoreI:
                 if instr.executed:
                     r = "store already executed"
-                    if forwarded is None:
-                        forwarded = {}
+                    forwarded = dict(forwarded or ())
                     forwarded[instr.addr.value] = instr.value.value
                 else:
                     stored = True
@@ -353,7 +364,7 @@ def exec_operands(buffer: tuple[Instruction, ...], rho) -> list:
         append(r)
         if kind is not GuardI and kind is not StoreI:
             trho[instr.target] = None
-    return out
+    return out, (trho, pending, stored, forwarded)
 
 
 def _retires(head: Instruction) -> bool:
@@ -635,12 +646,12 @@ def applicable_directives(config: Config) -> list:
     seeded walks that a directive is listed exactly when `step` does not
     leave the machine stuck on it.
     """
-    return _listing(config)[0]
+    return _listing(config, exec_operands(config.buffer, config.vars))
 
 
-def _listing(config: Config) -> tuple:
-    """`applicable_directives` of `config`, with `exec_operands` of its
-    buffer, or None for an empty buffer."""
+def _listing(config: Config, operands: list) -> list:
+    """`applicable_directives` of `config`, whose buffer has the
+    `exec_operands` `operands`."""
     out: list[Directive] = []
     if config.stack:
         if type(config.stack[0]) is If:
@@ -650,8 +661,7 @@ def _listing(config: Config) -> tuple:
             out.append(FETCH)
     buffer = config.buffer
     if not buffer:
-        return out, None
-    operands = exec_operands(buffer, config.vars)
+        return out
     guard_execs = []
     index = 0
     for r in operands:
@@ -664,7 +674,7 @@ def _listing(config: Config) -> tuple:
     out += guard_execs
     if _retires(buffer[0]):
         out.append(RETIRE)
-    return out, operands
+    return out
 
 
 def sequential_schedule(c: Command, mem, rho,
@@ -898,15 +908,18 @@ GRAPH_MAX_NODES = 1000
 
 class _Node:
     """A `StateGraph` configuration with its `_retired_ids` ids and its
-    `_config_key`, its applicable directives and `exec_operands` of its
-    buffer once asked for, and, if the graph keeps it, `out`: for each of
-    those directives, (child, observation) once stepped, else None."""
+    `_config_key`; `operands`, `exec_operands` of its buffer, and
+    `resume`, the pass state after it that `_pass` resumes from, once
+    derived from its parent's or asked for; its applicable directives once
+    asked for; and, if the graph keeps it, `out`: for each of those
+    directives, (child, observation) once stepped, else None."""
 
-    __slots__ = ("config", "ids", "key", "options", "operands", "out")
+    __slots__ = ("config", "ids", "key", "operands", "resume", "options",
+                 "out")
 
     def __init__(self, config: Config, ids, key) -> None:
         self.config, self.ids, self.key = config, ids, key
-        self.options = self.operands = self.out = None
+        self.operands = self.resume = self.options = self.out = None
 
 
 class StateGraph:
@@ -932,7 +945,11 @@ class StateGraph:
 
     def _directives(self, node: _Node) -> list:
         if node.options is None:
-            node.options, node.operands = _listing(node.config)
+            config = node.config
+            if node.resume is None:
+                node.operands, node.resume = _pass(
+                    config.buffer, (config.vars, (), False, None))
+            node.options = _listing(config, node.operands)
         return node.options
 
     def _keep(self, node: _Node) -> None:
@@ -943,20 +960,35 @@ class StateGraph:
         """(child, observation) for option `i` of `node`, kept in `out` if
         the graph keeps `node`: the child is the graph's node of its key,
         or a new node, which joins the graph while it has room.  An exec
-        resolves with the operands the listing found."""
+        resolves with the operands the listing found.
+
+        A new node takes `node`'s operands where the step leaves them
+        valid: a fetch that only rewrites the stack shares them, one that
+        appends an instruction extends `node`'s pass by it, and a retire
+        of a resolved assignment or a nop drops the head's, since the pass
+        bound the assignment's value as the retire binds it.  Any other
+        node gets a pass of its own when listed."""
         d = node.options[i]
-        if type(d) is Exec:
-            config, obs = _exec(node.config, d.index,
-                                node.operands[d.index - 1])
+        kind = type(d)
+        parent = node.config
+        if kind is Exec:
+            config, obs = _exec(parent, d.index, node.operands[d.index - 1])
         else:
-            config, obs = step(node.config, d)
-        ids = node.ids if type(d) is not Retire else _retired_ids(
-            node.config, node.ids, self._writes)
-        key = _config_key(config, ids, (d, node.config.buffer, node.key[0]),
+            config, obs = step(parent, d)
+        ids = node.ids if kind is not Retire else _retired_ids(
+            parent, node.ids, self._writes)
+        key = _config_key(config, ids, (d, parent.buffer, node.key[0]),
                           self._codes)
         child = self._nodes.get(key)
         if child is None:
             child = _Node(config, ids, key)
+            if config.buffer is parent.buffer:
+                child.operands, child.resume = node.operands, node.resume
+            elif kind is Fetch or kind is FetchBranch:
+                child.operands, child.resume = _pass(
+                    config.buffer[-1:], node.resume, node.operands)
+            elif kind is Retire and type(parent.buffer[0]) in (AssignI, Nop):
+                child.operands, child.resume = node.operands[1:], node.resume
             if len(self._nodes) < GRAPH_MAX_NODES:
                 self._keep(child)
         if node.out is not None:
@@ -967,11 +999,15 @@ class StateGraph:
         """(child, observation) for `d` from `node`, stepped once by
         `_step`, or the `Stuck` that `step` gives where `d` does not
         apply."""
+        options = node.options
+        if options is None:
+            options = self._directives(node)
         try:
-            i = self._directives(node).index(d)
+            i = options.index(d)
         except ValueError:
             return step(node.config, d)
-        return node.out and node.out[i] or self._step(node, i)
+        out = node.out
+        return out and out[i] or self._step(node, i)
 
     def _too_long(self, max_len: int) -> bool:
         """Whether no schedule fits `max_len`: the sequential one does not.
@@ -990,17 +1026,26 @@ class StateGraph:
             length = self._sequential_length[0]
         return length > max_len
 
-    def walk(self, rng: random.Random, max_len: int) -> tuple:
+    def walk(self, rng: random.Random, max_len: int,
+             second: Optional[StateGraph] = None) -> tuple:
         """(configuration, path, as `schedules` gives it) of a random walk
         drawing each directive uniformly over the applicable ones.  The
         draw is `rng.randrange(n)` as CPython makes it, inline: `getrandbits`
         of `n.bit_length()` bits until the result is below `n`, so the
         stream and every index equal `randrange`'s (and `rng.choice`'s).
         It stops after `max_len` directives or where none applies, and is
-        complete only if it ends terminal."""
+        complete only if it ends terminal.
+
+        With a `second` graph, of another initial state, it steps that
+        graph along each link it draws (`_along`), in lockstep, and gives
+        (configuration, path, `second`'s configuration, agreement): the
+        agreement is (index, reason) where `second` got stuck, and its
+        configuration None; else whether every observation on `second`
+        equalled the path's.  The draws are those of the walk alone."""
         node, path = self._root, None
+        node2, agreed = second and second._root, True
         getrandbits = rng.getrandbits
-        for _ in range(max_len):
+        for k in range(max_len):
             options = node.options
             if options is None:
                 options = self._directives(node)
@@ -1012,10 +1057,14 @@ class StateGraph:
             while i >= n:
                 i = getrandbits(bits)
             out = node.out
-            child, obs = out and out[i] or self._step(node, i)
-            path = (path, options[i], obs)
-            node = child
-        return node.config, path
+            node, obs = out and out[i] or self._step(node, i)
+            d = options[i]
+            path = (path, d, obs)
+            if node2 is not None:
+                node2, agreed = second._along(node2, agreed, k, d, obs)
+        if second is None:
+            return node.config, path
+        return node.config, path, node2 and node2.config, agreed
 
     def schedules(self, max_len: Optional[int] = None,
                   second: Optional[StateGraph] = None) -> Iterator:
@@ -1044,8 +1093,9 @@ class StateGraph:
         none in 400 000.
 
         With a `second` graph, of another initial state, it steps that
-        graph along each link it enters (`_edge`) and yields (configuration,
-        path, *`second.follow(path)`).  The caller stops at a
+        graph along each link it enters (`_along`, as `walk` does) and
+        yields (configuration, path, `second`'s configuration, agreement),
+        as `walk` gives them.  The caller stops at a
         counterexample, so a subtree left with a schedule in it has passed.
         Entered again with as many directives left, on an agreeing path, it
         comes back as its schedule count, capped at the schedules left, an
@@ -1123,22 +1173,15 @@ class StateGraph:
         """`node` and its agreement `agreed` one link further along another
         graph's path, whose `k`-th directive `d` observed `obs`, stepped by
         `_edge`: None and (k, reason) if `d` gets stuck, and None once
-        stuck."""
+        stuck.  Shared observations, such as every silent one, agree by
+        identity."""
         if node is None:
             return None, agreed
         edge = self._edge(node, d)
         if type(edge) is Stuck:
             return None, (k, edge.reason)
-        return edge[0], agreed and edge[1] == obs
-
-    def follow(self, path) -> tuple:
-        """(configuration or None, agreement) of another graph's path run
-        on this one: (index, reason) where it got stuck, else whether every
-        observation equalled the path's."""
-        node, agreed = self._root, True
-        for k, (d, obs) in enumerate(zip(*unwind(path))):
-            node, agreed = self._along(node, agreed, k, d, obs)
-        return node and node.config, agreed
+        obs2 = edge[1]
+        return edge[0], agreed and (obs2 is obs or obs2 == obs)
 
 
 # ---------------------------------------------------------------------------

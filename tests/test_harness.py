@@ -21,6 +21,7 @@ from specrepair.machine import (
     MODE_SLH,
     WALK_MAX_LEN,
     StateGraph,
+    Stuck,
     lower_protects,
     run_schedule,
     unwind,
@@ -430,6 +431,74 @@ def test_count_memo_needs_the_second_side(cap, monkeypatch):
         (False, 22, (0, ce.directives, ce.kind, ce.detail))
 
 
+def _followed_sct(program, mode, pairs, seed, walks) -> tuple:
+    """Random `sct_fuzz` with the second side stepped only after each walk:
+    every complete walk of the first side is replayed link by link, through
+    `_edge` alone, on a fresh graph of the second state; (passed, trials,
+    distinct pairs, counterexample fields)."""
+    command = lower_protects(program.command, mode)
+    trials = distinct = 0
+    for index, pair in enumerate(gen_lequiv_pairs(program, pairs, seed)):
+        graph1 = StateGraph(command, pair.mem1, pair.rho1)
+        rng = random.Random(f"sct:{seed}:{index}")
+        complete = [(config, path) for config, path in (
+            graph1.walk(rng, WALK_MAX_LEN) for _ in range(walks))
+            if config.terminal]
+        if harness._kinds(pair.mem1, pair.rho1) == \
+                harness._kinds(pair.mem2, pair.rho2):
+            trials += len(complete)
+            continue
+        distinct += 1
+        for config1, path in complete:
+            trials += 1
+            graph2 = StateGraph(command, pair.mem2, pair.rho2)
+            node, agreed = graph2._root, True
+            for k, (d, obs) in enumerate(zip(*unwind(path))):
+                edge = graph2._edge(node, d)
+                if type(edge) is Stuck:
+                    node, agreed = None, (k, edge.reason)
+                    break
+                node, agreed = edge[0], agreed and edge[1] == obs
+            found = harness._difference(program, config1,
+                                        node and node.config, agreed)
+            if found:
+                return (False, trials, distinct,
+                        (index, unwind(path)[0], *found))
+    return True, trials, distinct, None
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+@pytest.mark.parametrize("repair", [False, True], ids=["written", "repaired"])
+def test_lockstep_walks_match_followed_walks(mode, repair, monkeypatch):
+    # stepping the second side along each walk as it is drawn gives the
+    # verdict, trials, distinct pairs and counterexample of following each
+    # complete walk afterwards, on every corpus program at the verdict
+    # matrix's (seed, pairs), with the graphs at their cap and cut down to
+    # 3 nodes; as written, `ex1` leaks by its traces at seed 8 and the
+    # divergent branch leaves the second side stuck
+    cases = [(_repaired(name) if repair else load_program(name), pairs,
+              seed, CORPUS_WALKS)
+             for name in corpus_names()
+             for seed, pairs in ((0, 1), (1, 2), (7, 3))]
+    if not repair:
+        cases += [(load_program("ex1"), 3, 8, 100),
+                  (parse_program(_DIVERGENT_STUCK), 6, 21, 100)]
+    kinds = set()
+    for program, pairs, seed, walks in cases:
+        want = _followed_sct(program, mode, pairs, seed, walks)
+        kinds.add(want[3] and want[3][2])
+        for cap in (machine.GRAPH_MAX_NODES, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(machine, "GRAPH_MAX_NODES", cap)
+                result = sct_fuzz(program, mode=mode, schedule_count=walks,
+                                  pairs=pairs, seed=seed)
+            ce = result.counterexample
+            assert (result.passed, result.trials, result.distinct_pairs,
+                    ce and (ce.pair_index, ce.directives, ce.kind,
+                            ce.detail)) == want, (program.command, seed, cap)
+    assert kinds >= ({"trace", "stuck"} if not repair else {None}), kinds
+
+
 # Configurations `_split_second_keys` expands per pair at most.
 SPLIT_MAX_NODES = 5_000
 
@@ -482,9 +551,9 @@ def test_agreeing_paths_reach_one_second_key(mode, repair):
 
 def _exhaustive_calls(name, monkeypatch) -> tuple:
     """Exhaustive `sct_fuzz` of repaired `name` (pairs 1, seed 1), and the
-    expansions, second-side edge lookups, `follow` and `_difference` calls
-    it made."""
-    calls = {"expand": 0, "edge": 0, "follow": 0, "difference": 0}
+    expansions, second-side edge lookups, walks and `_difference` calls it
+    made."""
+    calls = {"expand": 0, "edge": 0, "walk": 0, "difference": 0}
 
     def counted(name, function):
         def wrapper(*args):
@@ -493,7 +562,7 @@ def _exhaustive_calls(name, monkeypatch) -> tuple:
         return wrapper
 
     for key, attr in (("expand", "_expand"), ("edge", "_edge"),
-                      ("follow", "follow")):
+                      ("walk", "walk")):
         monkeypatch.setattr(StateGraph, attr,
                             counted(key, getattr(StateGraph, attr)))
     monkeypatch.setattr(harness, "_difference",
@@ -505,22 +574,23 @@ def _exhaustive_calls(name, monkeypatch) -> tuple:
 def test_count_memo_engages(monkeypatch):
     # guard_chain's two states are equal, so its 5000 schedules are
     # counted, on a memo that expands far fewer configurations, and none
-    # is run on a second side or checked
+    # is walked, run on a second side or checked
     result, calls = _exhaustive_calls("guard_chain", monkeypatch)
     assert (result.passed, result.distinct_pairs) == (True, 0)
     assert result.trials == EXHAUSTIVE_MAX_SCHEDULES
     assert calls["expand"] <= 1000, calls
-    assert calls["edge"] == calls["follow"] == calls["difference"] == 0, calls
+    assert calls["edge"] == calls["walk"] == calls["difference"] == 0, calls
 
 
 def test_count_memo_engages_on_distinct_states(monkeypatch):
     # ex1_patched's states differ in the secret cell, so the search steps
-    # the second side along each link it enters; a search that checked
-    # each of the 5000 schedules would make 5000 `_difference` calls
+    # the second side along each link it enters, and walks nothing; a
+    # search that checked each of the 5000 schedules would make 5000
+    # `_difference` calls
     result, calls = _exhaustive_calls("ex1_patched", monkeypatch)
     assert (result.passed, result.distinct_pairs) == (True, 1)
     assert result.trials == EXHAUSTIVE_MAX_SCHEDULES
-    assert calls["difference"] <= 30 and calls["follow"] == 0, calls
+    assert calls["difference"] <= 30 and calls["walk"] == 0, calls
     assert 0 < calls["edge"] <= 1000 and calls["expand"] <= 1000, calls
 
 
@@ -607,8 +677,8 @@ def test_states_equal_only_kind_by_kind():
 @pytest.mark.parametrize("schedules", ["random", "exhaustive"])
 def test_equal_states_share_one_graph(schedules, monkeypatch):
     # a pair of equal states builds one graph and only counts its
-    # schedules: it is neither searched as a pair, nor followed, nor
-    # compared
+    # schedules: it is neither searched as a pair, nor stepped on a second
+    # side (`_along`), nor compared
     built, calls = [], []
 
     class Counted(StateGraph):
@@ -623,7 +693,7 @@ def test_equal_states_share_one_graph(schedules, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(harness, "StateGraph", Counted)
-    for name in ("schedules", "follow"):
+    for name in ("schedules", "_along"):
         monkeypatch.setattr(StateGraph, name,
                             counted(name, getattr(StateGraph, name)))
     monkeypatch.setattr(harness, "_difference",

@@ -1148,6 +1148,71 @@ def test_equal_keys_mean_equal_configurations_on_random_programs(command):
                                          INITIAL_MEM, INITIAL_RHO)
 
 
+def _assert_fresh_pass(node) -> None:
+    """`node`'s stored operands and pass state are those of a pass over its
+    buffer from its variables, values compared with their types."""
+    config = node.config
+    operands, resume = machine._pass(config.buffer,
+                                     (config.vars, (), False, None))
+    assert repr(node.operands) == repr(operands) == \
+        repr(exec_operands(config.buffer, config.vars)), config
+    trho, pending, stored, forwarded = node.resume
+    assert (_typed(trho), pending, stored, forwarded and _typed(forwarded)) \
+        == (_typed(resume[0]), *resume[1:3],
+            resume[3] and _typed(resume[3])), config
+
+
+@pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
+def test_derived_operands_equal_a_fresh_pass(corpus, mode, monkeypatch):
+    # a new node takes its parent's operands where its step leaves them
+    # valid (shared by a fetch that rewrites the stack, extended by one that
+    # appends, the head's dropped by a retire); along seeded walks, the
+    # search and the count, at the graph's cap and at 3 nodes, every node
+    # stepped or listed holds the operands and pass state of a pass of its
+    # own
+    plain_step, plain_directives = StateGraph._step, StateGraph._directives
+    plain_pass = machine._pass
+    derived = Counter()
+
+    def stepped(graph, node, i):
+        child, obs = plain_step(graph, node, i)
+        if child.resume is not None:
+            _assert_fresh_pass(child)
+            if child.operands is node.operands:
+                derived["shared"] += 1
+            elif child.resume is node.resume:
+                derived["dropped"] += 1
+        return child, obs
+
+    def listed(graph, node):
+        options = plain_directives(graph, node)
+        _assert_fresh_pass(node)
+        derived["listed"] += 1
+        return options
+
+    def resumed(buffer, state, *before):
+        derived["extended"] += bool(before)
+        return plain_pass(buffer, state, *before)
+
+    monkeypatch.setattr(StateGraph, "_step", stepped)
+    monkeypatch.setattr(StateGraph, "_directives", listed)
+    monkeypatch.setattr(machine, "_pass", resumed)
+    for cap in (machine.GRAPH_MAX_NODES, 3):
+        monkeypatch.setattr(machine, "GRAPH_MAX_NODES", cap)
+        for name, program in corpus:
+            graph = StateGraph(lower_protects(program.command, mode),
+                               program.initial_memory(),
+                               program.initial_var_map())
+            rng = random.Random(name)
+            for _ in range(10):
+                graph.walk(rng, machine.WALK_MAX_LEN)
+            machine._count_space(graph, machine.EXHAUSTIVE_MAX_LEN)
+            for _ in zip(range(500), graph.schedules()):
+                pass
+    assert min(derived[k] for k in ("shared", "dropped", "extended")) > 100
+    assert derived["listed"] > 10_000, derived
+
+
 def test_a_walk_on_a_fresh_graph_completes_and_replays(corpus):
     rng = random.Random(11)
     for name, program in corpus:
@@ -1280,11 +1345,15 @@ def _snapshot(cfg):
 
 
 def _read_only_vars(monkeypatch) -> None:
-    """Hand `exec_operands` the configuration's `vars` as a map it cannot
+    """Hand `exec_operands`' pass the map it starts from, a configuration's
+    `vars` or the transient map of a pass it resumes, as a map it cannot
     write."""
-    plain = machine.exec_operands
-    monkeypatch.setattr(machine, "exec_operands", lambda buffer, rho:
-                        plain(buffer, MappingProxyType(rho)))
+    plain = machine._pass
+
+    def read_only(buffer, state, *before):
+        return plain(buffer, (MappingProxyType(state[0]), *state[1:]),
+                     *before)
+    monkeypatch.setattr(machine, "_pass", read_only)
 
 
 @pytest.mark.parametrize("mode", [MODE_HW, MODE_SLH])
