@@ -197,6 +197,23 @@ def test_installed_entry_point():
     assert json.loads(result.stdout)["cut"] == ["z"]
 
 
+def test_output_cut_short_exits_1_quietly(tmp_path):
+    # a reader that closes the pipe after one line, as `| head -1` does:
+    # the 20 000 reads fill the pipe, so the next write fails, and the
+    # CLI exits 1 with nothing on stderr
+    program = tmp_path / "long.bl"
+    program.write_text("array a base=1 len=2 label=L;\npublic x, a;\n"
+                       + "x := a[0];\n" * 20_000)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "specrepair", "run-seq", str(program)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline() == b"read(1)\n"
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(), stderr) == (1, b"")
+
+
 def test_usage_error_exits_2():
     result = subprocess.run(
         [sys.executable, "-m", "specrepair.cli", "no-such-command"],
