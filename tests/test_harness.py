@@ -39,6 +39,44 @@ def test_pairs_satisfy_equivalence(corpus):
                                 pair.mem2, pair.rho2), name
 
 
+# One public and one secret variable and array, each of one or two cells.
+_PUBLIC_AND_SECRET = ("array a base=1 len=2 label=L;\n"
+                      "array s base=3 len=1 label=H;\nvar p = 0;\nvar h = 0;\n"
+                      "public p, a;\nskip;\n")
+
+
+@pytest.mark.parametrize("mem2, rho2, equivalent", [
+    ({}, {}, True),
+    ({3: 9}, {}, True),
+    ({}, {"h": 9}, True),
+    ({}, {"p": 9}, False),
+    ({1: 9}, {}, False),
+    ({2: 9}, {}, False),
+], ids=["same", "secret-cell", "secret-var", "public-var", "public-cell-0",
+        "public-cell-1"])
+def test_l_equivalent(mem2, rho2, equivalent):
+    # two states are equivalent when they agree on every public variable
+    # and every cell of a public array
+    program = parse_program(_PUBLIC_AND_SECRET)
+    mem, rho = program.initial_memory(), program.initial_var_map()
+    assert l_equivalent(program.policy, program, mem, rho, {**mem, **mem2},
+                        {**rho, **rho2}) == equivalent
+
+
+@pytest.mark.parametrize("schedules", ["random", "exhaustive"])
+def test_a_secret_copied_to_a_public_cell_differs_in_state(schedules):
+    # no variable is public, so only the public array's cell can tell the
+    # two final states apart; both traces read and write the same cells
+    program = parse_program("array a base=1 len=2 label=L;\n"
+                            "array s base=3 len=1 label=H;\npublic a;\n"
+                            "t := s[0];\na[0] := t;\n")
+    assert not program.policy.public_vars
+    result = sct_fuzz(program, schedules=schedules, pairs=1, seed=0)
+    ce = result.counterexample
+    assert (result.passed, result.trials, ce.kind, ce.detail) == \
+        (False, 1, "state", "final states differ on public data")
+
+
 def test_pairs_all_public_means_identical():
     program = parse_program(
         "array a base=1 len=2 label=L;\nvar i = 1;\npublic i, x, a;\n"

@@ -95,6 +95,31 @@ def test_public_array_may_occupy_and_write_cell_0():
     assert (result.mem[0], result.vars["x"]) == (3, 3)
 
 
+@pytest.mark.parametrize("decl, message", [
+    (f"array a base={lang.WORD_MASK} len=2 label=L;",
+     "array 'a' overflows the address space"),
+    ("array a base=1 len=2 label=L init=[1,2,3];",
+     "array 'a': 3 initializers for 2 cells"),
+])
+def test_array_sizes_checked(decl, message):
+    # an array ends at the top of the address space at the latest, and has
+    # no more initializers than cells; either limit met exactly is fine
+    with pytest.raises(SemanticError) as info:
+        parse_program(decl + "\nskip;\n")
+    assert str(info.value) == message
+    for fits in (f"array a base={lang.WORD_MASK} len=1 label=L;",
+                 "array a base=1 len=2 label=L init=[1,2];"):
+        assert list(parse_program(fits + "\nskip;\n").arrays) == ["a"]
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("0", 0), ("7", 7), ("true", True), ("false", False)])
+def test_var_initial_values_keep_their_kind(literal, value):
+    program = parse_program(f"var x = {literal};\npublic x;\nskip;\n")
+    assert [(type(v), v) for v in program.initial_var_map().values()] == \
+        [(type(value), value)]
+
+
 def test_unknown_policy_name_rejected():
     with pytest.raises(SemanticError):
         parse_program("var x = 1;\npublic y;\nskip;\n")

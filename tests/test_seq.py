@@ -6,10 +6,16 @@ from hypothesis import given, strategies as st
 from specrepair.lang import (
     ArrayDecl,
     ArrayRead,
+    ArrayWrite,
     Assign,
+    If,
+    LangError,
     Lit,
+    PtrRead,
+    PtrWrite,
     Skip,
     Var,
+    While,
 )
 from specrepair.parser import parse_program
 from specrepair.seq import (
@@ -120,3 +126,25 @@ def test_fail_is_always_last(corpus):
                            program.initial_var_map())
         for o in r.trace[:-1]:
             assert not isinstance(o, SeqFail), name
+
+
+@pytest.mark.parametrize("command, message", [
+    (If(Lit(1), Skip(), Skip()), "branch condition must be boolean, got 1"),
+    (While(Lit(0), Skip()), "loop condition must be boolean, got 0"),
+    (PtrWrite("L", Lit(True), Lit(1)),
+     "pointer address must evaluate to a natural, got True"),
+    (Assign("x", PtrRead("L", Lit(False))),
+     "pointer address must evaluate to a natural, got False"),
+    (ArrayWrite(ArrayDecl("a", 1, 2, "L"), Lit(True), Lit(1)),
+     "array index must evaluate to a natural, got True"),
+    (Assign("x", ArrayRead(ArrayDecl("a", 1, 2, "L"), Lit(False))),
+     "array index must evaluate to a natural, got False"),
+], ids=["branch", "loop", "write-address", "read-address", "write-index",
+        "read-index"])
+def test_values_of_the_wrong_kind_are_errors(command, message):
+    # a condition must be a boolean and an address or index a natural;
+    # the CLI rejects such programs with `lang.kind_check` before it runs
+    # them, so these commands are built by hand
+    with pytest.raises(LangError) as info:
+        run_sequential(command, {}, {})
+    assert str(info.value) == message
