@@ -158,3 +158,43 @@ def test_coverage_on_one_test_file():
     assert all(missed[m] == rows[m][1] <= rows[m][0] for m in modules)
     # the example imports the package and runs no command of the CLI
     assert rows["__init__.py"][1] == 0 < rows["cli.py"][1] == rows["cli.py"][0]
+
+
+def test_bench_schema(tmp_path):
+    # one workload, one pair of one-second runs, the repository against
+    # itself: every metric of BENCHMARK.json gets both sides' quartiles
+    # and a pair count, and both sides print the same verdict digest
+    root = SCRIPTS.parent
+    out = tmp_path / "BENCH_0.json"
+    subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench.py"), str(root), str(root),
+         "--pr", "0", "--workloads", "sct-exhaustive", "--seeds", "5",
+         "--pairs", "1", "--seconds", "1", "--out", str(out)],
+        cwd=tmp_path, capture_output=True, text=True, check=True)
+    report = json.loads(out.read_text())
+    assert (report["pr"], report["pairs"], report["seconds"],
+            report["seeds"]) == (0, 1, 1.0, [5])
+    assert set(report["machine"]) == {"python", "implementation", "system",
+                                      "cpus"}
+    assert list(report["workloads"]) == ["sct-exhaustive"]
+    result = report["workloads"]["sct-exhaustive"]["5"]
+    spec = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    assert set(result["metrics"]) == {metric["name"] for metric in spec}
+    for metric in spec:
+        summary = result["metrics"][metric["name"]]
+        assert {key: summary[key] for key in ("unit", "better", "bound")} \
+            == {key: metric[key] for key in ("unit", "better", "bound")}
+        assert summary["pairs"] == 1 and summary["pairs_better"] in (0, 1)
+        assert isinstance(summary["gap_exceeds_parent_iqr"], bool)
+        for side in ("parent", "change"):
+            q = summary[side]
+            assert q["q1"] <= q["median"] <= q["q3"]
+            assert q["median"] == \
+                result["runs"][side][0]["metrics"][metric["name"]]
+    for side in ("parent", "change"):
+        (run,) = result["runs"][side]
+        assert run["pair"] == 0 and run["first"] == (side == "parent")
+        assert run["correct"] and run["attempted"] > run["failed"] >= 0
+    assert result["digests_equal"] and result["all_correct"]
+    assert result["digests"]["parent"] == result["digests"]["change"]
+    assert len(result["digests"]["parent"][0]) == 16
